@@ -12,7 +12,6 @@ from .model import (
     ModelError,
     ModelSpec,
     build_augmented,
-    deviation_transform,
     load_model,
     load_model_file,
     validate_convexity,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedSystem", "InfoStructure", "InitSpec", "ModelError", "ModelSpec",
-    "build_augmented", "deviation_transform", "load_model", "load_model_file",
+    "build_augmented", "load_model", "load_model_file",
     "validate_convexity",
     "InfeasibleError", "RiccatiSolution", "StrategyGains", "compute_gains",
     "critical_gamma", "optimal_value", "solve_riccati",

@@ -2,27 +2,25 @@
 
 Subcommands: run-example, synthesize, simulate, sweep-gamma, verify,
 gap-study, critical-gamma.  Every command is deterministic given (config,
-seed): re-running writes byte-identical CSVs regardless of the worker
-count.  Outputs land in --out (default ./out).
+seed): re-running writes byte-identical CSVs.  Outputs land in --out
+(default ./out).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import model as model_mod
 from . import oracle as oracle_mod
 from . import synthesis as synth_mod
 from .model import InfoStructure, ModelSpec, load_model_file
-from .sim import DisturbancePolicy, SimConfig, evaluate_cost, simulate_run, trajectory_csv
+from .sim import DisturbancePolicy, SimConfig, evaluate_cost, simulate, trajectory_csv
 from .synthesis import InfeasibleError, compute_gains, critical_gamma, riccati_csv, solve_riccati
 
 EXIT_OK = 0
@@ -57,12 +55,6 @@ def parse_schedule(text: str, horizon: int) -> InfoStructure:
     return InfoStructure.imfs(times)
 
 
-def _experiment_section(config_path) -> dict:
-    with open(config_path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh.read())
-    return raw.get("experiment", {}) or {}
-
-
 def _disturbance_from(sect: dict) -> DisturbancePolicy:
     kind = sect.get("kind", "zero")
     if kind == "zero":
@@ -73,15 +65,6 @@ def _disturbance_from(sect: dict) -> DisturbancePolicy:
     if kind in ("worst_case", "worst-case"):
         return DisturbancePolicy.worst_case()
     raise ValueError(f"unknown disturbance kind '{kind}'")
-
-
-def _simulate_parallel(model: ModelSpec, gains, cfg: SimConfig, workers: int):
-    """Run-index-ordered records; identical output for any worker count."""
-    if workers <= 1:
-        return [simulate_run(model, gains, cfg, run) for run in range(cfg.num_runs)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: simulate_run(model, gains, cfg, r),
-                             range(cfg.num_runs)))
 
 
 def _gamma_tag(gamma: float) -> str:
@@ -95,8 +78,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
-           disturbance: DisturbancePolicy, info_text: str, workers: int,
-           retain: bool) -> int:
+           disturbance: DisturbancePolicy, info_text: str, retain: bool) -> int:
     """Shared core of run-example / sweep-gamma / simulate."""
     summary_rows = []
     report_lines = []
@@ -125,7 +107,7 @@ def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
         info = parse_schedule(info_text, mdl.horizon)
         cfg = SimConfig(master_seed=seed, num_runs=runs, retain_full_states=retain,
                         disturbance=disturbance, info=info)
-        records = _simulate_parallel(mdl, gains, cfg, workers)
+        records = simulate(mdl, gains, cfg)
         cost = evaluate_cost(mdl, records)
         row["mean_cost"], row["stderr"] = cost.mean, cost.stderr
         summary_rows.append(row)
@@ -158,13 +140,13 @@ def cmd_run_example(args) -> int:
     which = int(args.which)
     config = bundled_config_path(which)
     model = load_model_file(config)
-    sect = _experiment_section(config)
+    sect = model.experiment
     gamma_list = args.gamma if args.gamma else [float(g) for g in sect.get("gamma_list", [model.gamma])]
     seed = args.seed if args.seed is not None else int(sect.get("seed", 0))
     runs = args.runs if args.runs is not None else int(sect.get("runs", 1))
-    disturbance = _disturbance_from(sect.get("disturbance", {}))
+    disturbance = _disturbance_from(sect.get("disturbance") or {})
     return _sweep(model, gamma_list, seed, runs, Path(args.out), disturbance,
-                  args.observe, args.workers, retain=True)
+                  args.observe, retain=True)
 
 
 def cmd_synthesize(args) -> int:
@@ -191,10 +173,9 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model_file(args.config)
-    sect = _experiment_section(args.config)
     gamma_list = args.gamma if args.gamma else [model.gamma]
     if args.disturbance == "config":
-        disturbance = _disturbance_from(sect.get("disturbance", {}))
+        disturbance = _disturbance_from(model.experiment.get("disturbance") or {})
     elif args.disturbance == "sinusoid":
         disturbance = DisturbancePolicy.sinusoid(args.amplitude, args.applied_to)
     elif args.disturbance == "worst-case":
@@ -202,7 +183,7 @@ def cmd_simulate(args) -> int:
     else:
         disturbance = DisturbancePolicy.zero()
     return _sweep(model, gamma_list, args.seed or 0, args.runs or 1, Path(args.out),
-                  disturbance, args.observe, args.workers, retain=args.retain_states)
+                  disturbance, args.observe, retain=args.retain_states)
 
 
 def cmd_sweep_gamma(args) -> int:
@@ -311,7 +292,8 @@ def _add_common(p, runs_default=None):
     p.add_argument("--observe", default="all",
                    help="observation schedule: 'all', 'none', or e.g. '1,5,10-12'")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; runs are simulated serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,10 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "config", None) is None and args.command not in ("run-example",):
-        if args.command != "critical-gamma":
-            print("--config is required", file=sys.stderr)
-            return EXIT_FAIL
+    if getattr(args, "config", None) is None and args.command != "run-example":
+        print("--config is required", file=sys.stderr)
+        return EXIT_FAIL
     try:
         return args.func(args)
     except (model_mod.ModelError, InfeasibleError, ValueError) as exc:

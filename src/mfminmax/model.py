@@ -3,9 +3,8 @@
 A network of one leader and n identical followers, coupled through the
 follower average ("mean-field") in both dynamics and cost, with an
 adversarial disturbance penalized by -gamma^2 ||d||^2.  This module holds
-the validated model data, the augmented leader/mean system, and the
-deviation change of variables; the recursions themselves live in
-`synthesis`.
+the validated model data and the augmented leader/mean system; the
+recursions themselves live in `synthesis`.
 
 Time is 1-indexed (t = 1..T).  Per-time matrix stacks are numpy arrays of
 shape (T, ...) indexed [t-1].
@@ -31,7 +30,6 @@ __all__ = [
     "load_model_file",
     "build_augmented",
     "validate_convexity",
-    "deviation_transform",
 ]
 
 # Asymmetry of a weight matrix relative to its magnitude: silently fixed
@@ -66,7 +64,7 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
-    """Build a (T, rows, cols) stack, broadcasting time-invariant input.
+    """Build a (T, rows, cols) stack, broadcasting input constant in time.
 
     Per-time input uses an explicit ``{per_t: [...]}`` mapping with exactly
     T entries; anything else is treated as a single matrix valid at all t.
@@ -197,20 +195,19 @@ class InfoStructure:
     no-sharing.
     """
 
-    variant: str  # "MFS" | "IMFS" | "NoSharing"
     observation_times: frozenset[int] = frozenset()
 
     @staticmethod
     def mfs(horizon: int) -> "InfoStructure":
-        return InfoStructure("MFS", frozenset(range(1, horizon + 1)))
+        return InfoStructure(frozenset(range(1, horizon + 1)))
 
     @staticmethod
     def imfs(times: Sequence[int]) -> "InfoStructure":
-        return InfoStructure("IMFS", frozenset(int(t) for t in times))
+        return InfoStructure(frozenset(int(t) for t in times))
 
     @staticmethod
     def no_sharing() -> "InfoStructure":
-        return InfoStructure("NoSharing", frozenset())
+        return InfoStructure(frozenset())
 
     def observed(self, t: int) -> bool:
         return t in self.observation_times
@@ -251,15 +248,13 @@ class ModelSpec:
     follower_init: InitSpec = None
     noise_leader: np.ndarray = None    # (T, lx, lx) covariance of w0_t
     noise_follower: np.ndarray = None  # (T, lx, lx) covariance of wi_t
+    # run defaults for the CLI: the validated ``experiment`` section
+    experiment: dict = field(default_factory=dict)
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
         if gamma <= 0:
             raise ModelError("gamma must be positive")
         return replace(self, gamma=float(gamma))
-
-    def follower_mean_init(self) -> np.ndarray:
-        """Expected initial follower state (the estimator's starting point)."""
-        return self.follower_init.mean()
 
 
 @dataclass(frozen=True)
@@ -276,6 +271,27 @@ class AugmentedSystem:
 class ConvexityReport:
     ok: bool
     violations: list = field(default_factory=list)  # (t, matrix name, min eigenvalue)
+
+
+EXPERIMENT_KEYS = {"seed", "runs", "gamma_list", "disturbance"}
+DISTURBANCE_KEYS = {"kind", "amplitude", "applied_to"}
+
+
+def _check_keys(node, allowed: set, name: str) -> dict:
+    node = node or {}
+    if not isinstance(node, dict):
+        raise ModelError(f"{name} must be a mapping")
+    unknown = set(node) - allowed
+    if unknown:
+        raise ModelError(f"{name}: unknown keys {sorted(unknown)}")
+    return node
+
+
+def _parse_experiment(node) -> dict:
+    """The optional run-defaults section; a misspelled key is an error."""
+    node = _check_keys(node, EXPERIMENT_KEYS, "experiment")
+    _check_keys(node.get("disturbance"), DISTURBANCE_KEYS, "experiment.disturbance")
+    return node
 
 
 def load_model(text: str) -> ModelSpec:
@@ -348,6 +364,7 @@ def load_model(text: str) -> ModelSpec:
         R=weights["R"], R0=weights["R0"], H=weights["H"],
         leader_init=leader_init, follower_init=follower_init,
         noise_leader=nl, noise_follower=nf,
+        experiment=_parse_experiment(raw.get("experiment")),
     )
 
     report = validate_convexity(model)
@@ -405,14 +422,3 @@ def validate_convexity(model: ModelSpec) -> ConvexityReport:
             if not psd and ev < 1e-12:
                 violations.append((t + 1, name, ev))
     return ConvexityReport(ok=not violations, violations=violations)
-
-
-def deviation_transform(states) -> tuple[np.ndarray, np.ndarray]:
-    """Split agent states into (mean, per-agent deviations from the mean)."""
-    arr = np.asarray(states, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape[0] == 0:
-        raise ValueError("deviation_transform of an empty population")
-    mean = arr.mean(axis=0)
-    return mean, arr - mean

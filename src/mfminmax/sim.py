@@ -1,10 +1,10 @@
 """Seeded Monte Carlo simulation of the leader-follower network.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
-index, t); follower i reads row i of the per-(run, t) batch, so results
-are bit-identical no matter how runs are scheduled across workers.  Stage
-costs are accumulated online (sufficient statistics), full per-follower
-state retention is opt-in.
+index, t); follower i reads row i of the per-(run, t) batch, so a run's
+results are bit-identical whichever other runs are simulated with it.
+Stage costs are accumulated online (sufficient statistics), full
+per-follower state retention is opt-in.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import InfoStructure, ModelSpec
-from .strategy import PolicyState, estimator_step, follower_action, leader_action
+from .strategy import (PolicyState, estimator_step, follower_action, leader_action,
+                       worst_case_disturbance)
 from .synthesis import StrategyGains
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "CostSummary",
     "simulate",
     "simulate_run",
+    "stage_cost",
     "evaluate_cost",
     "trajectory_csv",
 ]
@@ -36,20 +38,17 @@ __all__ = [
 class DisturbancePolicy:
     """How the disturbance d is generated during a run.
 
-    kind: "zero" | "sinusoid" | "worst_case" | "table".
+    kind: "zero" | "sinusoid" | "worst_case".
     Sinusoid applies amplitude*sin(t) (t in radians, starting at 1) to
     every component, identically across followers.  Worst-case feedback
     uses the true states unless ``use_estimate`` routes the mean through
-    the policy estimate.  Tables give explicit per-t values shared across
-    followers.
+    the policy estimate.
     """
 
     kind: str = "zero"
     amplitude: float = 0.0
     applied_to: str = "followers"  # "followers" | "leader" | "both"
     use_estimate: bool = False
-    table_leader: np.ndarray | None = None    # (T, lx)
-    table_follower: np.ndarray | None = None  # (T, lx)
 
     @staticmethod
     def zero() -> "DisturbancePolicy":
@@ -64,12 +63,6 @@ class DisturbancePolicy:
     @staticmethod
     def worst_case(use_estimate: bool = False) -> "DisturbancePolicy":
         return DisturbancePolicy(kind="worst_case", use_estimate=use_estimate)
-
-    @staticmethod
-    def table(leader: np.ndarray | None, follower: np.ndarray | None) -> "DisturbancePolicy":
-        tl = None if leader is None else np.asarray(leader, dtype=float)
-        tf = None if follower is None else np.asarray(follower, dtype=float)
-        return DisturbancePolicy(kind="table", table_leader=tl, table_follower=tf)
 
 
 @dataclass(frozen=True)
@@ -130,6 +123,25 @@ def _quad(v: np.ndarray, W: np.ndarray) -> float:
     return float(v @ W @ v)
 
 
+def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.ndarray,
+               xf: np.ndarray, uf: np.ndarray, df: np.ndarray,
+               xbar: np.ndarray, ubar: np.ndarray) -> float:
+    """Social-welfare stage cost at time t, averaged over the n followers.
+
+    ``xf``/``uf``/``df`` are the (n, lx|lu) follower batches and
+    ``xbar``/``ubar`` their means, passed in because the caller already has
+    them.  Disturbances enter with weight -gamma^2.
+    """
+    g2 = model.gamma ** 2
+    return (
+        _quad_mean(xf, model.Q[t - 1]) + _quad_mean(uf, model.R[t - 1])
+        - g2 * float((df * df).sum(axis=1).mean())
+        + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1]) - g2 * float(d0 @ d0)
+        + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
+        + _quad(ubar, model.H[t - 1])
+    )
+
+
 def _disturbances(policy: DisturbancePolicy, t: int, model: ModelSpec, gains: StrategyGains,
                   x0: np.ndarray, xbar: np.ndarray, xf: np.ndarray, m_hat: np.ndarray):
     """Realized (d0, per-follower df) at time t."""
@@ -142,16 +154,8 @@ def _disturbances(policy: DisturbancePolicy, t: int, model: ModelSpec, gains: St
         df = (np.full((n, lx), pulse) if policy.applied_to in ("followers", "both")
               else np.zeros((n, lx)))
         return d0, df
-    if policy.kind == "table":
-        d0 = np.zeros(lx) if policy.table_leader is None else policy.table_leader[t - 1]
-        drow = np.zeros(lx) if policy.table_follower is None else policy.table_follower[t - 1]
-        return np.asarray(d0, dtype=float), np.broadcast_to(drow, (n, lx)).copy()
     if policy.kind == "worst_case":
-        mean = m_hat if policy.use_estimate else xbar
-        aug = gains.K_bar[t - 1] @ np.concatenate([x0, mean])
-        d0, dbar = aug[:lx], aug[lx:]
-        df = (xf - mean) @ gains.K_brev[t - 1].T + dbar
-        return d0, df
+        return worst_case_disturbance(gains, t, x0, m_hat if policy.use_estimate else xbar, xf)
     raise ValueError(f"unknown disturbance kind '{policy.kind}'")
 
 
@@ -159,7 +163,6 @@ def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: in
     """One seeded run; deterministic in (master_seed, run) alone."""
     T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
     info = cfg.info if cfg.info is not None else InfoStructure.mfs(T)
-    g2 = model.gamma ** 2
 
     init_rng = _rng(cfg.master_seed, run, 0)
     x0 = model.leader_init.sample(init_rng)
@@ -186,18 +189,10 @@ def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: in
         d0, df = _disturbances(cfg.disturbance, t, model, gains, x0, xbar, xf, policy.m_hat)
         dbar = df.mean(axis=0)
 
-        stage = (
-            _quad_mean(xf, model.Q[t - 1]) + _quad_mean(uf, model.R[t - 1])
-            - g2 * float((df * df).sum(axis=1).mean())
-            + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1]) - g2 * float(d0 @ d0)
-            + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
-            + _quad(ubar, model.H[t - 1])
-        )
-
         rec.x0[t - 1], rec.xbar[t - 1], rec.mhat[t - 1] = x0, xbar, policy.m_hat
         rec.u0[t - 1], rec.ubar[t - 1] = u0, ubar
         rec.d0[t - 1], rec.dbar[t - 1] = d0, dbar
-        rec.stage_costs[t - 1] = stage
+        rec.stage_costs[t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar)
         if rec.xi is not None:
             rec.xi[t - 1], rec.ui[t - 1], rec.di[t - 1] = xf, uf, df
 
@@ -229,18 +224,9 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig) -> list[Tra
     return [simulate_run(model, gains, cfg, run) for run in range(cfg.num_runs)]
 
 
-def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord],
-                  recompute: bool = False) -> CostSummary:
-    """Monte Carlo mean and standard error of the realized cost.
-
-    With ``recompute`` the per-run cost is re-derived from retained
-    per-follower states instead of the online stage sums (full states
-    required).
-    """
-    if recompute:
-        per_run = np.array([_recompute_cost(model, r) for r in records])
-    else:
-        per_run = np.array([r.total_cost for r in records])
+def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord]) -> CostSummary:
+    """Monte Carlo mean and standard error of the realized cost."""
+    per_run = np.array([r.total_cost for r in records])
     ok = np.isfinite(per_run)
     vals = per_run[ok]
     if vals.size == 0:
@@ -249,28 +235,6 @@ def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord],
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return CostSummary(per_run=per_run, mean=mean, stderr=stderr,
                        failed_runs=int((~ok).sum()))
-
-
-def _recompute_cost(model: ModelSpec, rec: TrajectoryRecord) -> float:
-    """Full cost re-derivation from retained per-follower trajectories."""
-    if rec.xi is None or rec.ui is None or rec.di is None:
-        raise ValueError("full states were not retained; cannot recompute the cost")
-    if rec.failed:
-        return float("nan")
-    g2 = model.gamma ** 2
-    total = 0.0
-    for t in range(1, model.horizon + 1):
-        xf, uf, df = rec.xi[t - 1], rec.ui[t - 1], rec.di[t - 1]
-        xbar, ubar = xf.mean(axis=0), uf.mean(axis=0)
-        x0, u0, d0 = rec.x0[t - 1], rec.u0[t - 1], rec.d0[t - 1]
-        total += (
-            _quad_mean(xf, model.Q[t - 1]) + _quad_mean(uf, model.R[t - 1])
-            - g2 * float((df * df).sum(axis=1).mean())
-            + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1]) - g2 * float(d0 @ d0)
-            + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
-            + _quad(ubar, model.H[t - 1])
-        )
-    return float(total)
 
 
 def trajectory_csv(records: list[TrajectoryRecord], state_dim: int = 1, action_dim: int = 1) -> str:

@@ -51,7 +51,7 @@ class PolicyState:
                 raise ValueError("t=1 is an observation time but no mean was supplied")
             m1 = np.asarray(xbar1, dtype=float).copy()
         else:
-            m1 = model.follower_mean_init()
+            m1 = model.follower_init.mean()
         return cls(model=model, gains=gains, info=info, m_hat=m1, t=1,
                    use_worst_case_dbar=use_worst_case_dbar)
 
@@ -77,24 +77,22 @@ def follower_action(p: PolicyState, xi: np.ndarray, x0: np.ndarray) -> np.ndarra
     return xi @ L.T + common
 
 
-def worst_case_disturbance(p: PolicyState, x0: np.ndarray, xi: np.ndarray | None = None):
-    """Worst-case feedback disturbances, on the policy's information.
+def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: np.ndarray,
+                           xi: np.ndarray | None = None):
+    """The saddle-point disturbance at time t, fed back on ``mean``.
 
-    With ``xi`` given, returns the per-follower disturbance
-    d^i = K_brev (x^i - m_hat) + dbar; otherwise the pair (d0, dbar) from
-    the augmented gain.  The unobservable mean is replaced by m_hat.
+    Returns (d0, dbar) from the augmented gain K_bar [x0; mean]; with
+    ``xi`` given (one state (lx,) or a batch (n, lx)), the second entry is
+    instead the per-follower d^i = K_brev (x^i - mean) + dbar.  The caller
+    picks the mean: the true follower average, or m_hat where that is not
+    measurable.
     """
-    g = p.gains
-    lx = g.state_dim
-    aug = g.K_bar[p.t - 1] @ np.concatenate([x0, p.m_hat])
+    lx = gains.state_dim
+    aug = gains.K_bar[t - 1] @ np.concatenate([x0, mean])
     d0, dbar = aug[:lx], aug[lx:]
     if xi is None:
         return d0, dbar
-    xi = np.asarray(xi, dtype=float)
-    K = g.K_brev[p.t - 1]
-    if xi.ndim == 1:
-        return K @ (xi - p.m_hat) + dbar
-    return (xi - p.m_hat) @ K.T + dbar
+    return d0, (xi - mean) @ gains.K_brev[t - 1].T + dbar
 
 
 def estimator_step(p: PolicyState, x0: np.ndarray, observed: np.ndarray | None = None) -> np.ndarray:
@@ -114,13 +112,12 @@ def estimator_step(p: PolicyState, x0: np.ndarray, observed: np.ndarray | None =
         p.m_hat = np.asarray(observed, dtype=float).copy()
     else:
         mdl = p.model
-        lx = g.state_dim
         closed = mdl.A[t - 1] + mdl.S[t - 1] + mdl.B[t - 1] @ g.l22(t)
         drive = (mdl.B[t - 1] @ g.l21(t) + mdl.E[t - 1]) @ x0
         if p.use_worst_case_dbar:
-            dbar = (g.K_bar[t - 1] @ np.concatenate([x0, m]))[lx:]
+            dbar = worst_case_disturbance(g, t, x0, m)[1]
         else:
-            dbar = np.zeros(lx)
+            dbar = np.zeros(g.state_dim)
         p.m_hat = closed @ m + drive + dbar
     p.t = t + 1
     return p.m_hat

@@ -218,6 +218,17 @@ class TestOtherCommands:
         code = main(["sweep-gamma", "--config", str(bundled_config_path(2))])
         assert code == EXIT_FAIL
 
+    @pytest.mark.parametrize("key, typo", [("amplitude", "amplitud"),
+                                           ("gamma_list", "gama_list")])
+    def test_misspelled_experiment_key_fails(self, tmp_path, capsys, key, typo):
+        config = tmp_path / "typo.yaml"
+        config.write_text(read(bundled_config_path(2)).replace(f"{key}:", f"{typo}:"),
+                          encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_FAIL
+        assert typo in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_fails_cleanly(self, capsys):
         code = main(["synthesize"])
         assert code == EXIT_FAIL

@@ -1,4 +1,4 @@
-"""Model loading, augmentation, convexity checks, deviation transform."""
+"""Model loading, augmentation, convexity checks, information structures."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from mfminmax.model import (
     InfoStructure,
     ModelError,
     build_augmented,
-    deviation_transform,
     load_model,
     validate_convexity,
 )
@@ -198,32 +197,6 @@ class TestValidateConvexity:
         evs = np.linalg.eigvalsh(aug.Q_bar[0])
         assert evs.min() > 0  # brute-force eigenvalue check
         assert validate_convexity(m).ok
-
-
-class TestDeviationTransform:
-    def test_two_points(self):
-        mean, dev = deviation_transform([1.0, 3.0])
-        assert mean == pytest.approx([2.0])
-        assert dev[:, 0] == pytest.approx([-1.0, 1.0])
-
-    def test_identical_states(self):
-        mean, dev = deviation_transform(np.full((5, 2), 3.7))
-        assert mean == pytest.approx([3.7, 3.7])
-        assert np.all(dev == 0.0)
-
-    def test_deviations_sum_to_zero(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            n = int(rng.integers(1, 12))
-            dim = int(rng.integers(1, 4))
-            states = rng.standard_normal((n, dim)) * rng.uniform(0.1, 100)
-            mean, dev = deviation_transform(states)
-            bound = 1e-12 * max(1.0, float(np.max(np.abs(states))))
-            assert np.max(np.abs(dev.sum(axis=0))) <= bound
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            deviation_transform(np.zeros((0, 1)))
 
 
 class TestInfoStructure:

@@ -10,10 +10,10 @@ from mfminmax.model import InfoStructure, InitSpec
 from mfminmax.sim import (
     DisturbancePolicy,
     SimConfig,
-    TrajectoryRecord,
     evaluate_cost,
     simulate,
     simulate_run,
+    stage_cost,
     trajectory_csv,
 )
 from mfminmax.synthesis import compute_gains, optimal_value, solve_riccati
@@ -23,6 +23,14 @@ from conftest import EX2_GAMMA, make_model, zero_weight_model
 
 def gains_for(model):
     return compute_gains(model, solve_riccati(model))
+
+
+def retained_cost(model, rec):
+    """A run's cost re-derived from its retained per-follower states."""
+    return sum(stage_cost(model, t, rec.x0[t - 1], rec.u0[t - 1], rec.d0[t - 1],
+                          rec.xi[t - 1], rec.ui[t - 1], rec.di[t - 1],
+                          rec.xi[t - 1].mean(axis=0), rec.ui[t - 1].mean(axis=0))
+               for t in range(1, model.horizon + 1))
 
 
 class TestDynamics:
@@ -110,42 +118,29 @@ class TestAggregation:
         g = gains_for(m)
         cfg = SimConfig(master_seed=9, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.sinusoid(0.4))
-        recs = simulate(m, g, cfg)
-        online = evaluate_cost(m, recs)
-        again = evaluate_cost(m, recs, recompute=True)
-        assert online.mean == pytest.approx(again.mean, rel=1e-12)
-
-    def test_recompute_requires_full_states(self, example2):
-        recs = simulate(example2, gains_for(example2), SimConfig(master_seed=1))
-        with pytest.raises(ValueError, match="retained"):
-            evaluate_cost(example2, recs, recompute=True)
+        for rec in simulate(m, g, cfg):
+            assert retained_cost(m, rec) == pytest.approx(rec.total_cost, rel=1e-12)
 
 
 class TestCostFormula:
     def test_single_step_hand_value(self):
-        # One step, scalar, unit weights except Q0=R0=0: cost pieces
-        # 4 + 1 - 1 + 4 + 4 + 1 = 13.
+        # One step, scalar, unit weights except Q0=0, leader at rest with
+        # zero action and disturbance: cost pieces 4 + 1 - 1 + 4 + 4 + 1 = 13.
         m = make_model(T=1, n=1, gamma=1.0, A0=1.0, B0=1.0, S0=0.0, A=1.0, B=1.0,
                        S=0.0, E=0.0, Q=1.0, Q0=0.0, F=1.0, P=1.0, R=1.0, R0=1.0, H=1.0)
-        rec = TrajectoryRecord(
-            run=0, seed=0,
-            x0=np.array([[0.0]]), xbar=np.array([[2.0]]), mhat=np.array([[2.0]]),
-            u0=np.array([[0.0]]), ubar=np.array([[1.0]]),
-            d0=np.array([[0.0]]), dbar=np.array([[1.0]]),
-            stage_costs=np.array([np.nan]), total_cost=np.nan,
-            xi=np.array([[[2.0]]]), ui=np.array([[[1.0]]]), di=np.array([[[1.0]]]),
-        )
-        assert evaluate_cost(m, [rec], recompute=True).mean == pytest.approx(13.0)
+        zero = np.array([0.0])
+        cost = stage_cost(m, 1, zero, zero, zero, np.array([[2.0]]), np.array([[1.0]]),
+                          np.array([[1.0]]), np.array([2.0]), np.array([1.0]))
+        assert cost == pytest.approx(13.0)
 
     def test_gamma_only_scales_disturbance_terms(self, example2):
         m = replace(example2, n_followers=4)
         g = gains_for(m)
         cfg = SimConfig(master_seed=13, num_runs=2, retain_full_states=True,
                         disturbance=DisturbancePolicy.zero())
-        recs = simulate(m, g, cfg)
-        base = evaluate_cost(m, recs, recompute=True).mean
-        doubled = evaluate_cost(m.with_gamma(2 * m.gamma), recs, recompute=True).mean
-        assert base == pytest.approx(doubled, rel=1e-12)
+        for rec in simulate(m, g, cfg):
+            doubled = retained_cost(m.with_gamma(2 * m.gamma), rec)
+            assert retained_cost(m, rec) == pytest.approx(doubled, rel=1e-12)
 
     def test_failed_runs_excluded_from_mean(self):
         m = zero_weight_model()

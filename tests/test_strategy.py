@@ -81,15 +81,16 @@ class TestActions:
 class TestWorstCaseDisturbance:
     def test_zero_states_zero_disturbance(self, example2):
         p = policy_for(example2, m1=[0.0])
-        d0, dbar = worst_case_disturbance(p, np.zeros(1))
+        d0, dbar = worst_case_disturbance(p.gains, p.t, np.zeros(1), p.m_hat)
         assert d0 == pytest.approx([0.0]) and dbar == pytest.approx([0.0])
-        assert worst_case_disturbance(p, np.zeros(1), np.zeros(1)) == pytest.approx([0.0])
+        _, di = worst_case_disturbance(p.gains, p.t, np.zeros(1), p.m_hat, np.zeros(1))
+        assert di == pytest.approx([0.0])
 
     def test_huge_gamma_kills_disturbance(self, example2):
         p = policy_for(example2.with_gamma(1e9), m1=[4.0])
         x0 = np.array([10.0])
-        d0, dbar = worst_case_disturbance(p, x0)
-        di = worst_case_disturbance(p, x0, np.array([9.0]))
+        d0, dbar = worst_case_disturbance(p.gains, p.t, x0, p.m_hat)
+        _, di = worst_case_disturbance(p.gains, p.t, x0, p.m_hat, np.array([9.0]))
         scale = 10.0
         assert np.abs(d0).max() <= 1e-6 * scale
         assert np.abs(dbar).max() <= 1e-6 * scale
@@ -99,11 +100,30 @@ class TestWorstCaseDisturbance:
         m = example2.with_gamma(EX2_GAMMA)
         p = policy_for(m, m1=[4.0])
         x0 = np.array([10.0])
-        d0, dbar = worst_case_disturbance(p, x0)
+        d0, dbar = worst_case_disturbance(p.gains, p.t, x0, p.m_hat)
         assert d0[0] == pytest.approx(EX2_G4_D0, rel=1e-12)
         assert dbar[0] == pytest.approx(EX2_G4_DBAR, rel=1e-12)
-        di = worst_case_disturbance(p, x0, np.array([5.0]))  # deviation +1
+        xi = np.array([5.0])  # deviation +1
+        _, di = worst_case_disturbance(p.gains, p.t, x0, p.m_hat, xi)
         assert di[0] == pytest.approx(EX2_G4_DI, rel=1e-12)
+
+    @pytest.mark.parametrize("use_estimate", [False, True])
+    def test_simulation_applies_this_feedback_bitwise(self, example2, use_estimate):
+        # Intermittent sharing keeps m_hat apart from the true mean, so the
+        # check also pins which of the two the simulation feeds back on.
+        m = replace(example2.with_gamma(EX2_GAMMA), n_followers=5)
+        gains = compute_gains(m, solve_riccati(m))
+        cfg = SimConfig(master_seed=17, num_runs=2, retain_full_states=True,
+                        disturbance=DisturbancePolicy.worst_case(use_estimate=use_estimate),
+                        info=InfoStructure.imfs([1, 10, 20]))
+        for rec in simulate(m, gains, cfg):
+            means = rec.mhat if use_estimate else rec.xbar
+            assert not np.array_equal(rec.mhat, rec.xbar)
+            for t in range(1, m.horizon + 1):
+                d0, di = worst_case_disturbance(gains, t, rec.x0[t - 1], means[t - 1],
+                                                rec.xi[t - 1])
+                assert np.array_equal(rec.d0[t - 1], d0)
+                assert np.array_equal(rec.di[t - 1], di)
 
 
 class TestEstimator:
