@@ -67,6 +67,15 @@ def _disturbance_from(sect: dict) -> DisturbancePolicy:
     raise ValueError(f"unknown disturbance kind '{kind}'")
 
 
+def _seed_and_runs(args, sect: dict) -> tuple:
+    """--seed/--runs if given, else the config's experiment values, else 0 and 1."""
+    seed = args.seed if args.seed is not None else int(sect.get("seed", 0))
+    runs = args.runs if args.runs is not None else int(sect.get("runs", 1))
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    return seed, runs
+
+
 def _gamma_tag(gamma: float) -> str:
     return format(float(gamma), "g")
 
@@ -142,8 +151,7 @@ def cmd_run_example(args) -> int:
     model = load_model_file(config)
     sect = model.experiment
     gamma_list = args.gamma if args.gamma else [float(g) for g in sect.get("gamma_list", [model.gamma])]
-    seed = args.seed if args.seed is not None else int(sect.get("seed", 0))
-    runs = args.runs if args.runs is not None else int(sect.get("runs", 1))
+    seed, runs = _seed_and_runs(args, sect)
     disturbance = _disturbance_from(sect.get("disturbance") or {})
     return _sweep(model, gamma_list, seed, runs, Path(args.out), disturbance,
                   args.observe, retain=True)
@@ -173,6 +181,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model_file(args.config)
+    seed, runs = _seed_and_runs(args, model.experiment)
     gamma_list = args.gamma if args.gamma else [model.gamma]
     if args.disturbance == "config":
         disturbance = _disturbance_from(model.experiment.get("disturbance") or {})
@@ -182,7 +191,7 @@ def cmd_simulate(args) -> int:
         disturbance = DisturbancePolicy.worst_case()
     else:
         disturbance = DisturbancePolicy.zero()
-    return _sweep(model, gamma_list, args.seed or 0, args.runs or 1, Path(args.out),
+    return _sweep(model, gamma_list, seed, runs, Path(args.out),
                   disturbance, args.observe, retain=args.retain_states)
 
 
@@ -197,7 +206,9 @@ def cmd_verify(args) -> int:
     model = load_model_file(args.config)
     if args.gamma:
         model = model.with_gamma(args.gamma[0])
-    n = args.n or 2
+    n = args.n
+    if not 1 <= n <= oracle_mod.MAX_ORACLE_FOLLOWERS:
+        raise ValueError(f"--n must be in 1..{oracle_mod.MAX_ORACLE_FOLLOWERS}, got {n}")
     out = Path(args.out)
     ric = solve_riccati(model)
     if not ric.feasible:
@@ -256,6 +267,7 @@ def cmd_gap_study(args) -> int:
     model = load_model_file(args.config)
     if args.gamma:
         model = model.with_gamma(args.gamma[0])
+    seed, runs = _seed_and_runs(args, {})  # the experiment section is not read here
     ric = solve_riccati(model)
     if not ric.feasible:
         print(f"model infeasible at gamma={model.gamma:g}; gap study needs a saddle point")
@@ -264,8 +276,7 @@ def cmd_gap_study(args) -> int:
     n_list = args.n_list or [10, 50, 250]
     times = () if args.observe == "none" else tuple(
         sorted(parse_schedule(args.observe, model.horizon).observation_times))
-    rows = oracle_mod.imfs_gap_study(model, gains, n_list, args.seed or 0,
-                                     args.runs or 500, observation_times=times)
+    rows = oracle_mod.imfs_gap_study(model, gains, n_list, seed, runs, observation_times=times)
     out = Path(args.out)
     _write(out / "gap_study.csv", oracle_mod.gap_table_csv(rows))
     for row in rows:
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("simulate", "sweep-gamma"):
         p = sub.add_parser(name, help="closed-loop Monte Carlo")
-        _add_common(p, runs_default=1)
+        _add_common(p)
         p.add_argument("--disturbance", choices=["config", "zero", "sinusoid", "worst-case"],
                        default="config")
         p.add_argument("--amplitude", type=float, default=0.0)

@@ -144,11 +144,8 @@ class InitSpec:
             if v.shape[0] != count:
                 raise ModelError(f"deterministic list has {v.shape[0]} entries, need {count}")
             return v.copy()
-        size = None if count is None else count
         if self.kind == "gaussian":
-            if count is None:
-                return rng.multivariate_normal(self.mu, self.sigma)
-            return rng.multivariate_normal(self.mu, self.sigma, size=size)
+            return rng.multivariate_normal(self.mu, self.sigma, size=count)
         shape = (self.dim,) if count is None else (count, self.dim)
         return rng.uniform(self.low, self.high, size=shape)
 

@@ -34,7 +34,7 @@ __all__ = [
     "gap_table_csv",
 ]
 
-MAX_ORACLE_FOLLOWERS = 4
+MAX_ORACLE_FOLLOWERS = 16
 
 
 @dataclass(frozen=True)
@@ -83,51 +83,43 @@ class SaddleReport:
 
 
 def build_stacked(model: ModelSpec, n: int) -> StackedProblem:
-    """Assemble the joint matrices from the raw dynamics and cost."""
+    """Assemble the joint matrices from the raw dynamics and cost.
+
+    Each stack is filled as (T, n+1, dim, n+1, dim), whose [:, i, :, j] is the
+    block of agents i and j (0 = leader), for all t and followers at once; each
+    entry gets a per-agent loop's writes in its order, signs of zeros included.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_ORACLE_FOLLOWERS:
         raise ValueError(f"oracle capped at n <= {MAX_ORACLE_FOLLOWERS} followers")
     T, lx, lu = model.horizon, model.state_dim, model.action_dim
     N, Nu = (n + 1) * lx, (n + 1) * lu
-    AA = np.zeros((T, N, N))
-    BB = np.zeros((T, N, Nu))
-    QQ = np.zeros((T, N, N))
-    RR = np.zeros((T, Nu, Nu))
-    Wd = np.zeros((N, N))
-    noise = np.zeros((T, N, N))
-
-    def xs(i):  # state slice of agent i (0 = leader)
-        return slice(i * lx, (i + 1) * lx)
-
-    def us(i):
-        return slice(i * lu, (i + 1) * lu)
-
-    Wd[xs(0), xs(0)] = np.eye(lx)
-    for i in range(1, n + 1):
-        Wd[xs(i), xs(i)] = np.eye(lx) / n
-
-    for t in range(T):
-        AA[t, xs(0), xs(0)] = model.A0[t]
-        BB[t, xs(0), us(0)] = model.B0[t]
-        QQ[t, xs(0), xs(0)] = model.Q0[t] + model.F[t]
-        RR[t, us(0), us(0)] = model.R0[t]
-        noise[t, xs(0), xs(0)] = model.noise_leader[t]
-        for i in range(1, n + 1):
-            AA[t, xs(0), xs(i)] += model.S0[t] / n
-            AA[t, xs(i), xs(0)] = model.E[t]
-            AA[t, xs(i), xs(i)] += model.A[t]
-            BB[t, xs(i), us(i)] = model.B[t]
-            QQ[t, xs(0), xs(i)] += -model.F[t] / n
-            QQ[t, xs(i), xs(0)] += -model.F[t] / n
-            QQ[t, xs(i), xs(i)] += model.Q[t] / n
-            RR[t, us(i), us(i)] += model.R[t] / n
-            noise[t, xs(i), xs(i)] = model.noise_follower[t]
-            for j in range(1, n + 1):
-                AA[t, xs(i), xs(j)] += model.S[t] / n
-                QQ[t, xs(i), xs(j)] += (model.F[t] + model.P[t]) / n**2
-                RR[t, us(i), us(j)] += model.H[t] / n**2
-    return StackedProblem(n=n, AA=AA, BB=BB, QQ=QQ, RR=RR, Wd=Wd, noise_cov=noise)
+    f = np.arange(1, n + 1)  # [:, f, :, f] are the n follower diagonal blocks
+    AA, QQ, noise = (np.zeros((T, n + 1, lx, n + 1, lx)) for _ in range(3))
+    BB = np.zeros((T, n + 1, lx, n + 1, lu))
+    RR = np.zeros((T, n + 1, lu, n + 1, lu))
+    AA[:, 0, :, 0] = model.A0
+    AA[:, 0, :, 1:] += (model.S0 / n)[:, :, None]
+    AA[:, 1:, :, 0] = model.E[:, None]
+    AA[:, f, :, f] += model.A
+    AA[:, 1:, :, 1:] += (model.S / n)[:, None, :, None]
+    BB[:, 0, :, 0] = model.B0
+    BB[:, f, :, f] = model.B
+    QQ[:, 0, :, 0] = model.Q0 + model.F
+    QQ[:, 0, :, 1:] += (-model.F / n)[:, :, None]
+    QQ[:, 1:, :, 0] += (-model.F / n)[:, None]
+    QQ[:, f, :, f] += model.Q / n
+    QQ[:, 1:, :, 1:] += ((model.F + model.P) / n**2)[:, None, :, None]
+    RR[:, 0, :, 0] = model.R0
+    RR[:, f, :, f] += model.R / n
+    RR[:, 1:, :, 1:] += (model.H / n**2)[:, None, :, None]
+    noise[:, 0, :, 0] = model.noise_leader
+    noise[:, f, :, f] = model.noise_follower
+    Wd = np.diag(np.concatenate([np.ones(lx), np.full(n * lx, 1.0 / n)]))
+    return StackedProblem(n=n, AA=AA.reshape(T, N, N), BB=BB.reshape(T, N, Nu),
+                          QQ=QQ.reshape(T, N, N), RR=RR.reshape(T, Nu, Nu), Wd=Wd,
+                          noise_cov=noise.reshape(T, N, N))
 
 
 def stacked_saddle_solve(model: ModelSpec, n: int) -> StackedSolution:
@@ -205,15 +197,14 @@ def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains, n: int):
     return KU, KD
 
 
-def rollout_joint(model: ModelSpec, n: int, KU: np.ndarray, KD: np.ndarray,
+def rollout_joint(model: ModelSpec, prob: StackedProblem, KU: np.ndarray, KD: np.ndarray,
                   x0_init: np.ndarray, followers_init: np.ndarray):
     """Noise-free closed loop under joint feedback; raw cost accounting.
 
     Returns (total cost, trajectory (T, N)).  The cost is the plain
     per-agent sum, no deviation or aggregate shortcut.
     """
-    T, lx, lu = model.horizon, model.state_dim, model.action_dim
-    prob = build_stacked(model, n)
+    T, lx, lu, n = model.horizon, model.state_dim, model.action_dim, prob.n
     g2 = model.gamma ** 2
     X = np.concatenate([np.atleast_1d(x0_init),
                         np.asarray(followers_init, dtype=float).reshape(n * lx)])
@@ -255,8 +246,9 @@ def verify_equivalence(model: ModelSpec, gains: StrategyGains, n: int,
     KUd, KDd = decomposed_joint_gains(model, gains, n)
     report.max_gain_discrepancy = max(
         float(np.max(np.abs(KUd - sol.KU))), float(np.max(np.abs(KDd - sol.KD))))
-    cost_joint, traj_joint = rollout_joint(model, n, sol.KU, sol.KD, x0_init, followers_init)
-    cost_dec, traj_dec = rollout_joint(model, n, KUd, KDd, x0_init, followers_init)
+    prob = build_stacked(model, n)
+    cost_joint, traj_joint = rollout_joint(model, prob, sol.KU, sol.KD, x0_init, followers_init)
+    cost_dec, traj_dec = rollout_joint(model, prob, KUd, KDd, x0_init, followers_init)
     report.base_cost = float(cost_dec)
     scale = max(1.0, abs(joint_value))
     traj_gap = float(np.max(np.abs(traj_joint - traj_dec)))
@@ -282,7 +274,8 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     if followers_init is None:
         followers_init = np.atleast_2d(model.follower_init.mean()).repeat(n, axis=0)
     KU0, KD0 = decomposed_joint_gains(model, gains, n)
-    base, _ = rollout_joint(model, n, KU0, KD0, x0_init, followers_init)
+    prob = build_stacked(model, n)
+    base, _ = rollout_joint(model, prob, KU0, KD0, x0_init, followers_init)
     rng = np.random.default_rng(seed)
 
     report = SaddleReport(base_cost=base)
@@ -292,10 +285,10 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
             direction /= np.linalg.norm(direction)
             for step in steps:
                 if side == "control":
-                    cost, _ = rollout_joint(model, n, KU0 + step * direction, KD0,
+                    cost, _ = rollout_joint(model, prob, KU0 + step * direction, KD0,
                                             x0_init, followers_init)
                 else:
-                    cost, _ = rollout_joint(model, n, KU0, KD0 + step * direction,
+                    cost, _ = rollout_joint(model, prob, KU0, KD0 + step * direction,
                                             x0_init, followers_init)
                 report.perturbations.append((side, k, step, cost - base))
     control = [d for s, _, _, d in report.perturbations if s == "control"]

@@ -102,10 +102,11 @@ class StrategyGains:
         return self.L_bar[t - 1, self.action_dim :, self.state_dim :]
 
 
-def _backward(A, B, Q, R, gamma: float):
-    """Run one soft-constrained recursion; never raises on infeasibility."""
+def _backward(A, B, Q, R, W, gamma: float):
+    """One soft-constrained recursion and its noise constants; never raises on infeasibility."""
     T, dim = A.shape[0], A.shape[1]
     M = np.zeros((T + 1, dim, dim))
+    c = np.zeros(T + 1)
     Delta = np.zeros((T, dim, dim))
     margins = np.zeros(T)
     bad_times = []
@@ -131,7 +132,8 @@ def _backward(A, B, Q, R, gamma: float):
             bad_times.append(t)
         M[t - 1] = Mt
         Delta[t - 1] = D
-    return M, Delta, margins, sorted(set(bad_times))
+        c[t - 1] = c[t] + float(np.trace(Mn @ W[t - 1]))
+    return M, Delta, c, margins, sorted(set(bad_times))
 
 
 def solve_riccati(model: ModelSpec) -> RiccatiSolution:
@@ -141,21 +143,16 @@ def solve_riccati(model: ModelSpec) -> RiccatiSolution:
         raise InfeasibleError(f"convexity assumptions violated: {report.violations[:4]}")
     aug = build_augmented(model)
     T, n, lx = model.horizon, model.n_followers, model.state_dim
-    Mb, Db, marg_b, bad_b = _backward(model.A, model.B, model.Q, model.R, model.gamma)
-    MB, DB, marg_B, bad_B = _backward(aug.A_bar, aug.B_bar, aug.Q_bar, aug.R_bar, model.gamma)
-
-    # Noise constants.  The deviation noise w^i - wbar has covariance
-    # (1 - 1/n) Cov(w^i); the stacked [w0; wbar] covariance is block
-    # diagonal with Cov(w^i)/n in the mean block (i.i.d. followers).
-    c_brev = np.zeros(T + 1)
-    c_bar = np.zeros(T + 1)
-    for t in range(T, 0, -1):
-        cov_dev = (1.0 - 1.0 / n) * model.noise_follower[t - 1]
-        c_brev[t - 1] = c_brev[t] + float(np.trace(Mb[t] @ cov_dev))
-        cov_aug = np.zeros((2 * lx, 2 * lx))
-        cov_aug[:lx, :lx] = model.noise_leader[t - 1]
-        cov_aug[lx:, lx:] = model.noise_follower[t - 1] / n
-        c_bar[t - 1] = c_bar[t] + float(np.trace(MB[t] @ cov_aug))
+    # The deviation noise w^i - wbar has covariance (1 - 1/n) Cov(w^i); the
+    # stacked [w0; wbar] covariance is block diagonal with Cov(w^i)/n in the
+    # mean block (i.i.d. followers).
+    cov_dev = (1.0 - 1.0 / n) * model.noise_follower
+    cov_aug = np.zeros((T, 2 * lx, 2 * lx))
+    cov_aug[:, :lx, :lx] = model.noise_leader
+    cov_aug[:, lx:, lx:] = model.noise_follower / n
+    Mb, Db, c_brev, marg_b, bad_b = _backward(model.A, model.B, model.Q, model.R, cov_dev, model.gamma)
+    MB, DB, c_bar, marg_B, bad_B = _backward(aug.A_bar, aug.B_bar, aug.Q_bar, aug.R_bar, cov_aug,
+                                             model.gamma)
 
     bad = sorted(set(bad_b) | set(bad_B))
     return RiccatiSolution(

@@ -214,6 +214,27 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert (out / "trajectories_gamma_4.csv").exists()
 
+    def test_simulate_takes_seed_and_runs_from_experiment(self, tmp_path):
+        out = tmp_path / "simdefaults"
+        code = main(["simulate", "--config", str(bundled_config_path(2)), "--out", str(out)])
+        assert code == EXIT_OK
+        (row,) = csv_rows(out / "summary.csv")
+        assert (row[4], row[5]) == ("1", "7")  # runs, seed of example 2's experiment section
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "0"],
+        ["verify", "--n", "17"],
+        ["simulate", "--runs", "0"],
+        ["gap-study", "--runs", "0"],
+    ], ids=["verify-n0", "verify-n17", "simulate-runs0", "gap-study-runs0"])
+    def test_count_out_of_range_fails(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main(argv + ["--config", str(bundled_config_path(2)), "--out", str(out)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_requires_gamma(self, capsys):
         code = main(["sweep-gamma", "--config", str(bundled_config_path(2))])
         assert code == EXIT_FAIL

@@ -7,6 +7,7 @@ import pytest
 
 from mfminmax.model import InfoStructure, InitSpec
 from mfminmax.oracle import (
+    MAX_ORACLE_FOLLOWERS,
     build_stacked,
     decomposed_joint_gains,
     gap_table_csv,
@@ -37,37 +38,66 @@ def example2_n(example2, n, followers, gamma=EX2_GAMMA):
         noise_leader=np.zeros((30, 1, 1)), noise_follower=np.zeros((30, 1, 1)))
 
 
+def vector_model():
+    """lx=2, lu=1 with full non-symmetric blocks, so that a block written
+    transposed, or with agent and component axes swapped, changes the joint
+    matrices (with lx=1 it would not)."""
+    return make_model(
+        T=3, n=3, gamma=5.0,
+        A0=[[0.9, 0.2], [-0.1, 0.8]], B0=[0.3, -0.2], S0=[[0.05, -0.02], [0.01, 0.04]],
+        A=[[0.8, 0.1], [-0.2, 0.7]], B=[0.5, 0.25], S=[[0.1, 0.03], [-0.04, 0.06]],
+        E=[[0.02, -0.01], [0.03, 0.01]], Q=[[1.0, 0.2], [0.2, 0.5]],
+        Q0=[[0.7, -0.1], [-0.1, 0.3]], F=[[0.6, 0.15], [0.15, 0.4]],
+        P=[[0.2, -0.05], [-0.05, 0.1]], R=1.2, R0=0.9, H=0.3, lx=2, lu=1)
+
+
+def split(V, n, dim):
+    """Stacked [leader; followers] vector -> (leader part, (n, dim) followers)."""
+    return V[:dim], V[dim:].reshape(n, dim)
+
+
 class TestStackedAssembly:
     def test_dimension_guard(self, example2):
         with pytest.raises(ValueError, match="capped"):
-            build_stacked(example2, 5)
+            build_stacked(example2, MAX_ORACLE_FOLLOWERS + 1)
 
-    def test_joint_cost_matches_raw_sum(self, example2):
-        # X' QQ X must equal the literal per-agent cost expansion.
-        prob = build_stacked(example2, 3)
+    @pytest.mark.parametrize("which, n", [("example2", 3), ("example2", 16),
+                                          ("vector", 3), ("vector", 16)])
+    def test_joint_cost_matches_raw_sum(self, request, which, n):
+        # X' QQ X + U' RR U must equal the literal per-agent cost expansion.
+        m = vector_model() if which == "vector" else request.getfixturevalue(which)
+        lx, lu = m.state_dim, m.action_dim
+        prob = build_stacked(m, n)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            X = rng.standard_normal(4)
-            x0, xf = X[:1], X[1:].reshape(3, 1)
-            xbar = xf.mean(axis=0)
+            X, U = rng.standard_normal((n + 1) * lx), rng.standard_normal((n + 1) * lu)
+            (x0, xf), (u0, uf) = split(X, n, lx), split(U, n, lu)
+            xbar, ubar = xf.mean(axis=0), uf.mean(axis=0)
             direct = (
-                float(np.einsum("ij,jk,ik->i", xf, example2.Q[0], xf).mean())
-                + float(x0 @ example2.Q0[0] @ x0)
-                + float((xbar - x0) @ example2.F[0] @ (xbar - x0))
-                + float(xbar @ example2.P[0] @ xbar)
+                float(np.einsum("ij,jk,ik->i", xf, m.Q[0], xf).mean())
+                + float(np.einsum("ij,jk,ik->i", uf, m.R[0], uf).mean())
+                + float(x0 @ m.Q0[0] @ x0) + float(u0 @ m.R0[0] @ u0)
+                + float((xbar - x0) @ m.F[0] @ (xbar - x0))
+                + float(xbar @ m.P[0] @ xbar) + float(ubar @ m.H[0] @ ubar)
             )
-            assert float(X @ prob.QQ[0] @ X) == pytest.approx(direct, rel=1e-12)
+            joint = float(X @ prob.QQ[0] @ X) + float(U @ prob.RR[0] @ U)
+            assert joint == pytest.approx(direct, rel=1e-12)
 
-    def test_joint_dynamics_match_raw_step(self, example1):
-        prob = build_stacked(example1, 2)
-        X = np.array([3.0, 1.0, -2.0])
-        x0, xf = X[:1], X[1:].reshape(2, 1)
+    @pytest.mark.parametrize("which, n", [("example1", 3), ("example1", 16),
+                                          ("vector", 3), ("vector", 16)])
+    def test_joint_dynamics_match_raw_step(self, request, which, n):
+        m = vector_model() if which == "vector" else request.getfixturevalue(which)
+        lx, lu = m.state_dim, m.action_dim
+        prob = build_stacked(m, n)
+        rng = np.random.default_rng(1)
+        X, U = rng.standard_normal((n + 1) * lx), rng.standard_normal((n + 1) * lu)
+        (x0, xf), (u0, uf) = split(X, n, lx), split(U, n, lu)
         xbar = xf.mean(axis=0)
-        nxt = prob.AA[0] @ X
-        lead = example1.A0[0] @ x0 + example1.S0[0] @ xbar
-        fol = (xf @ example1.A[0].T + example1.S[0] @ xbar + example1.E[0] @ x0)
-        assert nxt[:1] == pytest.approx(lead)
-        assert nxt[1:] == pytest.approx(fol.ravel())
+        nxt = prob.AA[0] @ X + prob.BB[0] @ U
+        lead = m.A0[0] @ x0 + m.B0[0] @ u0 + m.S0[0] @ xbar
+        fol = xf @ m.A[0].T + uf @ m.B[0].T + m.S[0] @ xbar + m.E[0] @ x0
+        assert nxt[:lx] == pytest.approx(lead, rel=1e-12)
+        assert nxt[lx:] == pytest.approx(fol.ravel(), rel=1e-12)
 
 
 class TestDecoupling:
@@ -84,12 +114,14 @@ class TestDecoupling:
 
 
 class TestEquivalence:
-    def test_example2_value_and_trajectories(self, example2):
-        m = example2_n(example2, 2, [2.0, 6.0])
+    @pytest.mark.parametrize("n", [2, 8, MAX_ORACLE_FOLLOWERS])
+    def test_example2_value_and_trajectories(self, example2, n):
+        followers = np.linspace(2.0, 6.0, n)
+        m = example2_n(example2, n, followers)
         gains = compute_gains(m, solve_riccati(m))
         value = optimal_value(m, solve_riccati(m))
-        rep = verify_equivalence(m, gains, 2, np.array([10.0]),
-                                 np.array([[2.0], [6.0]]), value)
+        rep = verify_equivalence(m, gains, n, np.array([10.0]),
+                                 followers.reshape(n, 1), value)
         assert rep.ok
         assert rep.value_gap <= 1e-8 * abs(value)
         assert rep.max_gain_discrepancy <= 1e-9
