@@ -60,6 +60,25 @@ def make_model(*, T, n, gamma, A0, B0, S0, A, B, S, E, Q, Q0, F, P, R, R0, H,
     )
 
 
+def vector_model(T=6, n=4, gamma=3.5):
+    """A 2-state, 2-action model with full non-symmetric blocks, noise and random initials.
+
+    Feasible at the default gamma (its critical gamma is about 2.356).
+    """
+    return make_model(
+        T=T, n=n, gamma=gamma, lx=2, lu=2,
+        A0=[[0.95, 0.2], [-0.1, 0.9]], B0=[[0.5, 0.1], [0.0, 0.4]],
+        S0=[[0.05, -0.02], [0.03, 0.04]],
+        A=[[0.9, 0.15], [-0.2, 1.05]], B=[[0.6, -0.1], [0.2, 0.5]],
+        S=[[0.04, 0.01], [-0.03, 0.06]], E=[[0.02, -0.01], [0.01, 0.03]],
+        Q=[[1.0, 0.3], [0.3, 0.5]], Q0=[[0.8, -0.2], [-0.2, 0.6]], F=[[0.5, 0.1], [0.1, 0.4]],
+        P=[[0.2, 0.05], [0.05, 0.1]], R=[[1.0, 0.2], [0.2, 0.8]],
+        R0=[[1.2, -0.1], [-0.1, 0.9]], H=[[0.3, 0.0], [0.0, 0.2]],
+        leader_value=[[2.0, -1.0]], follower_uniform=(-3.0, 3.0),
+        noise_leader=[[0.3, 0.1], [0.1, 0.2]], noise_follower=[[0.5, -0.15], [-0.15, 0.25]],
+    )
+
+
 def zero_weight_model(T=5, n=3, gamma=1.0):
     return make_model(T=T, n=n, gamma=gamma, A0=0.9, B0=0.2, S0=0.1, A=0.8, B=0.5,
                       S=0.05, E=0.02, Q=0.0, Q0=0.0, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0)

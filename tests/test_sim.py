@@ -18,7 +18,7 @@ from mfminmax.sim import (
 )
 from mfminmax.synthesis import compute_gains, optimal_value, solve_riccati
 
-from conftest import EX2_GAMMA, make_model, zero_weight_model
+from conftest import EX2_GAMMA, make_model, vector_model, zero_weight_model
 
 
 def gains_for(model):
@@ -195,6 +195,19 @@ class TestGoldenTrajectory:
                         disturbance=DisturbancePolicy.sinusoid(0.6))
         text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
         golden = Path(__file__).parent / "data" / "golden_example1_gamma20_seed7.csv"
+        assert text == golden.read_text(encoding="utf-8")
+
+    def test_vector_regression(self):
+        # Frozen from the per-run engine: two states, two actions, full
+        # non-symmetric blocks, intermittent sharing and worst-case feedback
+        # on m_hat, so every batched product and mean of the engine shows.
+        from pathlib import Path
+        m = vector_model()
+        cfg = SimConfig(master_seed=5, num_runs=3, retain_full_states=True,
+                        disturbance=DisturbancePolicy.worst_case(use_estimate=True),
+                        info=InfoStructure.imfs([1, 4]))
+        text = trajectory_csv(simulate(m, gains_for(m), cfg), 2, 2)
+        golden = Path(__file__).parent / "data" / "golden_vector_imfs_worstcase_seed5.csv"
         assert text == golden.read_text(encoding="utf-8")
 
     def test_example1_qualitative_shape(self, example1):
