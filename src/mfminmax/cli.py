@@ -209,6 +209,8 @@ def cmd_verify(args) -> int:
     n = args.n
     if not 1 <= n <= oracle_mod.MAX_ORACLE_FOLLOWERS:
         raise ValueError(f"--n must be in 1..{oracle_mod.MAX_ORACLE_FOLLOWERS}, got {n}")
+    if args.directions < 1:
+        raise ValueError(f"--directions must be >= 1, got {args.directions}")
     out = Path(args.out)
     ric = solve_riccati(model)
     if not ric.feasible:
@@ -268,12 +270,13 @@ def cmd_gap_study(args) -> int:
     if args.gamma:
         model = model.with_gamma(args.gamma[0])
     seed, runs = _seed_and_runs(args, {})  # the experiment section is not read here
+    n_list = args.n_list or [10, 50, 250]
+    oracle_mod.check_population_sizes(n_list)
     ric = solve_riccati(model)
     if not ric.feasible:
         print(f"model infeasible at gamma={model.gamma:g}; gap study needs a saddle point")
         return EXIT_INFEASIBLE
     gains = compute_gains(model, ric)
-    n_list = args.n_list or [10, 50, 250]
     times = () if args.observe == "none" else tuple(
         sorted(parse_schedule(args.observe, model.horizon).observation_times))
     rows = oracle_mod.imfs_gap_study(model, gains, n_list, seed, runs, observation_times=times)

@@ -268,6 +268,8 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     (beyond -1e-9), disturbance-side perturbations must not increase it
     (beyond +1e-9).  All deltas are recorded.
     """
+    if num_directions < 1:
+        raise ValueError(f"--directions must be >= 1, got {num_directions}")
     n = model.n_followers if n is None else n
     if x0_init is None:
         x0_init = model.leader_init.mean()
@@ -293,10 +295,17 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
                 report.perturbations.append((side, k, step, cost - base))
     control = [d for s, _, _, d in report.perturbations if s == "control"]
     disturb = [d for s, _, _, d in report.perturbations if s == "disturbance"]
-    report.control_min_delta = min(control) if control else float("nan")
-    report.disturbance_max_delta = max(disturb) if disturb else float("nan")
+    report.control_min_delta = min(control)
+    report.disturbance_max_delta = max(disturb)
     report.ok = (report.control_min_delta >= -1e-9 and report.disturbance_max_delta <= 1e-9)
     return report
+
+
+def check_population_sizes(n_list) -> None:
+    """Raise ValueError unless every population size is at least 1."""
+    bad = [int(n) for n in n_list if int(n) < 1]
+    if bad:
+        raise ValueError(f"--n population sizes must be >= 1, got {bad}")
 
 
 def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, runs: int,
@@ -308,6 +317,7 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
     states and noises coincide run by run.  The per-follower coefficients
     are n-independent, so the same gains drive every population size.
     """
+    check_population_sizes(n_list)
     if disturbance is None:
         disturbance = DisturbancePolicy.worst_case()
     rows = []

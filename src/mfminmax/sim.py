@@ -1,23 +1,29 @@
 """Seeded Monte Carlo simulation of the leader-follower network.
 
+One engine steps a block of runs together, with the run as the leading
+array axis: leader states (R, lx), followers (R, n, lx), estimates
+(R, lx).  A block holds at most ``BLOCK_STATES`` follower states, so
+``simulate`` walks ``max(1, BLOCK_STATES // n)`` runs at a time, and
+``simulate_run`` is a block of one.
+
 Each run owns a counter-based RNG substream keyed by (master seed, run
-index, t); follower i reads row i of the per-(run, t) batch, so a run's
-results are bit-identical whichever other runs are simulated with it.
-Stage costs are accumulated online (sufficient statistics), full
-per-follower state retention is opt-in.
+index, t); follower i reads row i of the per-(run, t) batch.  Every
+batched operation gives each run the bits it gets alone, so a run's
+results are bit-identical whichever other runs are simulated with it.  A
+run whose next state is not finite is marked failed at that t and leaves
+the block; the others step on.  Stage costs are accumulated online
+(sufficient statistics), full per-follower state retention is opt-in.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import InfoStructure, ModelSpec
-from .strategy import (PolicyState, estimator_step, follower_action, leader_action,
+from .strategy import (PolicyState, estimator_step, follower_action, leader_action, matvec,
                        worst_case_disturbance)
 from .synthesis import StrategyGains
 
@@ -114,114 +120,190 @@ def _rng(seed: int, run: int, t: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, run, t))))
 
 
-def _quad_mean(X: np.ndarray, W: np.ndarray) -> float:
-    """mean_i x_i' W x_i for rows x_i of X."""
-    return float(np.einsum("ij,jk,ik->i", X, W, X).mean())
+BLOCK_STATES = 2 ** 13
+"""Most follower states one block of runs holds: bounds the working arrays at large n."""
 
 
-def _quad(v: np.ndarray, W: np.ndarray) -> float:
-    return float(v @ W @ v)
+def _colouring(cov: np.ndarray) -> np.ndarray:
+    """The factor F for which ``z @ F + 0`` on standard normals z has the bits of
+    ``Generator.multivariate_normal(0, cov)`` on the same stream.
+
+    It is numpy's own factor from ``svd(cov)``, made once per t instead of
+    once per draw, without numpy's PSD check (the loader checks PSD).
+    """
+    u, s, _ = np.linalg.svd(cov)
+    return (u * np.sqrt(s)).T
+
+
+def _dot(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """v . w for each pair of vectors along the last axes."""
+    return np.matmul(V[..., None, :], W[..., :, None])[..., 0, 0]
+
+
+def _quad(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """v' W v for each vector v along the last axis of V."""
+    return _dot(np.matmul(V[..., None, :], W)[..., 0, :], V)
+
+
+def _quad_mean(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """mean_i x_i' W x_i over the rows x_i of each (n, l) batch in X.
+
+    Sums the terms (x_j W_jk) x_k in the order numpy's
+    ``einsum("ij,jk,ik->i")`` sums them for one batch: in one sequence,
+    except for l = 2 and n <= 2, where each row j is summed apart first.
+    einsum itself picks that order from the size of the whole block, so it
+    would give a run other bits beside other runs.
+    """
+    l = X.shape[-1]
+    rowwise = l == 2 and X.shape[-2] <= 2
+    total = np.zeros(X.shape[:-1])
+    for j in range(l):
+        row = np.zeros(X.shape[:-1]) if rowwise else total
+        for k in range(l):
+            row = row + (X[..., j] * W[j, k]) * X[..., k]
+        total = total + row if rowwise else row
+    return total.mean(axis=-1)
 
 
 def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.ndarray,
                xf: np.ndarray, uf: np.ndarray, df: np.ndarray,
-               xbar: np.ndarray, ubar: np.ndarray) -> float:
+               xbar: np.ndarray, ubar: np.ndarray):
     """Social-welfare stage cost at time t, averaged over the n followers.
 
     ``xf``/``uf``/``df`` are the (n, lx|lu) follower batches and
     ``xbar``/``ubar`` their means, passed in because the caller already has
-    them.  Disturbances enter with weight -gamma^2.
+    them; with a leading run axis on every argument the result is one cost
+    per run.  Disturbances enter with weight -gamma^2.
     """
     g2 = model.gamma ** 2
     return (
         _quad_mean(xf, model.Q[t - 1]) + _quad_mean(uf, model.R[t - 1])
-        - g2 * float((df * df).sum(axis=1).mean())
-        + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1]) - g2 * float(d0 @ d0)
+        - g2 * (df * df).sum(axis=-1).mean(axis=-1)
+        + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1]) - g2 * _dot(d0, d0)
         + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
         + _quad(ubar, model.H[t - 1])
     )
 
 
-def _disturbances(policy: DisturbancePolicy, t: int, model: ModelSpec, gains: StrategyGains,
+def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains,
                   x0: np.ndarray, xbar: np.ndarray, xf: np.ndarray, m_hat: np.ndarray):
-    """Realized (d0, per-follower df) at time t."""
-    lx, n = model.state_dim, xf.shape[0]
+    """Realized (d0, per-follower df) at time t, shaped like (x0, xf)."""
     if policy.kind == "zero":
-        return np.zeros(lx), np.zeros((n, lx))
+        return np.zeros(x0.shape), np.zeros(xf.shape)
     if policy.kind == "sinusoid":
         pulse = policy.amplitude * math.sin(t)
-        d0 = np.full(lx, pulse) if policy.applied_to in ("leader", "both") else np.zeros(lx)
-        df = (np.full((n, lx), pulse) if policy.applied_to in ("followers", "both")
-              else np.zeros((n, lx)))
+        d0 = (np.full(x0.shape, pulse) if policy.applied_to in ("leader", "both")
+              else np.zeros(x0.shape))
+        df = (np.full(xf.shape, pulse) if policy.applied_to in ("followers", "both")
+              else np.zeros(xf.shape))
         return d0, df
     if policy.kind == "worst_case":
         return worst_case_disturbance(gains, t, x0, m_hat if policy.use_estimate else xbar, xf)
     raise ValueError(f"unknown disturbance kind '{policy.kind}'")
 
 
-def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: int) -> TrajectoryRecord:
-    """One seeded run; deterministic in (master_seed, run) alone."""
+def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs: range,
+                    colour: list) -> list[TrajectoryRecord]:
+    """The runs ``runs`` stepped together; ``colour`` holds (leader, follower) factors per t."""
     T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
+    R, seed = len(runs), cfg.master_seed
     info = cfg.info if cfg.info is not None else InfoStructure.mfs(T)
 
-    init_rng = _rng(cfg.master_seed, run, 0)
-    x0 = model.leader_init.sample(init_rng)
-    xf = model.follower_init.sample(init_rng, n)
-    policy = PolicyState.start(model, gains, info, xbar1=xf.mean(axis=0),
+    x0, xf = np.empty((R, lx)), np.empty((R, n, lx))
+    for k, run in enumerate(runs):
+        init_rng = _rng(seed, run, 0)
+        x0[k] = model.leader_init.sample(init_rng)
+        xf[k] = model.follower_init.sample(init_rng, n)
+    policy = PolicyState.start(model, gains, info, xbar1=xf.mean(axis=1),
                                use_worst_case_dbar=cfg.use_worst_case_dbar)
 
-    rec = TrajectoryRecord(
-        run=run, seed=cfg.master_seed,
-        x0=np.zeros((T, lx)), xbar=np.zeros((T, lx)), mhat=np.zeros((T, lx)),
-        u0=np.zeros((T, lu)), ubar=np.zeros((T, lu)),
-        d0=np.zeros((T, lx)), dbar=np.zeros((T, lx)),
-        stage_costs=np.full(T, np.nan), total_cost=np.nan,
-        xi=np.zeros((T, n, lx)) if cfg.retain_full_states else None,
-        ui=np.zeros((T, n, lu)) if cfg.retain_full_states else None,
-        di=np.zeros((T, n, lx)) if cfg.retain_full_states else None,
-    )
+    series = {name: np.zeros((R, T, dim)) for name, dim in (
+        ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("d0", lx),
+        ("dbar", lx))}
+    stage_costs = np.full((R, T), np.nan)
+    keep = cfg.retain_full_states
+    full = {name: np.zeros((R, T, n, dim)) if keep else [None] * R
+            for name, dim in (("xi", lx), ("ui", lu), ("di", lx))}
+    failed_at = [None] * R
+    active = np.arange(R)  # block rows of the runs still stepping
 
     for t in range(1, T + 1):
-        xbar = xf.mean(axis=0)
+        xbar = xf.mean(axis=1)
         u0 = leader_action(policy, x0)
         uf = follower_action(policy, xf, x0)
-        ubar = uf.mean(axis=0)
-        d0, df = _disturbances(cfg.disturbance, t, model, gains, x0, xbar, xf, policy.m_hat)
-        dbar = df.mean(axis=0)
+        ubar = uf.mean(axis=1)
+        d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, policy.m_hat)
+        dbar = df.mean(axis=1)
 
-        rec.x0[t - 1], rec.xbar[t - 1], rec.mhat[t - 1] = x0, xbar, policy.m_hat
-        rec.u0[t - 1], rec.ubar[t - 1] = u0, ubar
-        rec.d0[t - 1], rec.dbar[t - 1] = d0, dbar
-        rec.stage_costs[t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar)
-        if rec.xi is not None:
-            rec.xi[t - 1], rec.ui[t - 1], rec.di[t - 1] = xf, uf, df
+        for name, value in (("x0", x0), ("xbar", xbar), ("mhat", policy.m_hat), ("u0", u0),
+                            ("ubar", ubar), ("d0", d0), ("dbar", dbar)):
+            series[name][active, t - 1] = value
+        stage_costs[active, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar)
+        if keep:
+            full["xi"][active, t - 1], full["ui"][active, t - 1] = xf, uf
+            full["di"][active, t - 1] = df
 
-        noise_rng = _rng(cfg.master_seed, run, t)
-        w0 = noise_rng.multivariate_normal(np.zeros(lx), model.noise_leader[t - 1])
-        wf = noise_rng.multivariate_normal(np.zeros(lx), model.noise_follower[t - 1], size=n)
+        z0, zf = np.empty((active.size, lx)), np.empty((active.size, n, lx))
+        for k, row in enumerate(active):
+            noise_rng = _rng(seed, runs[row], t)
+            z0[k] = noise_rng.standard_normal(lx)
+            zf[k] = noise_rng.standard_normal((n, lx))
+        f0, ff = colour[t - 1]
+        w0 = (z0[:, None, :] @ f0)[:, 0] + np.zeros(lx)
+        wf = zf @ ff + np.zeros(lx)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            x0_next = (model.A0[t - 1] @ x0 + model.B0[t - 1] @ u0
-                       + model.S0[t - 1] @ xbar + d0 + w0)
+            x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)
+                       + matvec(model.S0[t - 1], xbar) + d0 + w0)
             xf_next = (xf @ model.A[t - 1].T + uf @ model.B[t - 1].T
-                       + model.S[t - 1] @ xbar + model.E[t - 1] @ x0 + df + wf)
+                       + matvec(model.S[t - 1], xbar)[:, None, :]
+                       + matvec(model.E[t - 1], x0)[:, None, :] + df + wf)
 
-        if not (np.all(np.isfinite(x0_next)) and np.all(np.isfinite(xf_next))):
-            rec.failed, rec.failed_at = True, t
-            return rec
+        ok = np.isfinite(x0_next).all(axis=1) & np.isfinite(xf_next).all(axis=(1, 2))
+        if not ok.all():
+            for row in active[~ok]:
+                failed_at[row] = t
+            active, x0, x0_next, xf_next = active[ok], x0[ok], x0_next[ok], xf_next[ok]
+            policy.m_hat = policy.m_hat[ok]
+            if active.size == 0:
+                break
 
         if t < T:
-            observed = xf_next.mean(axis=0) if info.observed(t + 1) else None
+            observed = xf_next.mean(axis=1) if info.observed(t + 1) else None
             estimator_step(policy, x0, observed=observed)
         x0, xf = x0_next, xf_next
 
-    rec.total_cost = float(rec.stage_costs.sum())
-    return rec
+    return [
+        TrajectoryRecord(
+            run=run, seed=seed, **{name: arr[k] for name, arr in series.items()},
+            stage_costs=stage_costs[k],
+            total_cost=np.nan if failed_at[k] is not None else float(stage_costs[k].sum()),
+            xi=full["xi"][k], ui=full["ui"][k], di=full["di"][k],
+            failed=failed_at[k] is not None, failed_at=failed_at[k])
+        for k, run in enumerate(runs)
+    ]
+
+
+def _colourings(model: ModelSpec) -> list:
+    """(leader, follower) noise factors for each t."""
+    return [(_colouring(model.noise_leader[t]), _colouring(model.noise_follower[t]))
+            for t in range(model.horizon)]
+
+
+def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: int) -> TrajectoryRecord:
+    """One seeded run, a block of one; deterministic in (master_seed, run) alone."""
+    return _simulate_block(model, gains, cfg, range(run, run + 1), _colourings(model))[0]
 
 
 def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig) -> list[TrajectoryRecord]:
-    """All runs, in run-index order."""
-    return [simulate_run(model, gains, cfg, run) for run in range(cfg.num_runs)]
+    """All runs, in run-index order, in blocks of at most BLOCK_STATES follower states."""
+    colour = _colourings(model)
+    per_block = max(1, BLOCK_STATES // model.n_followers)
+    records = []
+    for first in range(0, cfg.num_runs, per_block):
+        records += _simulate_block(model, gains, cfg,
+                                   range(first, min(first + per_block, cfg.num_runs)), colour)
+    return records
 
 
 def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord]) -> CostSummary:
@@ -241,28 +323,29 @@ def trajectory_csv(records: list[TrajectoryRecord], state_dim: int = 1, action_d
     """Long-format CSV (run, t, series, agent, value), plot-ready.
 
     Scalar models emit bare series names; vector components get a _k
-    suffix.  Follower series ``xi`` carry 1-based agent indices.
+    suffix.  Follower series ``xi`` carry 1-based agent indices.  Values
+    are ``repr`` of each float, rows end in a bare newline.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["run", "t", "series", "agent", "value"])
+    def names(base: str, dim: int) -> list[str]:
+        return [base] if dim == 1 else [f"{base}_{k}" for k in range(dim)]
 
-    def series_name(base: str, k: int, dim: int) -> str:
-        return base if dim == 1 else f"{base}_{k}"
-
+    chunks = ["run,t,series,agent,value\n"]  # one per record, to bound the peak
+    xi_names = names("xi", state_dim)
     for rec in records:
-        T = rec.x0.shape[0]
-        for t in range(1, T + 1):
-            for base, arr, dim in (("x0", rec.x0, state_dim), ("xbar", rec.xbar, state_dim),
-                                   ("mhat", rec.mhat, state_dim), ("u0", rec.u0, action_dim),
-                                   ("ubar", rec.ubar, action_dim)):
-                for k in range(dim):
-                    writer.writerow([rec.run, t, series_name(base, k, dim), "",
-                                     repr(float(arr[t - 1, k]))])
-            writer.writerow([rec.run, t, "cost_stage", "", repr(float(rec.stage_costs[t - 1]))])
-            if rec.xi is not None:
-                for i in range(rec.xi.shape[1]):
-                    for k in range(state_dim):
-                        writer.writerow([rec.run, t, series_name("xi", k, state_dim), i + 1,
-                                         repr(float(rec.xi[t - 1, i, k]))])
-    return buf.getvalue()
+        aggregates = [(names(base, dim), arr.tolist()) for base, arr, dim in (
+            ("x0", rec.x0, state_dim), ("xbar", rec.xbar, state_dim),
+            ("mhat", rec.mhat, state_dim), ("u0", rec.u0, action_dim),
+            ("ubar", rec.ubar, action_dim))]
+        costs = rec.stage_costs.tolist()
+        xi = None if rec.xi is None else rec.xi.tolist()
+        lines = []
+        for t, cost in enumerate(costs):
+            head = f"{rec.run},{t + 1},"
+            for series, values in aggregates:
+                lines.extend(f"{head}{name},,{v!r}\n" for name, v in zip(series, values[t]))
+            lines.append(f"{head}cost_stage,,{cost!r}\n")
+            if xi is not None:
+                for i, state in enumerate(xi[t], start=1):
+                    lines.extend(f"{head}{name},{i},{v!r}\n" for name, v in zip(xi_names, state))
+        chunks.append("".join(lines))
+    return "".join(chunks)

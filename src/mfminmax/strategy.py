@@ -7,6 +7,10 @@ dynamics and reset to the true mean at observation times.  The propagation
 includes the worst-case mean disturbance evaluated at (x0, m_hat) by
 default -- the true mean is not measurable there -- with a nominal (zero
 disturbance) ablation switch.
+
+Every function takes one run or a block of runs stacked on a leading
+axis: x0 and m_hat (lx,) or (R, lx), follower states (lx,), (n, lx) or
+(R, n, lx).  Each run of a block gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -27,11 +31,20 @@ __all__ = [
 ]
 
 
+def matvec(K: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """K v for each vector v along the last axis of V.
+
+    Bit for bit the 1-D ``K @ v`` of each vector alone, which ``V @ K.T``
+    and ``einsum`` are not.
+    """
+    return np.matmul(K, V[..., None])[..., 0]
+
+
 @dataclass
 class PolicyState:
-    """Per-run mutable policy context: gains, info structure, m_hat, time.
+    """Mutable policy context of one run or a block: gains, info structure, m_hat, time.
 
-    One PolicyState per simulation run; it is advanced sequentially in t.
+    One PolicyState per simulation block; it is advanced sequentially in t.
     Under full sharing m_hat is simply the observed mean at every step.
     """
 
@@ -45,13 +58,19 @@ class PolicyState:
     @classmethod
     def start(cls, model: ModelSpec, gains: StrategyGains, info: InfoStructure,
               xbar1: np.ndarray | None = None, use_worst_case_dbar: bool = True) -> "PolicyState":
-        """Policy at t=1: the known initial mean, or the observed one."""
+        """Policy at t=1: the known initial mean, or the observed one.
+
+        ``xbar1`` (lx,) or (R, lx) also sets the run axis: the known mean
+        is repeated for each of its runs.
+        """
         if info.observed(1):
             if xbar1 is None:
                 raise ValueError("t=1 is an observation time but no mean was supplied")
             m1 = np.asarray(xbar1, dtype=float).copy()
         else:
             m1 = model.follower_init.mean()
+            if xbar1 is not None:
+                m1 = np.broadcast_to(m1, np.shape(xbar1)).copy()
         return cls(model=model, gains=gains, info=info, m_hat=m1, t=1,
                    use_worst_case_dbar=use_worst_case_dbar)
 
@@ -59,22 +78,23 @@ class PolicyState:
 def leader_action(p: PolicyState, x0: np.ndarray) -> np.ndarray:
     """u0_t = L11 x0 + L12 m_hat."""
     g = p.gains
-    return g.l11(p.t) @ x0 + g.l12(p.t) @ p.m_hat
+    return matvec(g.l11(p.t), x0) + matvec(g.l12(p.t), p.m_hat)
 
 
 def follower_action(p: PolicyState, xi: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """u^i_t = L_brev x^i + L21 x0 + (L22 - L_brev) m_hat.
 
-    ``xi`` may be a single state (lx,) or a population batch (n, lx); the
+    ``xi`` may be one state for each leader state in ``x0`` (same ndim)
+    or a population batch with one more axis, (n, lx) or (R, n, lx); the
     result matches.
     """
     g = p.gains
     L = g.L_brev[p.t - 1]
-    common = g.l21(p.t) @ x0 + (g.l22(p.t) - L) @ p.m_hat
+    common = matvec(g.l21(p.t), x0) + matvec(g.l22(p.t) - L, p.m_hat)
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        return L @ xi + common
-    return xi @ L.T + common
+    if xi.ndim == common.ndim:
+        return matvec(L, xi) + common
+    return xi @ L.T + common[..., None, :]
 
 
 def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: np.ndarray,
@@ -82,16 +102,18 @@ def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: n
     """The saddle-point disturbance at time t, fed back on ``mean``.
 
     Returns (d0, dbar) from the augmented gain K_bar [x0; mean]; with
-    ``xi`` given (one state (lx,) or a batch (n, lx)), the second entry is
-    instead the per-follower d^i = K_brev (x^i - mean) + dbar.  The caller
-    picks the mean: the true follower average, or m_hat where that is not
-    measurable.
+    ``xi`` given (one state per mean, or a population batch with one more
+    axis), the second entry is instead the per-follower
+    d^i = K_brev (x^i - mean) + dbar.  The caller picks the mean: the true
+    follower average, or m_hat where that is not measurable.
     """
     lx = gains.state_dim
-    aug = gains.K_bar[t - 1] @ np.concatenate([x0, mean])
-    d0, dbar = aug[:lx], aug[lx:]
+    aug = matvec(gains.K_bar[t - 1], np.concatenate([x0, mean], axis=-1))
+    d0, dbar = aug[..., :lx], aug[..., lx:]
     if xi is None:
         return d0, dbar
+    if np.ndim(xi) > np.ndim(mean):
+        mean, dbar = mean[..., None, :], dbar[..., None, :]
     return d0, (xi - mean) @ gains.K_brev[t - 1].T + dbar
 
 
@@ -113,11 +135,11 @@ def estimator_step(p: PolicyState, x0: np.ndarray, observed: np.ndarray | None =
     else:
         mdl = p.model
         closed = mdl.A[t - 1] + mdl.S[t - 1] + mdl.B[t - 1] @ g.l22(t)
-        drive = (mdl.B[t - 1] @ g.l21(t) + mdl.E[t - 1]) @ x0
+        drive = matvec(mdl.B[t - 1] @ g.l21(t) + mdl.E[t - 1], x0)
         if p.use_worst_case_dbar:
             dbar = worst_case_disturbance(g, t, x0, m)[1]
         else:
-            dbar = np.zeros(g.state_dim)
-        p.m_hat = closed @ m + drive + dbar
+            dbar = np.zeros(np.shape(m))
+        p.m_hat = matvec(closed, m) + drive + dbar
     p.t = t + 1
     return p.m_hat

@@ -226,7 +226,11 @@ class TestOtherCommands:
         ["verify", "--n", "17"],
         ["simulate", "--runs", "0"],
         ["gap-study", "--runs", "0"],
-    ], ids=["verify-n0", "verify-n17", "simulate-runs0", "gap-study-runs0"])
+        ["gap-study", "--n", "0"],
+        ["gap-study", "--n", "10", "-3"],
+        ["verify", "--directions", "0"],
+    ], ids=["verify-n0", "verify-n17", "simulate-runs0", "gap-study-runs0", "gap-study-n0",
+            "gap-study-n-3", "verify-directions0"])
     def test_count_out_of_range_fails(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         code = main(argv + ["--config", str(bundled_config_path(2)), "--out", str(out)])

@@ -262,8 +262,22 @@ class TestSaddleCheck:
         assert not rep.ok
         assert rep.control_min_delta < -1e-6
 
+    def test_no_directions_rejected(self, example2):
+        # Min and max over no perturbations would report a failed check.
+        m = example2_n(example2, 2, [2.0, 6.0])
+        gains = compute_gains(m, solve_riccati(m))
+        with pytest.raises(ValueError, match="--directions"):
+            saddle_check(m, gains, num_directions=0, n=2)
+
 
 class TestGapStudy:
+    @pytest.mark.parametrize("n_list", [[0], [10, -3]])
+    def test_population_below_one_rejected(self, example2, n_list):
+        m = example2.with_gamma(EX2_GAMMA)
+        gains = compute_gains(m, solve_riccati(m))
+        with pytest.raises(ValueError, match="--n"):
+            imfs_gap_study(m, gains, n_list, seed=5, runs=2)
+
     def test_full_observation_gap_zero(self, example2):
         m = example2.with_gamma(EX2_GAMMA)
         gains = compute_gains(m, solve_riccati(m))

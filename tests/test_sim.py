@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mfminmax import sim
 from mfminmax.model import InfoStructure, InitSpec
 from mfminmax.sim import (
     DisturbancePolicy,
@@ -23,6 +24,47 @@ from conftest import EX2_GAMMA, make_model, vector_model, zero_weight_model
 
 def gains_for(model):
     return compute_gains(model, solve_riccati(model))
+
+
+RECORD_ARRAYS = ("x0", "xbar", "mhat", "u0", "ubar", "d0", "dbar", "stage_costs", "xi", "ui", "di")
+
+
+def assert_same_record(a, b):
+    """Bit for bit, nan payloads and signs of zero included."""
+    assert (a.run, a.seed, a.failed, a.failed_at) == (b.run, b.seed, b.failed, b.failed_at)
+    assert np.float64(a.total_cost).tobytes() == np.float64(b.total_cost).tobytes()
+    for name in RECORD_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def diverging_model():
+    """Followers grow tenfold per step from uniform initials in (0, 1e300).
+
+    Most runs overflow at t = 9, some at t = 10, and a few finish.
+    """
+    return make_model(T=10, n=1, gamma=5.0, A0=1.0, B0=0.0, S0=0.0, A=10.0, B=0.0, S=0.0,
+                      E=0.0, Q=0.0, Q0=0.0, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0,
+                      follower_uniform=(0.0, 1e300), noise_follower=1.0)
+
+
+def block_cases(example2):
+    """(model, config) pairs whose runs span several blocks, or fail at different t."""
+    # BLOCK_STATES // 3 followers put three runs in a block: seven runs make blocks 3, 3, 1.
+    n = sim.BLOCK_STATES // 3
+    return {
+        "scalar": (replace(example2.with_gamma(EX2_GAMMA), n_followers=n),
+                   SimConfig(master_seed=21, num_runs=7, info=InfoStructure.imfs([1, 5]),
+                             disturbance=DisturbancePolicy.worst_case(use_estimate=True))),
+        "vector": (vector_model(n=n),
+                   SimConfig(master_seed=22, num_runs=7, retain_full_states=True,
+                             info=InfoStructure.imfs([1, 4]),
+                             disturbance=DisturbancePolicy.worst_case(use_estimate=True))),
+        "diverging": (diverging_model(),
+                      SimConfig(master_seed=0, num_runs=40, retain_full_states=True)),
+    }
 
 
 def retained_cost(model, rec):
@@ -84,14 +126,51 @@ class TestDeterminism:
             assert np.array_equal(ra.xi, rb.xi)
             assert np.array_equal(ra.stage_costs, rb.stage_costs)
 
-    def test_runs_independent_of_execution_order(self, example2):
-        m = replace(example2, n_followers=4)
+    @pytest.mark.parametrize("case", ["scalar", "vector", "diverging"])
+    def test_runs_independent_of_execution_order(self, example2, case):
+        # A run alone (a block of one) against the same run among the others.
+        m, cfg = block_cases(example2)[case]
         g = gains_for(m)
-        cfg = SimConfig(master_seed=21, num_runs=4)
         ordered = simulate(m, g, cfg)
-        solo = simulate_run(m, g, cfg, 2)
-        assert np.array_equal(ordered[2].xbar, solo.xbar)
-        assert ordered[2].total_cost == solo.total_cost
+        assert [rec.run for rec in ordered] == list(range(cfg.num_runs))
+        for run in range(cfg.num_runs):
+            assert_same_record(simulate_run(m, g, cfg, run), ordered[run])
+        if case == "diverging":
+            assert {rec.failed_at for rec in ordered} == {9, 10, None}
+            for rec in ordered:
+                assert rec.failed == (rec.failed_at is not None)
+                assert math.isnan(rec.total_cost) == rec.failed
+                assert np.isnan(rec.stage_costs[rec.failed_at or m.horizon:]).all()
+                assert np.isfinite(rec.stage_costs[:rec.failed_at or m.horizon]).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_batched_quadratic_matches_einsum_per_run(self, dim):
+        # The per-run stage cost summed x_i' W x_i with einsum, whose order
+        # depends on the batch shape; the batched sum keeps each run's order.
+        gen = np.random.default_rng(dim)
+        root = gen.normal(size=(dim, dim))
+        W = root @ root.T
+        for n in (1, 2, 3, 5, 40):
+            X = gen.normal(size=(6, n, dim))
+            expected = [float(np.einsum("ij,jk,ik->i", x, W, x).mean()) for x in X]
+            assert sim._quad_mean(X, W).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("lx", [1, 2, 3])
+    def test_noise_colouring_matches_multivariate_normal(self, lx):
+        # The engine draws standard normals from each substream and colours
+        # them itself; numpy's multivariate_normal must give the same bits.
+        gen = np.random.default_rng(lx)
+        root = gen.normal(size=(lx, lx))
+        for cov in (root @ root.T, np.zeros((lx, lx)), np.eye(lx) * 1e-3):
+            factor = sim._colouring(cov)
+            for size in (None, 7, 250):
+                expected = sim._rng(3, lx, 1).multivariate_normal(np.zeros(lx), cov, size=size)
+                z = sim._rng(3, lx, 1).standard_normal((1 if size is None else size, lx))
+                got = (z[None] @ factor)[0] + np.zeros(lx)
+                if size is None:
+                    got = got[0]
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
 
     def test_csv_bytes_stable(self, example2):
         m = replace(example2, n_followers=3)
