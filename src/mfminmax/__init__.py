@@ -18,7 +18,7 @@ from .model import (
 )
 from .oracle import imfs_gap_study, saddle_check, stacked_saddle_solve, verify_equivalence
 from .sim import DisturbancePolicy, SimConfig, TrajectoryRecord, evaluate_cost, simulate
-from .strategy import PolicyState, estimator_step, follower_action, leader_action, worst_case_disturbance
+from .strategy import estimator_step, follower_action, leader_action, worst_case_disturbance
 from .synthesis import (
     InfeasibleError,
     RiccatiSolution,
@@ -37,8 +37,7 @@ __all__ = [
     "validate_convexity",
     "InfeasibleError", "RiccatiSolution", "StrategyGains", "compute_gains",
     "critical_gamma", "optimal_value", "solve_riccati",
-    "PolicyState", "estimator_step", "follower_action", "leader_action",
-    "worst_case_disturbance",
+    "estimator_step", "follower_action", "leader_action", "worst_case_disturbance",
     "DisturbancePolicy", "SimConfig", "TrajectoryRecord", "evaluate_cost", "simulate",
     "imfs_gap_study", "saddle_check", "stacked_saddle_solve", "verify_equivalence",
     "__version__",

@@ -159,8 +159,8 @@ def cmd_run_example(args) -> int:
 
 def cmd_synthesize(args) -> int:
     model = load_model_file(args.config)
-    if args.gamma:
-        model = model.with_gamma(args.gamma[0])
+    if args.gamma is not None:
+        model = model.with_gamma(args.gamma)
     ric = solve_riccati(model)
     out = Path(args.out)
     gains = None
@@ -204,8 +204,8 @@ def cmd_sweep_gamma(args) -> int:
 
 def cmd_verify(args) -> int:
     model = load_model_file(args.config)
-    if args.gamma:
-        model = model.with_gamma(args.gamma[0])
+    if args.gamma is not None:
+        model = model.with_gamma(args.gamma)
     n = args.n
     if not 1 <= n <= oracle_mod.MAX_ORACLE_FOLLOWERS:
         raise ValueError(f"--n must be in 1..{oracle_mod.MAX_ORACLE_FOLLOWERS}, got {n}")
@@ -267,8 +267,8 @@ def cmd_verify(args) -> int:
 
 def cmd_gap_study(args) -> int:
     model = load_model_file(args.config)
-    if args.gamma:
-        model = model.with_gamma(args.gamma[0])
+    if args.gamma is not None:
+        model = model.with_gamma(args.gamma)
     seed, runs = _seed_and_runs(args, {})  # the experiment section is not read here
     n_list = args.n_list or [10, 50, 250]
     oracle_mod.check_population_sizes(n_list)
@@ -298,16 +298,22 @@ def cmd_critical_gamma(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, runs_default=None):
-    p.add_argument("--config", type=Path, help="model config path")
-    p.add_argument("--gamma", type=float, nargs="*", default=None, help="attenuation value(s)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--runs", type=int, default=runs_default)
-    p.add_argument("--observe", default="all",
-                   help="observation schedule: 'all', 'none', or e.g. '1,5,10-12'")
+def _add_flags(p, *flags, gammas="*", runs_default=None):
+    """The shared ``flags`` a subcommand reads, plus --out; ``gammas`` is the --gamma nargs."""
+    specs = {
+        "config": dict(type=Path, help="model config path"),
+        "gamma": dict(type=float, nargs=gammas, default=None,
+                      help="attenuation values" if gammas else "attenuation value"),
+        "seed": dict(type=int, default=None),
+        "runs": dict(type=int, default=runs_default),
+        "observe": dict(default="all",
+                        help="observation schedule: 'all', 'none', or e.g. '1,5,10-12'"),
+        "workers": dict(type=int, default=1,
+                        help="accepted for compatibility; has no effect on the results"),
+    }
+    for flag in flags:
+        p.add_argument(f"--{flag}", **specs[flag])
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; runs are simulated serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,16 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-example", help="reproduce a bundled example")
     p.add_argument("which", choices=["1", "2"])
-    _add_common(p)
+    _add_flags(p, "gamma", "seed", "runs", "observe", "workers")
     p.set_defaults(func=cmd_run_example)
 
     p = sub.add_parser("synthesize", help="recursions, margins, gains, value")
-    _add_common(p)
+    _add_flags(p, "config", "gamma", gammas=None)
     p.set_defaults(func=cmd_synthesize)
 
     for name in ("simulate", "sweep-gamma"):
         p = sub.add_parser(name, help="closed-loop Monte Carlo")
-        _add_common(p)
+        _add_flags(p, "config", "gamma", "seed", "runs", "observe", "workers")
         p.add_argument("--disturbance", choices=["config", "zero", "sinusoid", "worst-case"],
                        default="config")
         p.add_argument("--amplitude", type=float, default=0.0)
@@ -336,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_simulate if name == "simulate" else cmd_sweep_gamma)
 
     p = sub.add_parser("verify", help="stacked-oracle equivalence + saddle perturbations")
-    _add_common(p)
+    _add_flags(p, "config", "gamma", "seed", gammas=None)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--directions", type=int, default=50)
     p.add_argument("--corrupt-gains", action="store_true",
@@ -344,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gap-study", help="intermittent-vs-full sharing cost gap across n")
-    _add_common(p, runs_default=500)
+    _add_flags(p, "config", "gamma", "seed", "runs", "observe", "workers", gammas=None,
+               runs_default=500)
     p.add_argument("--n", dest="n_list", type=int, nargs="*", default=None)
     p.set_defaults(func=cmd_gap_study, observe="none")
 

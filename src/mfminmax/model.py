@@ -70,9 +70,7 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
     T entries; anything else is treated as a single matrix valid at all t.
     """
     if isinstance(value, dict):
-        if set(value) != {"per_t"}:
-            raise ModelError(f"{name}: unknown keys {sorted(set(value) - {'per_t'})}")
-        seq = value["per_t"]
+        seq = _check_keys(value, {"per_t"}, name, required=("per_t",))["per_t"]
         if len(seq) != T:
             raise ModelError(f"{name}: per_t has {len(seq)} entries, horizon is {T}")
         return np.stack([_as_matrix(v, rows, cols, f"{name}[t={t + 1}]") for t, v in enumerate(seq)])
@@ -151,11 +149,12 @@ class InitSpec:
 
 
 def _parse_init(node, dim: int, name: str) -> InitSpec:
-    if isinstance(node, dict) and "value" in node:
-        node = {"values": [node["value"]]}
-    if not isinstance(node, dict) or len(node) != 1:
+    node = _check_keys(node, {"value", "values", "gaussian", "uniform"}, name)
+    if len(node) != 1:
         raise ModelError(f"{name}: expected one of value/values/gaussian/uniform")
     (key, body), = node.items()
+    if key == "value":
+        key, body = "values", [body]
     if key == "values":
         vals = np.atleast_2d(np.asarray(body, dtype=float))
         if vals.shape[1] != dim:
@@ -166,6 +165,7 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
                 raise ModelError(f"{name}: values have dimension {vals.shape[1]}, expected {dim}")
         return InitSpec(kind="deterministic", dim=dim, values=vals)
     if key == "gaussian":
+        body = _check_keys(body, {"mean", "cov"}, f"{name}.gaussian", required=("mean", "cov"))
         mu = np.atleast_1d(np.asarray(body["mean"], dtype=float))
         sigma = _as_matrix(body["cov"], dim, dim, f"{name}.cov")
         sigma = (sigma + sigma.T) / 2.0
@@ -173,13 +173,12 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
         if mu.shape != (dim,):
             raise ModelError(f"{name}.mean: expected dimension {dim}")
         return InitSpec(kind="gaussian", dim=dim, mu=mu, sigma=sigma)
-    if key == "uniform":
-        low = np.broadcast_to(np.asarray(body["low"], dtype=float), (dim,)).copy()
-        high = np.broadcast_to(np.asarray(body["high"], dtype=float), (dim,)).copy()
-        if np.any(high < low):
-            raise ModelError(f"{name}: uniform high < low")
-        return InitSpec(kind="uniform", dim=dim, low=low, high=high)
-    raise ModelError(f"{name}: unknown initializer '{key}'")
+    body = _check_keys(body, {"low", "high"}, f"{name}.uniform", required=("low", "high"))
+    low = np.broadcast_to(np.asarray(body["low"], dtype=float), (dim,)).copy()
+    high = np.broadcast_to(np.asarray(body["high"], dtype=float), (dim,)).copy()
+    if np.any(high < low):
+        raise ModelError(f"{name}: uniform high < low")
+    return InitSpec(kind="uniform", dim=dim, low=low, high=high)
 
 
 @dataclass(frozen=True)
@@ -274,14 +273,25 @@ EXPERIMENT_KEYS = {"seed", "runs", "gamma_list", "disturbance"}
 DISTURBANCE_KEYS = {"kind", "amplitude", "applied_to"}
 
 
-def _check_keys(node, allowed: set, name: str) -> dict:
-    node = node or {}
+def _check_keys(node, allowed: set, name: str, required: tuple = ()) -> dict:
+    """``node`` as a mapping (None reads as empty): keys from ``allowed``, all of ``required``."""
+    node = {} if node is None else node
     if not isinstance(node, dict):
         raise ModelError(f"{name} must be a mapping")
     unknown = set(node) - allowed
     if unknown:
         raise ModelError(f"{name}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in node]
+    if missing:
+        raise ModelError(f"{name}: missing required key '{missing[0]}'")
     return node
+
+
+def _integer(raw: dict, key: str, default: int | None = None) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_experiment(node) -> dict:
@@ -297,24 +307,15 @@ def load_model(text: str) -> ModelSpec:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ModelError(f"config does not parse: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ModelError("config must be a mapping")
+    required = ("horizon", "n_followers", "gamma", "leader", "follower",
+                "cost", "leader_init", "follower_init")
+    raw = _check_keys(raw, {*required, "state_dim", "action_dim", "noise", "experiment"},
+                      "config", required)
 
-    known = {"horizon", "n_followers", "state_dim", "action_dim", "gamma",
-             "leader", "follower", "cost", "leader_init", "follower_init",
-             "noise", "experiment"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ModelError(f"unknown config sections: {sorted(unknown)}")
-    for key in ("horizon", "n_followers", "gamma", "leader", "follower",
-                "cost", "leader_init", "follower_init"):
-        if key not in raw:
-            raise ModelError(f"missing required field '{key}'")
-
-    T = int(raw["horizon"])
-    n = int(raw["n_followers"])
-    lx = int(raw.get("state_dim", 1))
-    lu = int(raw.get("action_dim", 1))
+    T = _integer(raw, "horizon")
+    n = _integer(raw, "n_followers")
+    lx = _integer(raw, "state_dim", 1)
+    lu = _integer(raw, "action_dim", 1)
     gamma = float(raw["gamma"])
     if T < 1:
         raise ModelError("horizon must be >= 1")
@@ -325,7 +326,10 @@ def load_model(text: str) -> ModelSpec:
     if gamma <= 0:
         raise ModelError("gamma must be positive")
 
-    led, fol, cost = raw["leader"], raw["follower"], raw["cost"]
+    led = _check_keys(raw["leader"], {"A0", "B0", "S0"}, "leader", ("A0", "B0", "S0"))
+    fol = _check_keys(raw["follower"], {"A", "B", "S", "E"}, "follower", ("A", "B", "S", "E"))
+    weight_names = ("Q", "Q0", "F", "P", "R", "R0", "H")
+    cost = _check_keys(raw["cost"], set(weight_names), "cost", weight_names)
     A0 = _per_t_stack(led["A0"], T, lx, lx, "leader.A0")
     B0 = _per_t_stack(led["B0"], T, lx, lu, "leader.B0")
     S0 = _per_t_stack(led["S0"], T, lx, lx, "leader.S0")
@@ -335,13 +339,10 @@ def load_model(text: str) -> ModelSpec:
     E = _per_t_stack(fol["E"], T, lx, lx, "follower.E")
 
     weights = {}
-    for name, rows in (("Q", lx), ("Q0", lx), ("F", lx), ("P", lx),
-                       ("R", lu), ("R0", lu), ("H", lu)):
-        if name not in cost:
-            raise ModelError(f"missing cost weight '{name}'")
+    for name, rows in zip(weight_names, (lx, lx, lx, lx, lu, lu, lu)):
         weights[name] = _symmetrize(_per_t_stack(cost[name], T, rows, rows, f"cost.{name}"), f"cost.{name}")
 
-    noise = raw.get("noise", {}) or {}
+    noise = _check_keys(raw.get("noise"), {"leader", "follower"}, "noise")
     none_cov = np.zeros((lx, lx))
     nl = _symmetrize(_per_t_stack(noise.get("leader", none_cov), T, lx, lx, "noise.leader"), "noise.leader")
     nf = _symmetrize(_per_t_stack(noise.get("follower", none_cov), T, lx, lx, "noise.follower"), "noise.follower")
@@ -405,17 +406,16 @@ def build_augmented(model: ModelSpec) -> AugmentedSystem:
 
 
 def validate_convexity(model: ModelSpec) -> ConvexityReport:
-    """Check Q, Q_bar >= 0 and R, R_bar > 0 at every t (smallest eigenvalue)."""
+    """Check Q, Q_bar >= 0 and R, R_bar > 0 at every t (smallest eigenvalue).
+
+    One ``eigvalsh`` call per stack; violations are listed by t, then in
+    the order Q, Q_bar, R, R_bar.
+    """
     aug = build_augmented(model)
-    violations = []
-    for t in range(model.horizon):
-        for name, mat, psd in (("Q", model.Q[t], True),
-                               ("Q_bar", aug.Q_bar[t], True),
-                               ("R", model.R[t], False),
-                               ("R_bar", aug.R_bar[t], False)):
-            ev = float(np.min(np.linalg.eigvalsh(mat)))
-            if psd and ev < -1e-10:
-                violations.append((t + 1, name, ev))
-            if not psd and ev < 1e-12:
-                violations.append((t + 1, name, ev))
+    checks = (("Q", model.Q, -1e-10), ("Q_bar", aug.Q_bar, -1e-10),
+              ("R", model.R, 1e-12), ("R_bar", aug.R_bar, 1e-12))
+    smallest = [np.linalg.eigvalsh(stack).min(axis=-1) for _, stack, _ in checks]
+    violations = [(t + 1, name, float(ev[t]))
+                  for t in range(model.horizon)
+                  for (name, _, floor), ev in zip(checks, smallest) if ev[t] < floor]
     return ConvexityReport(ok=not violations, violations=violations)

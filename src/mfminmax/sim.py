@@ -2,17 +2,20 @@
 
 One engine steps a block of runs together, with the run as the leading
 array axis: leader states (R, lx), followers (R, n, lx), estimates
-(R, lx).  A block holds at most ``BLOCK_STATES`` follower states, so
-``simulate`` walks ``max(1, BLOCK_STATES // n)`` runs at a time, and
-``simulate_run`` is a block of one.
+(R, lx).  The engine owns the estimates m_hat: it resets them to the
+observed mean at observation times and otherwise propagates them with
+``strategy.estimator_step``.  A block holds at most ``BLOCK_STATES``
+follower states, so ``simulate`` walks ``max(1, BLOCK_STATES // n)`` runs
+at a time, and ``simulate_run`` is a block of one.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
 index, t); follower i reads row i of the per-(run, t) batch.  Every
 batched operation gives each run the bits it gets alone, so a run's
 results are bit-identical whichever other runs are simulated with it.  A
 run whose next state is not finite is marked failed at that t and leaves
-the block; the others step on.  Stage costs are accumulated online
-(sufficient statistics), full per-follower state retention is opt-in.
+the block, its later rows left nan; the others step on.  Stage costs are
+accumulated online (sufficient statistics), full per-follower state
+retention is opt-in.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import InfoStructure, ModelSpec
-from .strategy import (PolicyState, estimator_step, follower_action, leader_action, matvec,
+from .strategy import (estimator_step, follower_action, leader_action, matvec,
                        worst_case_disturbance)
 from .synthesis import StrategyGains
 
@@ -214,28 +217,29 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
         init_rng = _rng(seed, run, 0)
         x0[k] = model.leader_init.sample(init_rng)
         xf[k] = model.follower_init.sample(init_rng, n)
-    policy = PolicyState.start(model, gains, info, xbar1=xf.mean(axis=1),
-                               use_worst_case_dbar=cfg.use_worst_case_dbar)
+    m_hat = (xf.mean(axis=1) if info.observed(1)
+             else np.broadcast_to(model.follower_init.mean(), (R, lx)).copy())
 
-    series = {name: np.zeros((R, T, dim)) for name, dim in (
+    # rows after a run fails stay nan, as its stage costs do
+    series = {name: np.full((R, T, dim), np.nan) for name, dim in (
         ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("d0", lx),
         ("dbar", lx))}
     stage_costs = np.full((R, T), np.nan)
     keep = cfg.retain_full_states
-    full = {name: np.zeros((R, T, n, dim)) if keep else [None] * R
+    full = {name: np.full((R, T, n, dim), np.nan) if keep else [None] * R
             for name, dim in (("xi", lx), ("ui", lu), ("di", lx))}
     failed_at = [None] * R
     active = np.arange(R)  # block rows of the runs still stepping
 
     for t in range(1, T + 1):
         xbar = xf.mean(axis=1)
-        u0 = leader_action(policy, x0)
-        uf = follower_action(policy, xf, x0)
+        u0 = leader_action(gains, t, x0, m_hat)
+        uf = follower_action(gains, t, xf, x0, m_hat)
         ubar = uf.mean(axis=1)
-        d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, policy.m_hat)
+        d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat)
         dbar = df.mean(axis=1)
 
-        for name, value in (("x0", x0), ("xbar", xbar), ("mhat", policy.m_hat), ("u0", u0),
+        for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
                             ("ubar", ubar), ("d0", d0), ("dbar", dbar)):
             series[name][active, t - 1] = value
         stage_costs[active, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar)
@@ -263,14 +267,14 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
         if not ok.all():
             for row in active[~ok]:
                 failed_at[row] = t
-            active, x0, x0_next, xf_next = active[ok], x0[ok], x0_next[ok], xf_next[ok]
-            policy.m_hat = policy.m_hat[ok]
+            active, x0, m_hat = active[ok], x0[ok], m_hat[ok]
+            x0_next, xf_next = x0_next[ok], xf_next[ok]
             if active.size == 0:
                 break
 
         if t < T:
-            observed = xf_next.mean(axis=1) if info.observed(t + 1) else None
-            estimator_step(policy, x0, observed=observed)
+            m_hat = (xf_next.mean(axis=1) if info.observed(t + 1)
+                     else estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar))
         x0, xf = x0_next, xf_next
 
     return [

@@ -254,6 +254,36 @@ class TestOtherCommands:
         assert typo in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run-example", "2", "--config", "/nonexistent.yaml"],
+        ["synthesize", "--seed", "1"],
+        ["synthesize", "--runs", "9"],
+        ["synthesize", "--observe", "none"],
+        ["synthesize", "--workers", "2"],
+        ["verify", "--runs", "9"],
+        ["verify", "--observe", "none"],
+        ["verify", "--workers", "2"],
+        ["synthesize", "--gamma", "1.0", "4.0"],
+        ["verify", "--gamma", "1.0", "4.0"],
+        ["gap-study", "--gamma", "1.0", "4.0"],
+    ], ids=["run-example-config", "synthesize-seed", "synthesize-runs", "synthesize-observe",
+            "synthesize-workers", "verify-runs", "verify-observe", "verify-workers",
+            "synthesize-two-gammas", "verify-two-gammas", "gap-study-two-gammas"])
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_fails_without_traceback(self, tmp_path, capsys):
+        config = tmp_path / "no_s0.yaml"
+        config.write_text(read(bundled_config_path(2)).replace("  S0: 0.0\n", ""),
+                          encoding="utf-8")
+        code = main(["synthesize", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'S0'" in err and "Traceback" not in err
+
     def test_missing_config_fails_cleanly(self, capsys):
         code = main(["synthesize"])
         assert code == EXIT_FAIL

@@ -134,6 +134,29 @@ follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(ModelError):
             load_model("horizon: [unclosed")
 
+    @pytest.mark.parametrize("old, new, named", [
+        (", S0: 0.05", "", "'S0'"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{gaussian: {mean: 4.0}}", "'cov'"),
+        (", high: 2.0", "", "'high'"),
+        ("{A0: 0.9, B0: 0.2, S0: 0.05}", "[1, 2]", "leader"),
+        ("leader_init:", "noise: {follwer: 0.3}\nleader_init:", "'follwer'"),
+        ("S0: 0.05}", "S0: 0.05, C0: 1.0}", "'C0'"),
+        ("E: 0.01}", "E: 0.01, D: 1.0}", "'D'"),
+        ("H: 0.2}", "H: 0.2, W: 1.0}", "'W'"),
+        ("high: 2.0}", "high: 2.0, mid: 1.0}", "'mid'"),
+        ("{value: 1.0}", "{value: 1.0, spread: 0.1}", "'spread'"),
+        ("horizon: 4", "horizon: 4.7", "horizon"),
+        ("n_followers: 2", "n_followers: 2.9", "n_followers"),
+    ], ids=["missing-leader-key", "gaussian-without-cov", "uniform-without-high",
+            "leader-not-mapping", "misspelled-noise-key", "unknown-leader-key",
+            "unknown-follower-key", "unknown-cost-key", "unknown-uniform-key",
+            "unknown-leader_init-key", "fractional-horizon", "fractional-n_followers"])
+    def test_malformed_config_names_the_key(self, old, new, named):
+        text = minimal()
+        assert old in text
+        with pytest.raises(ModelError, match=named):
+            load_model(text.replace(old, new, 1))
+
 
 class TestBuildAugmented:
     def test_example1_blocks(self, example1):

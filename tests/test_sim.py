@@ -140,8 +140,11 @@ class TestDeterminism:
             for rec in ordered:
                 assert rec.failed == (rec.failed_at is not None)
                 assert math.isnan(rec.total_cost) == rec.failed
-                assert np.isnan(rec.stage_costs[rec.failed_at or m.horizon:]).all()
-                assert np.isfinite(rec.stage_costs[:rec.failed_at or m.horizon]).all()
+                # a failed run's rows after failed_at read nan, not a return to zero
+                for name in RECORD_ARRAYS:
+                    arr = getattr(rec, name)
+                    assert np.isnan(arr[rec.failed_at or m.horizon:]).all(), name
+                    assert np.isfinite(arr[:rec.failed_at or m.horizon]).all(), name
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_batched_quadratic_matches_einsum_per_run(self, dim):

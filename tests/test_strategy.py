@@ -8,13 +8,12 @@ import pytest
 from mfminmax.model import InfoStructure, InitSpec
 from mfminmax.sim import DisturbancePolicy, SimConfig, simulate
 from mfminmax.strategy import (
-    PolicyState,
     estimator_step,
     follower_action,
     leader_action,
     worst_case_disturbance,
 )
-from mfminmax.synthesis import StrategyGains, compute_gains, solve_riccati
+from mfminmax.synthesis import compute_gains, solve_riccati
 
 from conftest import EX1_GAMMA, EX2_GAMMA, make_model, zero_weight_model
 
@@ -28,69 +27,60 @@ EX2_G4_MHAT2_WC = 5.209713373737436    # m1=4, x0=10, worst-case dbar
 EX2_G4_MHAT2_NOM = 5.287220549348488   # nominal dbar = 0
 
 
-def policy_for(model, info=None, m1=None, wc=True):
-    gains = compute_gains(model, solve_riccati(model))
-    info = info or InfoStructure.mfs(model.horizon)
-    p = PolicyState.start(model, gains, info,
-                          xbar1=m1 if info.observed(1) else None,
-                          use_worst_case_dbar=wc)
-    if m1 is not None:
-        p.m_hat = np.atleast_1d(np.asarray(m1, dtype=float))
-    return p
+def gains_for(model):
+    return compute_gains(model, solve_riccati(model))
 
 
 class TestActions:
     def test_zero_gains_zero_actions(self):
         m = zero_weight_model()
-        p = policy_for(m, m1=[1.5])
-        assert leader_action(p, np.array([2.0])) == pytest.approx([0.0])
-        assert follower_action(p, np.array([3.0]), np.array([2.0])) == pytest.approx([0.0])
+        g, m_hat = gains_for(m), np.array([1.5])
+        assert leader_action(g, 1, np.array([2.0]), m_hat) == pytest.approx([0.0])
+        ui = follower_action(g, 1, np.array([[3.0]]), np.array([2.0]), m_hat)
+        assert ui[0] == pytest.approx([0.0])
 
     def test_example2_leader_inactive(self, example2):
-        p = policy_for(example2, m1=[4.0])
+        g = gains_for(example2)
         for t in (1, 10, 30):
-            p.t = t
-            assert leader_action(p, np.array([123.0])) == pytest.approx([0.0])
+            assert leader_action(g, t, np.array([123.0]), np.array([4.0])) == pytest.approx([0.0])
 
     def test_follower_at_mean_loses_deviation_term(self, example1):
         m = example1.with_gamma(EX1_GAMMA)
-        p = policy_for(m, m1=[10.0])
-        x0 = np.array([30.0])
-        at_mean = follower_action(p, np.array([10.0]), x0)
-        expected = p.gains.l21(1) @ x0 + p.gains.l22(1) @ p.m_hat
+        g, m_hat, x0 = gains_for(m), np.array([10.0]), np.array([30.0])
+        at_mean = follower_action(g, 1, np.array([[10.0]]), x0, m_hat)[0]
+        expected = g.l21(1) @ x0 + g.l22(1) @ m_hat
         assert at_mean == pytest.approx(expected)
 
     def test_example1_frozen_actions(self, example1):
         m = example1.with_gamma(EX1_GAMMA)
-        p = policy_for(m, m1=[10.0])
-        u0 = leader_action(p, np.array([30.0]))
-        ui = follower_action(p, np.array([5.0]), np.array([30.0]))
+        g, m_hat, x0 = gains_for(m), np.array([10.0]), np.array([30.0])
+        u0 = leader_action(g, 1, x0, m_hat)
+        ui = follower_action(g, 1, np.array([[5.0]]), x0, m_hat)[0]
         assert u0[0] == pytest.approx(EX1_G20_U0, rel=1e-12)
         assert ui[0] == pytest.approx(EX1_G20_UI, rel=1e-12)
 
     def test_batched_follower_actions_match_loop(self, example1):
         m = example1.with_gamma(EX1_GAMMA)
-        p = policy_for(m, m1=[10.0])
-        x0 = np.array([30.0])
+        g, m_hat, x0 = gains_for(m), np.array([10.0]), np.array([30.0])
         batch = np.array([[5.0], [10.0], [-2.0]])
-        vec = follower_action(p, batch, x0)
+        vec = follower_action(g, 1, batch, x0, m_hat)
         for i in range(3):
-            assert vec[i] == pytest.approx(follower_action(p, batch[i], x0))
+            assert np.array_equal(vec[i:i + 1], follower_action(g, 1, batch[i:i + 1], x0, m_hat))
 
 
 class TestWorstCaseDisturbance:
     def test_zero_states_zero_disturbance(self, example2):
-        p = policy_for(example2, m1=[0.0])
-        d0, dbar = worst_case_disturbance(p.gains, p.t, np.zeros(1), p.m_hat)
+        g, zero = gains_for(example2), np.zeros(1)
+        d0, dbar = worst_case_disturbance(g, 1, zero, zero)
         assert d0 == pytest.approx([0.0]) and dbar == pytest.approx([0.0])
-        _, di = worst_case_disturbance(p.gains, p.t, np.zeros(1), p.m_hat, np.zeros(1))
-        assert di == pytest.approx([0.0])
+        _, di = worst_case_disturbance(g, 1, zero, zero, np.zeros((1, 1)))
+        assert di[0] == pytest.approx([0.0])
 
     def test_huge_gamma_kills_disturbance(self, example2):
-        p = policy_for(example2.with_gamma(1e9), m1=[4.0])
+        g, m_hat = gains_for(example2.with_gamma(1e9)), np.array([4.0])
         x0 = np.array([10.0])
-        d0, dbar = worst_case_disturbance(p.gains, p.t, x0, p.m_hat)
-        _, di = worst_case_disturbance(p.gains, p.t, x0, p.m_hat, np.array([9.0]))
+        d0, dbar = worst_case_disturbance(g, 1, x0, m_hat)
+        _, di = worst_case_disturbance(g, 1, x0, m_hat, np.array([[9.0]]))
         scale = 10.0
         assert np.abs(d0).max() <= 1e-6 * scale
         assert np.abs(dbar).max() <= 1e-6 * scale
@@ -98,14 +88,13 @@ class TestWorstCaseDisturbance:
 
     def test_example2_frozen_values(self, example2):
         m = example2.with_gamma(EX2_GAMMA)
-        p = policy_for(m, m1=[4.0])
-        x0 = np.array([10.0])
-        d0, dbar = worst_case_disturbance(p.gains, p.t, x0, p.m_hat)
+        g, m_hat, x0 = gains_for(m), np.array([4.0]), np.array([10.0])
+        d0, dbar = worst_case_disturbance(g, 1, x0, m_hat)
         assert d0[0] == pytest.approx(EX2_G4_D0, rel=1e-12)
         assert dbar[0] == pytest.approx(EX2_G4_DBAR, rel=1e-12)
-        xi = np.array([5.0])  # deviation +1
-        _, di = worst_case_disturbance(p.gains, p.t, x0, p.m_hat, xi)
-        assert di[0] == pytest.approx(EX2_G4_DI, rel=1e-12)
+        xi = np.array([[5.0]])  # deviation +1
+        _, di = worst_case_disturbance(g, 1, x0, m_hat, xi)
+        assert di[0, 0] == pytest.approx(EX2_G4_DI, rel=1e-12)
 
     @pytest.mark.parametrize("use_estimate", [False, True])
     def test_simulation_applies_this_feedback_bitwise(self, example2, use_estimate):
@@ -127,43 +116,24 @@ class TestWorstCaseDisturbance:
 
 
 class TestEstimator:
-    def test_reset_to_observation(self, example2):
-        info = InfoStructure.imfs([1, 2])
-        p = policy_for(example2.with_gamma(EX2_GAMMA), info=info, m1=[3.0])
-        out = estimator_step(p, np.array([10.0]), observed=np.array([7.25]))
-        assert out == pytest.approx([7.25])
-        assert p.t == 2
-
-    def test_reset_outside_schedule_rejected(self, example2):
-        info = InfoStructure.imfs([1])
-        p = policy_for(example2.with_gamma(EX2_GAMMA), info=info, m1=[3.0])
-        with pytest.raises(ValueError, match="observation"):
-            estimator_step(p, np.array([10.0]), observed=np.array([7.0]))
-
     def test_identity_propagation_with_zero_gains(self):
         m = make_model(T=4, n=2, gamma=3.0, A0=1.0, B0=0.0, S0=0.0, A=1.0, B=1.0,
                        S=0.0, E=0.0, Q=0.0, Q0=0.0, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0,
                        follower_values=[[2.0], [2.0]])
-        p = policy_for(m, info=InfoStructure.no_sharing())
-        m1 = p.m_hat.copy()
-        estimator_step(p, np.array([5.0]))
-        assert p.m_hat == pytest.approx(m1)
+        m1 = m.follower_init.mean()
+        out = estimator_step(m, gains_for(m), 1, np.array([5.0]), m1)
+        assert out == pytest.approx(m1)
 
     def test_example2_frozen_step(self, example2):
         m = example2.with_gamma(EX2_GAMMA)
-        p = policy_for(m, info=InfoStructure.no_sharing(), wc=True)
-        assert p.m_hat == pytest.approx([4.0])  # mean of U[0, 8]
-        out = estimator_step(p, np.array([10.0]))
+        g, x0 = gains_for(m), np.array([10.0])
+        m_hat = m.follower_init.mean()
+        assert m_hat == pytest.approx([4.0])  # mean of U[0, 8]
+        out = estimator_step(m, g, 1, x0, m_hat)
         assert out[0] == pytest.approx(EX2_G4_MHAT2_WC, rel=1e-12)
-        p = policy_for(m, info=InfoStructure.no_sharing(), wc=False)
-        out = estimator_step(p, np.array([10.0]))
+        out = estimator_step(m, g, 1, x0, m_hat, worst_case_dbar=False)
         assert out[0] == pytest.approx(EX2_G4_MHAT2_NOM, rel=1e-12)
-
-    def test_cannot_run_past_horizon(self, example2):
-        p = policy_for(example2, m1=[4.0])
-        p.t = example2.horizon
-        with pytest.raises(ValueError, match="horizon"):
-            estimator_step(p, np.array([10.0]))
+        assert m_hat == pytest.approx([4.0])
 
 
 class TestInformationStructureInvariants:
@@ -200,6 +170,25 @@ class TestInformationStructureInvariants:
                         info=InfoStructure.no_sharing())
         rec = simulate(m, gains, cfg)[0]
         assert np.max(np.abs(rec.mhat - rec.xbar)) <= 1e-10
+
+    def test_nominal_estimator_switch_reaches_simulation(self, example2):
+        # No disturbance acts, so only the nominal estimator (zero dbar)
+        # tracks the true mean; the worst-case one drifts off it.
+        m = replace(example2.with_gamma(EX2_GAMMA), n_followers=4,
+                    follower_init=InitSpec(kind="deterministic", dim=1,
+                                           values=np.full((4, 1), 3.0)),
+                    noise_leader=np.zeros((30, 1, 1)),
+                    noise_follower=np.zeros((30, 1, 1)))
+        gains = compute_gains(m, solve_riccati(m))
+
+        def tracking_error(worst_case_dbar):
+            cfg = SimConfig(master_seed=1, num_runs=1, info=InfoStructure.no_sharing(),
+                            use_worst_case_dbar=worst_case_dbar)
+            rec = simulate(m, gains, cfg)[0]
+            return np.max(np.abs(rec.mhat - rec.xbar))
+
+        assert tracking_error(False) <= 1e-10
+        assert tracking_error(True) > 1e-2
 
     def test_estimator_error_shrinks_like_one_over_n(self, example2):
         m = example2.with_gamma(EX2_GAMMA)
