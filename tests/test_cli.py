@@ -1,5 +1,7 @@
 """Command-line behavior: files, exit codes, determinism, schedules."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,17 @@ class TestVerifyCommand:
         report = read(out / "report.txt")
         assert "verdict: PASS" in report
         assert (out / "saddle_report.csv").exists()
+
+    @pytest.mark.parametrize("name", ["saddle_report.csv", "report.txt"])
+    def test_matches_golden_output(self, tmp_path, name):
+        # Example 2 at gamma 4, n 4, seed 7, 50 directions: every delta of
+        # the saddle check, and the report built from them, to the byte.
+        out = tmp_path / "verify"
+        code = main(["verify", "--config", str(bundled_config_path(2)), "--gamma", "4",
+                     "--n", "4", "--seed", "7", "--out", str(out)])
+        assert code == EXIT_OK
+        golden = Path(__file__).parent / "data" / f"golden_verify_example2_gamma4_n4_seed7_{name}"
+        assert read(out / name) == read(golden)
 
     def test_corrupted_gains_fail(self, tmp_path):
         out = tmp_path / "verifybad"
