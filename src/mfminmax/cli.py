@@ -68,9 +68,12 @@ def _disturbance_from(sect: dict) -> DisturbancePolicy:
 
 
 def _seed_and_runs(args, sect: dict) -> tuple:
-    """--seed/--runs if given, else the config's experiment values, else 0 and 1."""
-    seed = args.seed if args.seed is not None else int(sect.get("seed", 0))
-    runs = args.runs if args.runs is not None else int(sect.get("runs", 1))
+    """--seed/--runs if given, else the config's experiment values, else 0 and 1.
+
+    The loader has checked that the experiment values are integers.
+    """
+    seed = args.seed if args.seed is not None else sect.get("seed", 0)
+    runs = args.runs if args.runs is not None else sect.get("runs", 1)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     return seed, runs

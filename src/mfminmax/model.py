@@ -42,9 +42,32 @@ class ModelError(ValueError):
     """Raised when a model description is inconsistent or invalid."""
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; what numpy cannot read as numbers is a ModelError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ModelError(f"{name}: expected numbers, got {value!r}") from None
+
+
+def _number(value, name: str) -> float:
+    """``value`` as one float; a list, mapping or non-numeric string is a ModelError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{name} must be a number, got {value!r}") from None
+
+
+def _attenuation(gamma: float) -> float:
+    """``gamma`` as a float, unless it is not positive and finite (nan passes ``gamma <= 0``)."""
+    if not 0 < gamma < np.inf:
+        raise ModelError(f"gamma must be positive and finite, got {gamma!r}")
+    return float(gamma)
+
+
 def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     """Coerce a scalar or nested list to a (rows, cols) float array."""
-    arr = np.asarray(value, dtype=float)
+    arr = _floats(value, name)
     if arr.ndim == 0:
         if (rows, cols) != (1, 1):
             raise ModelError(f"{name}: scalar given but expected {rows}x{cols}")
@@ -71,6 +94,8 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
     """
     if isinstance(value, dict):
         seq = _check_keys(value, {"per_t"}, name, required=("per_t",))["per_t"]
+        if not isinstance(seq, list):
+            raise ModelError(f"{name}: per_t must be a list of {T} matrices, got {seq!r}")
         if len(seq) != T:
             raise ModelError(f"{name}: per_t has {len(seq)} entries, horizon is {T}")
         return np.stack([_as_matrix(v, rows, cols, f"{name}[t={t + 1}]") for t, v in enumerate(seq)])
@@ -156,7 +181,7 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
     if key == "value":
         key, body = "values", [body]
     if key == "values":
-        vals = np.atleast_2d(np.asarray(body, dtype=float))
+        vals = np.atleast_2d(_floats(body, name))
         if vals.shape[1] != dim:
             # a flat list of scalars for dim=1
             if dim == 1 and vals.shape[0] == 1:
@@ -166,7 +191,7 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
         return InitSpec(kind="deterministic", dim=dim, values=vals)
     if key == "gaussian":
         body = _check_keys(body, {"mean", "cov"}, f"{name}.gaussian", required=("mean", "cov"))
-        mu = np.atleast_1d(np.asarray(body["mean"], dtype=float))
+        mu = np.atleast_1d(_floats(body["mean"], f"{name}.mean"))
         sigma = _as_matrix(body["cov"], dim, dim, f"{name}.cov")
         sigma = (sigma + sigma.T) / 2.0
         _check_psd(sigma, f"{name}.cov")
@@ -174,8 +199,8 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
             raise ModelError(f"{name}.mean: expected dimension {dim}")
         return InitSpec(kind="gaussian", dim=dim, mu=mu, sigma=sigma)
     body = _check_keys(body, {"low", "high"}, f"{name}.uniform", required=("low", "high"))
-    low = np.broadcast_to(np.asarray(body["low"], dtype=float), (dim,)).copy()
-    high = np.broadcast_to(np.asarray(body["high"], dtype=float), (dim,)).copy()
+    low = np.broadcast_to(_floats(body["low"], f"{name}.low"), (dim,)).copy()
+    high = np.broadcast_to(_floats(body["high"], f"{name}.high"), (dim,)).copy()
     if np.any(high < low):
         raise ModelError(f"{name}: uniform high < low")
     return InitSpec(kind="uniform", dim=dim, low=low, high=high)
@@ -248,9 +273,7 @@ class ModelSpec:
     experiment: dict = field(default_factory=dict)
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
-        if gamma <= 0:
-            raise ModelError("gamma must be positive")
-        return replace(self, gamma=float(gamma))
+        return replace(self, gamma=_attenuation(gamma))
 
 
 @dataclass(frozen=True)
@@ -287,17 +310,27 @@ def _check_keys(node, allowed: set, name: str, required: tuple = ()) -> dict:
     return node
 
 
-def _integer(raw: dict, key: str, default: int | None = None) -> int:
+def _integer(raw: dict, key: str, default: int | None = None, name: str | None = None) -> int:
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"{key} must be an integer, got {value!r}")
+        raise ModelError(f"{name or key} must be an integer, got {value!r}")
     return value
 
 
 def _parse_experiment(node) -> dict:
-    """The optional run-defaults section; a misspelled key is an error."""
+    """The optional run-defaults section; a misspelled key or malformed value is an error."""
     node = _check_keys(node, EXPERIMENT_KEYS, "experiment")
-    _check_keys(node.get("disturbance"), DISTURBANCE_KEYS, "experiment.disturbance")
+    for key in ("seed", "runs"):
+        if key in node:
+            _integer(node, key, name=f"experiment.{key}")
+    gamma_list = node.get("gamma_list", [])
+    if not isinstance(gamma_list, list):
+        raise ModelError(f"experiment.gamma_list must be a list of numbers, got {gamma_list!r}")
+    for gamma in gamma_list:
+        _number(gamma, "experiment.gamma_list entry")
+    disturbance = _check_keys(node.get("disturbance"), DISTURBANCE_KEYS, "experiment.disturbance")
+    if "amplitude" in disturbance:
+        _number(disturbance["amplitude"], "experiment.disturbance.amplitude")
     return node
 
 
@@ -316,15 +349,13 @@ def load_model(text: str) -> ModelSpec:
     n = _integer(raw, "n_followers")
     lx = _integer(raw, "state_dim", 1)
     lu = _integer(raw, "action_dim", 1)
-    gamma = float(raw["gamma"])
+    gamma = _attenuation(_number(raw["gamma"], "gamma"))
     if T < 1:
         raise ModelError("horizon must be >= 1")
     if n < 1:
         raise ModelError("n_followers must be >= 1")
     if lx < 1 or lu < 1:
         raise ModelError("state_dim and action_dim must be >= 1")
-    if gamma <= 0:
-        raise ModelError("gamma must be positive")
 
     led = _check_keys(raw["leader"], {"A0", "B0", "S0"}, "leader", ("A0", "B0", "S0"))
     fol = _check_keys(raw["follower"], {"A", "B", "S", "E"}, "follower", ("A", "B", "S", "E"))

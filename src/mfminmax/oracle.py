@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import InfoStructure, ModelSpec
-from .sim import DisturbancePolicy, SimConfig, evaluate_cost, simulate
+from .sim import DisturbancePolicy, SimConfig, evaluate_cost, simulate, stage_cost
+from .strategy import matvec
 from .synthesis import StrategyGains
 
 __all__ = [
@@ -35,6 +37,9 @@ __all__ = [
 ]
 
 MAX_ORACLE_FOLLOWERS = 16
+
+BLOCK_GAIN_ENTRIES = 2 ** 18
+"""Most perturbed gain entries one batched saddle-check rollout holds: bounds its memory at large n."""
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,10 @@ def stacked_saddle_solve(model: ModelSpec, n: int) -> StackedSolution:
         AA, BB = prob.AA[t - 1], prob.BB[t - 1]
         Huu = prob.RR[t - 1] + BB.T @ M @ BB
         Hdd = M - g2 * prob.Wd
-        margin_u = min(margin_u, float(np.min(np.linalg.eigvalsh(Huu))))
-        margin_d = min(margin_d, float(np.min(np.linalg.eigvalsh(-Hdd))))
-        if np.min(np.linalg.eigvalsh(Huu)) <= 0 or np.max(np.linalg.eigvalsh(Hdd)) >= 0:
+        min_u = float(np.min(np.linalg.eigvalsh(Huu)))
+        min_d = float(np.min(np.linalg.eigvalsh(-Hdd)))
+        margin_u, margin_d = min(margin_u, min_u), min(margin_d, min_d)
+        if min_u <= 0 or min_d <= 0:
             feasible = False
         H = np.block([[Huu, BB.T @ M], [M @ BB, Hdd]])
         rhs = -np.vstack([BB.T @ M @ AA, M @ AA])
@@ -201,36 +207,31 @@ def rollout_joint(model: ModelSpec, prob: StackedProblem, KU: np.ndarray, KD: np
                   x0_init: np.ndarray, followers_init: np.ndarray):
     """Noise-free closed loop under joint feedback; raw cost accounting.
 
-    Returns (total cost, trajectory (T, N)).  The cost is the plain
-    per-agent sum, no deviation or aggregate shortcut.
+    With gains KU (T, Nu, N) and KD (T, N, N), returns (total cost,
+    trajectory (T, N)).  Gain stacks with a leading batch axis, KU
+    (P, T, Nu, N) and/or KD (P, T, N, N), step P closed loops together from
+    the same initial state and return costs (P,) and trajectories
+    (P, T, N); each loop gets the bits it gets alone.  The cost is the
+    plain per-agent sum, no deviation or aggregate shortcut.
     """
     T, lx, lu, n = model.horizon, model.state_dim, model.action_dim, prob.n
-    g2 = model.gamma ** 2
+    batch = np.broadcast_shapes(KU.shape[:-3], KD.shape[:-3])  # () or (P,)
     X = np.concatenate([np.atleast_1d(x0_init),
                         np.asarray(followers_init, dtype=float).reshape(n * lx)])
-    traj = np.zeros((T, X.size))
-    total = 0.0
+    X = np.broadcast_to(X, batch + X.shape)
+    traj = np.zeros(batch + (T, X.shape[-1]))
+    total = np.zeros(batch)
     for t in range(1, T + 1):
-        U = KU[t - 1] @ X
-        D = KD[t - 1] @ X
-        x0, u0, d0 = X[:lx], U[:lu], D[:lx]
-        xf = X[lx:].reshape(n, lx)
-        uf = U[lu:].reshape(n, lu)
-        df = D[lx:].reshape(n, lx)
-        xbar, ubar = xf.mean(axis=0), uf.mean(axis=0)
-        stage = (
-            float(np.einsum("ij,jk,ik->i", xf, model.Q[t - 1], xf).mean())
-            + float(np.einsum("ij,jk,ik->i", uf, model.R[t - 1], uf).mean())
-            - g2 * float((df * df).sum(axis=1).mean())
-            + float(x0 @ model.Q0[t - 1] @ x0) + float(u0 @ model.R0[t - 1] @ u0)
-            - g2 * float(d0 @ d0)
-            + float((xbar - x0) @ model.F[t - 1] @ (xbar - x0))
-            + float(xbar @ model.P[t - 1] @ xbar) + float(ubar @ model.H[t - 1] @ ubar)
-        )
-        total += stage
-        traj[t - 1] = X
-        X = prob.AA[t - 1] @ X + prob.BB[t - 1] @ U + D
-    return total, traj
+        U = matvec(KU[..., t - 1, :, :], X)
+        D = matvec(KD[..., t - 1, :, :], X)
+        xf = X[..., lx:].reshape(batch + (n, lx))
+        uf = U[..., lu:].reshape(batch + (n, lu))
+        df = D[..., lx:].reshape(batch + (n, lx))
+        total = total + stage_cost(model, t, X[..., :lx], U[..., :lu], D[..., :lx], xf, uf, df,
+                                   xf.mean(axis=-2), uf.mean(axis=-2))
+        traj[..., t - 1, :] = X
+        X = matvec(prob.AA[t - 1], X) + matvec(prob.BB[t - 1], U) + D
+    return (total if batch else float(total)), traj
 
 
 def verify_equivalence(model: ModelSpec, gains: StrategyGains, n: int,
@@ -247,15 +248,16 @@ def verify_equivalence(model: ModelSpec, gains: StrategyGains, n: int,
     report.max_gain_discrepancy = max(
         float(np.max(np.abs(KUd - sol.KU))), float(np.max(np.abs(KDd - sol.KD))))
     prob = build_stacked(model, n)
-    cost_joint, traj_joint = rollout_joint(model, prob, sol.KU, sol.KD, x0_init, followers_init)
-    cost_dec, traj_dec = rollout_joint(model, prob, KUd, KDd, x0_init, followers_init)
-    report.base_cost = float(cost_dec)
+    costs, trajs = rollout_joint(model, prob, np.stack([sol.KU, KUd]), np.stack([sol.KD, KDd]),
+                                 x0_init, followers_init)
+    cost_joint, cost_dec = float(costs[0]), float(costs[1])
+    report.base_cost = cost_dec
     scale = max(1.0, abs(joint_value))
-    traj_gap = float(np.max(np.abs(traj_joint - traj_dec)))
+    traj_gap = float(np.max(np.abs(trajs[0] - trajs[1])))
     report.ok = (report.value_gap <= 1e-8 * scale
                  and abs(cost_joint - joint_value) <= 1e-8 * scale
                  and abs(cost_joint - cost_dec) <= 1e-8 * scale
-                 and traj_gap <= 1e-8 * max(1.0, float(np.max(np.abs(traj_joint)))))
+                 and traj_gap <= 1e-8 * max(1.0, float(np.max(np.abs(trajs[0])))))
     return report
 
 
@@ -266,7 +268,9 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
 
     Control-side perturbations must not decrease the deterministic cost
     (beyond -1e-9), disturbance-side perturbations must not increase it
-    (beyond +1e-9).  All deltas are recorded.
+    (beyond +1e-9).  All deltas are recorded.  Each side's perturbed gains
+    are rolled out as one batch, or in blocks of directions holding at most
+    ``BLOCK_GAIN_ENTRIES`` gain entries each.
     """
     if num_directions < 1:
         raise ValueError(f"--directions must be >= 1, got {num_directions}")
@@ -279,20 +283,24 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     prob = build_stacked(model, n)
     base, _ = rollout_joint(model, prob, KU0, KD0, x0_init, followers_init)
     rng = np.random.default_rng(seed)
+    step_axis = np.asarray(steps, dtype=float)[:, None, None, None]
 
     report = SaddleReport(base_cost=base)
     for side, K0 in (("control", KU0), ("disturbance", KD0)):
-        for k in range(num_directions):
-            direction = rng.standard_normal(K0.shape)
-            direction /= np.linalg.norm(direction)
-            for step in steps:
-                if side == "control":
-                    cost, _ = rollout_joint(model, prob, KU0 + step * direction, KD0,
-                                            x0_init, followers_init)
-                else:
-                    cost, _ = rollout_joint(model, prob, KU0, KD0 + step * direction,
-                                            x0_init, followers_init)
-                report.perturbations.append((side, k, step, cost - base))
+        block = max(1, BLOCK_GAIN_ENTRIES // (len(steps) * K0.size))
+        for first in range(0, num_directions, block):
+            ks = range(first, min(first + block, num_directions))
+            perturbed = np.empty((len(ks), len(steps)) + K0.shape)
+            for i in range(len(ks)):
+                direction = rng.standard_normal(K0.shape)
+                direction /= np.linalg.norm(direction)
+                perturbed[i] = K0 + step_axis * direction
+            perturbed = perturbed.reshape((-1,) + K0.shape)  # rows in (direction, step) order
+            KU, KD = (perturbed, KD0) if side == "control" else (KU0, perturbed)
+            costs, _ = rollout_joint(model, prob, KU, KD, x0_init, followers_init)
+            report.perturbations.extend(
+                (side, k, step, float(delta))
+                for (k, step), delta in zip(itertools.product(ks, steps), costs - base))
     control = [d for s, _, _, d in report.perturbations if s == "control"]
     disturb = [d for s, _, _, d in report.perturbations if s == "disturbance"]
     report.control_min_delta = min(control)

@@ -267,6 +267,23 @@ class TestOtherCommands:
         assert typo in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("runs: 1\n", "runs: 2.5\n", "experiment.runs"),
+        ("seed: 7\n", "seed: 7.9\n", "experiment.seed"),
+        ("amplitude: 0.4", "amplitude: [1]", "experiment.disturbance.amplitude"),
+        ("  A0: 1.0\n", "  A0: [{a: 1}]\n", "leader.A0"),
+    ], ids=["fractional-runs", "fractional-seed", "list-amplitude", "mapping-in-matrix"])
+    def test_malformed_value_fails_without_traceback(self, tmp_path, capsys, old, new, named):
+        text = read(bundled_config_path(2))
+        assert old in text
+        config = tmp_path / "bad.yaml"
+        config.write_text(text.replace(old, new), encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["run-example", "2", "--config", "/nonexistent.yaml"],
         ["synthesize", "--seed", "1"],

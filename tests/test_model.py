@@ -71,6 +71,15 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="gamma"):
             load_model(minimal(gamma=-2.0))
 
+    @pytest.mark.parametrize("text, value", [(".nan", np.nan), (".inf", np.inf)])
+    def test_gamma_nonfinite_rejected(self, text, value):
+        # nan passes a plain "gamma <= 0" test, and synthesis then reports
+        # a nan margin as feasible
+        with pytest.raises(ModelError, match="gamma"):
+            load_model(minimal(gamma=text))
+        with pytest.raises(ModelError, match="gamma"):
+            load_model(minimal()).with_gamma(value)
+
     def test_zero_r_rejected(self):
         with pytest.raises(ModelError, match="positive definite"):
             load_model(minimal(R=0.0))
@@ -147,10 +156,17 @@ follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
         ("{value: 1.0}", "{value: 1.0, spread: 0.1}", "'spread'"),
         ("horizon: 4", "horizon: 4.7", "horizon"),
         ("n_followers: 2", "n_followers: 2.9", "n_followers"),
+        ("A0: 0.9", "A0: [{a: 1}]", "leader.A0"),
+        ("A: 0.8", "A: {per_t: 5}", "follower.A"),
+        ("gamma: 5.0", "gamma: [1]", "gamma"),
+        ("{value: 1.0}", "{value: {a: 1}}", "leader_init"),
+        ("leader_init:", "experiment: {gamma_list: 5}\nleader_init:", "experiment.gamma_list"),
     ], ids=["missing-leader-key", "gaussian-without-cov", "uniform-without-high",
             "leader-not-mapping", "misspelled-noise-key", "unknown-leader-key",
             "unknown-follower-key", "unknown-cost-key", "unknown-uniform-key",
-            "unknown-leader_init-key", "fractional-horizon", "fractional-n_followers"])
+            "unknown-leader_init-key", "fractional-horizon", "fractional-n_followers",
+            "mapping-in-matrix", "per_t-not-a-list", "gamma-a-list", "mapping-in-init",
+            "gamma_list-not-a-list"])
     def test_malformed_config_names_the_key(self, old, new, named):
         text = minimal()
         assert old in text

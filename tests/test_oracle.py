@@ -1,5 +1,6 @@
 """Stacked-state verification oracle and saddle perturbation checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from conftest import (
     reference_scalar_recursion,
     zero_weight_model,
 )
+from conftest import vector_model as vector_model_2x2
 
 
 def example2_n(example2, n, followers, gamma=EX2_GAMMA):
@@ -229,6 +231,45 @@ class TestTwoStepTruncationCrossCheck:
         decomposed = optimal_value(m, solve_riccati(m))
         assert oracle_value == pytest.approx(value, rel=1e-10)
         assert decomposed == pytest.approx(value, rel=1e-10)
+
+
+class TestBatchedRollout:
+    @pytest.mark.parametrize("n", [1, 4, 8, 9, 16])
+    @pytest.mark.parametrize("which", ["example2", "vector"])
+    def test_each_row_matches_its_own_rollout(self, example2, which, n):
+        m = example2.with_gamma(EX2_GAMMA) if which == "example2" else vector_model_2x2(T=30)
+        KU0, KD0 = decomposed_joint_gains(m, compute_gains(m, solve_riccati(m)), n)
+        prob = build_stacked(m, n)
+        rng = np.random.default_rng(n)
+        P = 5
+        KU = KU0 + 1e-2 * rng.standard_normal((P,) + KU0.shape)
+        KD = KD0 + 1e-2 * rng.standard_normal((P,) + KD0.shape)
+        x0 = m.leader_init.mean()
+        followers = rng.uniform(-2.0, 2.0, size=(n, m.state_dim))
+        costs, trajs = rollout_joint(m, prob, KU, KD, x0, followers)
+        assert costs.shape == (P,) and trajs.shape == (P, m.horizon, prob.AA.shape[1])
+        for p in range(P):
+            cost, traj = rollout_joint(m, prob, KU[p], KD[p], x0, followers)
+            assert isinstance(cost, float)
+            assert costs[p] == cost
+            assert np.array_equal(trajs[p], traj)
+        # an unbatched side is shared by every row
+        costs_u, _ = rollout_joint(m, prob, KU, KD0, x0, followers)
+        assert costs_u[-1] == rollout_joint(m, prob, KU[-1], KD0, x0, followers)[0]
+
+    def test_saddle_check_memory_is_bounded(self):
+        # 50 directions at n = 16 would be 100 perturbed stacks of 34 x 34
+        # disturbance gains per side, about 28 MB, if not rolled in blocks.
+        m = vector_model_2x2(T=30, n=16)
+        gains = compute_gains(m, solve_riccati(m))
+        tracemalloc.start()
+        try:
+            rep = saddle_check(m, gains, num_directions=50, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak <= 24e6
 
 
 class TestSaddleCheck:
