@@ -291,10 +291,10 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
         for first in range(0, num_directions, block):
             ks = range(first, min(first + block, num_directions))
             perturbed = np.empty((len(ks), len(steps)) + K0.shape)
-            for i in range(len(ks)):
+            for row in perturbed:
                 direction = rng.standard_normal(K0.shape)
                 direction /= np.linalg.norm(direction)
-                perturbed[i] = K0 + step_axis * direction
+                row[:] = K0 + step_axis * direction
             perturbed = perturbed.reshape((-1,) + K0.shape)  # rows in (direction, step) order
             KU, KD = (perturbed, KD0) if side == "control" else (KU0, perturbed)
             costs, _ = rollout_joint(model, prob, KU, KD, x0_init, followers_init)
