@@ -130,6 +130,17 @@ class TestSynthesizeCommand:
         matrices = {r[1] for r in csv_rows(out / "riccati.csv")}
         assert "M_brev" in matrices and "L_bar" in matrices
 
+    @pytest.mark.parametrize("gamma, code", [("4", EXIT_OK), ("1", EXIT_INFEASIBLE)])
+    @pytest.mark.parametrize("name", ["riccati.csv", "report.txt"])
+    def test_matches_golden_output(self, tmp_path, gamma, code, name):
+        # Example 2 on both sides of its boundary: every recursion, margin and
+        # gain entry, and at gamma 1 the flagged times, to the byte.
+        out = tmp_path / "synth"
+        assert main(["synthesize", "--config", str(bundled_config_path(2)), "--gamma", gamma,
+                     "--out", str(out)]) == code
+        golden = Path(__file__).parent / "data" / f"golden_synthesize_example2_gamma{gamma}_{name}"
+        assert read(out / name) == read(golden)
+
     def test_infeasible_exit_code(self, tmp_path):
         out = tmp_path / "synthbad"
         code = main(["synthesize", "--config", str(bundled_config_path(2)),

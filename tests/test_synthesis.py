@@ -1,5 +1,7 @@
 """Backward recursions, gains, optimal value, critical gamma."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from conftest import (
     reference_2x2_recursion,
     reference_lqr,
     reference_scalar_recursion,
+    vector_model,
     zero_weight_model,
 )
 
@@ -304,6 +307,14 @@ class TestRiccatiCsv:
                          for r in rows if r[1] == "M_bar"}
         assert m_bar_entries[(1, 0, 0)] == ric.M_bar[0][0, 0]
         assert m_bar_entries[(31, 1, 1)] == 0.0
+
+    def test_vector_model_matches_golden(self):
+        # Two states, two actions, full non-symmetric blocks and noise: the
+        # stacked products of the recursions and gains, to the byte.
+        m = vector_model()
+        ric = solve_riccati(m)
+        golden = Path(__file__).parent / "data" / "golden_riccati_vector_model.csv"
+        assert riccati_csv(ric, compute_gains(m, ric)) == golden.read_text(encoding="utf-8")
 
     def test_byte_identical_on_rerun(self, example2):
         ric1 = solve_riccati(example2)
