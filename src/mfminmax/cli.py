@@ -56,26 +56,27 @@ def parse_schedule(text: str, horizon: int) -> InfoStructure:
 
 
 def _disturbance_from(sect: dict) -> DisturbancePolicy:
+    """The policy an ``experiment.disturbance`` section names; the loader has checked its kind."""
     kind = sect.get("kind", "zero")
-    if kind == "zero":
-        return DisturbancePolicy.zero()
     if kind == "sinusoid":
         return DisturbancePolicy.sinusoid(float(sect.get("amplitude", 0.0)),
                                           sect.get("applied_to", "followers"))
     if kind in ("worst_case", "worst-case"):
         return DisturbancePolicy.worst_case()
-    raise ValueError(f"unknown disturbance kind '{kind}'")
+    return DisturbancePolicy.zero()
 
 
 def _seed_and_runs(args, sect: dict) -> tuple:
     """--seed/--runs if given, else the config's experiment values, else 0 and 1.
 
-    The loader has checked that the experiment values are integers.
+    The loader has checked the experiment values, so only a flag can be out of range.
     """
     seed = args.seed if args.seed is not None else sect.get("seed", 0)
     runs = args.runs if args.runs is not None else sect.get("runs", 1)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+        raise ValueError(f"--runs must be >= 1, got {runs}")
     return seed, runs
 
 
@@ -214,6 +215,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--n must be in 1..{oracle_mod.MAX_ORACLE_FOLLOWERS}, got {n}")
     if args.directions < 1:
         raise ValueError(f"--directions must be >= 1, got {args.directions}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     ric = solve_riccati(model)
     if not ric.feasible:
@@ -247,9 +250,6 @@ def cmd_verify(args) -> int:
     sc = oracle_mod.saddle_check(mdl_n, gains, num_directions=args.directions,
                                  seed=args.seed or 0, x0_init=x0_init,
                                  followers_init=followers_init, n=n)
-    eq.perturbations = sc.perturbations
-    eq.control_min_delta = sc.control_min_delta
-    eq.disturbance_max_delta = sc.disturbance_max_delta
     passed = eq.ok and sc.ok
     lines = [
         f"value gap: {float(eq.value_gap)!r}",
@@ -261,7 +261,7 @@ def cmd_verify(args) -> int:
         f"saddle ok: {sc.ok}",
         f"verdict: {'PASS' if passed else 'FAIL'}",
     ]
-    _write(out / "saddle_report.csv", oracle_mod.saddle_report_csv(eq))
+    _write(out / "saddle_report.csv", oracle_mod.saddle_report_csv(sc))
     _write(out / "report.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)

@@ -58,10 +58,10 @@ def _number(value, name: str) -> float:
         raise ModelError(f"{name} must be a number, got {value!r}") from None
 
 
-def _attenuation(gamma: float) -> float:
+def _attenuation(gamma: float, name: str = "gamma") -> float:
     """``gamma`` as a float, unless it is not positive and finite (nan passes ``gamma <= 0``)."""
     if not 0 < gamma < np.inf:
-        raise ModelError(f"gamma must be positive and finite, got {gamma!r}")
+        raise ModelError(f"{name} must be positive and finite, got {gamma!r}")
     return float(gamma)
 
 
@@ -320,17 +320,22 @@ def _integer(raw: dict, key: str, default: int | None = None, name: str | None =
 def _parse_experiment(node) -> dict:
     """The optional run-defaults section; a misspelled key or malformed value is an error."""
     node = _check_keys(node, EXPERIMENT_KEYS, "experiment")
-    for key in ("seed", "runs"):
-        if key in node:
-            _integer(node, key, name=f"experiment.{key}")
+    for key, least in (("seed", 0), ("runs", 1)):
+        if key in node and _integer(node, key, name=f"experiment.{key}") < least:
+            raise ModelError(f"experiment.{key} must be >= {least}, got {node[key]}")
     gamma_list = node.get("gamma_list", [])
     if not isinstance(gamma_list, list):
         raise ModelError(f"experiment.gamma_list must be a list of numbers, got {gamma_list!r}")
     for gamma in gamma_list:
-        _number(gamma, "experiment.gamma_list entry")
+        _attenuation(_number(gamma, "experiment.gamma_list entry"), "experiment.gamma_list entry")
     disturbance = _check_keys(node.get("disturbance"), DISTURBANCE_KEYS, "experiment.disturbance")
     if "amplitude" in disturbance:
         _number(disturbance["amplitude"], "experiment.disturbance.amplitude")
+    for key, allowed in (("kind", ("zero", "sinusoid", "worst_case", "worst-case")),
+                         ("applied_to", ("followers", "leader", "both"))):
+        if disturbance.get(key, allowed[0]) not in allowed:
+            raise ModelError(f"experiment.disturbance.{key} must be one of {', '.join(allowed)}, "
+                             f"got {disturbance[key]!r}")
     return node
 
 

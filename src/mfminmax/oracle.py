@@ -67,8 +67,6 @@ class StackedSolution:
     M1: np.ndarray        # (N, N) joint value matrix at t=1
     c1: float
     feasible: bool
-    margin_control: float     # min eig of the control Hessian block over t
-    margin_disturbance: float  # min eig of gamma^2 Wd - M over t
 
     def value(self, x0: np.ndarray, followers: np.ndarray) -> float:
         """Deterministic-initials value x1' M1 x1 + c1."""
@@ -144,14 +142,12 @@ def stacked_saddle_solve(model: ModelSpec, n: int) -> StackedSolution:
     KU = np.zeros((T, Nu, N))
     KD = np.zeros((T, N, N))
     feasible = True
-    margin_u, margin_d = np.inf, np.inf
     for t in range(T, 0, -1):
         AA, BB = prob.AA[t - 1], prob.BB[t - 1]
         Huu = prob.RR[t - 1] + BB.T @ M @ BB
         Hdd = M - g2 * prob.Wd
         min_u = float(np.min(np.linalg.eigvalsh(Huu)))
         min_d = float(np.min(np.linalg.eigvalsh(-Hdd)))
-        margin_u, margin_d = min(margin_u, min_u), min(margin_d, min_d)
         if min_u <= 0 or min_d <= 0:
             feasible = False
         H = np.block([[Huu, BB.T @ M], [M @ BB, Hdd]])
@@ -167,8 +163,7 @@ def stacked_saddle_solve(model: ModelSpec, n: int) -> StackedSolution:
         M = (prob.QQ[t - 1] + KU[t - 1].T @ prob.RR[t - 1] @ KU[t - 1]
              - g2 * KD[t - 1].T @ prob.Wd @ KD[t - 1] + Phi.T @ M @ Phi)
         M = (M + M.T) / 2.0
-    return StackedSolution(KU=KU, KD=KD, M1=M, c1=c, feasible=feasible,
-                           margin_control=margin_u, margin_disturbance=margin_d)
+    return StackedSolution(KU=KU, KD=KD, M1=M, c1=c, feasible=feasible)
 
 
 def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains, n: int):
@@ -328,15 +323,13 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
     check_population_sizes(n_list)
     if disturbance is None:
         disturbance = DisturbancePolicy.worst_case()
+    cfg_mfs = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance,
+                        info=InfoStructure.mfs(model.horizon))
+    cfg_imfs = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance,
+                         info=InfoStructure.imfs(observation_times))
     rows = []
     for n in n_list:
         mdl = replace(model, n_followers=int(n))
-        info_imfs = (InfoStructure.no_sharing() if not observation_times
-                     else InfoStructure.imfs(observation_times))
-        cfg_mfs = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance,
-                            info=InfoStructure.mfs(model.horizon))
-        cfg_imfs = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance,
-                             info=info_imfs)
         j_mfs = evaluate_cost(mdl, simulate(mdl, gains, cfg_mfs))
         j_imfs = evaluate_cost(mdl, simulate(mdl, gains, cfg_imfs))
         gap = abs(j_imfs.mean - j_mfs.mean)

@@ -131,11 +131,12 @@ def _colouring(cov: np.ndarray) -> np.ndarray:
     """The factor F for which ``z @ F + 0`` on standard normals z has the bits of
     ``Generator.multivariate_normal(0, cov)`` on the same stream.
 
-    It is numpy's own factor from ``svd(cov)``, made once per t instead of
-    once per draw, without numpy's PSD check (the loader checks PSD).
+    It is numpy's own factor from ``svd(cov)``, made once per covariance
+    instead of once per draw, without numpy's PSD check (the loader checks
+    PSD).  A (T, l, l) stack of covariances gives the stack of their factors.
     """
     u, s, _ = np.linalg.svd(cov)
-    return (u * np.sqrt(s)).T
+    return np.swapaxes(u * np.sqrt(s)[..., None, :], -1, -2)
 
 
 def _dot(V: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -206,8 +207,8 @@ def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains,
 
 
 def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs: range,
-                    colour: list) -> list[TrajectoryRecord]:
-    """The runs ``runs`` stepped together; ``colour`` holds (leader, follower) factors per t."""
+                    colour: tuple) -> list[TrajectoryRecord]:
+    """The runs ``runs`` stepped together; ``colour`` holds the (leader, follower) factor stacks."""
     T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
     R, seed = len(runs), cfg.master_seed
     info = cfg.info if cfg.info is not None else InfoStructure.mfs(T)
@@ -252,7 +253,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
             noise_rng = _rng(seed, runs[row], t)
             z0[k] = noise_rng.standard_normal(lx)
             zf[k] = noise_rng.standard_normal((n, lx))
-        f0, ff = colour[t - 1]
+        f0, ff = colour[0][t - 1], colour[1][t - 1]
         w0 = (z0[:, None, :] @ f0)[:, 0] + np.zeros(lx)
         wf = zf @ ff + np.zeros(lx)
 
@@ -288,20 +289,15 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
     ]
 
 
-def _colourings(model: ModelSpec) -> list:
-    """(leader, follower) noise factors for each t."""
-    return [(_colouring(model.noise_leader[t]), _colouring(model.noise_follower[t]))
-            for t in range(model.horizon)]
-
-
 def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: int) -> TrajectoryRecord:
     """One seeded run, a block of one; deterministic in (master_seed, run) alone."""
-    return _simulate_block(model, gains, cfg, range(run, run + 1), _colourings(model))[0]
+    colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
+    return _simulate_block(model, gains, cfg, range(run, run + 1), colour)[0]
 
 
 def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig) -> list[TrajectoryRecord]:
     """All runs, in run-index order, in blocks of at most BLOCK_STATES follower states."""
-    colour = _colourings(model)
+    colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
     per_block = max(1, BLOCK_STATES // model.n_followers)
     records = []
     for first in range(0, cfg.num_runs, per_block):

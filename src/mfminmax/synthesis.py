@@ -103,37 +103,38 @@ class StrategyGains:
 
 
 def _backward(A, B, Q, R, W, gamma: float):
-    """One soft-constrained recursion and its noise constants; never raises on infeasibility."""
+    """One soft-constrained recursion and its noise constants; never raises on infeasibility.
+
+    Returns M, Delta, c, the margins and a (T,) mask of the flagged t (index
+    t-1): a margin at or below FEAS_TOL, a singular Delta or an asymmetric M.
+    """
     T, dim = A.shape[0], A.shape[1]
     M = np.zeros((T + 1, dim, dim))
     c = np.zeros(T + 1)
     Delta = np.zeros((T, dim, dim))
-    margins = np.zeros(T)
-    bad_times = []
+    bad = np.zeros(T, dtype=bool)
     eye = np.eye(dim)
     g2 = gamma * gamma
+    BRB = B @ np.linalg.solve(R, np.swapaxes(B, -1, -2))
     for t in range(T, 0, -1):
         Mn = M[t]  # M_{t+1} lives at index t
-        margins[t - 1] = np.min(np.linalg.eigvalsh(g2 * eye - Mn))
-        if margins[t - 1] <= FEAS_TOL:
-            bad_times.append(t)
-        BRB = B[t - 1] @ np.linalg.solve(R[t - 1], B[t - 1].T)
-        D = eye + (BRB - eye / g2) @ Mn
+        D = eye + (BRB[t - 1] - eye / g2) @ Mn
         try:
             MD = Mn @ np.linalg.inv(D)
         except np.linalg.LinAlgError:
             # Singular Delta: continue on the pseudo-inverse, flagged.
-            bad_times.append(t)
+            bad[t - 1] = True
             MD = Mn @ np.linalg.pinv(D)
         Mt = Q[t - 1] + A[t - 1].T @ MD @ A[t - 1]
         asym = np.max(np.abs(Mt - Mt.T))
         Mt = (Mt + Mt.T) / 2.0
         if asym > SYM_TOL * max(1.0, np.max(np.abs(Mt))):
-            bad_times.append(t)
+            bad[t - 1] = True
         M[t - 1] = Mt
         Delta[t - 1] = D
         c[t - 1] = c[t] + float(np.trace(Mn @ W[t - 1]))
-    return M, Delta, c, margins, sorted(set(bad_times))
+    margins = np.linalg.eigvalsh(g2 * eye - M[1:]).min(axis=-1)
+    return M, Delta, c, margins, bad | (margins <= FEAS_TOL)
 
 
 def solve_riccati(model: ModelSpec) -> RiccatiSolution:
@@ -154,11 +155,12 @@ def solve_riccati(model: ModelSpec) -> RiccatiSolution:
     MB, DB, c_bar, marg_B, bad_B = _backward(aug.A_bar, aug.B_bar, aug.Q_bar, aug.R_bar, cov_aug,
                                              model.gamma)
 
-    bad = sorted(set(bad_b) | set(bad_B))
+    bad = bad_b | bad_B
     return RiccatiSolution(
         gamma=model.gamma, M_brev=Mb, M_bar=MB, Delta_brev=Db, Delta_bar=DB,
-        c_brev=c_brev, c_bar=c_bar, feasible=not bad,
-        margin_brev=marg_b, margin_bar=marg_B, infeasible_times=tuple(bad),
+        c_brev=c_brev, c_bar=c_bar, feasible=not bad.any(),
+        margin_brev=marg_b, margin_bar=marg_B,
+        infeasible_times=tuple((np.flatnonzero(bad) + 1).tolist()),
     )
 
 
@@ -171,21 +173,15 @@ def compute_gains(model: ModelSpec, ric: RiccatiSolution) -> StrategyGains:
             solution=ric,
         )
     aug = build_augmented(model)
-    T, lx, lu = model.horizon, model.state_dim, model.action_dim
     g2 = model.gamma ** 2
-    L_brev = np.zeros((T, lu, lx))
-    L_bar = np.zeros((T, 2 * lu, 2 * lx))
-    K_brev = np.zeros((T, lx, lx))
-    K_bar = np.zeros((T, 2 * lx, 2 * lx))
-    for t in range(1, T + 1):
-        MDA = ric.M_brev[t] @ np.linalg.solve(ric.Delta_brev[t - 1], model.A[t - 1])
-        L_brev[t - 1] = -np.linalg.solve(model.R[t - 1], model.B[t - 1].T @ MDA)
-        K_brev[t - 1] = MDA / g2
-        MDA_bar = ric.M_bar[t] @ np.linalg.solve(ric.Delta_bar[t - 1], aug.A_bar[t - 1])
-        L_bar[t - 1] = -np.linalg.solve(aug.R_bar[t - 1], aug.B_bar[t - 1].T @ MDA_bar)
-        K_bar[t - 1] = MDA_bar / g2
-    return StrategyGains(L_brev=L_brev, L_bar=L_bar, K_brev=K_brev, K_bar=K_bar,
-                         state_dim=lx, action_dim=lu)
+    # M_{t+1} Delta_t^{-1} A_t for every t at once
+    MDA = ric.M_brev[1:] @ np.linalg.solve(ric.Delta_brev, model.A)
+    MDA_bar = ric.M_bar[1:] @ np.linalg.solve(ric.Delta_bar, aug.A_bar)
+    return StrategyGains(
+        L_brev=-np.linalg.solve(model.R, np.swapaxes(model.B, -1, -2) @ MDA),
+        L_bar=-np.linalg.solve(aug.R_bar, np.swapaxes(aug.B_bar, -1, -2) @ MDA_bar),
+        K_brev=MDA / g2, K_bar=MDA_bar / g2,
+        state_dim=model.state_dim, action_dim=model.action_dim)
 
 
 def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:

@@ -263,6 +263,19 @@ class TestOtherCommands:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-7"],
+        ["verify", "--seed", "-3"],
+        ["gap-study", "--seed", "-3"],
+    ], ids=["simulate", "verify", "gap-study"])
+    def test_negative_seed_flag_fails_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main(argv + ["--config", str(bundled_config_path(2)), "--out", str(out)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_requires_gamma(self, capsys):
         code = main(["sweep-gamma", "--config", str(bundled_config_path(2))])
         assert code == EXIT_FAIL
@@ -278,18 +291,28 @@ class TestOtherCommands:
         assert typo in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("old, new, named", [
-        ("runs: 1\n", "runs: 2.5\n", "experiment.runs"),
-        ("seed: 7\n", "seed: 7.9\n", "experiment.seed"),
-        ("amplitude: 0.4", "amplitude: [1]", "experiment.disturbance.amplitude"),
-        ("  A0: 1.0\n", "  A0: [{a: 1}]\n", "leader.A0"),
-    ], ids=["fractional-runs", "fractional-seed", "list-amplitude", "mapping-in-matrix"])
-    def test_malformed_value_fails_without_traceback(self, tmp_path, capsys, old, new, named):
+    @pytest.mark.parametrize("command, old, new, named", [
+        ("simulate", "runs: 1\n", "runs: 2.5\n", "experiment.runs"),
+        ("simulate", "seed: 7\n", "seed: 7.9\n", "experiment.seed"),
+        ("simulate", "seed: 7\n", "seed: -7\n", "experiment.seed"),
+        ("synthesize", "runs: 1\n", "runs: 0\n", "experiment.runs"),
+        ("simulate", "amplitude: 0.4", "amplitude: [1]", "experiment.disturbance.amplitude"),
+        ("simulate", "  A0: 1.0\n", "  A0: [{a: 1}]\n", "leader.A0"),
+        ("synthesize", "kind: sinusoid", "kind: sinusiod", "experiment.disturbance.kind"),
+        ("synthesize", "applied_to: followers", "applied_to: folowers",
+         "experiment.disturbance.applied_to"),
+        ("synthesize", "gamma_list: [3.04, 4.05, 6.08, 10.14]", "gamma_list: [-1.0, 0]",
+         "experiment.gamma_list"),
+    ], ids=["fractional-runs", "fractional-seed", "negative-seed", "zero-runs", "list-amplitude",
+            "mapping-in-matrix", "misspelled-kind", "misspelled-applied_to",
+            "non-positive-gamma_list"])
+    def test_malformed_value_fails_without_traceback(self, tmp_path, capsys, command, old, new,
+                                                     named):
         text = read(bundled_config_path(2))
         assert old in text
         config = tmp_path / "bad.yaml"
         config.write_text(text.replace(old, new), encoding="utf-8")
-        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == EXIT_FAIL
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err

@@ -162,10 +162,13 @@ class TestDeterminism:
     def test_noise_colouring_matches_multivariate_normal(self, lx):
         # The engine draws standard normals from each substream and colours
         # them itself; numpy's multivariate_normal must give the same bits.
+        # It colours with the factors of a whole stack of covariances, each
+        # of which must be the factor of its covariance alone.
         gen = np.random.default_rng(lx)
         root = gen.normal(size=(lx, lx))
-        for cov in (root @ root.T, np.zeros((lx, lx)), np.eye(lx) * 1e-3):
-            factor = sim._colouring(cov)
+        covs = np.stack([root @ root.T, np.zeros((lx, lx)), np.eye(lx) * 1e-3])
+        for cov, factor in zip(covs, sim._colouring(covs)):
+            assert factor.tobytes() == sim._colouring(cov).tobytes()
             for size in (None, 7, 250):
                 expected = sim._rng(3, lx, 1).multivariate_normal(np.zeros(lx), cov, size=size)
                 z = sim._rng(3, lx, 1).standard_normal((1 if size is None else size, lx))
