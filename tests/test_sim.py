@@ -295,6 +295,19 @@ class TestGoldenTrajectory:
         golden = Path(__file__).parent / "data" / "golden_vector_imfs_worstcase_seed5.csv"
         assert text == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("seed", [2 ** 32 - 1, 2 ** 32])
+    def test_seed_key_boundary_regression(self, example2, seed):
+        # Frozen from the engine that built every substream with _rng: the
+        # largest seed of one entropy word, and the first of two words.
+        from pathlib import Path
+        m = replace(example2.with_gamma(EX2_GAMMA), n_followers=5)
+        cfg = SimConfig(master_seed=seed, num_runs=3, retain_full_states=True,
+                        disturbance=DisturbancePolicy.worst_case(use_estimate=True),
+                        info=InfoStructure.imfs([5, 12]))
+        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        golden = Path(__file__).parent / "data" / f"golden_example2_imfs_worstcase_seed{seed}.csv"
+        assert text == golden.read_text(encoding="utf-8")
+
     def test_example1_qualitative_shape(self, example1):
         m = example1.with_gamma(20.0)
         cfg = SimConfig(master_seed=7, num_runs=1, retain_full_states=True,
