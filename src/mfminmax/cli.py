@@ -184,13 +184,17 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for flag, value in (("--amplitude", args.amplitude), ("--applied-to", args.applied_to)):
+        if value is not None and args.disturbance != "sinusoid":
+            raise ValueError(f"{flag} applies to --disturbance sinusoid only")
     model = load_model_file(args.config)
     seed, runs = _seed_and_runs(args, model.experiment)
     gamma_list = args.gamma if args.gamma else [model.gamma]
     if args.disturbance == "config":
         disturbance = _disturbance_from(model.experiment.get("disturbance") or {})
     elif args.disturbance == "sinusoid":
-        disturbance = DisturbancePolicy.sinusoid(args.amplitude, args.applied_to)
+        disturbance = DisturbancePolicy.sinusoid(
+            0.0 if args.amplitude is None else args.amplitude, args.applied_to or "followers")
     elif args.disturbance == "worst-case":
         disturbance = DisturbancePolicy.worst_case()
     else:
@@ -338,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_flags(p, "config", "gamma", "seed", "runs", "observe", "workers")
         p.add_argument("--disturbance", choices=["config", "zero", "sinusoid", "worst-case"],
                        default="config")
-        p.add_argument("--amplitude", type=float, default=0.0)
-        p.add_argument("--applied-to", choices=["followers", "leader", "both"],
-                       default="followers")
+        p.add_argument("--amplitude", type=float, default=None,
+                       help="sinusoid amplitude (default 0.0); --disturbance sinusoid only")
+        p.add_argument("--applied-to", choices=["followers", "leader", "both"], default=None,
+                       help="sinusoid target (default followers); --disturbance sinusoid only")
         p.add_argument("--retain-states", action="store_true")
         p.set_defaults(func=cmd_simulate if name == "simulate" else cmd_sweep_gamma)
 

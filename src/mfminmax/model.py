@@ -336,6 +336,11 @@ def _parse_experiment(node) -> dict:
         if disturbance.get(key, allowed[0]) not in allowed:
             raise ModelError(f"experiment.disturbance.{key} must be one of {', '.join(allowed)}, "
                              f"got {disturbance[key]!r}")
+    kind = disturbance.get("kind", "zero")
+    for key in ("amplitude", "applied_to"):
+        if key in disturbance and kind != "sinusoid":
+            raise ModelError(f"experiment.disturbance.{key} applies to kind sinusoid only, "
+                             f"got kind {kind!r}")
     return node
 
 

@@ -9,13 +9,18 @@ follower states, so ``simulate`` walks ``max(1, BLOCK_STATES // n)`` runs
 at a time, and ``simulate_run`` is a block of one.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
-index, t); follower i reads row i of the per-(run, t) batch.  Every
-batched operation gives each run the bits it gets alone, so a run's
-results are bit-identical whichever other runs are simulated with it.  A
-run whose next state is not finite is marked failed at that t and leaves
-the block, its later rows left nan; the others step on.  Stage costs are
-accumulated online (sufficient statistics), full per-follower state
-retention is opt-in.
+index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives,
+as ``_rng`` builds it.  A block derives the keys of all its (run, t) in
+one array pass of that hash and re-keys one Philox for each substream; a
+block whose seed or last run index is 2^32 or more, more than one uint32
+word of entropy, builds each substream with ``_rng``, with the same bits.
+At each t a run makes one draw, leader noise in row 0 and follower i's in
+row i.  Every batched operation gives each run the bits it gets alone, so
+a run's results are bit-identical whichever other runs are simulated with
+it.  A run whose next state is not finite is marked failed at that t and
+leaves the block, its later rows left nan; the others step on.  Stage
+costs are accumulated online (sufficient statistics), full per-follower
+state retention is opt-in.
 """
 
 from __future__ import annotations
@@ -119,8 +124,86 @@ class CostSummary:
 
 
 def _rng(seed: int, run: int, t: int) -> np.random.Generator:
-    """Substream keyed by (master seed, run, t); t=0 is the initial draw."""
+    """Substream keyed by (master seed, run, t); t=0 is the initial draw.
+
+    The reference for the keyed substreams of ``_block_streams``.
+    """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, run, t))))
+
+
+def _seed_sequence_keys(seed: np.ndarray, run: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The uint64 Philox key pairs ``_rng`` takes from the entropy [seed, run, t].
+
+    numpy's ``SeedSequence`` hash on whole uint32 arrays, which broadcast
+    to the shape of the result less its last axis (2): the entropy mixed
+    into a pool of 4 words, then ``generate_state(2, uint64)``.  The hash
+    constants step the same way for every entropy, so they are Python ints.
+    Every product has an array operand, because a product of two uint32
+    numpy scalars warns when it wraps.
+    """
+    mask = 0xFFFFFFFF
+    const = 0x43b0d7e5  # INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * 0x931e8875 & mask  # MULT_A
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        result = np.uint32(0xca01f9dd) * x - np.uint32(0x4973f715) * y
+        return result ^ result >> np.uint32(16)
+
+    pool = [hashmix(word) for word in (seed, run, t, np.zeros(1, np.uint32))]  # 0 pads the pool
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    const = 0x8b51f9dd  # INIT_B
+    words = np.empty(pool[0].shape + (4,), dtype="<u4")  # each word has mixed in all three
+    for i, word in enumerate(pool):
+        word = word ^ np.uint32(const)
+        const = const * 0x58f38ded & mask  # MULT_B
+        word = word * np.uint32(const)
+        words[..., i] = word ^ word >> np.uint32(16)
+    return words.view("<u8").astype(np.uint64)
+
+
+def _substream_keys(seed: int, runs: range, T: int) -> np.ndarray:
+    """The (R, T+1, 2) keys of ``_rng(seed, run, t)`` for run in ``runs``, t in 0..T.
+
+    Seed and run indices must each fit one uint32 word.
+    """
+    return _seed_sequence_keys(np.full(1, seed, np.uint32),
+                               np.array(runs, np.uint32)[:, None],
+                               np.arange(T + 1, dtype=np.uint32))
+
+
+def _block_streams(seed: int, runs: range, T: int):
+    """A function (k, t) -> a Generator with the bits of ``_rng(seed, runs[k], t)``.
+
+    One Philox takes each substream's key from ``_substream_keys`` in turn,
+    so a call re-positions the Generator the last call returned.  A seed or
+    run index of 2^32 or more is more than one uint32 word of entropy; such
+    a block builds each substream with ``_rng``, as does one with a negative
+    index, which ``SeedSequence`` rejects.
+    """
+    if not (0 <= seed < 2 ** 32 and 0 <= runs[0] and runs[-1] < 2 ** 32):
+        return lambda k, t: _rng(seed, runs[k], t)
+    keys = _substream_keys(seed, runs, T)
+    gen = np.random.Generator(np.random.Philox(0))  # its seed is replaced by every key
+    bit_gen = gen.bit_generator
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def stream(k: int, t: int) -> np.random.Generator:
+        state["state"]["key"] = keys[k, t].tolist()
+        bit_gen.state = state  # counter 0 and an empty buffer: a fresh substream
+        return gen
+
+    return stream
 
 
 BLOCK_STATES = 2 ** 13
@@ -213,9 +296,10 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
     R, seed = len(runs), cfg.master_seed
     info = cfg.info if cfg.info is not None else InfoStructure.mfs(T)
 
+    stream = _block_streams(seed, runs, T)
     x0, xf = np.empty((R, lx)), np.empty((R, n, lx))
-    for k, run in enumerate(runs):
-        init_rng = _rng(seed, run, 0)
+    for k in range(R):
+        init_rng = stream(k, 0)
         x0[k] = model.leader_init.sample(init_rng)
         xf[k] = model.follower_init.sample(init_rng, n)
     m_hat = (xf.mean(axis=1) if info.observed(1)
@@ -248,14 +332,12 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
             full["xi"][active, t - 1], full["ui"][active, t - 1] = xf, uf
             full["di"][active, t - 1] = df
 
-        z0, zf = np.empty((active.size, lx)), np.empty((active.size, n, lx))
+        z = np.empty((active.size, n + 1, lx))  # row 0 the leader's noise, rows 1.. the followers'
         for k, row in enumerate(active):
-            noise_rng = _rng(seed, runs[row], t)
-            z0[k] = noise_rng.standard_normal(lx)
-            zf[k] = noise_rng.standard_normal((n, lx))
+            stream(row, t).standard_normal(out=z[k])
         f0, ff = colour[0][t - 1], colour[1][t - 1]
-        w0 = (z0[:, None, :] @ f0)[:, 0] + np.zeros(lx)
-        wf = zf @ ff + np.zeros(lx)
+        w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
+        wf = z[:, 1:] @ ff + np.zeros(lx)
 
         with np.errstate(over="ignore", invalid="ignore"):
             x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)

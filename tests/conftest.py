@@ -5,12 +5,32 @@ the package: plain-float scalar/2x2 recursions, the classical completion
 form of the no-disturbance recursion, and direct model construction.
 """
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mfminmax.cli import bundled_config_path
 from mfminmax.model import InitSpec, ModelSpec, load_model_file
 from mfminmax.synthesis import solve_riccati
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants of the tested modules on disk while
+    pytest collects; keep that cache in a temporary directory that goes with
+    the session, not in .hypothesis/ of the working directory."""
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+
 
 # Feasible attenuation levels for the bundled examples (the critical
 # values are ~13.303 and ~2.0273).

@@ -276,6 +276,20 @@ class TestOtherCommands:
         assert err.startswith("error: --seed ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--disturbance", "worst-case", "--amplitude", "0.5"], "--amplitude"),
+        (["simulate", "--applied-to", "leader"], "--applied-to"),
+        (["sweep-gamma", "--gamma", "4", "--disturbance", "zero", "--amplitude", "0"],
+         "--amplitude"),
+    ], ids=["amplitude-worst-case", "applied-to-config", "amplitude-zero"])
+    def test_sinusoid_flag_without_sinusoid_fails_naming_it(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        code = main(argv + ["--config", str(bundled_config_path(2)), "--out", str(out)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_requires_gamma(self, capsys):
         code = main(["sweep-gamma", "--config", str(bundled_config_path(2))])
         assert code == EXIT_FAIL
@@ -303,9 +317,13 @@ class TestOtherCommands:
          "experiment.disturbance.applied_to"),
         ("synthesize", "gamma_list: [3.04, 4.05, 6.08, 10.14]", "gamma_list: [-1.0, 0]",
          "experiment.gamma_list"),
+        ("simulate", "kind: sinusoid", "kind: worst_case", "experiment.disturbance.amplitude"),
+        ("synthesize", "kind: sinusoid, amplitude: 0.4,", "kind: zero,",
+         "experiment.disturbance.applied_to"),
     ], ids=["fractional-runs", "fractional-seed", "negative-seed", "zero-runs", "list-amplitude",
             "mapping-in-matrix", "misspelled-kind", "misspelled-applied_to",
-            "non-positive-gamma_list"])
+            "non-positive-gamma_list", "amplitude-without-sinusoid",
+            "applied_to-without-sinusoid"])
     def test_malformed_value_fails_without_traceback(self, tmp_path, capsys, command, old, new,
                                                      named):
         text = read(bundled_config_path(2))
