@@ -25,8 +25,8 @@ settings.load_profile("deterministic")
 
 def pytest_configure(config):
     """Hypothesis caches the constants of the tested modules on disk while
-    pytest collects; keep that cache in a temporary directory that goes with
-    the session, not in .hypothesis/ of the working directory."""
+    pytest collects; keep that cache in a temporary directory removed when
+    pytest finishes, not in .hypothesis/ of the working directory."""
     home = tempfile.mkdtemp(prefix="hypothesis-")
     set_hypothesis_home_dir(home)
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
