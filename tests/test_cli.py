@@ -151,6 +151,41 @@ class TestSynthesizeCommand:
         assert "L_bar" not in matrices  # no gains below the boundary
 
 
+class TestSweepCommand:
+    # The riccati dump of example 2 at gamma 4 is the synthesize golden's.
+    GOLDEN = {name: f"golden_sweep_example2_gamma1_4_seed9_{name}"
+              for name in ("summary.csv", "report.txt", "trajectories_gamma_4.csv")}
+    GOLDEN["riccati_gamma_4.csv"] = "golden_synthesize_example2_gamma4_riccati.csv"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_golden_output(self, tmp_path, name):
+        # One infeasible gamma (a nan-cost summary row) and one feasible,
+        # an intermittent schedule, a sinusoid on both agents and every
+        # follower state kept, to the byte.
+        out = tmp_path / "sweep"
+        code = main(["sweep-gamma", "--config", str(bundled_config_path(2)), "--gamma", "1", "4",
+                     "--runs", "2", "--seed", "9", "--observe", "5,12",
+                     "--disturbance", "sinusoid", "--amplitude", "0.3", "--applied-to", "both",
+                     "--retain-states", "--out", str(out)])
+        assert code == EXIT_OK
+        assert read(out / name) == read(Path(__file__).parent / "data" / self.GOLDEN[name])
+
+    @pytest.mark.parametrize("flag, kind", [("worst-case", "worst_case"),
+                                            ("worst-case", "worst-case"), ("zero", "zero")])
+    def test_disturbance_flag_matches_config_kind(self, tmp_path, flag, kind):
+        text = read(bundled_config_path(2))
+        old = "{kind: sinusoid, amplitude: 0.4, applied_to: followers}"
+        assert old in text
+        config = tmp_path / "kind.yaml"
+        config.write_text(text.replace(old, f"{{kind: {kind}}}"), encoding="utf-8")
+        for route in ("config", flag):
+            code = main(["simulate", "--config", str(config), "--disturbance", route,
+                         "--runs", "2", "--out", str(tmp_path / route)])
+            assert code == EXIT_OK
+        for name in ("summary.csv", "report.txt", "trajectories_gamma_4.csv"):
+            assert read(tmp_path / "config" / name) == read(tmp_path / flag / name)
+
+
 class TestVerifyCommand:
     def test_pass(self, tmp_path):
         out = tmp_path / "verify"
@@ -320,10 +355,14 @@ class TestOtherCommands:
         ("simulate", "kind: sinusoid", "kind: worst_case", "experiment.disturbance.amplitude"),
         ("synthesize", "kind: sinusoid, amplitude: 0.4,", "kind: zero,",
          "experiment.disturbance.applied_to"),
+        ("simulate", "kind: sinusoid", "kind: null", "experiment.disturbance.kind"),
+        ("simulate", "amplitude: 0.4", "amplitude: null", "experiment.disturbance.amplitude"),
+        ("synthesize", "applied_to: followers", "applied_to: null",
+         "experiment.disturbance.applied_to"),
     ], ids=["fractional-runs", "fractional-seed", "negative-seed", "zero-runs", "list-amplitude",
             "mapping-in-matrix", "misspelled-kind", "misspelled-applied_to",
             "non-positive-gamma_list", "amplitude-without-sinusoid",
-            "applied_to-without-sinusoid"])
+            "applied_to-without-sinusoid", "null-kind", "null-amplitude", "null-applied_to"])
     def test_malformed_value_fails_without_traceback(self, tmp_path, capsys, command, old, new,
                                                      named):
         text = read(bundled_config_path(2))
