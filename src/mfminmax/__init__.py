@@ -7,6 +7,7 @@ independent stacked-state verification oracle.
 
 from .model import (
     AugmentedSystem,
+    DisturbancePolicy,
     InfoStructure,
     InitSpec,
     ModelError,
@@ -17,7 +18,7 @@ from .model import (
     validate_convexity,
 )
 from .oracle import imfs_gap_study, saddle_check, stacked_saddle_solve, verify_equivalence
-from .sim import DisturbancePolicy, SimConfig, TrajectoryRecord, evaluate_cost, simulate
+from .sim import SimConfig, TrajectoryRecord, evaluate_cost, simulate
 from .strategy import estimator_step, follower_action, leader_action, worst_case_disturbance
 from .synthesis import (
     InfeasibleError,

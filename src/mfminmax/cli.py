@@ -19,8 +19,8 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from . import synthesis as synth_mod
-from .model import InfoStructure, ModelSpec, load_model_file
-from .sim import DisturbancePolicy, SimConfig, evaluate_cost, simulate, trajectory_csv
+from .model import DisturbancePolicy, Experiment, InfoStructure, ModelSpec, load_model_file
+from .sim import SimConfig, evaluate_cost, simulate, trajectory_csv
 from .synthesis import InfeasibleError, compute_gains, critical_gamma, riccati_csv, solve_riccati
 
 EXIT_OK = 0
@@ -33,46 +33,36 @@ def bundled_config_path(which: int) -> Path:
 
 
 def parse_schedule(text: str, horizon: int) -> InfoStructure:
-    """Observation schedules: 'all', 'none', or '1,5,10-12'."""
+    """Observation schedules: 'all', 'none', or '1,5,10-12'.
+
+    Each comma-separated entry is a time t or a range lo-hi with lo <= hi,
+    all in 1..horizon; any other entry is a ValueError naming it.
+    """
     text = text.strip().lower()
     if text == "all":
         return InfoStructure.mfs(horizon)
     if text == "none":
         return InfoStructure.no_sharing()
     times = set()
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            times.update(range(int(lo), int(hi) + 1))
-        else:
-            times.add(int(chunk))
-    bad = [t for t in times if not 1 <= t <= horizon]
-    if bad:
-        raise ValueError(f"observation times outside 1..{horizon}: {sorted(bad)}")
+    for entry in text.split(","):
+        lo, dash, hi = entry.partition("-")
+        try:
+            span = range(int(lo), int(hi if dash else lo) + 1)
+        except ValueError:
+            span = range(0)
+        if not span:
+            raise ValueError(f"--observe entry {entry.strip()!r} is not a time t "
+                             f"or a range lo-hi with lo <= hi")
+        if span[0] < 1 or span[-1] > horizon:
+            raise ValueError(f"--observe entry {entry.strip()!r} has times outside 1..{horizon}")
+        times.update(span)
     return InfoStructure.imfs(times)
 
 
-def _disturbance_from(sect: dict) -> DisturbancePolicy:
-    """The policy an ``experiment.disturbance`` section names; the loader has checked its kind."""
-    kind = sect.get("kind", "zero")
-    if kind == "sinusoid":
-        return DisturbancePolicy.sinusoid(float(sect.get("amplitude", 0.0)),
-                                          sect.get("applied_to", "followers"))
-    if kind in ("worst_case", "worst-case"):
-        return DisturbancePolicy.worst_case()
-    return DisturbancePolicy.zero()
-
-
-def _seed_and_runs(args, sect: dict) -> tuple:
-    """--seed/--runs if given, else the config's experiment values, else 0 and 1.
-
-    The loader has checked the experiment values, so only a flag can be out of range.
-    """
-    seed = args.seed if args.seed is not None else sect.get("seed", 0)
-    runs = args.runs if args.runs is not None else sect.get("runs", 1)
+def _seed_and_runs(args, defaults: Experiment) -> tuple:
+    """--seed/--runs if given, else the ``defaults`` the loader checked."""
+    seed = defaults.seed if args.seed is None else args.seed
+    runs = defaults.runs if args.runs is None else args.runs
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
     if runs < 1:
@@ -93,56 +83,36 @@ def _write(path: Path, text: str) -> None:
 def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
            disturbance: DisturbancePolicy, info_text: str, retain: bool) -> int:
     """Shared core of run-example / sweep-gamma / simulate."""
-    summary_rows = []
+    cfg = SimConfig(master_seed=seed, num_runs=runs, retain_full_states=retain,
+                    disturbance=disturbance, info=parse_schedule(info_text, model.horizon))
+    summary = ["gamma,feasible,min_margin_brev,min_margin_bar,runs,seed,mean_cost,stderr"]
     report_lines = []
     any_feasible = False
     for gamma in gamma_list:
         mdl = model.with_gamma(gamma)
         ric = solve_riccati(mdl)
-        row = {
-            "gamma": gamma,
-            "feasible": ric.feasible,
-            "min_margin_brev": float(ric.margin_brev.min()),
-            "min_margin_bar": float(ric.margin_bar.min()),
-            "runs": runs,
-            "seed": seed,
-            "mean_cost": float("nan"),
-            "stderr": float("nan"),
-        }
-        if not ric.feasible:
+        mean = stderr = float("nan")
+        if ric.feasible:
+            any_feasible = True
+            gains = compute_gains(mdl, ric)
+            records = simulate(mdl, gains, cfg)
+            cost = evaluate_cost(mdl, records)
+            mean, stderr = cost.mean, cost.stderr
+            _write(out / f"trajectories_gamma_{_gamma_tag(gamma)}.csv",
+                   trajectory_csv(records, mdl.state_dim, mdl.action_dim))
+            _write(out / f"riccati_gamma_{_gamma_tag(gamma)}.csv", riccati_csv(ric, gains))
+            report_lines.append(
+                f"gamma={gamma:g}: feasible, min margin {ric.min_margin():.6g}, "
+                f"mean cost {cost.mean:.6g} (stderr {cost.stderr:.3g}, {runs} runs, "
+                f"{cost.failed_runs} failed)")
+        else:
             report_lines.append(
                 f"gamma={gamma:g}: INFEASIBLE (min margin {ric.min_margin():.6g} "
                 f"at t in {list(ric.infeasible_times)[:6]})")
-            summary_rows.append(row)
-            continue
-        any_feasible = True
-        gains = compute_gains(mdl, ric)
-        info = parse_schedule(info_text, mdl.horizon)
-        cfg = SimConfig(master_seed=seed, num_runs=runs, retain_full_states=retain,
-                        disturbance=disturbance, info=info)
-        records = simulate(mdl, gains, cfg)
-        cost = evaluate_cost(mdl, records)
-        row["mean_cost"], row["stderr"] = cost.mean, cost.stderr
-        summary_rows.append(row)
-        _write(out / f"trajectories_gamma_{_gamma_tag(gamma)}.csv",
-               trajectory_csv(records, mdl.state_dim, mdl.action_dim))
-        _write(out / f"riccati_gamma_{_gamma_tag(gamma)}.csv", riccati_csv(ric, gains))
-        report_lines.append(
-            f"gamma={gamma:g}: feasible, min margin {ric.min_margin():.6g}, "
-            f"mean cost {cost.mean:.6g} (stderr {cost.stderr:.3g}, {runs} runs, "
-            f"{cost.failed_runs} failed)")
-
-    header = ["gamma", "feasible", "min_margin_brev", "min_margin_bar",
-              "runs", "seed", "mean_cost", "stderr"]
-    lines = [",".join(header)]
-    for row in summary_rows:
-        lines.append(",".join([
-            repr(float(row["gamma"])), str(row["feasible"]),
-            repr(row["min_margin_brev"]), repr(row["min_margin_bar"]),
-            str(row["runs"]), str(row["seed"]),
-            repr(row["mean_cost"]), repr(row["stderr"]),
-        ]))
-    _write(out / "summary.csv", "\n".join(lines) + "\n")
+        summary.append(",".join([
+            repr(float(gamma)), str(ric.feasible), repr(float(ric.margin_brev.min())),
+            repr(float(ric.margin_bar.min())), str(runs), str(seed), repr(mean), repr(stderr)]))
+    _write(out / "summary.csv", "\n".join(summary) + "\n")
     _write(out / "report.txt", "\n".join(report_lines) + "\n")
     for line in report_lines:
         print(line)
@@ -150,14 +120,11 @@ def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
 
 
 def cmd_run_example(args) -> int:
-    which = int(args.which)
-    config = bundled_config_path(which)
-    model = load_model_file(config)
-    sect = model.experiment
-    gamma_list = args.gamma if args.gamma else [float(g) for g in sect.get("gamma_list", [model.gamma])]
-    seed, runs = _seed_and_runs(args, sect)
-    disturbance = _disturbance_from(sect.get("disturbance") or {})
-    return _sweep(model, gamma_list, seed, runs, Path(args.out), disturbance,
+    model = load_model_file(bundled_config_path(int(args.which)))
+    experiment = model.experiment
+    gamma_list = args.gamma or experiment.gamma_list or [model.gamma]
+    seed, runs = _seed_and_runs(args, experiment)
+    return _sweep(model, gamma_list, seed, runs, Path(args.out), experiment.disturbance,
                   args.observe, retain=True)
 
 
@@ -191,14 +158,12 @@ def cmd_simulate(args) -> int:
     seed, runs = _seed_and_runs(args, model.experiment)
     gamma_list = args.gamma if args.gamma else [model.gamma]
     if args.disturbance == "config":
-        disturbance = _disturbance_from(model.experiment.get("disturbance") or {})
-    elif args.disturbance == "sinusoid":
-        disturbance = DisturbancePolicy.sinusoid(
-            0.0 if args.amplitude is None else args.amplitude, args.applied_to or "followers")
-    elif args.disturbance == "worst-case":
-        disturbance = DisturbancePolicy.worst_case()
+        disturbance = model.experiment.disturbance
     else:
-        disturbance = DisturbancePolicy.zero()
+        flags = {"kind": args.disturbance, "amplitude": args.amplitude,
+                 "applied_to": args.applied_to}
+        disturbance = model_mod.disturbance_policy(
+            {key: value for key, value in flags.items() if value is not None})
     return _sweep(model, gamma_list, seed, runs, Path(args.out),
                   disturbance, args.observe, retain=args.retain_states)
 
@@ -231,9 +196,7 @@ def cmd_verify(args) -> int:
         return EXIT_INFEASIBLE
     gains = compute_gains(model, ric)
     if args.corrupt_gains:
-        gains = synth_mod.StrategyGains(
-            L_brev=-gains.L_brev, L_bar=gains.L_bar, K_brev=gains.K_brev,
-            K_bar=gains.K_bar, state_dim=gains.state_dim, action_dim=gains.action_dim)
+        gains = replace(gains, L_brev=-gains.L_brev)
 
     # deterministic comparison point: population spread around its mean
     lx = model.state_dim
@@ -276,16 +239,15 @@ def cmd_gap_study(args) -> int:
     model = load_model_file(args.config)
     if args.gamma is not None:
         model = model.with_gamma(args.gamma)
-    seed, runs = _seed_and_runs(args, {})  # the experiment section is not read here
+    seed, runs = _seed_and_runs(args, Experiment())  # the experiment section is not read here
     n_list = args.n_list or [10, 50, 250]
     oracle_mod.check_population_sizes(n_list)
+    times = parse_schedule(args.observe, model.horizon).observation_times
     ric = solve_riccati(model)
     if not ric.feasible:
         print(f"model infeasible at gamma={model.gamma:g}; gap study needs a saddle point")
         return EXIT_INFEASIBLE
     gains = compute_gains(model, ric)
-    times = () if args.observe == "none" else tuple(
-        sorted(parse_schedule(args.observe, model.horizon).observation_times))
     rows = oracle_mod.imfs_gap_study(model, gains, n_list, seed, runs, observation_times=times)
     out = Path(args.out)
     _write(out / "gap_study.csv", oracle_mod.gap_table_csv(rows))
@@ -296,12 +258,7 @@ def cmd_gap_study(args) -> int:
 
 def cmd_critical_gamma(args) -> int:
     model = load_model_file(args.config)
-    try:
-        gstar = critical_gamma(model, args.lo, args.hi, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    print(repr(gstar))
+    print(repr(critical_gamma(model, args.lo, args.hi, args.tol)))
     return EXIT_OK
 
 

@@ -23,9 +23,12 @@ __all__ = [
     "ModelError",
     "InitSpec",
     "InfoStructure",
+    "DisturbancePolicy",
+    "Experiment",
     "ModelSpec",
     "AugmentedSystem",
     "ConvexityReport",
+    "disturbance_policy",
     "load_model",
     "load_model_file",
     "build_augmented",
@@ -235,6 +238,47 @@ class InfoStructure:
 
 
 @dataclass(frozen=True)
+class DisturbancePolicy:
+    """How the disturbance d is generated during a run.
+
+    kind: "zero" | "sinusoid" | "worst_case".
+    Sinusoid applies amplitude*sin(t) (t in radians, starting at 1) to
+    every component, identically across followers.  Worst-case feedback
+    uses the true states unless ``use_estimate`` routes the mean through
+    the policy estimate.
+    """
+
+    kind: str = "zero"
+    amplitude: float = 0.0
+    applied_to: str = "followers"  # "followers" | "leader" | "both"
+    use_estimate: bool = False
+
+    @staticmethod
+    def zero() -> "DisturbancePolicy":
+        return DisturbancePolicy(kind="zero")
+
+    @staticmethod
+    def sinusoid(amplitude: float, applied_to: str = "followers") -> "DisturbancePolicy":
+        if applied_to not in ("followers", "leader", "both"):
+            raise ValueError(f"unknown target '{applied_to}'")
+        return DisturbancePolicy(kind="sinusoid", amplitude=float(amplitude), applied_to=applied_to)
+
+    @staticmethod
+    def worst_case(use_estimate: bool = False) -> "DisturbancePolicy":
+        return DisturbancePolicy(kind="worst_case", use_estimate=use_estimate)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Run defaults from the config's ``experiment`` section; command-line flags override them."""
+
+    seed: int = 0
+    runs: int = 1
+    gamma_list: tuple = ()
+    disturbance: DisturbancePolicy = DisturbancePolicy()
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """Validated system + cost description.
 
@@ -269,8 +313,7 @@ class ModelSpec:
     follower_init: InitSpec = None
     noise_leader: np.ndarray = None    # (T, lx, lx) covariance of w0_t
     noise_follower: np.ndarray = None  # (T, lx, lx) covariance of wi_t
-    # run defaults for the CLI: the validated ``experiment`` section
-    experiment: dict = field(default_factory=dict)
+    experiment: Experiment = Experiment()
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
         return replace(self, gamma=_attenuation(gamma))
@@ -317,31 +360,47 @@ def _integer(raw: dict, key: str, default: int | None = None, name: str | None =
     return value
 
 
-def _parse_experiment(node) -> dict:
+def disturbance_policy(section) -> DisturbancePolicy:
+    """The policy an ``experiment.disturbance`` mapping names; a malformed key or value is an error.
+
+    ``kind`` is zero (the default), sinusoid or worst_case (also spelled
+    worst-case); ``amplitude`` (default 0.0) and ``applied_to`` (followers,
+    leader or both; default followers) belong to sinusoid only.
+    """
+    fields = dict(_check_keys(section, DISTURBANCE_KEYS, "experiment.disturbance"))
+    if "amplitude" in fields:
+        fields["amplitude"] = _number(fields["amplitude"], "experiment.disturbance.amplitude")
+    for key, allowed in (("kind", ("zero", "sinusoid", "worst_case", "worst-case")),
+                         ("applied_to", ("followers", "leader", "both"))):
+        if key in fields and fields[key] not in allowed:
+            raise ModelError(f"experiment.disturbance.{key} must be one of {', '.join(allowed)}, "
+                             f"got {fields[key]!r}")
+    kind = fields.get("kind", "zero")
+    for key in ("amplitude", "applied_to"):
+        if key in fields and kind != "sinusoid":
+            raise ModelError(f"experiment.disturbance.{key} applies to kind sinusoid only, "
+                             f"got kind {kind!r}")
+    if kind == "worst-case":
+        fields["kind"] = "worst_case"
+    return DisturbancePolicy(**fields)
+
+
+def _parse_experiment(node) -> Experiment:
     """The optional run-defaults section; a misspelled key or malformed value is an error."""
     node = _check_keys(node, EXPERIMENT_KEYS, "experiment")
+    counts = {}
     for key, least in (("seed", 0), ("runs", 1)):
-        if key in node and _integer(node, key, name=f"experiment.{key}") < least:
-            raise ModelError(f"experiment.{key} must be >= {least}, got {node[key]}")
+        if key in node:
+            counts[key] = _integer(node, key, name=f"experiment.{key}")
+            if counts[key] < least:
+                raise ModelError(f"experiment.{key} must be >= {least}, got {node[key]}")
     gamma_list = node.get("gamma_list", [])
     if not isinstance(gamma_list, list):
         raise ModelError(f"experiment.gamma_list must be a list of numbers, got {gamma_list!r}")
-    for gamma in gamma_list:
-        _attenuation(_number(gamma, "experiment.gamma_list entry"), "experiment.gamma_list entry")
-    disturbance = _check_keys(node.get("disturbance"), DISTURBANCE_KEYS, "experiment.disturbance")
-    if "amplitude" in disturbance:
-        _number(disturbance["amplitude"], "experiment.disturbance.amplitude")
-    for key, allowed in (("kind", ("zero", "sinusoid", "worst_case", "worst-case")),
-                         ("applied_to", ("followers", "leader", "both"))):
-        if disturbance.get(key, allowed[0]) not in allowed:
-            raise ModelError(f"experiment.disturbance.{key} must be one of {', '.join(allowed)}, "
-                             f"got {disturbance[key]!r}")
-    kind = disturbance.get("kind", "zero")
-    for key in ("amplitude", "applied_to"):
-        if key in disturbance and kind != "sinusoid":
-            raise ModelError(f"experiment.disturbance.{key} applies to kind sinusoid only, "
-                             f"got kind {kind!r}")
-    return node
+    gammas = tuple(_attenuation(_number(gamma, "experiment.gamma_list entry"),
+                                "experiment.gamma_list entry") for gamma in gamma_list)
+    return Experiment(**counts, gamma_list=gammas,
+                      disturbance=disturbance_policy(node.get("disturbance")))
 
 
 def load_model(text: str) -> ModelSpec:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import InfoStructure, ModelSpec
-from .sim import DisturbancePolicy, SimConfig, evaluate_cost, simulate, stage_cost
+from .model import DisturbancePolicy, InfoStructure, ModelSpec
+from .sim import SimConfig, evaluate_cost, simulate, stage_cost
 from .strategy import matvec
 from .synthesis import StrategyGains
 

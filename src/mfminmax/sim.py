@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InfoStructure, ModelSpec
+from .model import DisturbancePolicy, InfoStructure, ModelSpec
 from .strategy import (estimator_step, follower_action, leader_action, matvec,
                        worst_case_disturbance)
 from .synthesis import StrategyGains
 
 __all__ = [
-    "DisturbancePolicy",
     "SimConfig",
     "TrajectoryRecord",
     "CostSummary",
@@ -46,37 +45,6 @@ __all__ = [
     "evaluate_cost",
     "trajectory_csv",
 ]
-
-
-@dataclass(frozen=True)
-class DisturbancePolicy:
-    """How the disturbance d is generated during a run.
-
-    kind: "zero" | "sinusoid" | "worst_case".
-    Sinusoid applies amplitude*sin(t) (t in radians, starting at 1) to
-    every component, identically across followers.  Worst-case feedback
-    uses the true states unless ``use_estimate`` routes the mean through
-    the policy estimate.
-    """
-
-    kind: str = "zero"
-    amplitude: float = 0.0
-    applied_to: str = "followers"  # "followers" | "leader" | "both"
-    use_estimate: bool = False
-
-    @staticmethod
-    def zero() -> "DisturbancePolicy":
-        return DisturbancePolicy(kind="zero")
-
-    @staticmethod
-    def sinusoid(amplitude: float, applied_to: str = "followers") -> "DisturbancePolicy":
-        if applied_to not in ("followers", "leader", "both"):
-            raise ValueError(f"unknown target '{applied_to}'")
-        return DisturbancePolicy(kind="sinusoid", amplitude=float(amplitude), applied_to=applied_to)
-
-    @staticmethod
-    def worst_case(use_estimate: bool = False) -> "DisturbancePolicy":
-        return DisturbancePolicy(kind="worst_case", use_estimate=use_estimate)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line behavior: files, exit codes, determinism, schedules."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,18 @@ class TestScheduleParsing:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             parse_schedule("25", 20)
+
+    @pytest.mark.parametrize("text, entry, fault", [
+        ("0", "0", "has times outside 1..30"), ("3,29-31", "29-31", "has times outside 1..30"),
+        ("5-3", "5-3", "is not"), (" , ", "", "is not"), ("", "", "is not"),
+        ("2,x", "x", "is not"), ("1,5,", "", "is not"), ("4-", "4-", "is not"),
+        ("-2", "-2", "is not"), ("1-2-3", "1-2-3", "is not"), ("2.5", "2.5", "is not"),
+    ], ids=["zero", "range-past-horizon", "reversed-range", "only-commas", "empty",
+            "not-a-number", "trailing-comma", "open-range", "negative", "two-dashes", "fraction"])
+    def test_bad_entry_rejected_naming_it(self, text, entry, fault):
+        # "none" is the only spelling of no observations
+        with pytest.raises(ValueError, match=f"^--observe entry {re.escape(repr(entry))} {fault}"):
+            parse_schedule(text, 30)
 
 
 class TestRunExample:
@@ -272,6 +285,23 @@ class TestOtherCommands:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert (out / "trajectories_gamma_4.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--gamma", "1", "--observe", "99"],
+        ["simulate", "--gamma", "4", "--observe", "99"],
+        ["sweep-gamma", "--gamma", "1", "4", "--observe", "2,x"],
+        ["simulate", "--observe", "5-3"],
+        ["gap-study", "--gamma", "1", "--observe", "99"],
+    ], ids=["infeasible-gamma", "feasible-gamma", "not-a-number", "reversed-range",
+            "gap-study-infeasible-gamma"])
+    def test_bad_schedule_fails_naming_observe(self, tmp_path, capsys, argv):
+        # the schedule is checked before any gamma is solved, feasible or not
+        out = tmp_path / "out"
+        code = main(argv + ["--config", str(bundled_config_path(2)), "--out", str(out)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: --observe entry ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_simulate_takes_seed_and_runs_from_experiment(self, tmp_path):
         out = tmp_path / "simdefaults"

@@ -6,6 +6,7 @@ import pytest
 from mfminmax.model import (
     InfoStructure,
     ModelError,
+    _as_matrix,
     build_augmented,
     load_model,
     validate_convexity,
@@ -161,17 +162,46 @@ follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
         ("gamma: 5.0", "gamma: [1]", "gamma"),
         ("{value: 1.0}", "{value: {a: 1}}", "leader_init"),
         ("leader_init:", "experiment: {gamma_list: 5}\nleader_init:", "experiment.gamma_list"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{gaussian: {mean: 1.0, cov: -0.5}}",
+         "follower_init.cov: not positive semi-definite"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{gaussian: {mean: [1.0, 2.0], cov: 0.5}}",
+         "follower_init.mean: expected dimension 1"),
+        ("A0: 0.9", "A0: .nan", "leader.A0: non-finite"),
+        ("B: 0.5", "B: [-.inf]", "follower.B: non-finite"),
+        ("horizon: 4", "horizon: 0", "horizon must be >= 1"),
+        ("n_followers: 2", "n_followers: 0", "n_followers must be >= 1"),
+        ("high: 2.0", "high: -1.0", "follower_init: uniform high < low"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{values: [1.0, 2.0, 3.0]}",
+         "follower_init.values must list 1 or n_followers states"),
     ], ids=["missing-leader-key", "gaussian-without-cov", "uniform-without-high",
             "leader-not-mapping", "misspelled-noise-key", "unknown-leader-key",
             "unknown-follower-key", "unknown-cost-key", "unknown-uniform-key",
             "unknown-leader_init-key", "fractional-horizon", "fractional-n_followers",
             "mapping-in-matrix", "per_t-not-a-list", "gamma-a-list", "mapping-in-init",
-            "gamma_list-not-a-list"])
+            "gamma_list-not-a-list", "gaussian-cov-not-psd", "gaussian-mean-dimension",
+            "nan-matrix-entry", "inf-matrix-entry", "zero-horizon", "zero-n_followers",
+            "uniform-high-below-low", "follower-values-count"])
     def test_malformed_config_names_the_key(self, old, new, named):
         text = minimal()
         assert old in text
         with pytest.raises(ModelError, match=named):
             load_model(text.replace(old, new, 1))
+
+    def test_gaussian_initials(self):
+        text = minimal().replace("{uniform: {low: 0.0, high: 2.0}}",
+                                 "{gaussian: {mean: 1.5, cov: 0.25}}")
+        init = load_model(text).follower_init
+        assert (init.kind, init.dim) == ("gaussian", 1)
+        assert init.mean().tolist() == [1.5] and init.cov().tolist() == [[0.25]]
+
+    @pytest.mark.parametrize("rows, cols", [(1, 3), (3, 1)], ids=["row", "column"])
+    def test_flat_list_fills_a_row_or_a_column(self, rows, cols):
+        arr = _as_matrix([1.0, 2.0, 3.0], rows, cols, "X")
+        assert arr.shape == (rows, cols) and arr.ravel().tolist() == [1.0, 2.0, 3.0]
+
+    def test_flat_list_of_another_length_rejected(self):
+        with pytest.raises(ModelError, match=r"X: got shape \(3,\), expected 2x1"):
+            _as_matrix([1.0, 2.0, 3.0], 2, 1, "X")
 
 
 class TestBuildAugmented:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfminmax import sim
-from mfminmax.model import InfoStructure, InitSpec
+from mfminmax.cli import bundled_config_path
+from mfminmax.model import InfoStructure, InitSpec, load_model
 from mfminmax.sim import (
     DisturbancePolicy,
     SimConfig,
@@ -114,6 +115,17 @@ class TestDynamics:
             assert np.ptp(rec.di[t - 1]) == 0.0
             assert rec.di[t - 1, 0, 0] == pytest.approx(0.6 * math.sin(t))
         assert np.all(rec.d0 == 0.0)
+
+    @pytest.mark.parametrize("applied_to", ["leader", "both"])
+    def test_sinusoid_reaches_its_targets(self, example1, applied_to):
+        m = replace(example1.with_gamma(20.0), n_followers=5)
+        cfg = SimConfig(master_seed=3, num_runs=1, retain_full_states=True,
+                        disturbance=DisturbancePolicy.sinusoid(0.6, applied_to))
+        rec = simulate(m, gains_for(m), cfg)[0]
+        pulse = 0.6 * np.sin(np.arange(1, m.horizon + 1))
+        to_followers = pulse if applied_to == "both" else np.zeros(m.horizon)
+        assert rec.d0[:, 0] == pytest.approx(pulse)
+        assert rec.di[:, :, 0] == pytest.approx(np.repeat(to_followers[:, None], 5, axis=1))
 
 
 class TestDeterminism:
@@ -352,6 +364,21 @@ class TestAgainstOptimalValue:
         cost = evaluate_cost(m, simulate(m, g, cfg))
         target = optimal_value(m, ric)
         assert abs(cost.mean - target) <= 4.0 * cost.stderr
+
+    def test_monte_carlo_mean_near_value_gaussian_initials(self):
+        # Example 2 with gaussian initials from the loader.  Zeroing the
+        # leader or the follower covariance in the value moves it by 12 or
+        # 7 stderr at this seed, so InitSpec.mean and cov are both checked.
+        text = bundled_config_path(2).read_text(encoding="utf-8")
+        text = (text.replace("  value: 10.0", "  gaussian: {mean: 10.0, cov: 25.0}")
+                .replace("  uniform: {low: 0.0, high: 8.0}", "  gaussian: {mean: 4.0, cov: 40.0}"))
+        m = replace(load_model(text).with_gamma(EX2_GAMMA), n_followers=2)
+        assert (m.leader_init.kind, m.follower_init.kind) == ("gaussian", "gaussian")
+        ric = solve_riccati(m)
+        cfg = SimConfig(master_seed=31, num_runs=2000,
+                        disturbance=DisturbancePolicy.worst_case())
+        cost = evaluate_cost(m, simulate(m, compute_gains(m, ric), cfg))
+        assert abs(cost.mean - optimal_value(m, ric)) <= 4.0 * cost.stderr
 
 
 class TestGoldenTrajectory:
