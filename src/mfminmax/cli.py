@@ -45,16 +45,17 @@ def parse_schedule(text: str, horizon: int) -> InfoStructure:
         return InfoStructure.no_sharing()
     times = set()
     for entry in text.split(","):
+        entry = entry.strip()
         lo, dash, hi = entry.partition("-")
         try:
             span = range(int(lo), int(hi if dash else lo) + 1)
         except ValueError:
             span = range(0)
         if not span:
-            raise ValueError(f"--observe entry {entry.strip()!r} is not a time t "
+            raise ValueError(f"--observe entry {entry!r} is not a time t "
                              f"or a range lo-hi with lo <= hi")
         if span[0] < 1 or span[-1] > horizon:
-            raise ValueError(f"--observe entry {entry.strip()!r} has times outside 1..{horizon}")
+            raise ValueError(f"--observe entry {entry!r} has times outside 1..{horizon}")
         times.update(span)
     return InfoStructure.imfs(times)
 
