@@ -1,5 +1,6 @@
 """Command-line behavior: files, exit codes, determinism, schedules."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -96,6 +97,33 @@ class TestRunExample:
         assert code == EXIT_OK
         assert not (out / "trajectories_gamma_1.csv").exists()
         assert (out / "trajectories_gamma_4.csv").exists()
+
+    # sha256 of every file of `run-example 1 --runs 2 --seed 7`: the n = 100
+    # trajectories with every follower state, to the byte, without a 0.5 MB golden.
+    EXAMPLE1_SHA256 = {
+        "report.txt": "5336cb8bcd8f3c7328f3b1e0b98aaeef7a2d1cf9adfdb0bbb04ba4fa8d8c76c3",
+        "riccati_gamma_19.95.csv": "ef02b569a9a7956698c98d123365c5874c881344fd3d04bba80b47ca1a68bf17",
+        "riccati_gamma_26.61.csv": "8b913a790f61163c2c09c10ce17be7b306310c3b272e41a3f0c72c85ccda91fc",
+        "riccati_gamma_39.91.csv": "63764e4e9de8ba29de2020fa99fbb724462255bb31a35332adb62df64a5d9721",
+        "riccati_gamma_66.51.csv": "045b859c281228f34d01f33616574b31e98e35b497ef1a5bc01218535f94a2d8",
+        "summary.csv": "1b7357338df01bc2bc0f7d80acf16278fa93237b472f4fd758962a2b127695fe",
+        "trajectories_gamma_19.95.csv":
+            "cccb20d592618f7f4ecd18593144199b237eeecb646fbc3bca2b3faed55fdbe6",
+        "trajectories_gamma_26.61.csv":
+            "70b52d0c0047f281e3d0a811dbcfc69c4b7d2d883d18d8b525c2ef3b930106bf",
+        "trajectories_gamma_39.91.csv":
+            "4016b7e79be0939cc2c555ac3e8dd8a801b345dcde8ea5f8d36dccbfc00624db",
+        "trajectories_gamma_66.51.csv":
+            "4cece8e07ed70e9dedc0037a3f8cd4f72524438b1843ef87d66b038797b47d70",
+    }
+
+    def test_example1_matches_pinned_digests(self, tmp_path):
+        out = tmp_path / "ex1"
+        code = main(["run-example", "1", "--runs", "2", "--seed", "7", "--out", str(out)])
+        assert code == EXIT_OK
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir()}
+        assert digests == self.EXAMPLE1_SHA256
 
     @pytest.mark.parametrize("which,expected", [
         ("1", [19.95, 26.61, 39.91, 66.51]),

@@ -53,6 +53,22 @@ def diverging_model():
                       follower_uniform=(0.0, 1e300), noise_follower=1.0)
 
 
+def mixed_dims_model(gamma=5.0):
+    """Two states, one action, so the x and u series have different label counts.
+
+    Feasible at the default gamma (its critical gamma is about 2.712).
+    """
+    return make_model(
+        T=5, n=3, gamma=gamma, lx=2, lu=1,
+        A0=[[1.0, 0.1], [0.0, 0.95]], B0=[[0.3], [0.6]], S0=[[0.05, 0.0], [0.02, 0.04]],
+        A=[[0.9, 0.2], [-0.1, 1.0]], B=[[0.5], [0.3]], S=[[0.03, 0.01], [0.0, 0.05]],
+        E=[[0.02, 0.0], [0.01, 0.02]], Q=[[1.0, 0.2], [0.2, 0.6]], Q0=[[0.5, 0.0], [0.0, 0.5]],
+        F=[[0.4, 0.1], [0.1, 0.3]], P=[[0.1, 0.0], [0.0, 0.1]], R=0.8, R0=1.1, H=0.2,
+        leader_value=[[1.5, -0.5]], follower_uniform=(-2.0, 2.0),
+        noise_leader=[[0.2, 0.05], [0.05, 0.1]], noise_follower=[[0.3, 0.1], [0.1, 0.2]],
+    )
+
+
 def block_cases(example2):
     """(model, config) pairs whose runs span several blocks, or fail at different t."""
     # BLOCK_STATES // 3 followers put three runs in a block: seven runs make blocks 3, 3, 1.
@@ -417,6 +433,36 @@ class TestGoldenTrajectory:
                         info=InfoStructure.imfs([5, 12]))
         text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
         golden = Path(__file__).parent / "data" / f"golden_example2_imfs_worstcase_seed{seed}.csv"
+        assert text == golden.read_text(encoding="utf-8")
+
+    def test_diverging_regression(self):
+        # Three of the four runs overflow at t = 9: their t = 10 rows read
+        # nan, and the finite states before it print at the e+299 scale.
+        from pathlib import Path
+        m = diverging_model()
+        cfg = SimConfig(master_seed=0, num_runs=4, retain_full_states=True)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        golden = Path(__file__).parent / "data" / "golden_diverging_seed0.csv"
+        assert text == golden.read_text(encoding="utf-8")
+
+    def test_mixed_dims_regression(self):
+        # Two state components and one action: x and u series are labelled apart.
+        from pathlib import Path
+        m = mixed_dims_model()
+        cfg = SimConfig(master_seed=11, num_runs=2, retain_full_states=True,
+                        disturbance=DisturbancePolicy.worst_case(),
+                        info=InfoStructure.imfs([2]))
+        text = trajectory_csv(simulate(m, gains_for(m), cfg), 2, 1)
+        golden = Path(__file__).parent / "data" / "golden_mixed_dims_imfs_worstcase_seed11.csv"
+        assert text == golden.read_text(encoding="utf-8")
+
+    def test_states_not_kept_regression(self, example2):
+        # The shape simulate writes by default: aggregates and stage costs only.
+        from pathlib import Path
+        m = example2.with_gamma(EX2_GAMMA)
+        cfg = SimConfig(master_seed=3, num_runs=3, disturbance=m.experiment.disturbance)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        golden = Path(__file__).parent / "data" / "golden_example2_gamma4_seed3_no_states.csv"
         assert text == golden.read_text(encoding="utf-8")
 
     def test_example1_qualitative_shape(self, example1):
