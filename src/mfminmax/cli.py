@@ -36,7 +36,8 @@ def parse_schedule(text: str, horizon: int) -> InfoStructure:
     """Observation schedules: 'all', 'none', or '1,5,10-12'.
 
     Each comma-separated entry is a time t or a range lo-hi with lo <= hi,
-    all in 1..horizon; any other entry is a ValueError naming it.
+    all in 1..horizon, each written in ASCII digits 0-9 (spaces around an
+    entry or its dash are allowed); any other entry is a ValueError naming it.
     """
     text = text.strip().lower()
     if text == "all":
@@ -46,11 +47,11 @@ def parse_schedule(text: str, horizon: int) -> InfoStructure:
     times = set()
     for entry in text.split(","):
         entry = entry.strip()
-        lo, dash, hi = entry.partition("-")
-        try:
-            span = range(int(lo), int(hi if dash else lo) + 1)
-        except ValueError:
-            span = range(0)
+        lo, dash, hi = (part.strip() for part in entry.partition("-"))
+        ends = (lo, hi) if dash else (lo,)
+        span = range(0)
+        if all(end.isascii() and end.isdigit() for end in ends):
+            span = range(int(lo), int(ends[-1]) + 1)
         if not span:
             raise ValueError(f"--observe entry {entry!r} is not a time t "
                              f"or a range lo-hi with lo <= hi")
@@ -99,8 +100,7 @@ def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
             records = simulate(mdl, gains, cfg)
             cost = evaluate_cost(mdl, records)
             mean, stderr = cost.mean, cost.stderr
-            _write(out / f"trajectories_gamma_{_gamma_tag(gamma)}.csv",
-                   trajectory_csv(records, mdl.state_dim, mdl.action_dim))
+            _write(out / f"trajectories_gamma_{_gamma_tag(gamma)}.csv", trajectory_csv(records))
             _write(out / f"riccati_gamma_{_gamma_tag(gamma)}.csv", riccati_csv(ric, gains))
             report_lines.append(
                 f"gamma={gamma:g}: feasible, min margin {ric.min_margin():.6g}, "

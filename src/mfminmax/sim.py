@@ -369,33 +369,40 @@ def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord]) -> CostSumm
                        failed_runs=int((~ok).sum()))
 
 
-def trajectory_csv(records: list[TrajectoryRecord], state_dim: int = 1, action_dim: int = 1) -> str:
+def _labels(base: str, dim: int) -> list[str]:
+    return [base] if dim == 1 else [f"{base}_{k}" for k in range(dim)]
+
+
+def _run_template(T: int, lx: int, lu: int, n: int) -> str:
+    """The rows of one run as a ``%`` template: NUL where the run index goes, ``%r`` per value."""
+    aggregates = [f"{name},," for base, dim in (
+        ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("cost_stage", 1))
+        for name in _labels(base, dim)]
+    followers = [f"{name},{i}," for i in range(1, n + 1) for name in _labels("xi", lx)]
+    return "".join(f"\0,{t},{row}%r\n" for t in range(1, T + 1) for row in aggregates + followers)
+
+
+def trajectory_csv(records: list[TrajectoryRecord]) -> str:
     """Long-format CSV (run, t, series, agent, value), plot-ready.
 
-    Scalar models emit bare series names; vector components get a _k
-    suffix.  Follower series ``xi`` carry 1-based agent indices.  Values
-    are ``repr`` of each float, rows end in a bare newline.
+    Per t: x0, xbar, mhat, u0, ubar, cost_stage, then ``xi`` of each kept
+    follower with its 1-based agent index.  Labels follow the record's
+    arrays: a series of one component is its bare name, a vector one
+    gets a _k suffix per component.  Values are ``repr`` of each float
+    (the shortest string that reads back to the same float), rows end in
+    a bare newline.  Each record is one ``%`` format over a template
+    made once per (T, lx, lu, n).
     """
-    def names(base: str, dim: int) -> list[str]:
-        return [base] if dim == 1 else [f"{base}_{k}" for k in range(dim)]
-
+    templates = {}
     chunks = ["run,t,series,agent,value\n"]  # one per record, to bound the peak
-    xi_names = names("xi", state_dim)
     for rec in records:
-        aggregates = [(names(base, dim), arr.tolist()) for base, arr, dim in (
-            ("x0", rec.x0, state_dim), ("xbar", rec.xbar, state_dim),
-            ("mhat", rec.mhat, state_dim), ("u0", rec.u0, action_dim),
-            ("ubar", rec.ubar, action_dim))]
-        costs = rec.stage_costs.tolist()
-        xi = None if rec.xi is None else rec.xi.tolist()
-        lines = []
-        for t, cost in enumerate(costs):
-            head = f"{rec.run},{t + 1},"
-            for series, values in aggregates:
-                lines.extend(f"{head}{name},,{v!r}\n" for name, v in zip(series, values[t]))
-            lines.append(f"{head}cost_stage,,{cost!r}\n")
-            if xi is not None:
-                for i, state in enumerate(xi[t], start=1):
-                    lines.extend(f"{head}{name},{i},{v!r}\n" for name, v in zip(xi_names, state))
-        chunks.append("".join(lines))
+        T, lx = rec.x0.shape
+        columns = [rec.x0, rec.xbar, rec.mhat, rec.u0, rec.ubar, rec.stage_costs[:, None]]
+        if rec.xi is not None:
+            columns.append(rec.xi.reshape(T, -1))
+        shape = (T, lx, rec.u0.shape[1], 0 if rec.xi is None else rec.xi.shape[1])
+        if shape not in templates:
+            templates[shape] = _run_template(*shape)
+        values = np.concatenate(columns, axis=1).ravel().tolist()
+        chunks.append(templates[shape].replace("\0", str(rec.run)) % tuple(values))
     return "".join(chunks)

@@ -15,8 +15,6 @@ recursion still runs, flagged, so the margin profile is reportable.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -257,29 +255,18 @@ def critical_gamma(model: ModelSpec, gamma_lo: float, gamma_hi: float, tol: floa
 
 
 def riccati_csv(ric: RiccatiSolution, gains: StrategyGains | None = None) -> str:
-    """Long-format dump (t, matrix, row, col, value) for golden-file diffs."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "matrix", "row", "col", "value"])
+    """Long-format dump (t, matrix, row, col, value) for golden-file diffs.
 
-    def emit(name: str, stack: np.ndarray, t0: int = 1):
-        for t in range(stack.shape[0]):
-            mat = np.atleast_2d(stack[t])
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    writer.writerow([t + t0, name, i, j, repr(float(mat[i, j]))])
-
-    emit("M_brev", ric.M_brev)
-    emit("M_bar", ric.M_bar)
-    emit("Delta_brev", ric.Delta_brev)
-    emit("Delta_bar", ric.Delta_bar)
-    emit("c_brev", ric.c_brev.reshape(-1, 1, 1))
-    emit("c_bar", ric.c_bar.reshape(-1, 1, 1))
-    emit("margin_brev", ric.margin_brev.reshape(-1, 1, 1))
-    emit("margin_bar", ric.margin_bar.reshape(-1, 1, 1))
+    Values are ``repr`` of each float; the rows are one ``%`` template.
+    """
+    stacks = [("M_brev", ric.M_brev), ("M_bar", ric.M_bar),
+              ("Delta_brev", ric.Delta_brev), ("Delta_bar", ric.Delta_bar)]
+    stacks += [(name, getattr(ric, name).reshape(-1, 1, 1))
+               for name in ("c_brev", "c_bar", "margin_brev", "margin_bar")]
     if gains is not None:
-        emit("L_brev", gains.L_brev)
-        emit("L_bar", gains.L_bar)
-        emit("K_brev", gains.K_brev)
-        emit("K_bar", gains.K_bar)
-    return buf.getvalue()
+        stacks += [(name, getattr(gains, name)) for name in ("L_brev", "L_bar", "K_brev", "K_bar")]
+    template = "".join(f"{t},{name},{i},{j},%r\n" for name, stack in stacks
+                       for t in range(1, stack.shape[0] + 1)
+                       for i in range(stack.shape[1]) for j in range(stack.shape[2]))
+    values = np.concatenate([stack.ravel() for _, stack in stacks]).tolist()
+    return "t,matrix,row,col,value\n" + template % tuple(values)

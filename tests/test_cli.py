@@ -35,6 +35,10 @@ class TestScheduleParsing:
         info = parse_schedule("1,5,10-12", 20)
         assert info.observation_times == frozenset({1, 5, 10, 11, 12})
 
+    def test_spaces_around_entries_and_dashes(self):
+        info = parse_schedule(" 4 - 6 , 9 ", 20)
+        assert info.observation_times == frozenset({4, 5, 6, 9})
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             parse_schedule("25", 20)
@@ -44,8 +48,12 @@ class TestScheduleParsing:
         ("5-3", "5-3", "is not"), (" , ", "", "is not"), ("", "", "is not"),
         ("2,x", "x", "is not"), ("1,5,", "", "is not"), ("4-", "4-", "is not"),
         ("-2", "-2", "is not"), ("1-2-3", "1-2-3", "is not"), ("2.5", "2.5", "is not"),
+        ("1_0", "1_0", "is not"), ("+4", "+4", "is not"), ("4-+6", "4-+6", "is not"),
+        ("\u0663", "\u0663", "is not"), ("\uff14", "\uff14", "is not"),
     ], ids=["zero", "range-past-horizon", "reversed-range", "only-commas", "empty",
-            "not-a-number", "trailing-comma", "open-range", "negative", "two-dashes", "fraction"])
+            "not-a-number", "trailing-comma", "open-range", "negative", "two-dashes", "fraction",
+            "digit-separator", "plus-sign", "signed-range-end", "arabic-indic-digit",
+            "fullwidth-digit"])
     def test_bad_entry_rejected_naming_it(self, text, entry, fault):
         # "none" is the only spelling of no observations
         with pytest.raises(ValueError, match=f"^--observe entry {re.escape(repr(entry))} {fault}"):

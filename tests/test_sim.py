@@ -212,8 +212,8 @@ class TestDeterminism:
         m = replace(example2, n_followers=3)
         g = gains_for(m)
         cfg = SimConfig(master_seed=8, num_runs=2, retain_full_states=True)
-        csv_a = trajectory_csv(simulate(m, g, cfg), 1, 1)
-        csv_b = trajectory_csv(simulate(m, g, cfg), 1, 1)
+        csv_a = trajectory_csv(simulate(m, g, cfg))
+        csv_b = trajectory_csv(simulate(m, g, cfg))
         assert csv_a == csv_b
 
 
@@ -405,7 +405,7 @@ class TestGoldenTrajectory:
         m = example1.with_gamma(20.0)
         cfg = SimConfig(master_seed=7, num_runs=1, retain_full_states=True,
                         disturbance=DisturbancePolicy.sinusoid(0.6))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
         golden = Path(__file__).parent / "data" / "golden_example1_gamma20_seed7.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -418,7 +418,7 @@ class TestGoldenTrajectory:
         cfg = SimConfig(master_seed=5, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=True),
                         info=InfoStructure.imfs([1, 4]))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg), 2, 2)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
         golden = Path(__file__).parent / "data" / "golden_vector_imfs_worstcase_seed5.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -431,7 +431,7 @@ class TestGoldenTrajectory:
         cfg = SimConfig(master_seed=seed, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=True),
                         info=InfoStructure.imfs([5, 12]))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
         golden = Path(__file__).parent / "data" / f"golden_example2_imfs_worstcase_seed{seed}.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -441,7 +441,7 @@ class TestGoldenTrajectory:
         from pathlib import Path
         m = diverging_model()
         cfg = SimConfig(master_seed=0, num_runs=4, retain_full_states=True)
-        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
         golden = Path(__file__).parent / "data" / "golden_diverging_seed0.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -452,7 +452,7 @@ class TestGoldenTrajectory:
         cfg = SimConfig(master_seed=11, num_runs=2, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(),
                         info=InfoStructure.imfs([2]))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg), 2, 1)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
         golden = Path(__file__).parent / "data" / "golden_mixed_dims_imfs_worstcase_seed11.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -461,7 +461,7 @@ class TestGoldenTrajectory:
         from pathlib import Path
         m = example2.with_gamma(EX2_GAMMA)
         cfg = SimConfig(master_seed=3, num_runs=3, disturbance=m.experiment.disturbance)
-        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
         golden = Path(__file__).parent / "data" / "golden_example2_gamma4_seed3_no_states.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -481,7 +481,7 @@ class TestTrajectoryCsv:
     def test_layout_and_series(self, example2):
         m = replace(example2, n_followers=2)
         cfg = SimConfig(master_seed=1, num_runs=1, retain_full_states=True)
-        text = trajectory_csv(simulate(m, gains_for(m), cfg), 1, 1)
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
         lines = text.strip().split("\n")
         assert lines[0] == "run,t,series,agent,value"
         rows = [line.split(",") for line in lines[1:]]
@@ -491,3 +491,58 @@ class TestTrajectoryCsv:
         assert agents == {"1", "2"}
         # row count: 6 aggregate series + 2 follower series per t
         assert len(rows) == m.horizon * (6 + 2)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_per_value_reference(self, data):
+        # Records of one or two shapes, so a template is both made and reused;
+        # their values are picked from a drawn palette, which keeps drawing cheap.
+        shapes = data.draw(st.lists(st.tuples(
+            st.integers(1, 5), st.integers(1, 3), st.integers(1, 3),
+            st.one_of(st.none(), st.integers(0, 4))), min_size=1, max_size=2))
+        runs = data.draw(st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=3))
+        palette = data.draw(st.lists(FLOATS, min_size=1, max_size=12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        records = [synthetic_record(rng, palette, run, *shapes[rng.integers(len(shapes))])
+                   for run in runs]
+        expected = "run,t,series,agent,value\n" + "".join(
+            reference_trajectory_rows(rec, rec.x0.shape[1], rec.u0.shape[1]) for rec in records)
+        assert trajectory_csv(records) == expected
+
+
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5, 1e16]),
+                   st.floats())
+
+
+def synthetic_record(rng, palette, run, T, lx, lu, n):
+    """A record of values from ``palette``, the follower states kept unless n is None."""
+    def draw(*shape):
+        return rng.choice(np.array(palette), size=shape)
+
+    return sim.TrajectoryRecord(
+        run=run, seed=0, x0=draw(T, lx), xbar=draw(T, lx), mhat=draw(T, lx), u0=draw(T, lu),
+        ubar=draw(T, lu), d0=np.zeros((T, lx)), dbar=np.zeros((T, lx)), stage_costs=draw(T),
+        total_cost=0.0, xi=None if n is None else draw(T, n, lx))
+
+
+def reference_trajectory_rows(rec, state_dim, action_dim):
+    """One record's rows, one f-string per value: the emitter ``trajectory_csv`` replaced."""
+    def names(base, dim):
+        return [base] if dim == 1 else [f"{base}_{k}" for k in range(dim)]
+
+    aggregates = [(names(base, dim), arr.tolist()) for base, arr, dim in (
+        ("x0", rec.x0, state_dim), ("xbar", rec.xbar, state_dim),
+        ("mhat", rec.mhat, state_dim), ("u0", rec.u0, action_dim),
+        ("ubar", rec.ubar, action_dim))]
+    xi_names = names("xi", state_dim)
+    xi = None if rec.xi is None else rec.xi.tolist()
+    lines = []
+    for t, cost in enumerate(rec.stage_costs.tolist()):
+        head = f"{rec.run},{t + 1},"
+        for series, values in aggregates:
+            lines.extend(f"{head}{name},,{v!r}\n" for name, v in zip(series, values[t]))
+        lines.append(f"{head}cost_stage,,{cost!r}\n")
+        if xi is not None:
+            for i, state in enumerate(xi[t], start=1):
+                lines.extend(f"{head}{name},{i},{v!r}\n" for name, v in zip(xi_names, state))
+    return "".join(lines)
