@@ -526,7 +526,7 @@ def synthetic_record(rng, palette, run, T, lx, lu, n):
 
 
 def reference_trajectory_rows(rec, state_dim, action_dim):
-    """One record's rows, one f-string per value: the emitter ``trajectory_csv`` replaced."""
+    """One record's rows, one f-string per value: the reference for ``trajectory_csv``."""
     def names(base, dim):
         return [base] if dim == 1 else [f"{base}_{k}" for k in range(dim)]
 
