@@ -313,6 +313,17 @@ class TestOtherCommands:
         rows = csv_rows(out / "gap_study.csv")
         assert [int(r[0]) for r in rows] == [3, 6]
 
+    def test_gap_study_matches_golden_output(self, tmp_path):
+        # Both sharing arms at n = 10, 2000 and 5000 with 3 runs: at 2000 and
+        # 5000 the arms' runs no longer fit one block of BLOCK_STATES states.
+        out = tmp_path / "gap"
+        code = main(["gap-study", "--config", str(bundled_config_path(2)), "--gamma", "4",
+                     "--n", "10", "2000", "5000", "--runs", "3", "--seed", "17",
+                     "--observe", "4,9-11,20", "--out", str(out)])
+        assert code == EXIT_OK
+        golden = Path(__file__).parent / "data" / "golden_gap_study_example2_gamma4_seed17.csv"
+        assert read(out / "gap_study.csv") == read(golden)
+
     def test_simulate_with_schedule_and_disturbance(self, tmp_path):
         out = tmp_path / "sim"
         code = main(["simulate", "--config", str(bundled_config_path(2)),
