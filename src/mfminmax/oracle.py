@@ -9,8 +9,6 @@ with the decomposed synthesis is therefore evidence, not tautology.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -316,22 +314,21 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
                    observation_times=()) -> list[dict]:
     """|J(intermittent) - J(full sharing)| across population sizes.
 
-    Common random numbers: both arms share the master seed, so initial
-    states and noises coincide run by run.  The per-follower coefficients
-    are n-independent, so the same gains drive every population size.
+    Common random numbers: both arms are simulated in one ``simulate``
+    call per n, as two arms of the same runs, so initial states and noises
+    coincide run by run.  The per-follower coefficients are n-independent,
+    so the same gains drive every population size.
     """
     check_population_sizes(n_list)
     if disturbance is None:
         disturbance = DisturbancePolicy.worst_case()
-    cfg_mfs = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance,
-                        info=InfoStructure.mfs(model.horizon))
-    cfg_imfs = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance,
-                         info=InfoStructure.imfs(observation_times))
+    cfg = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance)
+    arms = (InfoStructure.mfs(model.horizon), InfoStructure.imfs(observation_times))
     rows = []
     for n in n_list:
         mdl = replace(model, n_followers=int(n))
-        j_mfs = evaluate_cost(mdl, simulate(mdl, gains, cfg_mfs))
-        j_imfs = evaluate_cost(mdl, simulate(mdl, gains, cfg_imfs))
+        j_mfs, j_imfs = (evaluate_cost(mdl, records)
+                         for records in simulate(mdl, gains, cfg, arms=arms))
         gap = abs(j_imfs.mean - j_mfs.mean)
         rows.append({"n": int(n), "runs": runs, "j_mfs": j_mfs.mean, "j_imfs": j_imfs.mean,
                      "gap": gap, "gap_times_n": gap * n})
@@ -339,20 +336,17 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
 
 
 def saddle_report_csv(report: SaddleReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["side", "direction", "step", "delta"])
-    for side, k, step, delta in report.perturbations:
-        writer.writerow([side, k, repr(float(step)), repr(float(delta))])
-    return buf.getvalue()
+    """One row per perturbation (side, direction, step, delta); one ``%`` template."""
+    values = [v for side, k, step, delta in report.perturbations
+              for v in (side, k, float(step), float(delta))]
+    table = "%s,%s,%r,%r\n" * len(report.perturbations)
+    return "side,direction,step,delta\n" + table % tuple(values)
 
 
 def gap_table_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "runs", "j_mfs", "j_imfs", "gap", "gap_times_n"])
-    for row in rows:
-        writer.writerow([row["n"], row["runs"], repr(float(row["j_mfs"])),
-                         repr(float(row["j_imfs"])), repr(float(row["gap"])),
-                         repr(float(row["gap_times_n"]))])
-    return buf.getvalue()
+    """One row per population size of ``imfs_gap_study``; one ``%`` template."""
+    values = [v for row in rows for v in (
+        row["n"], row["runs"], float(row["j_mfs"]), float(row["j_imfs"]), float(row["gap"]),
+        float(row["gap_times_n"]))]
+    table = "%s,%s,%r,%r,%r,%r\n" * len(rows)
+    return "n,runs,j_mfs,j_imfs,gap,gap_times_n\n" + table % tuple(values)

@@ -4,23 +4,28 @@ One engine steps a block of runs together, with the run as the leading
 array axis: leader states (R, lx), followers (R, n, lx), estimates
 (R, lx).  The engine owns the estimates m_hat: it resets them to the
 observed mean at observation times and otherwise propagates them with
-``strategy.estimator_step``.  A block holds at most ``BLOCK_STATES``
-follower states, so ``simulate`` walks ``max(1, BLOCK_STATES // n)`` runs
-at a time, and ``simulate_run`` is a block of one.
+``strategy.estimator_step``.  ``simulate`` can run the same runs under
+several information structures at once, its arms: each arm of a run is
+one row of the block, arm-major, and the arms of a run share its initial
+draw and its noise draws.  A block holds at most ``BLOCK_STATES``
+follower states, counting the rows of every arm, so ``simulate`` walks
+``max(1, BLOCK_STATES // (arms * n))`` runs at a time, and
+``simulate_run`` is a block of one.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
 index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives,
-as ``_rng`` builds it.  A block derives the keys of all its (run, t) in
-one array pass of that hash and re-keys one Philox for each substream; a
-block whose seed or last run index is 2^32 or more, more than one uint32
-word of entropy, builds each substream with ``_rng``, with the same bits.
-At each t a run makes one draw, leader noise in row 0 and follower i's in
-row i.  Every batched operation gives each run the bits it gets alone, so
-a run's results are bit-identical whichever other runs are simulated with
-it.  A run whose next state is not finite is marked failed at that t and
-leaves the block, its later rows left nan; the others step on.  Stage
-costs are accumulated online (sufficient statistics), full per-follower
-state retention is opt-in.
+as ``_rng`` builds it.  A ``simulate`` call derives the keys of all its
+(run, t) in one array pass of that hash and re-keys one Philox for each
+substream; a call whose seed or last run index is 2^32 or more, more than
+one uint32 word of entropy, builds each substream with ``_rng``, with the
+same bits.  At each t a run makes one draw, leader noise in row 0 and
+follower i's in row i, which every arm of the run reads.  Every batched
+operation gives each row the bits it gets alone, so a run's results are
+bit-identical whichever other runs or arms are simulated with it.  A row
+whose next state is not finite is marked failed at that t and leaves the
+block, its later rows left nan; the others step on.  Stage costs are
+accumulated online (sufficient statistics), full per-follower state
+retention is opt-in.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DisturbancePolicy, InfoStructure, ModelSpec
-from .strategy import (estimator_step, follower_action, leader_action, matvec,
+from .strategy import (estimator_step, follower_action, leader_action, matvec, rmatmul,
                        worst_case_disturbance)
 from .synthesis import StrategyGains
 
@@ -149,25 +154,25 @@ def _substream_keys(seed: int, runs: range, T: int) -> np.ndarray:
                                np.arange(T + 1, dtype=np.uint32))
 
 
-def _block_streams(seed: int, runs: range, T: int):
-    """A function (k, t) -> a Generator with the bits of ``_rng(seed, runs[k], t)``.
+def _substreams(seed: int, runs: range, T: int):
+    """A function (run, t) -> a Generator with the bits of ``_rng(seed, run, t)``, run in ``runs``.
 
-    One Philox takes each substream's key from ``_substream_keys`` in turn,
-    so a call re-positions the Generator the last call returned.  A seed or
-    run index of 2^32 or more is more than one uint32 word of entropy; such
-    a block builds each substream with ``_rng``, as does one with a negative
-    index, which ``SeedSequence`` rejects.
+    The keys of every (run, t) come from one ``_substream_keys`` call, and
+    one Philox takes each in turn, so a call re-positions the Generator the
+    last call returned.  A seed or run index of 2^32 or more is more than
+    one uint32 word of entropy; then each substream is built with ``_rng``,
+    as it is for a negative index, which ``SeedSequence`` rejects.
     """
     if not (0 <= seed < 2 ** 32 and 0 <= runs[0] and runs[-1] < 2 ** 32):
-        return lambda k, t: _rng(seed, runs[k], t)
+        return lambda run, t: _rng(seed, run, t)
     keys = _substream_keys(seed, runs, T)
     gen = np.random.Generator(np.random.Philox(0))  # its seed is replaced by every key
     bit_gen = gen.bit_generator
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def stream(k: int, t: int) -> np.random.Generator:
-        state["state"]["key"] = keys[k, t].tolist()
+    def stream(run: int, t: int) -> np.random.Generator:
+        state["state"]["key"] = keys[run - runs.start, t].tolist()
         bit_gen.state = state  # counter 0 and an empty buffer: a fresh substream
         return gen
 
@@ -257,32 +262,52 @@ def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains,
     raise ValueError(f"unknown disturbance kind '{policy.kind}'")
 
 
-def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs: range,
-                    colour: tuple) -> list[TrajectoryRecord]:
-    """The runs ``runs`` stepped together; ``colour`` holds the (leader, follower) factor stacks."""
-    T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
-    R, seed = len(runs), cfg.master_seed
-    info = cfg.info if cfg.info is not None else InfoStructure.mfs(T)
+def _observe(seen: list, arm: np.ndarray, xf: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+    """``m_hat`` with the rows of each arm that sees the mean reset to the mean of their followers.
 
-    stream = _block_streams(seed, runs, T)
+    ``seen`` holds a bool per arm and ``arm`` the arm of each row.
+    """
+    if not any(seen):
+        return m_hat
+    mean = xf.mean(axis=1)
+    return mean if all(seen) else np.where(np.array(seen)[arm][:, None], mean, m_hat)
+
+
+def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, infos: tuple,
+                    runs: range, stream, colour: tuple) -> list[list[TrajectoryRecord]]:
+    """The runs ``runs`` under each information structure of ``infos``, stepped together.
+
+    Rows are arm-major: row ``a * R + k`` is run ``runs[k]`` under ``infos[a]``
+    (None for full mean-field sharing).  A run's arms start from one initial
+    draw and share one noise draw per t; ``stream`` gives the substreams and
+    ``colour`` holds the (leader, follower) factor stacks.  Returns one
+    record list per arm.
+    """
+    T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
+    R, rows, seed = len(runs), len(infos) * len(runs), cfg.master_seed
+    infos = [InfoStructure.mfs(T) if info is None else info for info in infos]
+
     x0, xf = np.empty((R, lx)), np.empty((R, n, lx))
-    for k in range(R):
-        init_rng = stream(k, 0)
+    for k, run in enumerate(runs):
+        init_rng = stream(run, 0)
         x0[k] = model.leader_init.sample(init_rng)
         xf[k] = model.follower_init.sample(init_rng, n)
-    m_hat = (xf.mean(axis=1) if info.observed(1)
-             else np.broadcast_to(model.follower_init.mean(), (R, lx)).copy())
+    x0, xf = np.concatenate([x0] * len(infos)), np.concatenate([xf] * len(infos))
+    active = np.arange(rows)  # the rows still stepping
+    arm, pick = active // R, active % R  # each active row's arm, and its run as an index into live
+    live = np.arange(R)  # the runs still stepping in some arm: one draw each per t
+    m_hat = _observe([info.observed(1) for info in infos], arm, xf,
+                     np.broadcast_to(model.follower_init.mean(), (rows, lx)))
 
     # rows after a run fails stay nan, as its stage costs do
-    series = {name: np.full((R, T, dim), np.nan) for name, dim in (
+    series = {name: np.full((rows, T, dim), np.nan) for name, dim in (
         ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("d0", lx),
         ("dbar", lx))}
-    stage_costs = np.full((R, T), np.nan)
+    stage_costs = np.full((rows, T), np.nan)
     keep = cfg.retain_full_states
-    full = {name: np.full((R, T, n, dim), np.nan) if keep else [None] * R
+    full = {name: np.full((rows, T, n, dim), np.nan) if keep else [None] * rows
             for name, dim in (("xi", lx), ("ui", lu), ("di", lx))}
-    failed_at = [None] * R
-    active = np.arange(R)  # block rows of the runs still stepping
+    failed_at = [None] * rows
 
     for t in range(1, T + 1):
         xbar = xf.mean(axis=1)
@@ -300,17 +325,19 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
             full["xi"][active, t - 1], full["ui"][active, t - 1] = xf, uf
             full["di"][active, t - 1] = df
 
-        z = np.empty((active.size, n + 1, lx))  # row 0 the leader's noise, rows 1.. the followers'
-        for k, row in enumerate(active):
-            stream(row, t).standard_normal(out=z[k])
+        z = np.empty((live.size, n + 1, lx))  # row 0 the leader's noise, rows 1.. the followers'
+        for k, j in enumerate(live):
+            stream(runs[j], t).standard_normal(out=z[k])
         f0, ff = colour[0][t - 1], colour[1][t - 1]
         w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
-        wf = z[:, 1:] @ ff + np.zeros(lx)
+        wf = rmatmul(z[:, 1:], ff.T) + np.zeros(lx)
+        if len(infos) > 1:  # each run's noise, copied to the rows of its arms
+            w0, wf = w0[pick], wf[pick]
 
         with np.errstate(over="ignore", invalid="ignore"):
             x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)
                        + matvec(model.S0[t - 1], xbar) + d0 + w0)
-            xf_next = (xf @ model.A[t - 1].T + uf @ model.B[t - 1].T
+            xf_next = (rmatmul(xf, model.A[t - 1]) + rmatmul(uf, model.B[t - 1])
                        + matvec(model.S[t - 1], xbar)[:, None, :]
                        + matvec(model.E[t - 1], x0)[:, None, :] + df + wf)
 
@@ -322,38 +349,61 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, runs
             x0_next, xf_next = x0_next[ok], xf_next[ok]
             if active.size == 0:
                 break
+            arm, live = active // R, np.flatnonzero(np.bincount(active % R, minlength=R))
+            pick = np.searchsorted(live, active % R)
 
         if t < T:
-            m_hat = (xf_next.mean(axis=1) if info.observed(t + 1)
-                     else estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar))
+            seen = [info.observed(t + 1) for info in infos]
+            if not all(seen):
+                m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
+            m_hat = _observe(seen, arm, xf_next, m_hat)
         x0, xf = x0_next, xf_next
 
-    return [
+    records = [
         TrajectoryRecord(
-            run=run, seed=seed, **{name: arr[k] for name, arr in series.items()},
-            stage_costs=stage_costs[k],
-            total_cost=np.nan if failed_at[k] is not None else float(stage_costs[k].sum()),
-            xi=full["xi"][k], ui=full["ui"][k], di=full["di"][k],
-            failed=failed_at[k] is not None, failed_at=failed_at[k])
-        for k, run in enumerate(runs)
+            run=runs[row % R], seed=seed, **{name: arr[row] for name, arr in series.items()},
+            stage_costs=stage_costs[row],
+            total_cost=np.nan if failed_at[row] is not None else float(stage_costs[row].sum()),
+            xi=full["xi"][row], ui=full["ui"][row], di=full["di"][row],
+            failed=failed_at[row] is not None, failed_at=failed_at[row])
+        for row in range(rows)
     ]
+    return [records[first:first + R] for first in range(0, rows, R)]
 
 
 def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: int) -> TrajectoryRecord:
     """One seeded run, a block of one; deterministic in (master_seed, run) alone."""
+    runs = range(run, run + 1)
     colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
-    return _simulate_block(model, gains, cfg, range(run, run + 1), colour)[0]
+    return _simulate_block(model, gains, cfg, (cfg.info,), runs,
+                           _substreams(cfg.master_seed, runs, model.horizon), colour)[0][0]
 
 
-def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig) -> list[TrajectoryRecord]:
-    """All runs, in run-index order, in blocks of at most BLOCK_STATES follower states."""
+def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
+             arms: tuple | None = None) -> list:
+    """All runs, in run-index order, in blocks of at most BLOCK_STATES follower states.
+
+    With ``arms``, a sequence of information structures (None for full
+    sharing) that replaces ``cfg.info``, every run is simulated under each
+    of them from the same draws, and the result is one record list per arm,
+    each bit for bit what ``simulate`` gives with that arm as ``cfg.info``.
+    A block then holds every arm of its runs and counts the follower states
+    of all of them.
+    """
+    infos = (cfg.info,) if arms is None else tuple(arms)
+    if not infos:
+        raise ValueError("arms must hold at least one information structure")
+    runs = range(cfg.num_runs)
+    stream = _substreams(cfg.master_seed, runs, model.horizon)
     colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
-    per_block = max(1, BLOCK_STATES // model.n_followers)
-    records = []
+    per_block = max(1, BLOCK_STATES // (len(infos) * model.n_followers))
+    records = [[] for _ in infos]
     for first in range(0, cfg.num_runs, per_block):
-        records += _simulate_block(model, gains, cfg,
-                                   range(first, min(first + per_block, cfg.num_runs)), colour)
-    return records
+        block = _simulate_block(model, gains, cfg, infos, runs[first:first + per_block], stream,
+                                colour)
+        for arm, part in zip(records, block):
+            arm += part
+    return records[0] if arms is None else records
 
 
 def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord]) -> CostSummary:

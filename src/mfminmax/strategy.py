@@ -39,6 +39,20 @@ def matvec(K: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(K, V[..., None])[..., 0]
 
 
+def rmatmul(X: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``X @ K.T``: K applied to each row vector along the last axis of X.
+
+    A 1x1 K scales X elementwise, several times cheaper than matmul on a
+    population, with the same bits: ``0.0 +`` turns a -0.0 product into
+    the +0.0 of matmul's zero-started sum.  One exception: where an entry
+    of X and K itself are both nan, the nan may carry K's payload instead
+    of X's.
+    """
+    if K.shape == (1, 1):
+        return 0.0 + X * K[0, 0]
+    return X @ K.T
+
+
 def leader_action(gains: StrategyGains, t: int, x0: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
     """u0_t = L11 x0 + L12 m_hat."""
     return matvec(gains.l11(t), x0) + matvec(gains.l12(t), m_hat)
@@ -52,7 +66,7 @@ def follower_action(gains: StrategyGains, t: int, xf: np.ndarray, x0: np.ndarray
     """
     L = gains.L_brev[t - 1]
     common = matvec(gains.l21(t), x0) + matvec(gains.l22(t) - L, m_hat)
-    return xf @ L.T + common[..., None, :]
+    return rmatmul(xf, L) + common[..., None, :]
 
 
 def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: np.ndarray,
@@ -70,7 +84,7 @@ def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: n
     d0, dbar = aug[..., :lx], aug[..., lx:]
     if xi is None:
         return d0, dbar
-    return d0, (xi - mean[..., None, :]) @ gains.K_brev[t - 1].T + dbar[..., None, :]
+    return d0, rmatmul(xi - mean[..., None, :], gains.K_brev[t - 1]) + dbar[..., None, :]
 
 
 def estimator_step(model: ModelSpec, gains: StrategyGains, t: int, x0: np.ndarray,

@@ -1,6 +1,8 @@
 """Monte Carlo simulation: determinism, dynamics, cost accounting."""
 
+import contextlib
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -176,6 +178,74 @@ class TestDeterminism:
                     assert np.isnan(arr[rec.failed_at or m.horizon:]).all(), name
                     assert np.isfinite(arr[:rec.failed_at or m.horizon]).all(), name
 
+    @pytest.mark.parametrize("case", ["scalar", "vector", "diverging"])
+    def test_each_arm_equals_its_own_call(self, example2, case):
+        # Several information structures in one pass share blocks and draws;
+        # each arm must still get the bits of its own call.  The scalar and
+        # vector cases split into one run per block under three arms.
+        m, cfg = block_cases(example2)[case]
+        arms = (cfg.info, None, InfoStructure.no_sharing())
+        quiet = contextlib.nullcontext()
+        if case == "diverging":
+            # The no-sharing estimate overflows before the states do; fed back
+            # as a worst-case disturbance it ends some runs a step early in
+            # that arm only, so a run steps on in one arm after the other.
+            arms = (None, InfoStructure.no_sharing())
+            cfg = replace(cfg, disturbance=DisturbancePolicy.worst_case(use_estimate=True))
+            quiet = np.errstate(over="ignore", invalid="ignore")
+        g = gains_for(m)
+        with quiet:
+            together = simulate(m, g, cfg, arms=arms)
+            alone = [simulate(m, g, replace(cfg, info=info)) for info in arms]
+        assert len(together) == len(arms)
+        for got, expected in zip(together, alone):
+            assert [rec.run for rec in got] == list(range(cfg.num_runs))
+            for a, b in zip(got, expected):
+                assert_same_record(a, b)
+        if case == "diverging":
+            failed = [[rec.failed_at for rec in records] for records in together]
+            assert set(failed[0]) == {9, 10, None}
+            assert any(a != b for a, b in zip(*failed))
+
+    @pytest.mark.parametrize("case", ["split", "diverging"])
+    def test_arms_take_one_draw_per_run_and_t(self, example2, monkeypatch, case):
+        # Keys are derived once per call and every (run, t) draws its noise
+        # once, whatever the number of arms and blocks.
+        if case == "split":  # two arms of BLOCK_STATES // 4 followers: blocks of 2 runs
+            m = replace(example2.with_gamma(EX2_GAMMA), n_followers=sim.BLOCK_STATES // 4)
+            cfg = SimConfig(master_seed=4, num_runs=5, info=InfoStructure.imfs([3]))
+        else:
+            m, cfg = block_cases(example2)["diverging"]
+            cfg = replace(cfg, disturbance=DisturbancePolicy.worst_case(use_estimate=True))
+        draws, key_calls = Counter(), []
+        substreams, substream_keys = sim._substreams, sim._substream_keys
+
+        class Counting:
+            def __init__(self, gen, key):
+                self.gen, self.key = gen, key
+
+            def standard_normal(self, *args, **kwargs):
+                draws[self.key] += 1
+                return self.gen.standard_normal(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        def counting_streams(seed, runs, T):
+            stream = substreams(seed, runs, T)
+            return lambda run, t: Counting(stream(run, t), (run, t))
+
+        monkeypatch.setattr(sim, "_substreams", counting_streams)
+        monkeypatch.setattr(sim, "_substream_keys",
+                            lambda *args: key_calls.append(args) or substream_keys(*args))
+        with np.errstate(over="ignore", invalid="ignore"):
+            arms = simulate(m, gains_for(m), cfg, arms=(cfg.info, InfoStructure.no_sharing()))
+        assert len(key_calls) == 1
+        # a run draws at each t up to the last one at which some arm still steps
+        last = [max(rec.failed_at or m.horizon for rec in recs) for recs in zip(*arms)]
+        assert draws == Counter({(run, t): 1 for run in range(cfg.num_runs)
+                                 for t in range(1, last[run] + 1)})
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_batched_quadratic_matches_einsum_per_run(self, dim):
         # The per-run stage cost summed x_i' W x_i with einsum, whose order
@@ -266,12 +336,12 @@ class TestSubstreams:
                  sigma=np.array([[2.0, 0.5], [0.5, 1.0]])),
     ], ids=["deterministic", "uniform", "gaussian"])
     def test_rekeyed_draws_equal_fresh_substreams(self, init):
-        # Each call re-keys the one Generator of the block; visiting the
-        # substreams out of order shows that no state leaks between them.
+        # Each call re-keys the one Generator of the substreams; visiting
+        # them out of order shows that no state leaks between them.
         seed, runs, T, n, lx = 2838, range(5, 9), 3, 4, 2
-        stream = sim._block_streams(seed, runs, T)
+        stream = sim._substreams(seed, runs, T)
         for k, t in [(2, 0), (0, 3), (2, 1), (3, 0), (0, 0), (1, 2), (2, 0)]:
-            got, ref = stream(k, t), sim._rng(seed, runs[k], t)
+            got, ref = stream(runs[k], t), sim._rng(seed, runs[k], t)
             if t == 0:
                 for size in (None, n):
                     assert init.sample(got, size).tobytes() == init.sample(ref, size).tobytes()

@@ -11,6 +11,7 @@ from mfminmax.strategy import (
     estimator_step,
     follower_action,
     leader_action,
+    rmatmul,
     worst_case_disturbance,
 )
 from mfminmax.synthesis import compute_gains, solve_riccati
@@ -29,6 +30,52 @@ EX2_G4_MHAT2_NOM = 5.287220549348488   # nominal dbar = 0
 
 def gains_for(model):
     return compute_gains(model, solve_riccati(model))
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e308]
+
+
+class MatmulSpy(np.ndarray):
+    """An array that records each ``@`` it takes part in."""
+
+    calls = []
+
+    def __matmul__(self, other):
+        MatmulSpy.calls.append(other.shape)
+        return super().__matmul__(other)
+
+
+class TestRmatmul:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10_000])
+    def test_scalar_gain_equals_matmul_bitwise(self, n):
+        # Populations holding +-0.0, nan, +-inf, a subnormal and a near-overflow
+        # value, against gains of both zero signs, infinities and nan.
+        rng = np.random.default_rng(n)
+        values = np.concatenate([SPECIAL_VALUES, rng.normal(size=8)])
+        for k in [0.0, -0.0, 1.5, -2.0, 5e-324, 1e308, np.inf, -np.inf, np.nan]:
+            K = np.array([[k]])
+            # a nan gain times a nan entry may keep either nan (rmatmul's docstring)
+            pool = values[~np.isnan(values)] if np.isnan(k) else values
+            for shape in [(n, 1), (3, n, 1)]:
+                X = rng.choice(pool, size=shape)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = X @ K.T
+                    got = rmatmul(X, K)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (k, shape)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 1), (1, 2), (3, 2)])
+    def test_other_gains_take_matmul(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        K = rng.normal(size=shape)
+        X = rng.normal(size=(4, 9, shape[1])).view(MatmulSpy)
+        MatmulSpy.calls.clear()
+        got = rmatmul(X, K)
+        assert MatmulSpy.calls == [(shape[1], shape[0])]
+        assert np.asarray(got).tobytes() == (np.asarray(X) @ K.T).tobytes()
+        MatmulSpy.calls.clear()
+        rmatmul(X[..., :1], np.array([[2.0]]))
+        assert MatmulSpy.calls == []
 
 
 class TestActions:
