@@ -45,12 +45,12 @@ def assert_same_record(a, b):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-def diverging_model():
+def diverging_model(T=10):
     """Followers grow tenfold per step from uniform initials in (0, 1e300).
 
-    Most runs overflow at t = 9, some at t = 10, and a few finish.
+    Most runs overflow at t = 9, some at t = 10, and a few later or never.
     """
-    return make_model(T=10, n=1, gamma=5.0, A0=1.0, B0=0.0, S0=0.0, A=10.0, B=0.0, S=0.0,
+    return make_model(T=T, n=1, gamma=5.0, A0=1.0, B0=0.0, S0=0.0, A=10.0, B=0.0, S=0.0,
                       E=0.0, Q=0.0, Q0=0.0, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0,
                       follower_uniform=(0.0, 1e300), noise_follower=1.0)
 
@@ -187,10 +187,11 @@ class TestDeterminism:
         arms = (cfg.info, None, InfoStructure.no_sharing())
         quiet = contextlib.nullcontext()
         if case == "diverging":
-            # The no-sharing estimate overflows before the states do; fed back
-            # as a worst-case disturbance it ends some runs a step early in
-            # that arm only, so a run steps on in one arm after the other.
-            arms = (None, InfoStructure.no_sharing())
+            # Without sharing the estimate starts at the initial mean and
+            # overflows at t = 10, before the states of small runs do; fed back
+            # as a worst-case disturbance it ends them there, while under full
+            # sharing one of them steps on to t = 11.
+            m, arms = diverging_model(T=12), (None, InfoStructure.no_sharing())
             cfg = replace(cfg, disturbance=DisturbancePolicy.worst_case(use_estimate=True))
             quiet = np.errstate(over="ignore", invalid="ignore")
         g = gains_for(m)
@@ -204,8 +205,12 @@ class TestDeterminism:
                 assert_same_record(a, b)
         if case == "diverging":
             failed = [[rec.failed_at for rec in records] for records in together]
-            assert set(failed[0]) == {9, 10, None}
-            assert any(a != b for a, b in zip(*failed))
+            assert set(zip(*failed)) == {(9, 9), (10, 10), (11, 10)}
+
+    def test_no_arms_rejected(self):
+        m = zero_weight_model()
+        with pytest.raises(ValueError, match="arms"):
+            simulate(m, gains_for(m), SimConfig(master_seed=0), arms=())
 
     @pytest.mark.parametrize("case", ["split", "diverging"])
     def test_arms_take_one_draw_per_run_and_t(self, example2, monkeypatch, case):
@@ -214,8 +219,8 @@ class TestDeterminism:
         if case == "split":  # two arms of BLOCK_STATES // 4 followers: blocks of 2 runs
             m = replace(example2.with_gamma(EX2_GAMMA), n_followers=sim.BLOCK_STATES // 4)
             cfg = SimConfig(master_seed=4, num_runs=5, info=InfoStructure.imfs([3]))
-        else:
-            m, cfg = block_cases(example2)["diverging"]
+        else:  # as in test_each_arm_equals_its_own_call: a run steps on in one arm only
+            m, cfg = diverging_model(T=12), block_cases(example2)["diverging"][1]
             cfg = replace(cfg, disturbance=DisturbancePolicy.worst_case(use_estimate=True))
         draws, key_calls = Counter(), []
         substreams, substream_keys = sim._substreams, sim._substream_keys
