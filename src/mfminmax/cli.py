@@ -273,8 +273,6 @@ def _add_flags(p, *flags, gammas="*", runs_default=None):
         "runs": dict(type=int, default=runs_default),
         "observe": dict(default="all",
                         help="observation schedule: 'all', 'none', or e.g. '1,5,10-12'"),
-        "workers": dict(type=int, default=1,
-                        help="accepted for compatibility; has no effect on the results"),
     }
     for flag in flags:
         p.add_argument(f"--{flag}", **specs[flag])
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-example", help="reproduce a bundled example")
     p.add_argument("which", choices=["1", "2"])
-    _add_flags(p, "gamma", "seed", "runs", "observe", "workers")
+    _add_flags(p, "gamma", "seed", "runs", "observe")
     p.set_defaults(func=cmd_run_example)
 
     p = sub.add_parser("synthesize", help="recursions, margins, gains, value")
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("simulate", "sweep-gamma"):
         p = sub.add_parser(name, help="closed-loop Monte Carlo")
-        _add_flags(p, "config", "gamma", "seed", "runs", "observe", "workers")
+        _add_flags(p, "config", "gamma", "seed", "runs", "observe")
         p.add_argument("--disturbance", choices=["config", "zero", "sinusoid", "worst-case"],
                        default="config")
         p.add_argument("--amplitude", type=float, default=None,
@@ -316,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gap-study", help="intermittent-vs-full sharing cost gap across n")
-    _add_flags(p, "config", "gamma", "seed", "runs", "observe", "workers", gammas=None,
-               runs_default=500)
+    _add_flags(p, "config", "gamma", "seed", "runs", "observe", gammas=None, runs_default=500)
     p.add_argument("--n", dest="n_list", type=int, nargs="*", default=None)
     p.set_defaults(func=cmd_gap_study, observe="none")
 

@@ -39,6 +39,9 @@ MAX_ORACLE_FOLLOWERS = 16
 BLOCK_GAIN_ENTRIES = 2 ** 18
 """Most perturbed gain entries one batched saddle-check rollout holds: bounds its memory at large n."""
 
+SADDLE_STEPS = (1e-3, 1e-2)
+"""Step lengths of the saddle check along each unit perturbation direction."""
+
 
 @dataclass(frozen=True)
 class StackedProblem:
@@ -169,31 +172,24 @@ def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains, n: int):
 
     The induced joint feedback is linear in the stack, so the decomposed
     strategy is directly comparable, entry by entry, with the joint
-    recursion's unique saddle-point gains.
+    recursion's unique saddle-point gains.  Each stack is filled as
+    (T, n+1, dim, n+1, lx), the layout of ``build_stacked``.
     """
     T, lx, lu = model.horizon, model.state_dim, model.action_dim
-    N, Nu = (n + 1) * lx, (n + 1) * lu
-    KU = np.zeros((T, Nu, N))
-    KD = np.zeros((T, N, N))
-    for t in range(1, T + 1):
-        L = gains.L_brev[t - 1]
-        K = gains.K_brev[t - 1]
-        l11, l12, l21, l22 = gains.l11(t), gains.l12(t), gains.l21(t), gains.l22(t)
-        kb = gains.K_bar[t - 1]
-        k11, k12 = kb[:lx, :lx], kb[:lx, lx:]
-        k21, k22 = kb[lx:, :lx], kb[lx:, lx:]
-        KU[t - 1, :lu, :lx] = l11
-        KD[t - 1, :lx, :lx] = k11
-        for j in range(1, n + 1):
-            KU[t - 1, :lu, j * lx:(j + 1) * lx] = l12 / n
-            KD[t - 1, :lx, j * lx:(j + 1) * lx] = k12 / n
-        for i in range(1, n + 1):
-            KU[t - 1, i * lu:(i + 1) * lu, :lx] = l21
-            KD[t - 1, i * lx:(i + 1) * lx, :lx] = k21
-            for j in range(1, n + 1):
-                KU[t - 1, i * lu:(i + 1) * lu, j * lx:(j + 1) * lx] = (l22 - L) / n + (L if i == j else 0.0)
-                KD[t - 1, i * lx:(i + 1) * lx, j * lx:(j + 1) * lx] = (k22 - K) / n + (K if i == j else 0.0)
-    return KU, KD
+    f = np.arange(1, n + 1)  # [:, f, :, f] are the n follower diagonal blocks
+    joint = []
+    for own, bar, dim in ((gains.L_brev, gains.L_bar, lu), (gains.K_brev, gains.K_bar, lx)):
+        b11, b12 = bar[:, :dim, :lx], bar[:, :dim, lx:]
+        b21, b22 = bar[:, dim:, :lx], bar[:, dim:, lx:]
+        shared = (b22 - own) / n  # each follower's gain on every follower, itself included
+        G = np.zeros((T, n + 1, dim, n + 1, lx))
+        G[:, 0, :, 0] = b11
+        G[:, 0, :, 1:] = (b12 / n)[:, :, None]
+        G[:, 1:, :, 0] = b21[:, None]
+        G[:, 1:, :, 1:] = (shared + 0.0)[:, None, :, None]
+        G[:, f, :, f] = shared + own
+        joint.append(G.reshape(T, (n + 1) * dim, (n + 1) * lx))
+    return tuple(joint)
 
 
 def rollout_joint(model: ModelSpec, prob: StackedProblem, KU: np.ndarray, KD: np.ndarray,
@@ -254,8 +250,7 @@ def verify_equivalence(model: ModelSpec, gains: StrategyGains, n: int,
     return report
 
 
-def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 50,
-                 steps=(1e-3, 1e-2), seed: int = 0,
+def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 50, seed: int = 0,
                  x0_init=None, followers_init=None, n: int | None = None) -> SaddleReport:
     """Random gain perturbations around the saddle point.
 
@@ -276,14 +271,14 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     prob = build_stacked(model, n)
     base, _ = rollout_joint(model, prob, KU0, KD0, x0_init, followers_init)
     rng = np.random.default_rng(seed)
-    step_axis = np.asarray(steps, dtype=float)[:, None, None, None]
+    step_axis = np.asarray(SADDLE_STEPS)[:, None, None, None]
 
     report = SaddleReport(base_cost=base)
     for side, K0 in (("control", KU0), ("disturbance", KD0)):
-        block = max(1, BLOCK_GAIN_ENTRIES // (len(steps) * K0.size))
+        block = max(1, BLOCK_GAIN_ENTRIES // (len(SADDLE_STEPS) * K0.size))
         for first in range(0, num_directions, block):
             ks = range(first, min(first + block, num_directions))
-            perturbed = np.empty((len(ks), len(steps)) + K0.shape)
+            perturbed = np.empty((len(ks), len(SADDLE_STEPS)) + K0.shape)
             for row in perturbed:
                 direction = rng.standard_normal(K0.shape)
                 direction /= np.linalg.norm(direction)
@@ -293,7 +288,7 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
             costs, _ = rollout_joint(model, prob, KU, KD, x0_init, followers_init)
             report.perturbations.extend(
                 (side, k, step, float(delta))
-                for (k, step), delta in zip(itertools.product(ks, steps), costs - base))
+                for (k, step), delta in zip(itertools.product(ks, SADDLE_STEPS), costs - base))
     control = [d for s, _, _, d in report.perturbations if s == "control"]
     disturb = [d for s, _, _, d in report.perturbations if s == "disturbance"]
     report.control_min_delta = min(control)

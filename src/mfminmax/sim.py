@@ -309,55 +309,55 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
             for name, dim in (("xi", lx), ("ui", lu), ("di", lx))}
     failed_at = [None] * rows
 
-    for t in range(1, T + 1):
-        xbar = xf.mean(axis=1)
-        u0 = leader_action(gains, t, x0, m_hat)
-        uf = follower_action(gains, t, xf, x0, m_hat)
-        ubar = uf.mean(axis=1)
-        d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat)
-        dbar = df.mean(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
+        for t in range(1, T + 1):
+            xbar = xf.mean(axis=1)
+            u0 = leader_action(gains, t, x0, m_hat)
+            uf = follower_action(gains, t, xf, x0, m_hat)
+            ubar = uf.mean(axis=1)
+            d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat)
+            dbar = df.mean(axis=1)
 
-        for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
-                            ("ubar", ubar), ("d0", d0), ("dbar", dbar)):
-            series[name][active, t - 1] = value
-        stage_costs[active, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar)
-        if keep:
-            full["xi"][active, t - 1], full["ui"][active, t - 1] = xf, uf
-            full["di"][active, t - 1] = df
+            for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
+                                ("ubar", ubar), ("d0", d0), ("dbar", dbar)):
+                series[name][active, t - 1] = value
+            stage_costs[active, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar)
+            if keep:
+                full["xi"][active, t - 1], full["ui"][active, t - 1] = xf, uf
+                full["di"][active, t - 1] = df
 
-        z = np.empty((live.size, n + 1, lx))  # row 0 the leader's noise, rows 1.. the followers'
-        for k, j in enumerate(live):
-            stream(runs[j], t).standard_normal(out=z[k])
-        f0, ff = colour[0][t - 1], colour[1][t - 1]
-        w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
-        wf = rmatmul(z[:, 1:], ff.T) + np.zeros(lx)
-        if len(infos) > 1:  # each run's noise, copied to the rows of its arms
-            w0, wf = w0[pick], wf[pick]
+            z = np.empty((live.size, n + 1, lx))  # row 0 leader noise, rows 1.. follower noise
+            for k, j in enumerate(live):
+                stream(runs[j], t).standard_normal(out=z[k])
+            f0, ff = colour[0][t - 1], colour[1][t - 1]
+            w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
+            wf = rmatmul(z[:, 1:], ff.T) + np.zeros(lx)
+            if len(infos) > 1:  # each run's noise, copied to the rows of its arms
+                w0, wf = w0[pick], wf[pick]
 
-        with np.errstate(over="ignore", invalid="ignore"):
             x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)
                        + matvec(model.S0[t - 1], xbar) + d0 + w0)
             xf_next = (rmatmul(xf, model.A[t - 1]) + rmatmul(uf, model.B[t - 1])
                        + matvec(model.S[t - 1], xbar)[:, None, :]
                        + matvec(model.E[t - 1], x0)[:, None, :] + df + wf)
 
-        ok = np.isfinite(x0_next).all(axis=1) & np.isfinite(xf_next).all(axis=(1, 2))
-        if not ok.all():
-            for row in active[~ok]:
-                failed_at[row] = t
-            active, x0, m_hat = active[ok], x0[ok], m_hat[ok]
-            x0_next, xf_next = x0_next[ok], xf_next[ok]
-            if active.size == 0:
-                break
-            arm, live = active // R, np.flatnonzero(np.bincount(active % R, minlength=R))
-            pick = np.searchsorted(live, active % R)
+            ok = np.isfinite(x0_next).all(axis=1) & np.isfinite(xf_next).all(axis=(1, 2))
+            if not ok.all():
+                for row in active[~ok]:
+                    failed_at[row] = t
+                active, x0, m_hat = active[ok], x0[ok], m_hat[ok]
+                x0_next, xf_next = x0_next[ok], xf_next[ok]
+                if active.size == 0:
+                    break
+                arm, live = active // R, np.flatnonzero(np.bincount(active % R, minlength=R))
+                pick = np.searchsorted(live, active % R)
 
-        if t < T:
-            seen = [info.observed(t + 1) for info in infos]
-            if not all(seen):
-                m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
-            m_hat = _observe(seen, arm, xf_next, m_hat)
-        x0, xf = x0_next, xf_next
+            if t < T:
+                seen = [info.observed(t + 1) for info in infos]
+                if not all(seen):
+                    m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
+                m_hat = _observe(seen, arm, xf_next, m_hat)
+            x0, xf = x0_next, xf_next
 
     records = [
         TrajectoryRecord(

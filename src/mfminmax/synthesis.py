@@ -84,8 +84,14 @@ class StrategyGains:
     L_bar: np.ndarray   # (T, 2lu, 2lx)
     K_brev: np.ndarray  # (T, lx, lx)
     K_bar: np.ndarray   # (T, 2lx, 2lx)
-    state_dim: int
-    action_dim: int
+
+    @property
+    def state_dim(self) -> int:
+        return self.L_brev.shape[2]
+
+    @property
+    def action_dim(self) -> int:
+        return self.L_brev.shape[1]
 
     def l11(self, t: int) -> np.ndarray:
         return self.L_bar[t - 1, : self.action_dim, : self.state_dim]
@@ -178,8 +184,7 @@ def compute_gains(model: ModelSpec, ric: RiccatiSolution) -> StrategyGains:
     return StrategyGains(
         L_brev=-np.linalg.solve(model.R, np.swapaxes(model.B, -1, -2) @ MDA),
         L_bar=-np.linalg.solve(aug.R_bar, np.swapaxes(aug.B_bar, -1, -2) @ MDA_bar),
-        K_brev=MDA / g2, K_bar=MDA_bar / g2,
-        state_dim=model.state_dim, action_dim=model.action_dim)
+        K_brev=MDA / g2, K_bar=MDA_bar / g2)
 
 
 def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:

@@ -99,6 +99,22 @@ def vector_model(T=6, n=4, gamma=3.5):
     )
 
 
+def mixed_dims_model(gamma=5.0):
+    """Two states, one action, so the x and u series have different label counts.
+
+    Feasible at the default gamma (its critical gamma is about 2.712).
+    """
+    return make_model(
+        T=5, n=3, gamma=gamma, lx=2, lu=1,
+        A0=[[1.0, 0.1], [0.0, 0.95]], B0=[[0.3], [0.6]], S0=[[0.05, 0.0], [0.02, 0.04]],
+        A=[[0.9, 0.2], [-0.1, 1.0]], B=[[0.5], [0.3]], S=[[0.03, 0.01], [0.0, 0.05]],
+        E=[[0.02, 0.0], [0.01, 0.02]], Q=[[1.0, 0.2], [0.2, 0.6]], Q0=[[0.5, 0.0], [0.0, 0.5]],
+        F=[[0.4, 0.1], [0.1, 0.3]], P=[[0.1, 0.0], [0.0, 0.1]], R=0.8, R0=1.1, H=0.2,
+        leader_value=[[1.5, -0.5]], follower_uniform=(-2.0, 2.0),
+        noise_leader=[[0.2, 0.05], [0.05, 0.1]], noise_follower=[[0.3, 0.1], [0.1, 0.2]],
+    )
+
+
 def zero_weight_model(T=5, n=3, gamma=1.0):
     return make_model(T=T, n=n, gamma=gamma, A0=0.9, B0=0.2, S0=0.1, A=0.8, B=0.5,
                       S=0.05, E=0.02, Q=0.0, Q0=0.0, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0)

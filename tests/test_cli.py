@@ -1,6 +1,8 @@
 """Command-line behavior: files, exit codes, determinism, schedules."""
 
+import argparse
 import hashlib
+import itertools
 import re
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from mfminmax.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    build_parser,
     bundled_config_path,
     main,
     parse_schedule,
@@ -148,24 +151,14 @@ class TestRunExample:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 8])
-    def test_rerun_is_byte_identical(self, tmp_path, workers):
+    def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             code = main(["run-example", "2", "--gamma", "4.0", "--runs", "4",
-                         "--seed", "3", "--workers", str(workers), "--out", str(out)])
+                         "--seed", "3", "--out", str(out)])
             assert code == EXIT_OK
         for name in ("trajectories_gamma_4.csv", "summary.csv", "riccati_gamma_4.csv"):
             assert read(a / name) == read(b / name)
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        one, eight = tmp_path / "w1", tmp_path / "w8"
-        main(["run-example", "2", "--gamma", "4.0", "--runs", "6", "--seed", "5",
-              "--workers", "1", "--out", str(one)])
-        main(["run-example", "2", "--gamma", "4.0", "--runs", "6", "--seed", "5",
-              "--workers", "8", "--out", str(eight)])
-        for name in ("trajectories_gamma_4.csv", "summary.csv"):
-            assert read(one / name) == read(eight / name)
 
 
 class TestSynthesizeCommand:
@@ -363,10 +356,11 @@ class TestOtherCommands:
         ["simulate", "--runs", "0"],
         ["gap-study", "--runs", "0"],
         ["gap-study", "--n", "0"],
+        ["gap-study", "--gamma", "1", "--n", "0"],
         ["gap-study", "--n", "10", "-3"],
         ["verify", "--directions", "0"],
     ], ids=["verify-n0", "verify-n17", "simulate-runs0", "gap-study-runs0", "gap-study-n0",
-            "gap-study-n-3", "verify-directions0"])
+            "gap-study-n0-infeasible", "gap-study-n-3", "verify-directions0"])
     def test_count_out_of_range_fails(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         code = main(argv + ["--config", str(bundled_config_path(2)), "--out", str(out)])
@@ -401,6 +395,24 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_runs_that_all_overflow_fail_without_warnings(self, tmp_path, capsys):
+        # Followers grow tenfold per step from up to 1e300, so every run overflows, and the
+        # feedback maps overflow on the estimate before the state update marks a run failed.
+        config = tmp_path / "diverging.yaml"
+        config.write_text(
+            "horizon: 12\nn_followers: 1\nstate_dim: 1\naction_dim: 1\ngamma: 5.0\n"
+            "leader: {A0: 1.0, B0: 0.0, S0: 0.0}\n"
+            "follower: {A: 10.0, B: 0.0, S: 0.0, E: 0.0}\n"
+            "cost: {Q: 0.0, Q0: 0.0, F: 0.0, P: 0.0, R: 1.0, R0: 1.0, H: 0.0}\n"
+            "leader_init: {value: 0.0}\n"
+            "follower_init: {uniform: {low: 0.0, high: 1.0e+300}}\n"
+            "noise: {follower: 1.0, leader: 0.0}\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--gamma", "5", "--runs", "40",
+                     "--seed", "0", "--observe", "none", "--disturbance", "worst-case",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().err == "error: no successful runs to aggregate\n"
 
     def test_sweep_requires_gamma(self, capsys):
         code = main(["sweep-gamma", "--config", str(bundled_config_path(2))])
@@ -461,11 +473,15 @@ class TestOtherCommands:
         ["verify", "--runs", "9"],
         ["verify", "--observe", "none"],
         ["verify", "--workers", "2"],
+        ["run-example", "2", "--workers", "1"],
+        ["simulate", "--workers", "1"],
+        ["gap-study", "--workers", "1"],
         ["synthesize", "--gamma", "1.0", "4.0"],
         ["verify", "--gamma", "1.0", "4.0"],
         ["gap-study", "--gamma", "1.0", "4.0"],
     ], ids=["run-example-config", "synthesize-seed", "synthesize-runs", "synthesize-observe",
             "synthesize-workers", "verify-runs", "verify-observe", "verify-workers",
+            "run-example-workers", "simulate-workers", "gap-study-workers",
             "synthesize-two-gammas", "verify-two-gammas", "gap-study-two-gammas"])
     def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -485,3 +501,28 @@ class TestOtherCommands:
     def test_missing_config_fails_cleanly(self, capsys):
         code = main(["synthesize"])
         assert code == EXIT_FAIL
+
+
+def readme_flags_table():
+    """{command: (documented flags, whether --out is documented)} from README's flags table."""
+    lines = read(Path(__file__).parent.parent / "README.md").splitlines()
+    start = lines.index("| Command | Flags besides `--out` |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        _, commands, flags, _ = re.split(r"(?<!\\)\|", line)
+        flags, _, remark = flags.partition("(no ")
+        for command in re.findall(r"`([\w-]+)", commands):
+            table[command] = (set(re.findall(r"`(--[\w-]+)", flags)),
+                              "`--out`" not in remark)
+    return table
+
+
+def test_readme_flags_table_matches_parser():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    table = readme_flags_table()
+    assert set(table) == set(sub.choices)
+    for command, parser in sub.choices.items():
+        accepted = {flag for action in parser._actions for flag in action.option_strings}
+        flags, has_out = table[command]
+        assert accepted - {"-h", "--help", "--out"} == flags, command
+        assert ("--out" in accepted) == has_out, command

@@ -20,11 +20,12 @@ from mfminmax.oracle import (
     verify_equivalence,
 )
 from mfminmax.sim import DisturbancePolicy
-from mfminmax.synthesis import StrategyGains, compute_gains, optimal_value, solve_riccati
+from mfminmax.synthesis import compute_gains, optimal_value, solve_riccati
 
 from conftest import (
     EX2_GAMMA,
     make_model,
+    mixed_dims_model,
     random_feasible_scalar_model,
     reference_scalar_recursion,
     zero_weight_model,
@@ -100,6 +101,50 @@ class TestStackedAssembly:
         fol = xf @ m.A[0].T + uf @ m.B[0].T + m.S[0] @ xbar + m.E[0] @ x0
         assert nxt[:lx] == pytest.approx(lead, rel=1e-12)
         assert nxt[lx:] == pytest.approx(fol.ravel(), rel=1e-12)
+
+
+def reference_joint_gains(model, gains, n):
+    """The joint gains built block by block, one t, i and j at a time."""
+    T, lx, lu = model.horizon, model.state_dim, model.action_dim
+    KU = np.zeros((T, (n + 1) * lu, (n + 1) * lx))
+    KD = np.zeros((T, (n + 1) * lx, (n + 1) * lx))
+    for t in range(1, T + 1):
+        L, K, kb = gains.L_brev[t - 1], gains.K_brev[t - 1], gains.K_bar[t - 1]
+        l11, l12, l21, l22 = gains.l11(t), gains.l12(t), gains.l21(t), gains.l22(t)
+        k11, k12, k21, k22 = kb[:lx, :lx], kb[:lx, lx:], kb[lx:, :lx], kb[lx:, lx:]
+        KU[t - 1, :lu, :lx] = l11
+        KD[t - 1, :lx, :lx] = k11
+        for j in range(1, n + 1):
+            KU[t - 1, :lu, j * lx:(j + 1) * lx] = l12 / n
+            KD[t - 1, :lx, j * lx:(j + 1) * lx] = k12 / n
+        for i in range(1, n + 1):
+            KU[t - 1, i * lu:(i + 1) * lu, :lx] = l21
+            KD[t - 1, i * lx:(i + 1) * lx, :lx] = k21
+            for j in range(1, n + 1):
+                KU[t - 1, i * lu:(i + 1) * lu, j * lx:(j + 1) * lx] = (
+                    (l22 - L) / n + (L if i == j else 0.0))
+                KD[t - 1, i * lx:(i + 1) * lx, j * lx:(j + 1) * lx] = (
+                    (k22 - K) / n + (K if i == j else 0.0))
+    return KU, KD
+
+
+class TestDecomposedJointGains:
+    @pytest.mark.parametrize("n", [1, 2, 5, MAX_ORACLE_FOLLOWERS])
+    @pytest.mark.parametrize("which", ["example2", "vector", "vector_2x2", "mixed_dims",
+                                       "signed_zeros"])
+    def test_equals_blockwise_reference_bitwise(self, request, which, n):
+        m = {"vector": vector_model, "vector_2x2": vector_model_2x2,
+             "mixed_dims": mixed_dims_model}.get(which)
+        m = request.getfixturevalue("example2").with_gamma(EX2_GAMMA) if m is None else m()
+        gains = compute_gains(m, solve_riccati(m))
+        if which == "signed_zeros":  # -0.0 augmented gains minus +0.0 own gains give -0.0
+            gains = replace(gains, L_brev=np.zeros_like(gains.L_brev),
+                            L_bar=np.full_like(gains.L_bar, -0.0),
+                            K_brev=np.zeros_like(gains.K_brev),
+                            K_bar=np.full_like(gains.K_bar, -0.0))
+        for got, want in zip(decomposed_joint_gains(m, gains, n),
+                             reference_joint_gains(m, gains, n), strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestDecoupling:
@@ -294,9 +339,7 @@ class TestSaddleCheck:
     def test_sign_flipped_gain_detected(self, example2):
         m = example2_n(example2, 2, [2.0, 6.0])
         gains = compute_gains(m, solve_riccati(m))
-        corrupted = StrategyGains(L_brev=-gains.L_brev, L_bar=gains.L_bar,
-                                  K_brev=gains.K_brev, K_bar=gains.K_bar,
-                                  state_dim=1, action_dim=1)
+        corrupted = replace(gains, L_brev=-gains.L_brev)
         rep = saddle_check(m, corrupted, num_directions=50, seed=9,
                            x0_init=np.array([10.0]),
                            followers_init=np.array([[2.0], [6.0]]), n=2)

@@ -19,6 +19,7 @@ from conftest import (
     EX1_GAMMA,
     EX2_GAMMA,
     make_model,
+    mixed_dims_model,
     random_feasible_scalar_model,
     reference_2x2_recursion,
     reference_lqr,
@@ -221,12 +222,17 @@ class TestGains:
             assert np.all(gains.l11(t) == 0.0)
             assert np.all(gains.l12(t) == 0.0)
 
-    def test_block_accessors_partition(self, example1):
-        m = example1.with_gamma(EX1_GAMMA)
+    @pytest.mark.parametrize("which", ["example1", "mixed_dims"])
+    def test_block_accessors_partition(self, request, which):
+        # mixed_dims has lx = 2, lu = 1: the derived dimensions must not swap.
+        m = (mixed_dims_model() if which == "mixed_dims"
+             else request.getfixturevalue(which).with_gamma(EX1_GAMMA))
         gains = compute_gains(m, solve_riccati(m))
+        assert (gains.state_dim, gains.action_dim) == (m.state_dim, m.action_dim)
         t = 3
-        recomposed = np.block([[gains.l11(t), gains.l12(t)],
-                               [gains.l21(t), gains.l22(t)]])
+        blocks = [gains.l11(t), gains.l12(t), gains.l21(t), gains.l22(t)]
+        assert all(block.shape == (m.action_dim, m.state_dim) for block in blocks)
+        recomposed = np.block([blocks[:2], blocks[2:]])
         assert np.array_equal(recomposed, gains.L_bar[t - 1])
 
 
