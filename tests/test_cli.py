@@ -151,10 +151,11 @@ class TestRunExample:
 
 
 class TestDeterminism:
-    def test_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("runs", [1, 8])
+    def test_rerun_is_byte_identical(self, tmp_path, runs):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            code = main(["run-example", "2", "--gamma", "4.0", "--runs", "4",
+            code = main(["run-example", "2", "--gamma", "4.0", "--runs", str(runs),
                          "--seed", "3", "--out", str(out)])
             assert code == EXIT_OK
         for name in ("trajectories_gamma_4.csv", "summary.csv", "riccati_gamma_4.csv"):
