@@ -98,7 +98,7 @@ def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
             any_feasible = True
             gains = compute_gains(mdl, ric)
             records = simulate(mdl, gains, cfg)
-            cost = evaluate_cost(mdl, records)
+            cost = evaluate_cost(records)
             mean, stderr = cost.mean, cost.stderr
             _write(out / f"trajectories_gamma_{_gamma_tag(gamma)}.csv", trajectory_csv(records))
             _write(out / f"riccati_gamma_{_gamma_tag(gamma)}.csv", riccati_csv(ric, gains))

@@ -46,11 +46,18 @@ class ModelError(ValueError):
 
 
 def _floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array; what numpy cannot read as numbers is a ModelError."""
+    """``value`` as a finite float array; anything else is a ModelError.
+
+    Every array the loader reads passes through here.  YAML's null reads
+    as nan, so it is rejected as a non-finite entry.
+    """
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ModelError(f"{name}: expected numbers, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(f"{name}: non-finite entries")
+    return arr
 
 
 def _number(value, name: str) -> float:
@@ -84,8 +91,6 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
             raise ModelError(f"{name}: got shape {arr.shape}, expected {rows}x{cols}")
     if arr.shape != (rows, cols):
         raise ModelError(f"{name}: got shape {arr.shape}, expected {rows}x{cols}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{name}: non-finite entries")
     return arr
 
 
@@ -106,20 +111,19 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
     return np.broadcast_to(mat, (T, rows, cols)).copy()
 
 
+def _symmetric(x: np.ndarray, name: str) -> np.ndarray:
+    """(x + x') / 2, warning or rejecting by the asymmetry of x relative to its magnitude."""
+    rel = np.max(np.abs(x - x.T)) / max(np.max(np.abs(x)), 1.0)
+    if rel > SYM_REJECT:
+        raise ModelError(f"{name}: asymmetry {rel:.3g} exceeds {SYM_REJECT:.0e}")
+    if rel > SYM_WARN:
+        warnings.warn(f"{name}: symmetrized (asymmetry {rel:.3g})", stacklevel=4)
+    return (x + x.T) / 2.0
+
+
 def _symmetrize(stack: np.ndarray, name: str) -> np.ndarray:
     """Symmetrize each matrix in a stack, warning/rejecting by asymmetry."""
-    out = stack.copy()
-    for t in range(stack.shape[0]):
-        x = stack[t]
-        asym = np.max(np.abs(x - x.T))
-        scale = max(np.max(np.abs(x)), 1.0)
-        rel = asym / scale
-        if rel > SYM_REJECT:
-            raise ModelError(f"{name} at t={t + 1}: asymmetry {rel:.3g} exceeds {SYM_REJECT:.0e}")
-        if rel > SYM_WARN:
-            warnings.warn(f"{name} at t={t + 1}: symmetrized (asymmetry {rel:.3g})", stacklevel=3)
-        out[t] = (x + x.T) / 2.0
-    return out
+    return np.stack([_symmetric(x, f"{name} at t={t + 1}") for t, x in enumerate(stack)])
 
 
 def _check_psd(mat: np.ndarray, name: str, tol: float = 1e-10) -> None:
@@ -185,6 +189,8 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
         key, body = "values", [body]
     if key == "values":
         vals = np.atleast_2d(_floats(body, name))
+        if vals.ndim != 2 or vals.size == 0:
+            raise ModelError(f"{name}: expected one state or a list of states, got {body!r}")
         if vals.shape[1] != dim:
             # a flat list of scalars for dim=1
             if dim == 1 and vals.shape[0] == 1:
@@ -195,15 +201,20 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
     if key == "gaussian":
         body = _check_keys(body, {"mean", "cov"}, f"{name}.gaussian", required=("mean", "cov"))
         mu = np.atleast_1d(_floats(body["mean"], f"{name}.mean"))
-        sigma = _as_matrix(body["cov"], dim, dim, f"{name}.cov")
-        sigma = (sigma + sigma.T) / 2.0
+        sigma = _symmetric(_as_matrix(body["cov"], dim, dim, f"{name}.cov"), f"{name}.cov")
         _check_psd(sigma, f"{name}.cov")
         if mu.shape != (dim,):
             raise ModelError(f"{name}.mean: expected dimension {dim}")
         return InitSpec(kind="gaussian", dim=dim, mu=mu, sigma=sigma)
     body = _check_keys(body, {"low", "high"}, f"{name}.uniform", required=("low", "high"))
-    low = np.broadcast_to(_floats(body["low"], f"{name}.low"), (dim,)).copy()
-    high = np.broadcast_to(_floats(body["high"], f"{name}.high"), (dim,)).copy()
+    bounds = []
+    for bound in ("low", "high"):
+        arr = _floats(body[bound], f"{name}.{bound}")
+        if arr.shape not in ((), (dim,)):
+            raise ModelError(f"{name}.{bound}: expected a scalar or shape ({dim},), "
+                             f"got shape {arr.shape}")
+        bounds.append(np.broadcast_to(arr, (dim,)).copy())
+    low, high = bounds
     if np.any(high < low):
         raise ModelError(f"{name}: uniform high < low")
     return InitSpec(kind="uniform", dim=dim, low=low, high=high)
@@ -283,13 +294,11 @@ class ModelSpec:
     """Validated system + cost description.
 
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
-    Weight matrices are symmetric after load.
+    Weight matrices are symmetric after load.  The horizon T and the
+    dimensions lx and lu are read from the leader's stacks.
     """
 
-    horizon: int
     n_followers: int
-    state_dim: int
-    action_dim: int
     gamma: float
     # leader dynamics
     A0: np.ndarray
@@ -314,6 +323,18 @@ class ModelSpec:
     noise_leader: np.ndarray = None    # (T, lx, lx) covariance of w0_t
     noise_follower: np.ndarray = None  # (T, lx, lx) covariance of wi_t
     experiment: Experiment = Experiment()
+
+    @property
+    def horizon(self) -> int:
+        return self.A0.shape[0]
+
+    @property
+    def state_dim(self) -> int:
+        return self.A0.shape[1]
+
+    @property
+    def action_dim(self) -> int:
+        return self.B0.shape[2]
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
         return replace(self, gamma=_attenuation(gamma))
@@ -370,6 +391,9 @@ def disturbance_policy(section) -> DisturbancePolicy:
     fields = dict(_check_keys(section, DISTURBANCE_KEYS, "experiment.disturbance"))
     if "amplitude" in fields:
         fields["amplitude"] = _number(fields["amplitude"], "experiment.disturbance.amplitude")
+        if not np.isfinite(fields["amplitude"]):
+            raise ModelError(f"experiment.disturbance.amplitude must be finite, "
+                             f"got {fields['amplitude']!r}")
     for key, allowed in (("kind", ("zero", "sinusoid", "worst_case", "worst-case")),
                          ("applied_to", ("followers", "leader", "both"))):
         if key in fields and fields[key] not in allowed:
@@ -451,13 +475,14 @@ def load_model(text: str) -> ModelSpec:
         _check_psd(nf[t], f"noise.follower[t={t + 1}]")
 
     leader_init = _parse_init(raw["leader_init"], lx, "leader_init")
+    if leader_init.kind == "deterministic" and leader_init.values.shape[0] != 1:
+        raise ModelError("leader_init must give one state")
     follower_init = _parse_init(raw["follower_init"], lx, "follower_init")
     if follower_init.kind == "deterministic" and np.atleast_2d(follower_init.values).shape[0] not in (1, n):
         raise ModelError("follower_init.values must list 1 or n_followers states")
 
     model = ModelSpec(
-        horizon=T, n_followers=n, state_dim=lx, action_dim=lu, gamma=gamma,
-        A0=A0, B0=B0, S0=S0, A=A, B=B, S=S, E=E,
+        n_followers=n, gamma=gamma, A0=A0, B0=B0, S0=S0, A=A, B=B, S=S, E=E,
         Q=weights["Q"], Q0=weights["Q0"], F=weights["F"], P=weights["P"],
         R=weights["R"], R0=weights["R0"], H=weights["H"],
         leader_init=leader_init, follower_init=follower_init,

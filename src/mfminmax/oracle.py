@@ -322,7 +322,7 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
     rows = []
     for n in n_list:
         mdl = replace(model, n_followers=int(n))
-        j_mfs, j_imfs = (evaluate_cost(mdl, records)
+        j_mfs, j_imfs = (evaluate_cost(records)
                          for records in simulate(mdl, gains, cfg, arms=arms))
         gap = abs(j_imfs.mean - j_mfs.mean)
         rows.append({"n": int(n), "runs": runs, "j_mfs": j_mfs.mean, "j_imfs": j_imfs.mean,

@@ -68,7 +68,10 @@ class SimConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """One run: aggregate series for t = 1..T plus the realized cost."""
+    """One run: aggregate series for t = 1..T plus the realized cost.
+
+    A run that failed at t has ``failed_at`` t; its total cost is nan.
+    """
 
     run: int
     seed: int
@@ -80,17 +83,22 @@ class TrajectoryRecord:
     d0: np.ndarray          # (T, lx)
     dbar: np.ndarray        # (T, lx)
     stage_costs: np.ndarray  # (T,)
-    total_cost: float
     xi: np.ndarray | None = None  # (T, n, lx) when retained
     ui: np.ndarray | None = None  # (T, n, lu) when retained
     di: np.ndarray | None = None  # (T, n, lx) when retained
-    failed: bool = False
     failed_at: int | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failed_at is not None
+
+    @property
+    def total_cost(self) -> float:
+        return math.nan if self.failed else float(self.stage_costs.sum())
 
 
 @dataclass(frozen=True)
 class CostSummary:
-    per_run: np.ndarray
     mean: float
     stderr: float
     failed_runs: int = 0
@@ -363,9 +371,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
         TrajectoryRecord(
             run=runs[row % R], seed=seed, **{name: arr[row] for name, arr in series.items()},
             stage_costs=stage_costs[row],
-            total_cost=np.nan if failed_at[row] is not None else float(stage_costs[row].sum()),
-            xi=full["xi"][row], ui=full["ui"][row], di=full["di"][row],
-            failed=failed_at[row] is not None, failed_at=failed_at[row])
+            xi=full["xi"][row], ui=full["ui"][row], di=full["di"][row], failed_at=failed_at[row])
         for row in range(rows)
     ]
     return [records[first:first + R] for first in range(0, rows, R)]
@@ -406,7 +412,7 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
     return records[0] if arms is None else records
 
 
-def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord]) -> CostSummary:
+def evaluate_cost(records: list[TrajectoryRecord]) -> CostSummary:
     """Monte Carlo mean and standard error of the realized cost."""
     per_run = np.array([r.total_cost for r in records])
     ok = np.isfinite(per_run)
@@ -415,8 +421,7 @@ def evaluate_cost(model: ModelSpec, records: list[TrajectoryRecord]) -> CostSumm
         raise ValueError("no successful runs to aggregate")
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return CostSummary(per_run=per_run, mean=mean, stderr=stderr,
-                       failed_runs=int((~ok).sum()))
+    return CostSummary(mean=mean, stderr=stderr, failed_runs=int((~ok).sum()))
 
 
 def _labels(base: str, dim: int) -> list[str]:

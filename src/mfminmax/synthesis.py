@@ -15,7 +15,6 @@ recursion still runs, flagged, so the margin profile is reportable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,8 @@ class RiccatiSolution:
 
     M stacks have T+1 entries (index [t-1]; the last is the zero terminal
     matrix), Delta stacks and margins have T entries.  c_brev is stored
-    once (identical across followers for i.i.d. noise).
+    once (identical across followers for i.i.d. noise).  A solution is
+    feasible when no t is flagged.
     """
 
     gamma: float
@@ -62,10 +62,13 @@ class RiccatiSolution:
     Delta_bar: np.ndarray    # (T, 2lx, 2lx)
     c_brev: np.ndarray       # (T+1,)
     c_bar: np.ndarray        # (T+1,)
-    feasible: bool
     margin_brev: np.ndarray  # (T,) min eig of gamma^2 I - M_brev[t+1]
     margin_bar: np.ndarray   # (T,)
     infeasible_times: tuple = ()
+
+    @property
+    def feasible(self) -> bool:
+        return not self.infeasible_times
 
     def min_margin(self) -> float:
         return float(min(self.margin_brev.min(), self.margin_bar.min()))
@@ -162,8 +165,7 @@ def solve_riccati(model: ModelSpec) -> RiccatiSolution:
     bad = bad_b | bad_B
     return RiccatiSolution(
         gamma=model.gamma, M_brev=Mb, M_bar=MB, Delta_brev=Db, Delta_bar=DB,
-        c_brev=c_brev, c_bar=c_bar, feasible=not bad.any(),
-        margin_brev=marg_b, margin_bar=marg_B,
+        c_brev=c_brev, c_bar=c_bar, margin_brev=marg_b, margin_bar=marg_B,
         infeasible_times=tuple((np.flatnonzero(bad) + 1).tolist()),
     )
 
@@ -226,12 +228,16 @@ def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:
 def critical_gamma(model: ModelSpec, gamma_lo: float, gamma_hi: float, tol: float = 1e-6) -> float:
     """Bisect the feasibility boundary between an infeasible and a feasible gamma.
 
-    Requires infeasibility at gamma_lo and feasibility at gamma_hi; the
-    observed (gamma, feasible) evaluations are checked for monotonicity
-    and a warning is emitted if an inversion shows up.
+    Requires gamma_lo < gamma_hi, infeasibility at gamma_lo and feasibility
+    at gamma_hi.  Every infeasible point seen stays at or below ``lo`` and
+    every feasible one at or above ``hi``.  The bisection stops once
+    hi - lo <= tol, or once the midpoint rounds onto an end of the bracket.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not gamma_lo < gamma_hi:
+        raise ValueError(f"bisection bracket invalid: gamma_lo={gamma_lo:g} "
+                         f"is not below gamma_hi={gamma_hi:g}")
 
     def feasible(g: float) -> bool:
         return solve_riccati(model.with_gamma(g)).feasible
@@ -242,20 +248,15 @@ def critical_gamma(model: ModelSpec, gamma_lo: float, gamma_hi: float, tol: floa
             f"bisection bracket invalid: feasible(gamma_lo={gamma_lo:g})={lo_ok}, "
             f"feasible(gamma_hi={gamma_hi:g})={hi_ok}"
         )
-    seen = [(gamma_lo, lo_ok), (gamma_hi, hi_ok)]
     lo, hi = gamma_lo, gamma_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
-        seen.append((mid, ok))
-        if ok:
+        if not lo < mid < hi:
+            break
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
-    seen.sort()
-    flips = sum(1 for (_, a), (_, b) in zip(seen, seen[1:]) if a and not b)
-    if flips:
-        warnings.warn("feasibility is not monotone in gamma on the evaluated points", stacklevel=2)
     return 0.5 * (lo + hi)
 
 

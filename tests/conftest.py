@@ -70,7 +70,7 @@ def make_model(*, T, n, gamma, A0, B0, S0, A, B, S, E, Q, Q0, F, P, R, R0, H,
     linit = InitSpec(kind="deterministic", dim=lx,
                      values=np.atleast_2d(np.asarray(leader_value, dtype=float)))
     return ModelSpec(
-        horizon=T, n_followers=n, state_dim=lx, action_dim=lu, gamma=float(gamma),
+        n_followers=n, gamma=float(gamma),
         A0=stack(A0, lx, lx), B0=stack(B0, lx, lu), S0=stack(S0, lx, lx),
         A=stack(A, lx, lx), B=stack(B, lx, lu), S=stack(S, lx, lx), E=stack(E, lx, lx),
         Q=stack(Q, lx, lx), Q0=stack(Q0, lx, lx), F=stack(F, lx, lx), P=stack(P, lx, lx),

@@ -298,6 +298,12 @@ class TestOtherCommands:
                      "--lo", "5.0", "--hi", "20.0"])
         assert code == EXIT_FAIL
 
+    def test_critical_gamma_nan_tol_fails(self, capsys):
+        code = main(["critical-gamma", "--config", str(bundled_config_path(2)),
+                     "--lo", "0.5", "--hi", "20.0", "--tol", "nan"])
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().err.startswith("error: tol must be positive")
+
     def test_gap_study_writes_table(self, tmp_path):
         out = tmp_path / "gap"
         code = main(["gap-study", "--config", str(bundled_config_path(2)),
@@ -397,6 +403,16 @@ class TestOtherCommands:
         assert err.startswith(f"error: {flag} ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_flag_fails(self, tmp_path, capsys, amplitude):
+        out = tmp_path / "out"
+        code = main(["simulate", "--disturbance", "sinusoid", "--amplitude", amplitude,
+                     "--config", str(bundled_config_path(2)), "--out", str(out)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "amplitude must be finite" in err
+        assert not out.exists()
+
     def test_runs_that_all_overflow_fail_without_warnings(self, tmp_path, capsys):
         # Followers grow tenfold per step from up to 1e300, so every run overflows, and the
         # feedback maps overflow on the estimate before the state update marks a run failed.
@@ -449,10 +465,12 @@ class TestOtherCommands:
         ("simulate", "amplitude: 0.4", "amplitude: null", "experiment.disturbance.amplitude"),
         ("synthesize", "applied_to: followers", "applied_to: null",
          "experiment.disturbance.applied_to"),
+        ("synthesize", "  value: 10.0", "  value: .nan", "leader_init"),
     ], ids=["fractional-runs", "fractional-seed", "negative-seed", "zero-runs", "list-amplitude",
             "mapping-in-matrix", "misspelled-kind", "misspelled-applied_to",
             "non-positive-gamma_list", "amplitude-without-sinusoid",
-            "applied_to-without-sinusoid", "null-kind", "null-amplitude", "null-applied_to"])
+            "applied_to-without-sinusoid", "null-kind", "null-amplitude", "null-applied_to",
+            "nan-leader-value"])
     def test_malformed_value_fails_without_traceback(self, tmp_path, capsys, command, old, new,
                                                      named):
         text = read(bundled_config_path(2))

@@ -1,8 +1,17 @@
 """Model loading, augmentation, convexity checks, information structures."""
 
+import copy
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mfminmax.cli import bundled_config_path
 from mfminmax.model import (
     InfoStructure,
     ModelError,
@@ -12,7 +21,7 @@ from mfminmax.model import (
     validate_convexity,
 )
 
-from conftest import make_model
+from conftest import make_model, mixed_dims_model
 
 MINIMAL = """
 horizon: {T}
@@ -28,6 +37,30 @@ follower_init: {{uniform: {{low: 0.0, high: 2.0}}}}
 
 def minimal(T=4, gamma=5.0, Q=1.0, R=2.0):
     return MINIMAL.format(T=T, gamma=gamma, Q=Q, R=R)
+
+
+TWO_STATE = """
+horizon: 2
+n_followers: 2
+state_dim: 2
+gamma: 5.0
+leader: {{A0: [[1.0, 0.0], [0.0, 1.0]], B0: [[1.0], [0.0]], S0: [[0.0, 0.0], [0.0, 0.0]]}}
+follower: {{A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0], [0.0]], S: [[0.0, 0.0], [0.0, 0.0]], E: [[0.0, 0.0], [0.0, 0.0]]}}
+cost:
+  Q: {Q}
+  Q0: [[1.0, 0.0], [0.0, 1.0]]
+  F: [[0.0, 0.0], [0.0, 0.0]]
+  P: [[0.0, 0.0], [0.0, 0.0]]
+  R: 1.0
+  R0: 1.0
+  H: 0.0
+leader_init: {{value: [0.0, 0.0]}}
+follower_init: {follower_init}
+"""
+
+
+def two_state(Q="[[1.0, 0.0], [0.0, 1.0]]", follower_init="{values: [[0.0, 0.0], [0.0, 0.0]]}"):
+    return TWO_STATE.format(Q=Q, follower_init=follower_init)
 
 
 class TestLoadModel:
@@ -95,50 +128,28 @@ class TestLoadModel:
             load_model(text)
 
     def test_mild_asymmetry_symmetrized_with_warning(self):
-        text = """
-horizon: 2
-n_followers: 2
-state_dim: 2
-gamma: 5.0
-leader: {A0: [[1.0, 0.0], [0.0, 1.0]], B0: [[1.0], [0.0]], S0: [[0.0, 0.0], [0.0, 0.0]]}
-follower: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0], [0.0]], S: [[0.0, 0.0], [0.0, 0.0]], E: [[0.0, 0.0], [0.0, 0.0]]}
-cost:
-  Q: [[1.0, 1.0e-8], [0.0, 1.0]]
-  Q0: [[1.0, 0.0], [0.0, 1.0]]
-  F: [[0.0, 0.0], [0.0, 0.0]]
-  P: [[0.0, 0.0], [0.0, 0.0]]
-  R: 1.0
-  R0: 1.0
-  H: 0.0
-leader_init: {value: [0.0, 0.0]}
-follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
-"""
         with pytest.warns(UserWarning, match="symmetrized"):
-            m = load_model(text)
+            m = load_model(two_state(Q="[[1.0, 1.0e-8], [0.0, 1.0]]"))
         assert m.Q[0, 0, 1] == pytest.approx(0.5e-8)
         assert np.array_equal(m.Q[0], m.Q[0].T)
 
     def test_large_asymmetry_rejected(self):
-        text = """
-horizon: 2
-n_followers: 2
-state_dim: 2
-gamma: 5.0
-leader: {A0: [[1.0, 0.0], [0.0, 1.0]], B0: [[1.0], [0.0]], S0: [[0.0, 0.0], [0.0, 0.0]]}
-follower: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0], [0.0]], S: [[0.0, 0.0], [0.0, 0.0]], E: [[0.0, 0.0], [0.0, 0.0]]}
-cost:
-  Q: [[1.0, 0.01], [0.0, 1.0]]
-  Q0: [[1.0, 0.0], [0.0, 1.0]]
-  F: [[0.0, 0.0], [0.0, 0.0]]
-  P: [[0.0, 0.0], [0.0, 0.0]]
-  R: 1.0
-  R0: 1.0
-  H: 0.0
-leader_init: {value: [0.0, 0.0]}
-follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
-"""
         with pytest.raises(ModelError, match="asymmetry"):
+            load_model(two_state(Q="[[1.0, 0.01], [0.0, 1.0]]"))
+
+    def test_initial_covariance_asymmetry_rejected(self):
+        # the rule of the weights and the noise, not a silent average
+        text = two_state(follower_init="{gaussian: {mean: [0.0, 0.0], "
+                                       "cov: [[1.0, 0.9], [0.0, 1.0]]}}")
+        with pytest.raises(ModelError, match=r"follower_init.cov: asymmetry 0.9 exceeds"):
             load_model(text)
+
+    def test_initial_covariance_mild_asymmetry_symmetrized_with_warning(self):
+        text = two_state(follower_init="{gaussian: {mean: [0.0, 0.0], "
+                                       "cov: [[1.0, 1.0e-8], [0.0, 1.0]]}}")
+        with pytest.warns(UserWarning, match="follower_init.cov: symmetrized"):
+            sigma = load_model(text).follower_init.sigma
+        assert sigma[0, 1] == sigma[1, 0] == 0.5e-8
 
     def test_unparseable_text(self):
         with pytest.raises(ModelError):
@@ -173,6 +184,21 @@ follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
         ("high: 2.0", "high: -1.0", "follower_init: uniform high < low"),
         ("{uniform: {low: 0.0, high: 2.0}}", "{values: [1.0, 2.0, 3.0]}",
          "follower_init.values must list 1 or n_followers states"),
+        ("{value: 1.0}", "{value: .nan}", "leader_init: non-finite"),
+        ("{value: 1.0}", "{value: null}", "leader_init: non-finite"),
+        ("{value: 1.0}", "{value: []}", "leader_init: expected one state"),
+        ("{value: 1.0}", "{value: [[1.0]]}", "leader_init: expected one state"),
+        ("{value: 1.0}", "{values: [1.0, 2.0]}", "leader_init must give one state"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{gaussian: {mean: .nan, cov: 1.0}}",
+         "follower_init.mean: non-finite"),
+        ("high: 2.0", "high: .inf", "follower_init.high: non-finite"),
+        ("low: 0.0", "low: [0.0, 0.0]",
+         r"follower_init.low: expected a scalar or shape \(1,\), got shape \(2,\)"),
+        ("high: 2.0", "high: [[2.0]]", "follower_init.high: expected a scalar or shape"),
+        ("leader_init:", "experiment: {disturbance: {kind: sinusoid, amplitude: .nan}}\n"
+         "leader_init:", "experiment.disturbance.amplitude must be finite"),
+        ("leader_init:", "experiment: {disturbance: {kind: sinusoid, amplitude: -.inf}}\n"
+         "leader_init:", "experiment.disturbance.amplitude must be finite"),
     ], ids=["missing-leader-key", "gaussian-without-cov", "uniform-without-high",
             "leader-not-mapping", "misspelled-noise-key", "unknown-leader-key",
             "unknown-follower-key", "unknown-cost-key", "unknown-uniform-key",
@@ -180,7 +206,11 @@ follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
             "mapping-in-matrix", "per_t-not-a-list", "gamma-a-list", "mapping-in-init",
             "gamma_list-not-a-list", "gaussian-cov-not-psd", "gaussian-mean-dimension",
             "nan-matrix-entry", "inf-matrix-entry", "zero-horizon", "zero-n_followers",
-            "uniform-high-below-low", "follower-values-count"])
+            "uniform-high-below-low", "follower-values-count", "nan-initial-value",
+            "null-initial-value", "empty-initial-value", "initial-value-rank-3",
+            "two-leader-states", "nan-gaussian-mean", "inf-uniform-bound",
+            "uniform-bound-too-long", "uniform-bound-rank-2", "nan-sinusoid-amplitude",
+            "inf-sinusoid-amplitude"])
     def test_malformed_config_names_the_key(self, old, new, named):
         text = minimal()
         assert old in text
@@ -202,6 +232,72 @@ follower_init: {values: [[0.0, 0.0], [0.0, 0.0]]}
     def test_flat_list_of_another_length_rejected(self):
         with pytest.raises(ModelError, match=r"X: got shape \(3,\), expected 2x1"):
             _as_matrix([1.0, 2.0, 3.0], 2, 1, "X")
+
+
+class TestDerivedDimensions:
+    STACKS = ("A0", "B0", "S0", "A", "B", "S", "E", "Q", "Q0", "F", "P", "R", "R0", "H",
+              "noise_leader", "noise_follower")
+
+    def test_sliced_stacks_give_the_horizon(self, example2):
+        T = 4
+        m = replace(example2, **{name: getattr(example2, name)[:T] for name in self.STACKS})
+        assert m.horizon == T
+        assert validate_convexity(m).ok
+
+    def test_state_and_action_dimensions_differ(self):
+        m = mixed_dims_model()
+        assert (m.horizon, m.state_dim, m.action_dim) == (5, 2, 1)
+
+
+def _leaves(node, path=()):
+    """The key path of every scalar in a parsed config, lists entered by index."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaves(child, path + (key,))]
+
+
+def _bundled(which, **sections):
+    raw = yaml.safe_load(bundled_config_path(which).read_text(encoding="utf-8"))
+    return {**raw, **sections}
+
+
+LOADER_BASES = [
+    _bundled(1), _bundled(2),
+    _bundled(2, leader_init={"gaussian": {"mean": 10.0, "cov": 25.0}},
+             follower_init={"gaussian": {"mean": 4.0, "cov": 40.0}}),
+]
+# Integers stay <= 50, so a mutated horizon or dimension allocates small stacks.
+LEAF_MUTANTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, "x", [],
+                     [1.0, 2.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0], [2.0]], [[[1.0]]]]),
+    st.integers(-2, 50))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_mutated_bundled_config_loads_finite_initials_or_raises_model_error(data):
+    raw = copy.deepcopy(data.draw(st.sampled_from(LOADER_BASES)))
+    *parents, key = data.draw(st.sampled_from(_leaves(raw)))
+    node = raw
+    for parent in parents:
+        node = node[parent]
+    node[key] = data.draw(LEAF_MUTANTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a symmetrized matrix only warns
+        try:
+            m = load_model(yaml.safe_dump(raw))
+        except ModelError:
+            return
+    lx = m.state_dim
+    for init in (m.leader_init, m.follower_init):
+        for arr in (init.values, init.mu, init.sigma, init.low, init.high):
+            assert arr is None or np.all(np.isfinite(arr))
+        assert init.mean().shape == (lx,) and init.cov().shape == (lx, lx)
+    assert m.leader_init.kind != "deterministic" or m.leader_init.values.shape == (1, lx)
 
 
 class TestBuildAugmented:

@@ -217,8 +217,7 @@ class TestTwoStepTruncationCrossCheck:
         # simulation, solve the stationarity system, and compare values.
         T = 2
         m = example2_n(example2, 2, [2.0, 6.0])
-        m = replace(m, horizon=T,
-                    A0=m.A0[:T], B0=m.B0[:T], S0=m.S0[:T], A=m.A[:T], B=m.B[:T],
+        m = replace(m, A0=m.A0[:T], B0=m.B0[:T], S0=m.S0[:T], A=m.A[:T], B=m.B[:T],
                     S=m.S[:T], E=m.E[:T], Q=m.Q[:T], Q0=m.Q0[:T], F=m.F[:T],
                     P=m.P[:T], R=m.R[:T], R0=m.R0[:T], H=m.H[:T],
                     noise_leader=m.noise_leader[:T], noise_follower=m.noise_follower[:T])

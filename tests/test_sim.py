@@ -402,18 +402,24 @@ class TestCostFormula:
         m = zero_weight_model()
         rec_ok = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 0)
         rec_bad = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 1)
-        rec_bad.total_cost = float("nan")
-        rec_bad.failed = True
-        summary = evaluate_cost(m, [rec_ok, rec_bad])
+        rec_bad.failed_at = 1
+        summary = evaluate_cost([rec_ok, rec_bad])
         assert summary.failed_runs == 1
         assert summary.mean == rec_ok.total_cost
+
+    def test_failed_at_marks_the_record_failed_with_nan_cost(self):
+        m = zero_weight_model()
+        rec = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 0)
+        assert not rec.failed and rec.total_cost == float(rec.stage_costs.sum())
+        rec.failed_at = 3
+        assert rec.failed and math.isnan(rec.total_cost)
 
     def test_no_successful_runs_is_an_error(self):
         m = zero_weight_model()
         rec = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 0)
-        rec.total_cost = float("nan")
+        rec.failed_at = 1
         with pytest.raises(ValueError, match="no successful"):
-            evaluate_cost(m, [rec])
+            evaluate_cost([rec])
 
 
 class TestAgainstOptimalValue:
@@ -427,7 +433,7 @@ class TestAgainstOptimalValue:
         g = compute_gains(m, ric)
         cfg = SimConfig(master_seed=0, num_runs=1,
                         disturbance=DisturbancePolicy.worst_case())
-        cost = evaluate_cost(m, simulate(m, g, cfg))
+        cost = evaluate_cost(simulate(m, g, cfg))
         assert cost.mean == pytest.approx(optimal_value(m, ric), rel=1e-8)
 
     def test_monte_carlo_mean_near_value(self, example2):
@@ -436,7 +442,7 @@ class TestAgainstOptimalValue:
         g = compute_gains(m, ric)
         cfg = SimConfig(master_seed=31, num_runs=500,
                         disturbance=DisturbancePolicy.worst_case())
-        cost = evaluate_cost(m, simulate(m, g, cfg))
+        cost = evaluate_cost(simulate(m, g, cfg))
         target = optimal_value(m, ric)
         assert abs(cost.mean - target) <= 4.0 * cost.stderr
 
@@ -452,7 +458,7 @@ class TestAgainstOptimalValue:
         ric = solve_riccati(m)
         cfg = SimConfig(master_seed=31, num_runs=2000,
                         disturbance=DisturbancePolicy.worst_case())
-        cost = evaluate_cost(m, simulate(m, compute_gains(m, ric), cfg))
+        cost = evaluate_cost(simulate(m, compute_gains(m, ric), cfg))
         assert abs(cost.mean - optimal_value(m, ric)) <= 4.0 * cost.stderr
 
 
@@ -581,7 +587,7 @@ def synthetic_record(rng, palette, run, T, lx, lu, n):
     return sim.TrajectoryRecord(
         run=run, seed=0, x0=draw(T, lx), xbar=draw(T, lx), mhat=draw(T, lx), u0=draw(T, lu),
         ubar=draw(T, lu), d0=np.zeros((T, lx)), dbar=np.zeros((T, lx)), stage_costs=draw(T),
-        total_cost=0.0, xi=None if n is None else draw(T, n, lx))
+        xi=None if n is None else draw(T, n, lx))
 
 
 def reference_trajectory_rows(rec, state_dim, action_dim):

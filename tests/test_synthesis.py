@@ -1,10 +1,12 @@
 """Backward recursions, gains, optimal value, critical gamma."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mfminmax import synthesis
 from mfminmax.model import build_augmented
 from mfminmax.synthesis import (
     InfeasibleError,
@@ -113,6 +115,11 @@ class TestFeasibility:
         assert ric.infeasible_times
         assert np.all(np.isfinite(ric.M_brev)) and np.all(np.isfinite(ric.M_bar))
         assert ric.min_margin() < 0
+
+    @pytest.mark.parametrize("gamma, feasible", [(EX2_GAMMA, True), (1.0, False)])
+    def test_feasible_means_no_flagged_time(self, example2, gamma, feasible):
+        ric = solve_riccati(example2.with_gamma(gamma))
+        assert ric.feasible == (not ric.infeasible_times) == feasible
 
     def test_margins_reported_per_time(self, example2):
         ric = solve_riccati(example2)
@@ -293,9 +300,40 @@ class TestCriticalGamma:
         first = next(i for i, ok in enumerate(flags) if ok)
         assert grid[first - 1] <= gstar <= grid[first] + 1e-12
 
+    def test_keeps_its_bits_at_the_default_tol(self, example1, example2):
+        assert critical_gamma(example1, 5.0, 50.0) == 13.302962072193623
+        assert critical_gamma(example2, 0.5, 20.0) == 2.027319259941578
+
     def test_tol_validation(self, example2):
-        with pytest.raises(ValueError):
-            critical_gamma(example2, 0.5, 20.0, tol=0.0)
+        for tol in (0.0, float("nan")):  # nan passes a plain "tol <= 0" test
+            with pytest.raises(ValueError, match="tol"):
+                critical_gamma(example2, 0.5, 20.0, tol=tol)
+
+    def test_tolerance_below_one_ulp_terminates(self, example2, monkeypatch):
+        # Once hi is one ulp above lo the midpoint rounds onto an end of the
+        # bracket; the bisection must stop there instead of looping on it.
+        calls = []
+
+        def counted(model):
+            calls.append(model.gamma)
+            if len(calls) > 200:
+                raise RuntimeError("critical_gamma does not terminate")
+            return solve_riccati(model)
+
+        monkeypatch.setattr(synthesis, "solve_riccati", counted)
+        gstar = critical_gamma(example2, 0.5, 20.0, tol=1e-300)
+        assert gstar == pytest.approx(EX2_GAMMA_STAR, abs=5e-6)
+        assert len(calls) < 70
+
+    def test_reversed_bracket_rejected(self, example2, monkeypatch):
+        # A feasibility that falls with gamma makes the reversed bracket
+        # pass the end-point checks; the bracket order must reject it first.
+        def falling(model):
+            return SimpleNamespace(feasible=model.gamma < 5.0)
+
+        monkeypatch.setattr(synthesis, "solve_riccati", falling)
+        with pytest.raises(ValueError, match="bracket"):
+            critical_gamma(example2, 10.0, 1.0)
 
 
 class TestRiccatiCsv:
