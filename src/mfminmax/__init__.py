@@ -26,6 +26,7 @@ from .synthesis import (
     StrategyGains,
     compute_gains,
     critical_gamma,
+    feasible,
     optimal_value,
     solve_riccati,
 )
@@ -37,7 +38,7 @@ __all__ = [
     "build_augmented", "load_model", "load_model_file",
     "validate_convexity",
     "InfeasibleError", "RiccatiSolution", "StrategyGains", "compute_gains",
-    "critical_gamma", "optimal_value", "solve_riccati",
+    "critical_gamma", "feasible", "optimal_value", "solve_riccati",
     "estimator_step", "follower_action", "leader_action", "worst_case_disturbance",
     "DisturbancePolicy", "SimConfig", "TrajectoryRecord", "evaluate_cost", "simulate",
     "imfs_gap_study", "saddle_check", "stacked_saddle_solve", "verify_equivalence",

@@ -217,6 +217,10 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
     low, high = bounds
     if np.any(high < low):
         raise ModelError(f"{name}: uniform high < low")
+    with np.errstate(over="ignore"):
+        width = high - low
+    if not np.all(np.isfinite(width)):
+        raise ModelError(f"{name}.uniform: the width high - low overflows a float")
     return InitSpec(kind="uniform", dim=dim, low=low, high=high)
 
 

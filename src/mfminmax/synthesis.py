@@ -10,7 +10,8 @@ system (2lx).  Backward from t = T with zero terminal weight:
 A finite saddle point exists iff gamma^2 I - M_{t+1} is positive definite
 at every step (the inner maximization stays strictly concave); margins are
 the smallest eigenvalues of those tests.  When the test fails the
-recursion still runs, flagged, so the margin profile is reportable.
+recursion still runs, flagged, so the margin profile is reportable.  One
+walk carries any number of gamma at once (``feasible``, ``critical_gamma``).
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, build_augmented, validate_convexity
+from .model import ModelSpec, _attenuation, build_augmented, validate_convexity
 
 __all__ = [
     "InfeasibleError",
     "RiccatiSolution",
     "StrategyGains",
     "solve_riccati",
+    "feasible",
     "compute_gains",
     "optimal_value",
     "critical_gamma",
@@ -35,6 +37,8 @@ __all__ = [
 # Strict-PD margin for gamma^2 I - M (feasibility) and symmetry guard.
 FEAS_TOL = 1e-10
 SYM_TOL = 1e-10
+# Bisection steps critical_gamma evaluates per walk: up to 2^k - 1 midpoints.
+BISECT_DEPTH = 5
 
 
 class InfeasibleError(RuntimeError):
@@ -109,43 +113,55 @@ class StrategyGains:
         return self.L_bar[t - 1, self.action_dim :, self.state_dim :]
 
 
-def _backward(A, B, Q, R, W, gamma: float):
-    """One soft-constrained recursion and its noise constants; never raises on infeasibility.
+def _backward(A, B, Q, R, W, gammas: np.ndarray):
+    """One soft-constrained recursion and its noise constants for G gammas at once.
 
-    Returns M, Delta, c, the margins and a (T,) mask of the flagged t (index
-    t-1): a margin at or below FEAS_TOL, a singular Delta or an asymmetric M.
+    Never raises on infeasibility.  Returns, with a leading gamma axis, M
+    (G, T+1, dim, dim), Delta (G, T, dim, dim), c (G, T+1), the margins and a
+    (G, T) mask of the flagged t (index t-1): a margin at or below FEAS_TOL,
+    a singular Delta or an asymmetric M.  Each gamma's rows carry the bits of
+    its own walk: every product and inverse is taken matrix by matrix.
     """
     T, dim = A.shape[0], A.shape[1]
-    M = np.zeros((T + 1, dim, dim))
-    c = np.zeros(T + 1)
-    Delta = np.zeros((T, dim, dim))
-    bad = np.zeros(T, dtype=bool)
+    G = gammas.shape[0]
+    M = np.zeros((G, T + 1, dim, dim))
+    M_raw = np.zeros((G, T, dim, dim))  # M_t before symmetrization
+    Delta = np.zeros((G, T, dim, dim))
+    bad = np.zeros((G, T), dtype=bool)
     eye = np.eye(dim)
-    g2 = gamma * gamma
-    BRB = B @ np.linalg.solve(R, np.swapaxes(B, -1, -2))
+    g2 = (gammas * gammas)[:, None, None]
+    # B R^{-1} B' - I / gamma^2 for every (gamma, t)
+    BRBg = (B @ np.linalg.solve(R, np.swapaxes(B, -1, -2)))[None] - (eye / g2)[:, None]
     for t in range(T, 0, -1):
-        Mn = M[t]  # M_{t+1} lives at index t
-        D = eye + (BRB[t - 1] - eye / g2) @ Mn
+        Mn = M[:, t]  # M_{t+1} lives at index t
+        D = eye + BRBg[:, t - 1] @ Mn
         try:
-            MD = Mn @ np.linalg.inv(D)
+            Dinv = np.linalg.inv(D)
         except np.linalg.LinAlgError:
-            # Singular Delta: continue on the pseudo-inverse, flagged.
-            bad[t - 1] = True
-            MD = Mn @ np.linalg.pinv(D)
-        Mt = Q[t - 1] + A[t - 1].T @ MD @ A[t - 1]
-        asym = np.max(np.abs(Mt - Mt.T))
-        Mt = (Mt + Mt.T) / 2.0
-        if asym > SYM_TOL * max(1.0, np.max(np.abs(Mt))):
-            bad[t - 1] = True
-        M[t - 1] = Mt
-        Delta[t - 1] = D
-        c[t - 1] = c[t] + float(np.trace(Mn @ W[t - 1]))
-    margins = np.linalg.eigvalsh(g2 * eye - M[1:]).min(axis=-1)
+            Dinv = np.empty_like(D)
+            for g in range(G):
+                try:
+                    Dinv[g] = np.linalg.inv(D[g])
+                except np.linalg.LinAlgError:
+                    # Singular Delta: continue on the pseudo-inverse, flagged.
+                    bad[g, t - 1] = True
+                    Dinv[g] = np.linalg.pinv(D[g])
+        Mt = Q[t - 1] + A[t - 1].T @ (Mn @ Dinv) @ A[t - 1]
+        M_raw[:, t - 1] = Mt
+        M[:, t - 1] = (Mt + np.swapaxes(Mt, -1, -2)) / 2.0
+        Delta[:, t - 1] = D
+    asym = np.abs(M_raw - np.swapaxes(M_raw, -1, -2)).max(axis=(-2, -1))
+    scale = np.fmax(1.0, np.abs(M[:, :-1]).max(axis=(-2, -1)))  # a nan max reads as 1.0
+    bad |= asym > SYM_TOL * scale
+    # c_t = c_{t+1} + tr(M_{t+1} W_t), summed from c_{T+1} = +0.0
+    traces = np.trace(M[:, 1:] @ W, axis1=-2, axis2=-1)
+    c = np.cumsum(np.concatenate([np.zeros((G, 1)), traces[:, ::-1]], axis=1), axis=1)[:, ::-1]
+    margins = np.linalg.eigvalsh(g2[:, None] * eye - M[:, 1:]).min(axis=-1)
     return M, Delta, c, margins, bad | (margins <= FEAS_TOL)
 
 
-def solve_riccati(model: ModelSpec) -> RiccatiSolution:
-    """Both backward recursions plus the noise constants and margins."""
+def _walk(model: ModelSpec, gammas: np.ndarray):
+    """The deviation and the augmented ``_backward`` outputs of ``model`` for every gamma."""
     report = validate_convexity(model)
     if not report.ok:
         raise InfeasibleError(f"convexity assumptions violated: {report.violations[:4]}")
@@ -158,16 +174,32 @@ def solve_riccati(model: ModelSpec) -> RiccatiSolution:
     cov_aug = np.zeros((T, 2 * lx, 2 * lx))
     cov_aug[:, :lx, :lx] = model.noise_leader
     cov_aug[:, lx:, lx:] = model.noise_follower / n
-    Mb, Db, c_brev, marg_b, bad_b = _backward(model.A, model.B, model.Q, model.R, cov_dev, model.gamma)
-    MB, DB, c_bar, marg_B, bad_B = _backward(aug.A_bar, aug.B_bar, aug.Q_bar, aug.R_bar, cov_aug,
-                                             model.gamma)
+    return (_backward(model.A, model.B, model.Q, model.R, cov_dev, gammas),
+            _backward(aug.A_bar, aug.B_bar, aug.Q_bar, aug.R_bar, cov_aug, gammas))
 
+
+def solve_riccati(model: ModelSpec) -> RiccatiSolution:
+    """Both backward recursions plus the noise constants and margins."""
+    dev, aug = _walk(model, np.array([model.gamma]))
+    Mb, Db, c_brev, marg_b, bad_b = (out[0] for out in dev)
+    MB, DB, c_bar, marg_B, bad_B = (out[0] for out in aug)
     bad = bad_b | bad_B
     return RiccatiSolution(
         gamma=model.gamma, M_brev=Mb, M_bar=MB, Delta_brev=Db, Delta_bar=DB,
         c_brev=c_brev, c_bar=c_bar, margin_brev=marg_b, margin_bar=marg_B,
         infeasible_times=tuple((np.flatnonzero(bad) + 1).tolist()),
     )
+
+
+def feasible(model: ModelSpec, gammas) -> np.ndarray:
+    """Whether a saddle point exists at each of ``gammas``, from one walk per recursion.
+
+    Entry k equals ``solve_riccati(model.with_gamma(gammas[k])).feasible``;
+    each gamma must be positive and finite.
+    """
+    levels = np.array([_attenuation(g) for g in gammas], dtype=float)
+    (*_, bad_dev), (*_, bad_aug) = _walk(model, levels)
+    return ~(bad_dev | bad_aug).any(axis=1)
 
 
 def compute_gains(model: ModelSpec, ric: RiccatiSolution) -> StrategyGains:
@@ -225,6 +257,17 @@ def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:
     return value
 
 
+def _bisection_tree(lo: float, hi: float, tol: float, depth: int) -> list:
+    """Every midpoint the next ``depth`` bisection steps from (lo, hi) could visit."""
+    if depth == 0 or not hi - lo > tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:
+        return []
+    return ([mid] + _bisection_tree(lo, mid, tol, depth - 1)
+            + _bisection_tree(mid, hi, tol, depth - 1))
+
+
 def critical_gamma(model: ModelSpec, gamma_lo: float, gamma_hi: float, tol: float = 1e-6) -> float:
     """Bisect the feasibility boundary between an infeasible and a feasible gamma.
 
@@ -232,6 +275,11 @@ def critical_gamma(model: ModelSpec, gamma_lo: float, gamma_hi: float, tol: floa
     at gamma_hi.  Every infeasible point seen stays at or below ``lo`` and
     every feasible one at or above ``hi``.  The bisection stops once
     hi - lo <= tol, or once the midpoint rounds onto an end of the bracket.
+
+    Each ``feasible`` walk evaluates every midpoint of the next BISECT_DEPTH
+    steps (the bracket ends join the first); the bisection then follows the
+    one path it would take testing one gamma at a time, so it returns the
+    same bits.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -239,10 +287,13 @@ def critical_gamma(model: ModelSpec, gamma_lo: float, gamma_hi: float, tol: floa
         raise ValueError(f"bisection bracket invalid: gamma_lo={gamma_lo:g} "
                          f"is not below gamma_hi={gamma_hi:g}")
 
-    def feasible(g: float) -> bool:
-        return solve_riccati(model.with_gamma(g)).feasible
+    seen = {}
 
-    lo_ok, hi_ok = feasible(gamma_lo), feasible(gamma_hi)
+    def evaluate(gammas: list) -> None:
+        seen.update(zip(gammas, feasible(model, gammas).tolist()))
+
+    evaluate([gamma_lo, gamma_hi] + _bisection_tree(gamma_lo, gamma_hi, tol, BISECT_DEPTH))
+    lo_ok, hi_ok = seen[gamma_lo], seen[gamma_hi]
     if lo_ok or not hi_ok:
         raise ValueError(
             f"bisection bracket invalid: feasible(gamma_lo={gamma_lo:g})={lo_ok}, "
@@ -253,7 +304,9 @@ def critical_gamma(model: ModelSpec, gamma_lo: float, gamma_hi: float, tol: floa
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if feasible(mid):
+        if mid not in seen:
+            evaluate(_bisection_tree(lo, hi, tol, BISECT_DEPTH))
+        if seen[mid]:
             hi = mid
         else:
             lo = mid

@@ -215,6 +215,41 @@ def reference_2x2_recursion(Abar, Bdiag, Qbar, Rdiag, gamma, T, n=None, noise_va
     return M, D, c
 
 
+def reference_walk(A, B, Q, R, W, gamma, feas_tol=1e-10, sym_tol=1e-10):
+    """One gamma's soft-constrained recursion, every quantity taken inside the step loop.
+
+    Same arithmetic as the package's walk, one gamma at a time: the flags,
+    noise constants and margins are made step by step, so a batched walk
+    must equal it bit for bit.  Returns (M, Delta, c, margins, flagged).
+    """
+    T, dim = A.shape[0], A.shape[1]
+    M = np.zeros((T + 1, dim, dim))
+    c = np.zeros(T + 1)
+    Delta = np.zeros((T, dim, dim))
+    bad = np.zeros(T, dtype=bool)
+    margins = np.zeros(T)
+    eye = np.eye(dim)
+    g2 = gamma * gamma
+    for t in range(T, 0, -1):
+        Mn = M[t]
+        D = eye + (B[t - 1] @ np.linalg.solve(R[t - 1], B[t - 1].T) - eye / g2) @ Mn
+        try:
+            MD = Mn @ np.linalg.inv(D)
+        except np.linalg.LinAlgError:
+            bad[t - 1] = True
+            MD = Mn @ np.linalg.pinv(D)
+        Mt = Q[t - 1] + A[t - 1].T @ MD @ A[t - 1]
+        asym = np.max(np.abs(Mt - Mt.T))
+        Mt = (Mt + Mt.T) / 2.0
+        if asym > sym_tol * max(1.0, np.max(np.abs(Mt))):
+            bad[t - 1] = True
+        M[t - 1] = Mt
+        Delta[t - 1] = D
+        c[t - 1] = c[t] + float(np.trace(Mn @ W[t - 1]))
+        margins[t - 1] = np.linalg.eigvalsh(g2 * eye - Mn).min()
+    return M, Delta, c, margins, bad | (margins <= feas_tol)
+
+
 def reference_lqr(A, B, Q, R, T):
     """Classical no-disturbance recursion in completion form.
 

@@ -304,6 +304,12 @@ class TestOtherCommands:
         assert code == EXIT_FAIL
         assert capsys.readouterr().err.startswith("error: tol must be positive")
 
+    def test_critical_gamma_zero_lo_fails(self, capsys):
+        code = main(["critical-gamma", "--config", str(bundled_config_path(2)),
+                     "--lo", "0", "--hi", "20.0"])
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().err.startswith("error: gamma must be positive and finite")
+
     def test_gap_study_writes_table(self, tmp_path):
         out = tmp_path / "gap"
         code = main(["gap-study", "--config", str(bundled_config_path(2)),

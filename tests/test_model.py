@@ -192,6 +192,8 @@ class TestLoadModel:
         ("{uniform: {low: 0.0, high: 2.0}}", "{gaussian: {mean: .nan, cov: 1.0}}",
          "follower_init.mean: non-finite"),
         ("high: 2.0", "high: .inf", "follower_init.high: non-finite"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{uniform: {low: -1.0e308, high: 1.0e308}}",
+         "follower_init.uniform: the width high - low overflows"),
         ("low: 0.0", "low: [0.0, 0.0]",
          r"follower_init.low: expected a scalar or shape \(1,\), got shape \(2,\)"),
         ("high: 2.0", "high: [[2.0]]", "follower_init.high: expected a scalar or shape"),
@@ -209,6 +211,7 @@ class TestLoadModel:
             "uniform-high-below-low", "follower-values-count", "nan-initial-value",
             "null-initial-value", "empty-initial-value", "initial-value-rank-3",
             "two-leader-states", "nan-gaussian-mean", "inf-uniform-bound",
+            "uniform-width-overflows",
             "uniform-bound-too-long", "uniform-bound-rank-2", "nan-sinusoid-amplitude",
             "inf-sinusoid-amplitude"])
     def test_malformed_config_names_the_key(self, old, new, named):

@@ -1,13 +1,15 @@
 """Backward recursions, gains, optimal value, critical gamma."""
 
+from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfminmax import synthesis
-from mfminmax.model import build_augmented
+from mfminmax import feasible, synthesis
+from mfminmax.model import InitSpec, ModelError, ModelSpec, build_augmented
 from mfminmax.synthesis import (
     InfeasibleError,
     compute_gains,
@@ -26,6 +28,7 @@ from conftest import (
     reference_2x2_recursion,
     reference_lqr,
     reference_scalar_recursion,
+    reference_walk,
     vector_model,
     zero_weight_model,
 )
@@ -312,28 +315,50 @@ class TestCriticalGamma:
     def test_tolerance_below_one_ulp_terminates(self, example2, monkeypatch):
         # Once hi is one ulp above lo the midpoint rounds onto an end of the
         # bracket; the bisection must stop there instead of looping on it.
-        calls = []
+        walks = []
 
-        def counted(model):
-            calls.append(model.gamma)
-            if len(calls) > 200:
+        def counted(model, gammas):
+            walks.append(len(gammas))
+            if sum(walks) > 1000:
                 raise RuntimeError("critical_gamma does not terminate")
-            return solve_riccati(model)
+            return feasible(model, gammas)
 
-        monkeypatch.setattr(synthesis, "solve_riccati", counted)
+        monkeypatch.setattr(synthesis, "feasible", counted)
         gstar = critical_gamma(example2, 0.5, 20.0, tol=1e-300)
         assert gstar == pytest.approx(EX2_GAMMA_STAR, abs=5e-6)
-        assert len(calls) < 70
+        assert len(walks) < 15
 
     def test_reversed_bracket_rejected(self, example2, monkeypatch):
         # A feasibility that falls with gamma makes the reversed bracket
         # pass the end-point checks; the bracket order must reject it first.
-        def falling(model):
-            return SimpleNamespace(feasible=model.gamma < 5.0)
+        def falling(model, gammas):
+            return np.array([g < 5.0 for g in gammas])
 
-        monkeypatch.setattr(synthesis, "solve_riccati", falling)
+        monkeypatch.setattr(synthesis, "feasible", falling)
         with pytest.raises(ValueError, match="bracket"):
             critical_gamma(example2, 10.0, 1.0)
+
+    @pytest.mark.parametrize("which,lo,hi,expected", [
+        ("example1", 5.0, 50.0, 13.302962072193623),
+        ("example2", 0.5, 20.0, 2.027319259941578),
+    ])
+    def test_few_walks_per_bisection(self, which, lo, hi, expected, request, monkeypatch):
+        # One gamma per walk took 28 and 27 walks at this tolerance.
+        walks = []
+
+        def counted(model, gammas):
+            walks.append(list(gammas))
+            return feasible(model, gammas)
+
+        monkeypatch.setattr(synthesis, "feasible", counted)
+        assert critical_gamma(request.getfixturevalue(which), lo, hi, tol=1e-6) == expected
+        assert len(walks) <= 7
+        assert walks[0][:2] == [lo, hi]
+        assert max(len(w) for w in walks) <= 2 + 2 ** synthesis.BISECT_DEPTH - 1
+
+    def test_nonpositive_bracket_end_fails_like_with_gamma(self, example2):
+        with pytest.raises(ModelError, match="gamma must be positive and finite"):
+            critical_gamma(example2, 0.0, 20.0)
 
 
 class TestRiccatiCsv:
@@ -364,3 +389,119 @@ class TestRiccatiCsv:
         ric1 = solve_riccati(example2)
         ric2 = solve_riccati(example2)
         assert riccati_csv(ric1) == riccati_csv(ric2)
+
+
+def _random_model(rng: np.random.Generator, T: int, lx: int, lu: int) -> ModelSpec:
+    """A model with per-t stacks of every matrix; its weights pass validate_convexity."""
+    def mats(rows, cols, scale):
+        return rng.normal(0.0, scale, size=(T, rows, cols))
+
+    def psd(dim, scale):
+        X = mats(dim, dim, 1.0)
+        return scale * X @ np.swapaxes(X, -1, -2)
+
+    zeros = InitSpec(kind="deterministic", dim=lx, values=np.zeros((1, lx)))
+    return ModelSpec(
+        n_followers=int(rng.integers(1, 17)), gamma=1.0,
+        A0=np.eye(lx) + mats(lx, lx, 0.3), B0=mats(lx, lu, 0.5), S0=mats(lx, lx, 0.1),
+        A=np.eye(lx) + mats(lx, lx, 0.3), B=mats(lx, lu, 0.5), S=mats(lx, lx, 0.1),
+        E=mats(lx, lx, 0.1), Q=psd(lx, 0.5), Q0=psd(lx, 0.5), F=psd(lx, 0.3), P=psd(lx, 0.2),
+        R=psd(lu, 0.3) + np.eye(lu), R0=psd(lu, 0.3) + np.eye(lu), H=psd(lu, 0.1),
+        leader_init=zeros, follower_init=zeros,
+        noise_leader=psd(lx, 0.2), noise_follower=psd(lx, 0.2),
+    )
+
+
+def _singular_delta_model():
+    """B = B0 = 0 and Q = 1 at t = T only: at gamma 1, Delta_{T-1} = 1 - M_T = 0 exactly."""
+    m = zero_weight_model(T=4, gamma=1.0)
+    Q = np.zeros_like(m.Q)
+    Q[-1] = 1.0
+    return replace(m, B=np.zeros_like(m.B), B0=np.zeros_like(m.B0), Q=Q)
+
+
+def _aug_noise(m: ModelSpec) -> np.ndarray:
+    """The [w0; wbar] covariance stack of the augmented recursion."""
+    lx, n = m.state_dim, m.n_followers
+    cov = np.zeros((m.horizon, 2 * lx, 2 * lx))
+    cov[:, :lx, :lx] = m.noise_leader
+    cov[:, lx:, lx:] = m.noise_follower / n
+    return cov
+
+
+def _rows(walk, k):
+    """Gamma k's M, Delta, c, margins and flags from a batched ``_backward`` walk."""
+    return [out[k] for out in walk]
+
+
+class TestBatchedWalk:
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_each_gamma_matches_its_own_walk(self, data):
+        T = data.draw(st.integers(1, 8))
+        lx, lu = data.draw(st.sampled_from([1, 2])), data.draw(st.sampled_from([1, 2]))
+        m = _random_model(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), T, lx, lu)
+        # log-uniform in [1e-2, 1e2], so about half of the levels are infeasible
+        gammas = sorted(data.draw(st.lists(st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+                                           min_size=1, max_size=9)))
+        dev, aug = synthesis._walk(m, np.array(gammas))
+        aug_sys = build_augmented(m)
+        own_flags = []
+        for k, g in enumerate(gammas):
+            ric = solve_riccati(m.with_gamma(g))
+            own_flags.append(ric.feasible)
+            own_dev = (ric.M_brev, ric.Delta_brev, ric.c_brev, ric.margin_brev)
+            own_aug = (ric.M_bar, ric.Delta_bar, ric.c_bar, ric.margin_bar)
+            for batched, own in ((dev, own_dev), (aug, own_aug)):
+                assert [a.tobytes() for a in _rows(batched, k)[:4]] == [a.tobytes() for a in own]
+            flagged = _rows(dev, k)[4] | _rows(aug, k)[4]
+            assert tuple((np.flatnonzero(flagged) + 1).tolist()) == ric.infeasible_times
+            # The step-by-step loop: flags, c and margins taken inside each step.
+            cov_dev = (1.0 - 1.0 / m.n_followers) * m.noise_follower
+            ref = reference_walk(m.A, m.B, m.Q, m.R, cov_dev, g)
+            assert [a.tobytes() for a in ref] == [a.tobytes() for a in _rows(dev, k)]
+            ref_bar = reference_walk(aug_sys.A_bar, aug_sys.B_bar, aug_sys.Q_bar, aug_sys.R_bar,
+                                     _aug_noise(m), g)
+            assert [a.tobytes() for a in ref_bar] == [a.tobytes() for a in _rows(aug, k)]
+        assert feasible(m, gammas).tolist() == own_flags
+
+    @pytest.mark.parametrize("which,window,gstar", [
+        ("example1", (13.25, 13.36), 13.302962072193623),
+        ("example2", (1.98, 2.08), 2.027319259941578),
+    ])
+    def test_criterion_7_grid_and_boundary(self, which, window, gstar, request):
+        m = request.getfixturevalue(which)
+        grid = np.arange(window[0], window[1], 0.002)
+        near = np.linspace(gstar - 1e-5, gstar + 1e-5, 41)
+        for gammas in (grid, near):
+            flags = feasible(m, gammas)
+            assert flags.tolist() == [solve_riccati(m.with_gamma(g)).feasible for g in gammas]
+        assert not flags[0] and flags[-1]
+
+    def test_singular_delta_flags_only_its_gamma(self):
+        m = _singular_delta_model()
+        ric = solve_riccati(m)
+        assert ric.Delta_brev[2].tolist() == [[0.0]]  # inv raises here; pinv carries on
+        assert 3 in ric.infeasible_times
+        dev, aug = synthesis._walk(m, np.array([1.0, 2.0]))
+        for walk in (dev, aug):
+            assert walk[4][0, 2] and not walk[4][1].any()
+        two = solve_riccati(m.with_gamma(2.0))
+        assert two.feasible
+        own = [(two.M_brev, two.Delta_brev, two.c_brev, two.margin_brev),
+               (two.M_bar, two.Delta_bar, two.c_bar, two.margin_bar)]
+        for walk, arrays in zip((dev, aug), own):
+            assert [a.tobytes() for a in _rows(walk, 1)[:4]] == [a.tobytes() for a in arrays]
+        assert feasible(m, [1.0, 2.0]).tolist() == [False, True]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gamma_must_be_positive_and_finite(self, example2, bad):
+        with pytest.raises(ModelError, match="gamma must be positive and finite"):
+            feasible(example2, [4.0, bad])
+
+    def test_nonconvex_model_raises(self, example2):
+        R = example2.R.copy()
+        R[3] = -1.0
+        with pytest.raises(InfeasibleError, match="convexity"):
+            feasible(replace(example2, R=R), [4.0])
+
