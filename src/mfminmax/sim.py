@@ -10,7 +10,9 @@ one row of the block, arm-major, and the arms of a run share its initial
 draw and its noise draws.  A block holds at most ``BLOCK_STATES``
 follower states, counting the rows of every arm, so ``simulate`` walks
 ``max(1, BLOCK_STATES // (arms * n))`` runs at a time, and
-``simulate_run`` is a block of one.
+``simulate_run`` is a block of one.  Every population quantity of a step
+is computed into work arrays that a call makes once and each of its
+blocks reuses, so a step allocates nothing the size of its population.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
 index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives,
@@ -187,8 +189,15 @@ def _substreams(seed: int, runs: range, T: int):
     return stream
 
 
-BLOCK_STATES = 2 ** 13
-"""Most follower states one block of runs holds: bounds the working arrays at large n."""
+BLOCK_STATES = 2 ** 15
+"""Most follower states one block of runs holds, counting the rows of every arm.
+
+More runs per block spread the fixed cost of a step over more runs; the
+cap bounds the memory that buys it.  A ``simulate`` call makes one set of
+work arrays, about seven arrays of a block's follower states, and every
+block reuses it.  At 2^15, n = 10^4 puts three runs in a block; a run of
+more followers than the cap is a block alone.
+"""
 
 
 def _colouring(cov: np.ndarray) -> np.ndarray:
@@ -213,40 +222,76 @@ def _quad(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _dot(np.matmul(V[..., None, :], W)[..., 0, :], V)
 
 
-def _quad_mean(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _carve(scratch: np.ndarray | None, *shapes) -> list:
+    """Arrays of ``shapes``, back to back from the front of the flat ``scratch``; new ones without it."""
+    if scratch is None:
+        return [np.empty(shape) for shape in shapes]
+    arrays, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(scratch[start:start + size].reshape(shape))
+        start += size
+    return arrays
+
+
+def _scratch_width(lx: int, lu: int) -> int:
+    """Scratch entries per follower that ``stage_cost`` and a step take: one for scalars."""
+    width = max(lx, lu)
+    return width + 1 if width > 1 else 1
+
+
+def _quad_mean(X: np.ndarray, W: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """mean_i x_i' W x_i over the rows x_i of each (n, l) batch in X.
 
     Sums the terms (x_j W_jk) x_k in the order numpy's
     ``einsum("ij,jk,ik->i")`` sums them for one batch: in one sequence,
     except for l = 2 and n <= 2, where each row j is summed apart first.
     einsum itself picks that order from the size of the whole block, so it
-    would give a run other bits beside other runs.
+    would give a run other bits beside other runs.  The sums are formed in
+    ``scratch``, when given: three arrays of X less its last axis for the
+    rowwise sums, two for l > 1, one for l = 1.
     """
-    l = X.shape[-1]
+    l, shape = X.shape[-1], X.shape[:-1]
     rowwise = l == 2 and X.shape[-2] <= 2
-    total = np.zeros(X.shape[:-1])
+    term, *sums = _carve(scratch, *[shape] * (3 if rowwise else 2 if l > 1 else 1))
+    sums = sums or [term]  # a lone term is summed where it lies
+    total = 0.0  # a sum starts as 0.0 + its first term, as a zero-filled array would
     for j in range(l):
-        row = np.zeros(X.shape[:-1]) if rowwise else total
+        row = 0.0 if rowwise else total
         for k in range(l):
-            row = row + (X[..., j] * W[j, k]) * X[..., k]
-        total = total + row if rowwise else row
+            np.multiply(X[..., j], W[j, k], out=term)
+            np.multiply(term, X[..., k], out=term)
+            row = np.add(row, term, out=sums[-1])
+        total = np.add(total, row, out=sums[0]) if rowwise else row
     return total.mean(axis=-1)
+
+
+def _square_mean(X: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """mean_i x_i' x_i over the rows x_i of each (n, l) batch in X, formed in ``scratch``."""
+    if X.shape[-1] == 1:  # the sum of one square is 0.0 + x*x, x*x itself: it is never -0.0
+        square, = _carve(scratch, X.shape)
+        return np.multiply(X, X, out=square)[..., 0].mean(axis=-1)
+    square, norm = _carve(scratch, X.shape, X.shape[:-1])
+    np.multiply(X, X, out=square)
+    return np.sum(square, axis=-1, out=norm).mean(axis=-1)
 
 
 def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.ndarray,
                xf: np.ndarray, uf: np.ndarray, df: np.ndarray,
-               xbar: np.ndarray, ubar: np.ndarray):
+               xbar: np.ndarray, ubar: np.ndarray, scratch: np.ndarray | None = None):
     """Social-welfare stage cost at time t, averaged over the n followers.
 
     ``xf``/``uf``/``df`` are the (n, lx|lu) follower batches and
     ``xbar``/``ubar`` their means, passed in because the caller already has
     them; with a leading run axis on every argument the result is one cost
-    per run.  Disturbances enter with weight -gamma^2.
+    per run.  Disturbances enter with weight -gamma^2.  Each population term
+    is formed in ``scratch`` when given, a flat float array of at least
+    ``_scratch_width(lx, lu)`` entries per follower of the batch.
     """
     g2 = model.gamma ** 2
     return (
-        _quad_mean(xf, model.Q[t - 1]) + _quad_mean(uf, model.R[t - 1])
-        - g2 * (df * df).sum(axis=-1).mean(axis=-1)
+        _quad_mean(xf, model.Q[t - 1], scratch) + _quad_mean(uf, model.R[t - 1], scratch)
+        - g2 * _square_mean(df, scratch)
         + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1]) - g2 * _dot(d0, d0)
         + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
         + _quad(ubar, model.H[t - 1])
@@ -254,58 +299,80 @@ def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.
 
 
 def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains,
-                  x0: np.ndarray, xbar: np.ndarray, xf: np.ndarray, m_hat: np.ndarray):
-    """Realized (d0, per-follower df) at time t, shaped like (x0, xf)."""
+                  x0: np.ndarray, xbar: np.ndarray, xf: np.ndarray, m_hat: np.ndarray,
+                  out: np.ndarray):
+    """Realized (d0, per-follower df) at time t, shaped like (x0, xf); df is written into ``out``."""
     if policy.kind == "zero":
-        return np.zeros(x0.shape), np.zeros(xf.shape)
+        out.fill(0.0)
+        return np.zeros(x0.shape), out
     if policy.kind == "sinusoid":
         pulse = policy.amplitude * math.sin(t)
         d0 = (np.full(x0.shape, pulse) if policy.applied_to in ("leader", "both")
               else np.zeros(x0.shape))
-        df = (np.full(xf.shape, pulse) if policy.applied_to in ("followers", "both")
-              else np.zeros(xf.shape))
-        return d0, df
+        out.fill(pulse if policy.applied_to in ("followers", "both") else 0.0)
+        return d0, out
     if policy.kind == "worst_case":
-        return worst_case_disturbance(gains, t, x0, m_hat if policy.use_estimate else xbar, xf)
+        return worst_case_disturbance(gains, t, x0, m_hat if policy.use_estimate else xbar, xf,
+                                      out=out)
     raise ValueError(f"unknown disturbance kind '{policy.kind}'")
 
 
-def _observe(seen: list, arm: np.ndarray, xf: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
-    """``m_hat`` with the rows of each arm that sees the mean reset to the mean of their followers.
+def _observe(seen: list, arm: np.ndarray, mean: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+    """``m_hat`` with the rows of each arm that sees the mean reset to ``mean``.
 
     ``seen`` holds a bool per arm and ``arm`` the arm of each row.
     """
-    if not any(seen):
-        return m_hat
-    mean = xf.mean(axis=1)
     return mean if all(seen) else np.where(np.array(seen)[arm][:, None], mean, m_hat)
 
 
+def _work_arrays(model: ModelSpec, arms: int, runs: int) -> dict:
+    """The population arrays of a block of ``runs`` runs under ``arms`` arms, made once per call.
+
+    Every block of the call takes the leading rows of each: two follower
+    state arrays (now and next, swapped each step), actions, disturbances,
+    the noise draw of each run (leader in row 0), a flat scratch array and
+    a finite mask.  Every population quantity of a step is computed into
+    them.
+    """
+    n, lx, lu = model.n_followers, model.state_dim, model.action_dim
+    rows = arms * runs
+    return {
+        "states": (np.empty((rows, n, lx)), np.empty((rows, n, lx))),
+        "uf": np.empty((rows, n, lu)),
+        "df": np.empty((rows, n, lx)),
+        "z": np.empty((runs, n + 1, lx)),
+        "scratch": np.empty(rows * n * _scratch_width(lx, lu)),
+        "finite": np.empty((rows, n, lx), dtype=bool),
+    }
+
+
 def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, infos: tuple,
-                    runs: range, stream, colour: tuple) -> list[list[TrajectoryRecord]]:
+                    runs: range, stream, colour: tuple, work: dict) -> list[list[TrajectoryRecord]]:
     """The runs ``runs`` under each information structure of ``infos``, stepped together.
 
     Rows are arm-major: row ``a * R + k`` is run ``runs[k]`` under ``infos[a]``
     (None for full mean-field sharing).  A run's arms start from one initial
-    draw and share one noise draw per t; ``stream`` gives the substreams and
-    ``colour`` holds the (leader, follower) factor stacks.  Returns one
+    draw and share one noise draw per t; ``stream`` gives the substreams,
+    ``colour`` holds the (leader, follower) factor stacks and ``work`` the
+    arrays of ``_work_arrays``, with room for the block's rows.  Returns one
     record list per arm.
     """
     T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
     R, rows, seed = len(runs), len(infos) * len(runs), cfg.master_seed
     infos = [InfoStructure.mfs(T) if info is None else info for info in infos]
+    states, scratch = work["states"], work["scratch"]
 
-    x0, xf = np.empty((R, lx)), np.empty((R, n, lx))
+    x0, xf = np.empty((R, lx)), states[0][:rows]
     for k, run in enumerate(runs):
         init_rng = stream(run, 0)
         x0[k] = model.leader_init.sample(init_rng)
         xf[k] = model.follower_init.sample(init_rng, n)
-    x0, xf = np.concatenate([x0] * len(infos)), np.concatenate([xf] * len(infos))
+    x0 = np.concatenate([x0] * len(infos))
+    for first in range(R, rows, R):  # each further arm starts from the same draw
+        xf[first:first + R] = xf[:R]
     active = np.arange(rows)  # the rows still stepping
     arm, pick = active // R, active % R  # each active row's arm, and its run as an index into live
     live = np.arange(R)  # the runs still stepping in some arm: one draw each per t
-    m_hat = _observe([info.observed(1) for info in infos], arm, xf,
-                     np.broadcast_to(model.follower_init.mean(), (rows, lx)))
 
     # rows after a run fails stay nan, as its stage costs do
     series = {name: np.full((rows, T, dim), np.nan) for name, dim in (
@@ -318,53 +385,76 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     failed_at = [None] * rows
 
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
+        xbar = xf.mean(axis=1)
+        m_hat = np.broadcast_to(model.follower_init.mean(), (rows, lx))
+        seen = [info.observed(1) for info in infos]
+        if any(seen):
+            m_hat = _observe(seen, arm, xbar, m_hat)
         for t in range(1, T + 1):
-            xbar = xf.mean(axis=1)
+            size = active.size
+            if xbar is None:
+                xbar = xf.mean(axis=1)
             u0 = leader_action(gains, t, x0, m_hat)
-            uf = follower_action(gains, t, xf, x0, m_hat)
+            uf = follower_action(gains, t, xf, x0, m_hat, out=work["uf"][:size])
             ubar = uf.mean(axis=1)
-            d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat)
+            d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat,
+                                   work["df"][:size])
             dbar = df.mean(axis=1)
 
             for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
                                 ("ubar", ubar), ("d0", d0), ("dbar", dbar)):
                 series[name][active, t - 1] = value
-            stage_costs[active, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar)
+            stage_costs[active, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar,
+                                                    scratch)
             if keep:
                 full["xi"][active, t - 1], full["ui"][active, t - 1] = xf, uf
                 full["di"][active, t - 1] = df
 
-            z = np.empty((live.size, n + 1, lx))  # row 0 leader noise, rows 1.. follower noise
+            z = work["z"][:live.size]  # row 0 leader noise, rows 1.. follower noise
             for k, j in enumerate(live):
                 stream(runs[j], t).standard_normal(out=z[k])
             f0, ff = colour[0][t - 1], colour[1][t - 1]
             w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
-            wf = rmatmul(z[:, 1:], ff.T) + np.zeros(lx)
             if len(infos) > 1:  # each run's noise, copied to the rows of its arms
-                w0, wf = w0[pick], wf[pick]
+                w0 = w0[pick]
 
             x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)
                        + matvec(model.S0[t - 1], xbar) + d0 + w0)
-            xf_next = (rmatmul(xf, model.A[t - 1]) + rmatmul(uf, model.B[t - 1])
-                       + matvec(model.S[t - 1], xbar)[:, None, :]
-                       + matvec(model.E[t - 1], x0)[:, None, :] + df + wf)
+            # the state arrays alternate: the next state goes where the last one was
+            xf_next = rmatmul(xf, model.A[t - 1], out=states[t % 2][:size])
+            np.add(xf_next, rmatmul(uf, model.B[t - 1], out=_carve(scratch, xf.shape)[0]),
+                   out=xf_next)
+            np.add(xf_next, matvec(model.S[t - 1], xbar)[:, None, :], out=xf_next)
+            np.add(xf_next, matvec(model.E[t - 1], x0)[:, None, :], out=xf_next)
+            np.add(xf_next, df, out=xf_next)
+            wf = rmatmul(z[:, 1:], ff.T, out=_carve(scratch, (live.size, n, lx))[0])
+            if ff.shape != (1, 1):  # a 1x1 rmatmul has added its 0.0 already
+                np.add(wf, np.zeros(lx), out=wf)
+            if len(infos) > 1:  # xf is read no more this step, so it takes the copies
+                wf = np.take(wf, pick, axis=0, out=xf, mode="clip")
+            np.add(xf_next, wf, out=xf_next)
 
-            ok = np.isfinite(x0_next).all(axis=1) & np.isfinite(xf_next).all(axis=(1, 2))
+            ok = (np.isfinite(x0_next).all(axis=1)
+                  & np.isfinite(xf_next, out=work["finite"][:size]).all(axis=(1, 2)))
             if not ok.all():
                 for row in active[~ok]:
                     failed_at[row] = t
-                active, x0, m_hat = active[ok], x0[ok], m_hat[ok]
-                x0_next, xf_next = x0_next[ok], xf_next[ok]
+                active, x0, m_hat, x0_next = active[ok], x0[ok], m_hat[ok], x0_next[ok]
                 if active.size == 0:
                     break
+                xf_next[:active.size] = xf_next[ok]  # the rows still stepping, to the front
+                xf_next = xf_next[:active.size]
                 arm, live = active // R, np.flatnonzero(np.bincount(active % R, minlength=R))
                 pick = np.searchsorted(live, active % R)
 
+            xbar = None
             if t < T:
                 seen = [info.observed(t + 1) for info in infos]
                 if not all(seen):
                     m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
-                m_hat = _observe(seen, arm, xf_next, m_hat)
+                if any(seen):  # the observed mean is the next step's xbar
+                    xbar = xf_next.mean(axis=1)
+                    m_hat = _observe(seen, arm, xbar, m_hat)
             x0, xf = x0_next, xf_next
 
     records = [
@@ -382,7 +472,8 @@ def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: in
     runs = range(run, run + 1)
     colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
     return _simulate_block(model, gains, cfg, (cfg.info,), runs,
-                           _substreams(cfg.master_seed, runs, model.horizon), colour)[0][0]
+                           _substreams(cfg.master_seed, runs, model.horizon), colour,
+                           _work_arrays(model, 1, 1))[0][0]
 
 
 def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
@@ -394,7 +485,7 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
     of them from the same draws, and the result is one record list per arm,
     each bit for bit what ``simulate`` gives with that arm as ``cfg.info``.
     A block then holds every arm of its runs and counts the follower states
-    of all of them.
+    of all of them.  Every block reuses one set of work arrays.
     """
     infos = (cfg.info,) if arms is None else tuple(arms)
     if not infos:
@@ -402,11 +493,12 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
     runs = range(cfg.num_runs)
     stream = _substreams(cfg.master_seed, runs, model.horizon)
     colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
-    per_block = max(1, BLOCK_STATES // (len(infos) * model.n_followers))
+    per_block = min(cfg.num_runs, max(1, BLOCK_STATES // (len(infos) * model.n_followers)))
+    work = _work_arrays(model, len(infos), per_block)
     records = [[] for _ in infos]
     for first in range(0, cfg.num_runs, per_block):
         block = _simulate_block(model, gains, cfg, infos, runs[first:first + per_block], stream,
-                                colour)
+                                colour, work)
         for arm, part in zip(records, block):
             arm += part
     return records[0] if arms is None else records

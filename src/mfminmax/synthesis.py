@@ -16,11 +16,12 @@ walk carries any number of gamma at once (``feasible``, ``critical_gamma``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, _attenuation, build_augmented, validate_convexity
+from .model import ModelError, ModelSpec, _attenuation, build_augmented, validate_convexity
 
 __all__ = [
     "InfeasibleError",
@@ -236,24 +237,31 @@ def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:
         )
     n, lx = model.n_followers, model.state_dim
     finit = model.follower_init
-    if finit.kind == "deterministic":
-        vals = np.atleast_2d(finit.values)
-        if vals.shape[0] == 1:
-            vals = np.broadcast_to(vals[0], (n, lx))
-        dev = vals - vals.mean(axis=0)
-        dev_sm = dev.T @ dev / n
-        mean_cov = np.zeros((lx, lx))
-    else:
-        dev_sm = (1.0 - 1.0 / n) * finit.cov()
-        mean_cov = finit.cov() / n
-    value = float(np.trace(ric.M_brev[0] @ dev_sm)) + float(ric.c_brev[0])
-
-    mu = np.concatenate([model.leader_init.mean(), finit.mean()])
-    cov = np.zeros((2 * lx, 2 * lx))
-    cov[:lx, :lx] = model.leader_init.cov()
-    cov[lx:, lx:] = mean_cov
-    second = cov + np.outer(mu, mu)
-    value += float(np.trace(ric.M_bar[0] @ second)) + float(ric.c_bar[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment that overflows is rejected below
+        if finit.kind == "deterministic":
+            vals = np.atleast_2d(finit.values)
+            if vals.shape[0] == 1:
+                vals = np.broadcast_to(vals[0], (n, lx))
+            dev = vals - vals.mean(axis=0)
+            dev_sm = dev.T @ dev / n
+            mean_cov = np.zeros((lx, lx))
+        else:
+            dev_sm = (1.0 - 1.0 / n) * finit.cov()
+            mean_cov = finit.cov() / n
+        mu = np.concatenate([model.leader_init.mean(), finit.mean()])
+        cov = np.zeros((2 * lx, 2 * lx))
+        cov[:lx, :lx] = model.leader_init.cov()
+        cov[lx:, lx:] = mean_cov
+        second = cov + np.outer(mu, mu)
+        for key, moments in (("leader_init", [second[:lx, :lx]]),
+                             ("follower_init", [dev_sm, second[lx:, lx:]])):
+            if not all(np.isfinite(m).all() for m in moments):
+                raise ModelError(f"{key}: initial second moments are not finite")
+        value = float(np.trace(ric.M_brev[0] @ dev_sm)) + float(ric.c_brev[0])
+        value += float(np.trace(ric.M_bar[0] @ second)) + float(ric.c_bar[0])
+    if not math.isfinite(value):
+        raise ModelError("leader_init, follower_init: the optimal value of these initial "
+                         "states is not finite")
     return value
 
 

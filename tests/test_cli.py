@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfminmax import sim
 from mfminmax.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -319,9 +320,13 @@ class TestOtherCommands:
         rows = csv_rows(out / "gap_study.csv")
         assert [int(r[0]) for r in rows] == [3, 6]
 
-    def test_gap_study_matches_golden_output(self, tmp_path):
-        # Both sharing arms at n = 10, 2000 and 5000 with 3 runs: at 2000 and
-        # 5000 the arms' runs no longer fit one block of BLOCK_STATES states.
+    @pytest.mark.parametrize("block_states", [1, None, 2 ** 62],
+                             ids=["one-run-blocks", "default-blocks", "one-block"])
+    def test_gap_study_matches_golden_output(self, tmp_path, monkeypatch, block_states):
+        # Both sharing arms at n = 10, 2000 and 5000 with 3 runs, in blocks of
+        # one run, of sim.BLOCK_STATES states and of every run: the same bytes.
+        if block_states is not None:
+            monkeypatch.setattr(sim, "BLOCK_STATES", block_states)
         out = tmp_path / "gap"
         code = main(["gap-study", "--config", str(bundled_config_path(2)), "--gamma", "4",
                      "--n", "10", "2000", "5000", "--runs", "3", "--seed", "17",
@@ -436,6 +441,21 @@ class TestOtherCommands:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_FAIL
         assert capsys.readouterr().err == "error: no successful runs to aggregate\n"
+
+    @pytest.mark.parametrize("argv", [["synthesize", "--gamma", "4"],
+                                      ["verify", "--gamma", "4", "--n", "4"]])
+    def test_overflowing_initial_moments_fail_naming_the_key(self, tmp_path, capsys, argv):
+        # the width squares to inf in the variance; verify's mean squares to inf
+        config = tmp_path / "wide.yaml"
+        config.write_text(read(bundled_config_path(2)).replace(
+            "follower_init:\n  uniform: {low: 0.0, high: 8.0}",
+            "follower_init:\n  uniform: {low: 0.0, high: 1.0e+300}"), encoding="utf-8")
+        assert "1.0e+300" in read(config)
+        code = main(argv + ["--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.err == "error: follower_init: initial second moments are not finite\n"
+        assert captured.out == ""
 
     def test_sweep_requires_gamma(self, capsys):
         code = main(["sweep-gamma", "--config", str(bundled_config_path(2))])

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -389,6 +390,25 @@ class TestCostFormula:
                           np.array([[1.0]]), np.array([2.0]), np.array([1.0]))
         assert cost == pytest.approx(13.0)
 
+    @pytest.mark.parametrize("lx, lu", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+    def test_scratch_gives_the_allocating_bits(self, lx, lu):
+        # The least scratch a batch may be given, with the rowwise sums of
+        # l = 2 and n <= 2 among the cases, and zeros of both signs.
+        gen = np.random.default_rng(10 * lx + lu)
+        m = make_model(T=1, n=1, gamma=1.5, A0=1.0, B0=np.ones(lx * lu), S0=0.0, A=1.0,
+                       B=np.ones(lx * lu), S=0.0, E=0.0, Q=1.0, Q0=1.0, F=1.0, P=1.0, R=1.0,
+                       R0=1.0, H=1.0, lx=lx, lu=lu)
+        m = replace(m, Q=gen.normal(size=(1, lx, lx)), R=gen.normal(size=(1, lu, lu)))
+        values = np.concatenate([[0.0, -0.0, 5e-324], gen.normal(size=9)])
+        for n in (1, 2, 5):
+            xf, uf, df = (gen.choice(values, size=(3, n, d)) for d in (lx, lu, lx))
+            x0, d0, xbar = (gen.choice(values, size=(3, lx)) for _ in range(3))
+            u0, ubar = (gen.choice(values, size=(3, lu)) for _ in range(2))
+            scratch = np.full(3 * n * sim._scratch_width(lx, lu), np.nan)
+            expected = stage_cost(m, 1, x0, u0, d0, xf, uf, df, xbar, ubar)
+            got = stage_cost(m, 1, x0, u0, d0, xf, uf, df, xbar, ubar, scratch)
+            assert got.tobytes() == expected.tobytes(), n
+
     def test_gamma_only_scales_disturbance_terms(self, example2):
         m = replace(example2, n_followers=4)
         g = gains_for(m)
@@ -462,6 +482,32 @@ class TestAgainstOptimalValue:
         assert abs(cost.mean - optimal_value(m, ric)) <= 4.0 * cost.stderr
 
 
+class TestWorkSet:
+    # The work arrays of a scalar model: two follower state arrays, actions,
+    # disturbances, the noise draw and the scratch, each of at most
+    # BLOCK_STATES floats, and the finite mask; the seventh array bounds the
+    # mask, one run's initial draw and the small arrays of a step.
+    BLOCK_ARRAYS = 7
+
+    def test_peak_stays_within_the_work_arrays_whatever_the_run_count(self, example1):
+        # n = 10^4 puts three runs in a block, so 9 runs make three blocks.
+        # A step that makes two block-sized temporaries again, or a block
+        # that holds every run, goes over the bound.
+        m = replace(example1.with_gamma(20.0), n_followers=10_000)
+        g = gains_for(m)
+        cfg = SimConfig(master_seed=7, num_runs=9, disturbance=DisturbancePolicy.worst_case())
+        simulate(m, g, replace(cfg, num_runs=1))  # lazy imports of a first call
+        tracemalloc.start()
+        try:
+            records = simulate(m, g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 9 and not any(rec.failed for rec in records)
+        series = cfg.num_runs * m.horizon * 8 * 8  # seven aggregate series and the stage costs
+        assert peak < self.BLOCK_ARRAYS * sim.BLOCK_STATES * 8 + series
+
+
 class TestGoldenTrajectory:
     def test_example1_regression(self, example1):
         # Frozen once from a fixed-seed run; guards the whole pipeline
@@ -500,10 +546,16 @@ class TestGoldenTrajectory:
         golden = Path(__file__).parent / "data" / f"golden_example2_imfs_worstcase_seed{seed}.csv"
         assert text == golden.read_text(encoding="utf-8")
 
-    def test_diverging_regression(self):
+    @pytest.mark.parametrize("block_states", [1, None, 2 ** 62],
+                             ids=["one-run-blocks", "default-blocks", "one-block"])
+    def test_diverging_regression(self, monkeypatch, block_states):
         # Three of the four runs overflow at t = 9: their t = 10 rows read
         # nan, and the finite states before it print at the e+299 scale.
+        # Alone in its block or beside the runs that fail, the survivor
+        # steps on with the same bytes.
         from pathlib import Path
+        if block_states is not None:
+            monkeypatch.setattr(sim, "BLOCK_STATES", block_states)
         m = diverging_model()
         cfg = SimConfig(master_seed=0, num_runs=4, retain_full_states=True)
         text = trajectory_csv(simulate(m, gains_for(m), cfg))

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfminmax.model import InfoStructure, InitSpec
 from mfminmax.sim import DisturbancePolicy, SimConfig, simulate
@@ -14,7 +17,7 @@ from mfminmax.strategy import (
     rmatmul,
     worst_case_disturbance,
 )
-from mfminmax.synthesis import compute_gains, solve_riccati
+from mfminmax.synthesis import StrategyGains, compute_gains, solve_riccati
 
 from conftest import EX1_GAMMA, EX2_GAMMA, make_model, zero_weight_model
 
@@ -76,6 +79,57 @@ class TestRmatmul:
         MatmulSpy.calls.clear()
         rmatmul(X[..., :1], np.array([[2.0]]))
         assert MatmulSpy.calls == []
+
+
+# Finite values whose products and sums show every way bits can part: both
+# zero signs, subnormals, values whose products overflow, and plain ones.
+FINITE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7e308, 1.0, -2.5, 0.1, 3.0]
+
+
+@st.composite
+def out_cases(draw):
+    """Gains of lx, lu in {1, 2, 3}; a population (n, lx) or (R, n, lx) with its x0 and mean."""
+    lx, lu, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    runs = draw(st.sampled_from([(), (1,), (3,)]))
+
+    def block(*shape):
+        return draw(arrays(np.float64, shape, elements=st.sampled_from(FINITE_VALUES)))
+
+    gains = StrategyGains(L_brev=block(1, lu, lx), L_bar=block(1, 2 * lu, 2 * lx),
+                          K_brev=block(1, lx, lx), K_bar=block(1, 2 * lx, 2 * lx))
+    return gains, block(*runs, n, lx), block(*runs, lx), block(*runs, lx)
+
+
+class TestOutForms:
+    """Each ``out=`` form writes the bits of its allocating form, and returns ``out``."""
+
+    @settings(max_examples=60)
+    @given(out_cases())
+    def test_rmatmul_into_out_equals_matmul(self, case):
+        gains, X, _, _ = case
+        for K in (gains.L_brev[0], gains.K_brev[0]):
+            out, own = np.full(X.shape[:-1] + K.shape[:1], np.nan), X.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = X @ K.T
+                got = rmatmul(X, K, out=out)
+                if K.shape[0] == X.shape[-1]:  # out may be X itself
+                    assert rmatmul(own, K, out=own).tobytes() == expected.tobytes()
+            assert got is out and got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60)
+    @given(out_cases())
+    def test_feedback_maps_into_out_equal_allocating_forms(self, case):
+        gains, xf, x0, mean = case
+        actions = np.full(xf.shape[:-1] + (gains.action_dim,), np.nan)
+        disturbances = np.full(xf.shape, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected_u = follower_action(gains, 1, xf, x0, mean)
+            got_u = follower_action(gains, 1, xf, x0, mean, out=actions)
+            expected_d = worst_case_disturbance(gains, 1, x0, mean, xf)
+            got_d = worst_case_disturbance(gains, 1, x0, mean, xf, out=disturbances)
+        assert got_u is actions and got_u.tobytes() == expected_u.tobytes()
+        assert got_d[1] is disturbances and got_d[1].tobytes() == expected_d[1].tobytes()
+        assert got_d[0].tobytes() == expected_d[0].tobytes()
 
 
 class TestActions:

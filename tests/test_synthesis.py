@@ -279,6 +279,25 @@ class TestOptimalValue:
         with pytest.raises(InfeasibleError):
             optimal_value(m, solve_riccati(m))
 
+    @pytest.mark.parametrize("key, change", [
+        ("follower_init", {"follower_uniform": (0.0, 1e300)}),  # the variance overflows
+        ("follower_init", {"follower_values": [[1e200], [-1e200]]}),  # the deviations' square
+        ("leader_init", {"leader_value": 1e155}),  # the mean's square
+    ])
+    def test_overflowing_moment_raises_naming_its_key(self, key, change):
+        m = make_model(T=3, n=2, gamma=6.0, A0=0.9, B0=0.3, S0=0.0, A=0.9, B=0.4, S=0.0,
+                       E=0.0, Q=1.0, Q0=1.0, F=0.5, P=0.0, R=1.0, R0=1.0, H=0.0, **change)
+        with pytest.raises(ModelError, match=f"^{key}: initial second moments are not finite"):
+            optimal_value(m, solve_riccati(m))
+
+    def test_overflowing_value_raises(self):
+        # finite moments of 1e300 against weights of 1e10
+        m = make_model(T=3, n=1, gamma=1e8, A0=0.9, B0=0.3, S0=0.0, A=0.9, B=0.4, S=0.0,
+                       E=0.0, Q=1e10, Q0=1e10, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0,
+                       leader_value=1e150, follower_values=[[1e150]])
+        with pytest.raises(ModelError, match="optimal value of these initial states is not"):
+            optimal_value(m, solve_riccati(m))
+
 
 class TestCriticalGamma:
     def test_always_feasible_model_rejected(self):
