@@ -9,10 +9,10 @@ several information structures at once, its arms: each arm of a run is
 one row of the block, arm-major, and the arms of a run share its initial
 draw and its noise draws.  A block holds at most ``BLOCK_STATES``
 follower states, counting the rows of every arm, so ``simulate`` walks
-``max(1, BLOCK_STATES // (arms * n))`` runs at a time, and
-``simulate_run`` is a block of one.  Every population quantity of a step
-is computed into work arrays that a call makes once and each of its
-blocks reuses, so a step allocates nothing the size of its population.
+``max(1, BLOCK_STATES // (arms * n))`` runs at a time.  Every population
+quantity of a step is computed into work arrays that a call makes once
+and each of its blocks reuses, so a step allocates nothing the size of
+its population.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
 index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives,
@@ -24,8 +24,9 @@ same bits.  At each t a run makes one draw, leader noise in row 0 and
 follower i's in row i, which every arm of the run reads.  Every batched
 operation gives each row the bits it gets alone, so a run's results are
 bit-identical whichever other runs or arms are simulated with it.  A row
-whose next state is not finite is marked failed at that t and leaves the
-block, its later rows left nan; the others step on.  Stage costs are
+whose next state is not finite is marked failed at that t and stays in
+place, masked: its later rows read nan, and its run stops drawing once
+every arm has failed.  The others step on.  Stage costs are
 accumulated online (sufficient statistics), full per-follower state
 retention is opt-in.
 """
@@ -47,7 +48,6 @@ __all__ = [
     "TrajectoryRecord",
     "CostSummary",
     "simulate",
-    "simulate_run",
     "stage_cost",
     "evaluate_cost",
     "trajectory_csv",
@@ -109,7 +109,7 @@ class CostSummary:
 def _rng(seed: int, run: int, t: int) -> np.random.Generator:
     """Substream keyed by (master seed, run, t); t=0 is the initial draw.
 
-    The reference for the keyed substreams of ``_block_streams``.
+    The reference for the keyed substreams of ``_substreams``.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, run, t))))
 
@@ -351,14 +351,17 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     """The runs ``runs`` under each information structure of ``infos``, stepped together.
 
     Rows are arm-major: row ``a * R + k`` is run ``runs[k]`` under ``infos[a]``
-    (None for full mean-field sharing).  A run's arms start from one initial
-    draw and share one noise draw per t; ``stream`` gives the substreams,
-    ``colour`` holds the (leader, follower) factor stacks and ``work`` the
-    arrays of ``_work_arrays``, with room for the block's rows.  Returns one
-    record list per arm.
+    (None for full mean-field sharing), for the whole horizon.  A run's arms
+    start from one initial draw and share one noise draw per t; ``stream``
+    gives the substreams, ``colour`` holds the (leader, follower) factor
+    stacks and ``work`` the arrays of ``_work_arrays``, with room for the
+    block's rows.  A failed row steps on, and its entries from its
+    ``failed_at`` on are set to nan at the end.  Returns one record list per
+    arm.
     """
     T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
-    R, rows, seed = len(runs), len(infos) * len(runs), cfg.master_seed
+    A, R, seed = len(infos), len(runs), cfg.master_seed
+    rows = A * R
     infos = [InfoStructure.mfs(T) if info is None else info for info in infos]
     states, scratch = work["states"], work["scratch"]
 
@@ -367,22 +370,20 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
         init_rng = stream(run, 0)
         x0[k] = model.leader_init.sample(init_rng)
         xf[k] = model.follower_init.sample(init_rng, n)
-    x0 = np.concatenate([x0] * len(infos))
-    for first in range(R, rows, R):  # each further arm starts from the same draw
-        xf[first:first + R] = xf[:R]
-    active = np.arange(rows)  # the rows still stepping
-    arm, pick = active // R, active % R  # each active row's arm, and its run as an index into live
-    live = np.arange(R)  # the runs still stepping in some arm: one draw each per t
+    x0 = np.tile(x0, (A, 1))
+    xf.reshape(A, R, n, lx)[1:] = xf[:R]  # each further arm starts from the same draw
+    arm = np.arange(rows) // R
+    live = range(R)  # the runs still stepping in some arm: one draw each per t
+    z = work["z"][:R]  # row 0 leader noise, rows 1.. follower noise
 
-    # rows after a run fails stay nan, as its stage costs do
-    series = {name: np.full((rows, T, dim), np.nan) for name, dim in (
+    series = {name: np.empty((rows, T, dim)) for name, dim in (
         ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("d0", lx),
         ("dbar", lx))}
-    stage_costs = np.full((rows, T), np.nan)
+    stage_costs = np.empty((rows, T))
     keep = cfg.retain_full_states
-    full = {name: np.full((rows, T, n, dim), np.nan) if keep else [None] * rows
-            for name, dim in (("xi", lx), ("ui", lu), ("di", lx))}
-    failed_at = [None] * rows
+    full = {name: np.empty((rows, T, n, dim)) for name, dim in (
+        ("xi", lx), ("ui", lu), ("di", lx))} if keep else {}
+    failed_at = np.zeros(rows, dtype=int)  # 0 while a row's states are finite
 
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
         xbar = xf.mean(axis=1)
@@ -391,61 +392,50 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
         if any(seen):
             m_hat = _observe(seen, arm, xbar, m_hat)
         for t in range(1, T + 1):
-            size = active.size
             if xbar is None:
                 xbar = xf.mean(axis=1)
             u0 = leader_action(gains, t, x0, m_hat)
-            uf = follower_action(gains, t, xf, x0, m_hat, out=work["uf"][:size])
+            uf = follower_action(gains, t, xf, x0, m_hat, out=work["uf"][:rows])
             ubar = uf.mean(axis=1)
             d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat,
-                                   work["df"][:size])
+                                   work["df"][:rows])
             dbar = df.mean(axis=1)
 
             for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
                                 ("ubar", ubar), ("d0", d0), ("dbar", dbar)):
-                series[name][active, t - 1] = value
-            stage_costs[active, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar,
-                                                    scratch)
+                series[name][:, t - 1] = value
+            stage_costs[:, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar,
+                                               scratch)
             if keep:
-                full["xi"][active, t - 1], full["ui"][active, t - 1] = xf, uf
-                full["di"][active, t - 1] = df
+                full["xi"][:, t - 1], full["ui"][:, t - 1], full["di"][:, t - 1] = xf, uf, df
 
-            z = work["z"][:live.size]  # row 0 leader noise, rows 1.. follower noise
-            for k, j in enumerate(live):
-                stream(runs[j], t).standard_normal(out=z[k])
+            for k in live:
+                stream(runs[k], t).standard_normal(out=z[k])
             f0, ff = colour[0][t - 1], colour[1][t - 1]
             w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
-            if len(infos) > 1:  # each run's noise, copied to the rows of its arms
-                w0 = w0[pick]
 
             x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)
-                       + matvec(model.S0[t - 1], xbar) + d0 + w0)
+                       + matvec(model.S0[t - 1], xbar) + d0 + np.tile(w0, (A, 1)))
             # the state arrays alternate: the next state goes where the last one was
-            xf_next = rmatmul(xf, model.A[t - 1], out=states[t % 2][:size])
+            xf_next = rmatmul(xf, model.A[t - 1], out=states[t % 2][:rows])
             np.add(xf_next, rmatmul(uf, model.B[t - 1], out=_carve(scratch, xf.shape)[0]),
                    out=xf_next)
             np.add(xf_next, matvec(model.S[t - 1], xbar)[:, None, :], out=xf_next)
             np.add(xf_next, matvec(model.E[t - 1], x0)[:, None, :], out=xf_next)
             np.add(xf_next, df, out=xf_next)
-            wf = rmatmul(z[:, 1:], ff.T, out=_carve(scratch, (live.size, n, lx))[0])
+            wf = rmatmul(z[:, 1:], ff.T, out=_carve(scratch, (R, n, lx))[0])
             if ff.shape != (1, 1):  # a 1x1 rmatmul has added its 0.0 already
                 np.add(wf, np.zeros(lx), out=wf)
-            if len(infos) > 1:  # xf is read no more this step, so it takes the copies
-                wf = np.take(wf, pick, axis=0, out=xf, mode="clip")
-            np.add(xf_next, wf, out=xf_next)
+            by_arm = xf_next.reshape(A, R, n, lx)  # each arm of a run takes the run's noise
+            np.add(by_arm, wf, out=by_arm)
 
             ok = (np.isfinite(x0_next).all(axis=1)
-                  & np.isfinite(xf_next, out=work["finite"][:size]).all(axis=(1, 2)))
+                  & np.isfinite(xf_next, out=work["finite"][:rows]).all(axis=(1, 2)))
             if not ok.all():
-                for row in active[~ok]:
-                    failed_at[row] = t
-                active, x0, m_hat, x0_next = active[ok], x0[ok], m_hat[ok], x0_next[ok]
-                if active.size == 0:
+                failed_at[~ok & (failed_at == 0)] = t
+                live = np.flatnonzero((failed_at == 0).reshape(A, R).any(axis=0))
+                if live.size == 0:
                     break
-                xf_next[:active.size] = xf_next[ok]  # the rows still stepping, to the front
-                xf_next = xf_next[:active.size]
-                arm, live = active // R, np.flatnonzero(np.bincount(active % R, minlength=R))
-                pick = np.searchsorted(live, active % R)
 
             xbar = None
             if t < T:
@@ -457,23 +447,17 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
                     m_hat = _observe(seen, arm, xbar, m_hat)
             x0, xf = x0_next, xf_next
 
+    for row in np.flatnonzero(failed_at):  # a failed row reads nan from its failed_at on
+        for arr in (*series.values(), stage_costs, *full.values()):
+            arr[row, failed_at[row]:] = np.nan
     records = [
         TrajectoryRecord(
             run=runs[row % R], seed=seed, **{name: arr[row] for name, arr in series.items()},
-            stage_costs=stage_costs[row],
-            xi=full["xi"][row], ui=full["ui"][row], di=full["di"][row], failed_at=failed_at[row])
+            stage_costs=stage_costs[row], **{name: arr[row] for name, arr in full.items()},
+            failed_at=int(failed_at[row]) or None)
         for row in range(rows)
     ]
     return [records[first:first + R] for first in range(0, rows, R)]
-
-
-def simulate_run(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, run: int) -> TrajectoryRecord:
-    """One seeded run, a block of one; deterministic in (master_seed, run) alone."""
-    runs = range(run, run + 1)
-    colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
-    return _simulate_block(model, gains, cfg, (cfg.info,), runs,
-                           _substreams(cfg.master_seed, runs, model.horizon), colour,
-                           _work_arrays(model, 1, 1))[0][0]
 
 
 def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,

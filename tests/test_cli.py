@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfminmax import sim
+from mfminmax import oracle, sim
 from mfminmax.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -370,7 +370,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--n", "0"],
-        ["verify", "--n", "17"],
+        ["verify", "--n", str(oracle.MAX_ORACLE_FOLLOWERS + 1)],
         ["simulate", "--runs", "0"],
         ["gap-study", "--runs", "0"],
         ["gap-study", "--n", "0"],

@@ -19,7 +19,6 @@ from mfminmax.sim import (
     SimConfig,
     evaluate_cost,
     simulate,
-    simulate_run,
     stage_cost,
     trajectory_csv,
 )
@@ -56,10 +55,15 @@ def diverging_model(T=10):
                       follower_uniform=(0.0, 1e300), noise_follower=1.0)
 
 
-def block_cases(example2):
-    """(model, config) pairs whose runs span several blocks, or fail at different t."""
-    # BLOCK_STATES // 3 followers put three runs in a block: seven runs make blocks 3, 3, 1.
-    n = sim.BLOCK_STATES // 3
+def block_cases(example2, monkeypatch):
+    """(model, config) pairs whose runs span several blocks, or fail at different t.
+
+    Caps a block at 30 follower states: the ten followers of the scalar and
+    vector cases put seven runs in blocks of 3, 3 and 1 under one arm and of
+    one run under three.
+    """
+    monkeypatch.setattr(sim, "BLOCK_STATES", 30)
+    n = 10
     return {
         "scalar": (replace(example2.with_gamma(EX2_GAMMA), n_followers=n),
                    SimConfig(master_seed=21, num_runs=7, info=InfoStructure.imfs([1, 5]),
@@ -144,14 +148,17 @@ class TestDeterminism:
             assert np.array_equal(ra.stage_costs, rb.stage_costs)
 
     @pytest.mark.parametrize("case", ["scalar", "vector", "diverging"])
-    def test_runs_independent_of_execution_order(self, example2, case):
-        # A run alone (a block of one) against the same run among the others.
-        m, cfg = block_cases(example2)[case]
+    def test_runs_independent_of_execution_order(self, example2, monkeypatch, case):
+        # Each run alone in its block against the same run among the others.
+        m, cfg = block_cases(example2, monkeypatch)[case]
         g = gains_for(m)
         ordered = simulate(m, g, cfg)
         assert [rec.run for rec in ordered] == list(range(cfg.num_runs))
-        for run in range(cfg.num_runs):
-            assert_same_record(simulate_run(m, g, cfg, run), ordered[run])
+        monkeypatch.setattr(sim, "BLOCK_STATES", 1)
+        alone = simulate(m, g, cfg)
+        assert len(alone) == cfg.num_runs
+        for a, b in zip(alone, ordered):
+            assert_same_record(a, b)
         if case == "diverging":
             assert {rec.failed_at for rec in ordered} == {9, 10, None}
             for rec in ordered:
@@ -164,11 +171,11 @@ class TestDeterminism:
                     assert np.isfinite(arr[:rec.failed_at or m.horizon]).all(), name
 
     @pytest.mark.parametrize("case", ["scalar", "vector", "diverging"])
-    def test_each_arm_equals_its_own_call(self, example2, case):
+    def test_each_arm_equals_its_own_call(self, example2, monkeypatch, case):
         # Several information structures in one pass share blocks and draws;
         # each arm must still get the bits of its own call.  The scalar and
         # vector cases split into one run per block under three arms.
-        m, cfg = block_cases(example2)[case]
+        m, cfg = block_cases(example2, monkeypatch)[case]
         arms = (cfg.info, None, InfoStructure.no_sharing())
         quiet = contextlib.nullcontext()
         if case == "diverging":
@@ -201,11 +208,12 @@ class TestDeterminism:
     def test_arms_take_one_draw_per_run_and_t(self, example2, monkeypatch, case):
         # Keys are derived once per call and every (run, t) draws its noise
         # once, whatever the number of arms and blocks.
-        if case == "split":  # two arms of BLOCK_STATES // 4 followers: blocks of 2 runs
-            m = replace(example2.with_gamma(EX2_GAMMA), n_followers=sim.BLOCK_STATES // 4)
+        if case == "split":  # two arms of ten followers in blocks of 40 states: 2 runs each
+            monkeypatch.setattr(sim, "BLOCK_STATES", 40)
+            m = replace(example2.with_gamma(EX2_GAMMA), n_followers=10)
             cfg = SimConfig(master_seed=4, num_runs=5, info=InfoStructure.imfs([3]))
         else:  # as in test_each_arm_equals_its_own_call: a run steps on in one arm only
-            m, cfg = diverging_model(T=12), block_cases(example2)["diverging"][1]
+            m, cfg = diverging_model(T=12), block_cases(example2, monkeypatch)["diverging"][1]
             cfg = replace(cfg, disturbance=DisturbancePolicy.worst_case(use_estimate=True))
         draws, key_calls = Counter(), []
         substreams, substream_keys = sim._substreams, sim._substream_keys
@@ -344,17 +352,30 @@ class TestSubstreams:
             assert got.random() == ref.random()  # both stand at the same place after the draws
 
     @pytest.mark.parametrize("seed, run, keyed", [
-        (7, 0, True), (2 ** 32 - 1, 2 ** 32 - 1, True), (0, 2 ** 32, False),
-        (2 ** 64, 0, False), (2 ** 64, 2 ** 33, False),
-    ], ids=["keyed", "keyed-last-word", "run-2^32", "seed-2^64", "both-wide"])
-    def test_engine_draws_equal_reference_substreams(self, monkeypatch, seed, run, keyed):
-        m = noise_model()
-        g = gains_for(m)
-        x0, xi = reference_states(seed, run, m)
+        (2 ** 32 - 1, 2 ** 32 - 1, True), (0, 2 ** 32, False), (2 ** 64, 2 ** 33, False),
+    ], ids=["keyed-last-word", "run-2^32", "both-wide"])
+    def test_run_index_substreams_equal_reference(self, monkeypatch, seed, run, keyed):
+        # Run indices past the ones a test can simulate: the substreams of a
+        # call whose runs start there.
+        T, reference = 3, sim._rng
         # The keyed path builds no substream with _rng; the fallback derives no keys.
         unused = "_rng" if keyed else "_substream_keys"
         monkeypatch.setattr(sim, unused, lambda *args: pytest.fail(f"{unused} called"))
-        rec = simulate_run(m, g, SimConfig(master_seed=seed, retain_full_states=True), run)
+        stream = sim._substreams(seed, range(run, run + 1), T)
+        for t in range(T + 1):
+            got, ref = stream(run, t).standard_normal(4), reference(seed, run, t).standard_normal(4)
+            assert got.tobytes() == ref.tobytes(), t
+
+    @pytest.mark.parametrize("seed, keyed", [
+        (7, True), (2 ** 32 - 1, True), (2 ** 32, False), (2 ** 64, False),
+    ], ids=["keyed", "keyed-last-word", "seed-2^32", "seed-2^64"])
+    def test_engine_draws_equal_reference_substreams(self, monkeypatch, seed, keyed):
+        m = noise_model()
+        g = gains_for(m)
+        x0, xi = reference_states(seed, 0, m)
+        unused = "_rng" if keyed else "_substream_keys"
+        monkeypatch.setattr(sim, unused, lambda *args: pytest.fail(f"{unused} called"))
+        rec, = simulate(m, g, SimConfig(master_seed=seed, retain_full_states=True))
         assert rec.x0.tobytes() == x0.tobytes()
         assert rec.xi.tobytes() == xi.tobytes()
 
@@ -418,25 +439,26 @@ class TestCostFormula:
             doubled = retained_cost(m.with_gamma(2 * m.gamma), rec)
             assert retained_cost(m, rec) == pytest.approx(doubled, rel=1e-12)
 
-    def test_failed_runs_excluded_from_mean(self):
+    @staticmethod
+    def zero_weight_records():
         m = zero_weight_model()
-        rec_ok = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 0)
-        rec_bad = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 1)
+        return simulate(m, gains_for(m), SimConfig(master_seed=2, num_runs=2))
+
+    def test_failed_runs_excluded_from_mean(self):
+        rec_ok, rec_bad = self.zero_weight_records()
         rec_bad.failed_at = 1
         summary = evaluate_cost([rec_ok, rec_bad])
         assert summary.failed_runs == 1
         assert summary.mean == rec_ok.total_cost
 
     def test_failed_at_marks_the_record_failed_with_nan_cost(self):
-        m = zero_weight_model()
-        rec = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 0)
+        rec, _ = self.zero_weight_records()
         assert not rec.failed and rec.total_cost == float(rec.stage_costs.sum())
         rec.failed_at = 3
         assert rec.failed and math.isnan(rec.total_cost)
 
     def test_no_successful_runs_is_an_error(self):
-        m = zero_weight_model()
-        rec = simulate_run(m, gains_for(m), SimConfig(master_seed=2), 0)
+        rec, _ = self.zero_weight_records()
         rec.failed_at = 1
         with pytest.raises(ValueError, match="no successful"):
             evaluate_cost([rec])
