@@ -84,14 +84,23 @@ def _write(path: Path, text: str) -> None:
 
 def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
            disturbance: DisturbancePolicy, info_text: str, retain: bool) -> int:
-    """Shared core of run-example / sweep-gamma / simulate."""
+    """Shared core of run-example / sweep-gamma / simulate.
+
+    The schedule and every gamma are checked before any work: each gamma
+    must be valid and name its own output files.
+    """
     cfg = SimConfig(master_seed=seed, num_runs=runs, retain_full_states=retain,
                     disturbance=disturbance, info=parse_schedule(info_text, model.horizon))
+    models = [model.with_gamma(gamma) for gamma in gamma_list]
+    tags = [_gamma_tag(gamma) for gamma in gamma_list]
+    for k, tag in enumerate(tags):
+        if tag in tags[:k]:
+            raise ValueError(f"gamma values {float(gamma_list[tags.index(tag)])!r} and "
+                             f"{float(gamma_list[k])!r} would both write *_gamma_{tag}.csv")
     summary = ["gamma,feasible,min_margin_brev,min_margin_bar,runs,seed,mean_cost,stderr"]
     report_lines = []
     any_feasible = False
-    for gamma in gamma_list:
-        mdl = model.with_gamma(gamma)
+    for gamma, mdl in zip(gamma_list, models):
         ric = solve_riccati(mdl)
         mean = stderr = float("nan")
         if ric.feasible:

@@ -112,23 +112,24 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def _symmetric(x: np.ndarray, name: str) -> np.ndarray:
-    """(x + x') / 2, warning or rejecting by the asymmetry of x relative to its magnitude."""
-    rel = np.max(np.abs(x - x.T)) / max(np.max(np.abs(x)), 1.0)
-    if rel > SYM_REJECT:
-        raise ModelError(f"{name}: asymmetry {rel:.3g} exceeds {SYM_REJECT:.0e}")
-    if rel > SYM_WARN:
-        warnings.warn(f"{name}: symmetrized (asymmetry {rel:.3g})", stacklevel=4)
-    return (x + x.T) / 2.0
-
-
-def _symmetrize(stack: np.ndarray, name: str) -> np.ndarray:
-    """Symmetrize each matrix in a stack, warning/rejecting by asymmetry."""
-    return np.stack([_symmetric(x, f"{name} at t={t + 1}") for t, x in enumerate(stack)])
+    """(x + x') / 2 of a matrix or of each in a (T, l, l) stack, warning once or rejecting by the
+    asymmetry of each matrix relative to its magnitude, at a stack's first t past the limit."""
+    xt = np.swapaxes(x, -1, -2)
+    rel = np.ravel(np.abs(x - xt).max(axis=(-2, -1)) / np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0))
+    k = np.argmax(rel > (SYM_REJECT if rel.max() > SYM_REJECT else SYM_WARN))
+    where = name if x.ndim == 2 else f"{name} at t={k + 1}"
+    if rel[k] > SYM_REJECT:
+        raise ModelError(f"{where}: asymmetry {rel[k]:.3g} exceeds {SYM_REJECT:.0e}")
+    if rel[k] > SYM_WARN:
+        warnings.warn(f"{where}: symmetrized (asymmetry {rel[k]:.3g})", stacklevel=3)
+    return (x + xt) / 2.0
 
 
 def _check_psd(mat: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    if np.min(np.linalg.eigvalsh(mat)) < -tol:
-        raise ModelError(f"{name}: not positive semi-definite")
+    """Reject a matrix, or a (T, l, l) stack naming its first such t, with an eigenvalue < -tol."""
+    bad = np.flatnonzero(np.linalg.eigvalsh(mat).min(axis=-1) < -tol)
+    if bad.size:
+        raise ModelError(f"{name if mat.ndim == 2 else f'{name}[t={bad[0] + 1}]'}: not positive semi-definite")
 
 
 @dataclass(frozen=True)
@@ -468,15 +469,14 @@ def load_model(text: str) -> ModelSpec:
 
     weights = {}
     for name, rows in zip(weight_names, (lx, lx, lx, lx, lu, lu, lu)):
-        weights[name] = _symmetrize(_per_t_stack(cost[name], T, rows, rows, f"cost.{name}"), f"cost.{name}")
+        weights[name] = _symmetric(_per_t_stack(cost[name], T, rows, rows, f"cost.{name}"), f"cost.{name}")
 
     noise = _check_keys(raw.get("noise"), {"leader", "follower"}, "noise")
     none_cov = np.zeros((lx, lx))
-    nl = _symmetrize(_per_t_stack(noise.get("leader", none_cov), T, lx, lx, "noise.leader"), "noise.leader")
-    nf = _symmetrize(_per_t_stack(noise.get("follower", none_cov), T, lx, lx, "noise.follower"), "noise.follower")
-    for t in range(T):
-        _check_psd(nl[t], f"noise.leader[t={t + 1}]")
-        _check_psd(nf[t], f"noise.follower[t={t + 1}]")
+    nl = _symmetric(_per_t_stack(noise.get("leader", none_cov), T, lx, lx, "noise.leader"), "noise.leader")
+    nf = _symmetric(_per_t_stack(noise.get("follower", none_cov), T, lx, lx, "noise.follower"), "noise.follower")
+    _check_psd(nl, "noise.leader")
+    _check_psd(nf, "noise.follower")
 
     leader_init = _parse_init(raw["leader_init"], lx, "leader_init")
     if leader_init.kind == "deterministic" and leader_init.values.shape[0] != 1:

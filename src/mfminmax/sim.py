@@ -15,25 +15,25 @@ and each of its blocks reuses, so a step allocates nothing the size of
 its population.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
-index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives,
-as ``_rng`` builds it.  A ``simulate`` call derives the keys of all its
-(run, t) in one array pass of that hash and re-keys one Philox for each
-substream; a call whose seed or last run index is 2^32 or more, more than
-one uint32 word of entropy, builds each substream with ``_rng``, with the
-same bits.  At each t a run makes one draw, leader noise in row 0 and
-follower i's in row i, which every arm of the run reads.  Every batched
-operation gives each row the bits it gets alone, so a run's results are
-bit-identical whichever other runs or arms are simulated with it.  A row
-whose next state is not finite is marked failed at that t and stays in
-place, masked: its later rows read nan, and its run stops drawing once
-every arm has failed.  The others step on.  Stage costs are
-accumulated online (sufficient statistics), full per-follower state
-retention is opt-in.
+index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives.
+A ``simulate`` call derives the keys of all its (run, t) in one array
+pass of that hash, whatever the width of its seed, and re-keys one Philox
+for each substream; ``_rng``, one substream built by ``SeedSequence``
+itself, is only the reference the keys are tested against.  At each t a
+run makes one draw, leader noise in row 0 and follower i's in row i,
+which every arm of the run reads.  Every batched operation gives each row
+the bits it gets alone, so a run's results are bit-identical whichever
+other runs or arms are simulated with it.  A row whose next state is not
+finite is marked failed at that t and stays in place, masked: its later
+rows read nan, and its run stops drawing once every arm has failed.  The
+others step on.  Stage costs are accumulated online (sufficient
+statistics), full per-follower state retention is opt-in.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,20 +109,21 @@ class CostSummary:
 def _rng(seed: int, run: int, t: int) -> np.random.Generator:
     """Substream keyed by (master seed, run, t); t=0 is the initial draw.
 
-    The reference for the keyed substreams of ``_substreams``.
+    The reference only, which the tests and the bench compare ``_substreams`` with.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, run, t))))
 
 
-def _seed_sequence_keys(seed: np.ndarray, run: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The uint64 Philox key pairs ``_rng`` takes from the entropy [seed, run, t].
+def _seed_sequence_keys(*entropy: np.ndarray) -> np.ndarray:
+    """The uint64 Philox key pairs ``SeedSequence`` takes from the uint32 words ``entropy``.
 
     numpy's ``SeedSequence`` hash on whole uint32 arrays, which broadcast
-    to the shape of the result less its last axis (2): the entropy mixed
-    into a pool of 4 words, then ``generate_state(2, uint64)``.  The hash
-    constants step the same way for every entropy, so they are Python ints.
-    Every product has an array operand, because a product of two uint32
-    numpy scalars warns when it wraps.
+    to the shape of the result less its last axis (2): the first four words
+    fill a pool of 4 (zero words pad fewer), the pool mixes, each further
+    word is mixed into every pool word, then ``generate_state(2, uint64)``.
+    The hash constants step the same way for every entropy, so they are
+    Python ints.  Every product has an array operand, because a product of
+    two uint32 numpy scalars warns when it wraps.
     """
     mask = 0xFFFFFFFF
     const = 0x43b0d7e5  # INIT_A
@@ -138,14 +139,17 @@ def _seed_sequence_keys(seed: np.ndarray, run: np.ndarray, t: np.ndarray) -> np.
         result = np.uint32(0xca01f9dd) * x - np.uint32(0x4973f715) * y
         return result ^ result >> np.uint32(16)
 
-    pool = [hashmix(word) for word in (seed, run, t, np.zeros(1, np.uint32))]  # 0 pads the pool
+    pool = [hashmix(word) for word in (*entropy, *[np.zeros(1, np.uint32)] * 4)[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
 
     const = 0x8b51f9dd  # INIT_B
-    words = np.empty(pool[0].shape + (4,), dtype="<u4")  # each word has mixed in all three
+    words = np.empty(pool[0].shape + (4,), dtype="<u4")  # each word has mixed in all entropy
     for i, word in enumerate(pool):
         word = word ^ np.uint32(const)
         const = const * 0x58f38ded & mask  # MULT_B
@@ -157,10 +161,15 @@ def _seed_sequence_keys(seed: np.ndarray, run: np.ndarray, t: np.ndarray) -> np.
 def _substream_keys(seed: int, runs: range, T: int) -> np.ndarray:
     """The (R, T+1, 2) keys of ``_rng(seed, run, t)`` for run in ``runs``, t in 0..T.
 
-    Seed and run indices must each fit one uint32 word.
+    The seed, any integer >= 0, enters as its uint32 words, least
+    significant first, as ``SeedSequence`` reads an int; each run index
+    must fit one word.
     """
-    return _seed_sequence_keys(np.full(1, seed, np.uint32),
-                               np.array(runs, np.uint32)[:, None],
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [np.full(1, seed >> k & 0xFFFFFFFF, np.uint32) for k in range(0, seed.bit_length() or 1, 32)]
+    return _seed_sequence_keys(*words, np.array(runs, np.uint32)[:, None],
                                np.arange(T + 1, dtype=np.uint32))
 
 
@@ -169,12 +178,8 @@ def _substreams(seed: int, runs: range, T: int):
 
     The keys of every (run, t) come from one ``_substream_keys`` call, and
     one Philox takes each in turn, so a call re-positions the Generator the
-    last call returned.  A seed or run index of 2^32 or more is more than
-    one uint32 word of entropy; then each substream is built with ``_rng``,
-    as it is for a negative index, which ``SeedSequence`` rejects.
+    last call returned.
     """
-    if not (0 <= seed < 2 ** 32 and 0 <= runs[0] and runs[-1] < 2 ** 32):
-        return lambda run, t: _rng(seed, run, t)
     keys = _substream_keys(seed, runs, T)
     gen = np.random.Generator(np.random.Philox(0))  # its seed is replaced by every key
     bit_gen = gen.bit_generator

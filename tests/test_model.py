@@ -137,6 +137,29 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="asymmetry"):
             load_model(two_state(Q="[[1.0, 0.01], [0.0, 1.0]]"))
 
+    def test_constant_asymmetry_warns_once(self):
+        # A matrix given once is graded as one stack over the horizon: one
+        # warning, naming t=1, not one per t.
+        text = two_state(Q="[[1.0, 1.0e-8], [0.0, 1.0]]").replace("horizon: 2", "horizon: 30")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_model(text)
+        assert [str(w.message) for w in caught] == ["cost.Q at t=1: symmetrized (asymmetry 1e-08)"]
+
+    @pytest.mark.parametrize("Q, noise, message", [
+        ("{per_t: [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0e-8], [0.0, 1.0]], "
+         "[[1.0, 0.01], [0.0, 1.0]]]}", "", "cost.Q at t=3: asymmetry 0.01 exceeds 1e-06"),
+        ("[[1.0, 0.0], [0.0, 1.0]]", "noise: {follower: {per_t: [[[1.0, 0.0], [0.0, 1.0]], "
+         "[[1.0, 0.0], [0.0, -0.5]], [[-1.0, 0.0], [0.0, 1.0]]]}}\n",
+         r"noise.follower\[t=2\]: not positive semi-definite"),
+    ], ids=["asymmetry", "psd"])
+    def test_per_t_stack_rejection_names_first_t(self, Q, noise, message):
+        # A stack is checked in one pass; the message names its first bad t.
+        text = two_state(Q=Q).replace("horizon: 2", "horizon: 3").replace(
+            "leader_init:", noise + "leader_init:")
+        with pytest.raises(ModelError, match=message):
+            load_model(text)
+
     def test_initial_covariance_asymmetry_rejected(self):
         # the rule of the weights and the noise, not a silent average
         text = two_state(follower_init="{gaussian: {mean: [0.0, 0.0], "

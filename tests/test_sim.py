@@ -319,13 +319,33 @@ class TestSubstreams:
                 ss = np.random.SeedSequence((seed, run, t))
                 assert keys[run, t].tolist() == ss.generate_state(2, np.uint64).tolist()
 
-    @given(st.tuples(*[st.integers(0, 2 ** 32 - 1)] * 3))
+    @given(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8))
     @settings(max_examples=200)
     def test_any_one_word_entropy_matches_seed_sequence(self, entropy):
+        # Fewer words than the pool of four, and more, each further one mixed in.
         words = [np.array([v], np.uint32) for v in entropy]
         key = sim._seed_sequence_keys(*words)
-        assert key.tolist() == [np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-                                .tolist()]
+        ss = np.random.SeedSequence(np.array(entropy, np.uint32))
+        assert key.tolist() == [ss.generate_state(2, np.uint64).tolist()]
+
+    @given(st.integers(0, 2 ** 256), st.integers(0, 2 ** 32 - 3), st.integers(0, 5))
+    @settings(max_examples=200)
+    def test_any_seed_keys_match_seed_sequence(self, seed, first_run, T):
+        # A seed of any width enters as its uint32 words, least significant first.
+        keys = sim._substream_keys(seed, range(first_run, first_run + 2), T)
+        for k, run in enumerate((first_run, first_run + 1)):
+            for t in range(T + 1):
+                ss = np.random.SeedSequence((seed, run, t))
+                assert keys[k, t].tolist() == ss.generate_state(2, np.uint64).tolist()
+
+    def test_numpy_integer_seed_and_negative_seed(self):
+        m = noise_model()
+        g = gains_for(m)
+        for got, ref in zip(simulate(m, g, SimConfig(master_seed=np.int64(7), num_runs=2)),
+                            simulate(m, g, SimConfig(master_seed=7, num_runs=2))):
+            assert got.x0.tobytes() == ref.x0.tobytes() and got.xbar.tobytes() == ref.xbar.tobytes()
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            simulate(m, g, SimConfig(master_seed=-1))
 
     @pytest.mark.parametrize("init", [
         InitSpec(kind="deterministic", dim=2, values=np.array([[1.0, -2.0]])),
@@ -351,30 +371,26 @@ class TestSubstreams:
                 assert z.tobytes() == expected.tobytes()
             assert got.random() == ref.random()  # both stand at the same place after the draws
 
-    @pytest.mark.parametrize("seed, run, keyed", [
-        (2 ** 32 - 1, 2 ** 32 - 1, True), (0, 2 ** 32, False), (2 ** 64, 2 ** 33, False),
-    ], ids=["keyed-last-word", "run-2^32", "both-wide"])
-    def test_run_index_substreams_equal_reference(self, monkeypatch, seed, run, keyed):
-        # Run indices past the ones a test can simulate: the substreams of a
-        # call whose runs start there.
+    @pytest.mark.parametrize("seed, run", [(2 ** 32 - 1, 2 ** 32 - 1)], ids=["keyed-last-word"])
+    def test_run_index_substreams_equal_reference(self, monkeypatch, seed, run):
+        # The last run index of one word, past the ones a test can simulate:
+        # the substreams of a call whose runs start there.
         T, reference = 3, sim._rng
-        # The keyed path builds no substream with _rng; the fallback derives no keys.
-        unused = "_rng" if keyed else "_substream_keys"
-        monkeypatch.setattr(sim, unused, lambda *args: pytest.fail(f"{unused} called"))
+        monkeypatch.setattr(sim, "_rng", lambda *args: pytest.fail("_rng called"))
         stream = sim._substreams(seed, range(run, run + 1), T)
         for t in range(T + 1):
             got, ref = stream(run, t).standard_normal(4), reference(seed, run, t).standard_normal(4)
             assert got.tobytes() == ref.tobytes(), t
 
-    @pytest.mark.parametrize("seed, keyed", [
-        (7, True), (2 ** 32 - 1, True), (2 ** 32, False), (2 ** 64, False),
-    ], ids=["keyed", "keyed-last-word", "seed-2^32", "seed-2^64"])
-    def test_engine_draws_equal_reference_substreams(self, monkeypatch, seed, keyed):
+    @pytest.mark.parametrize("seed", [7, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 1760000000123456789],
+                             ids=["keyed", "keyed-last-word", "seed-2^32", "seed-2^64",
+                                  "seed-ns-timestamp"])
+    def test_engine_draws_equal_reference_substreams(self, monkeypatch, seed):
+        # Every seed, one word wide or more, is drawn from keys the engine derives.
         m = noise_model()
         g = gains_for(m)
         x0, xi = reference_states(seed, 0, m)
-        unused = "_rng" if keyed else "_substream_keys"
-        monkeypatch.setattr(sim, unused, lambda *args: pytest.fail(f"{unused} called"))
+        monkeypatch.setattr(sim, "_rng", lambda *args: pytest.fail("_rng called"))
         rec, = simulate(m, g, SimConfig(master_seed=seed, retain_full_states=True))
         assert rec.x0.tobytes() == x0.tobytes()
         assert rec.xi.tobytes() == xi.tobytes()
@@ -556,10 +572,12 @@ class TestGoldenTrajectory:
         assert text == golden.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("seed", [2 ** 32 - 1, 2 ** 32])
-    def test_seed_key_boundary_regression(self, example2, seed):
+    def test_seed_key_boundary_regression(self, example2, monkeypatch, seed):
         # Frozen from the engine that built every substream with _rng: the
-        # largest seed of one entropy word, and the first of two words.
+        # largest seed of one entropy word, and the first of two words.  Both
+        # now come from derived keys alone.
         from pathlib import Path
+        monkeypatch.setattr(sim, "_rng", lambda *args: pytest.fail("_rng called"))
         m = replace(example2.with_gamma(EX2_GAMMA), n_followers=5)
         cfg = SimConfig(master_seed=seed, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=True),
