@@ -17,7 +17,8 @@ from .model import (
     load_model_file,
     validate_convexity,
 )
-from .oracle import imfs_gap_study, saddle_check, stacked_saddle_solve, verify_equivalence
+from .oracle import (imfs_gap_study, point_model, saddle_check, stacked_saddle_solve,
+                     verify_equivalence)
 from .sim import SimConfig, TrajectoryRecord, evaluate_cost, simulate
 from .strategy import estimator_step, follower_action, leader_action, worst_case_disturbance
 from .synthesis import (
@@ -41,6 +42,7 @@ __all__ = [
     "critical_gamma", "feasible", "optimal_value", "solve_riccati",
     "estimator_step", "follower_action", "leader_action", "worst_case_disturbance",
     "DisturbancePolicy", "SimConfig", "TrajectoryRecord", "evaluate_cost", "simulate",
-    "imfs_gap_study", "saddle_check", "stacked_saddle_solve", "verify_equivalence",
+    "imfs_gap_study", "point_model", "saddle_check", "stacked_saddle_solve",
+    "verify_equivalence",
     "__version__",
 ]

@@ -209,24 +209,12 @@ def cmd_verify(args) -> int:
         gains = replace(gains, L_brev=-gains.L_brev)
 
     # deterministic comparison point: population spread around its mean
-    lx = model.state_dim
-    x0_init = model.leader_init.mean()
-    mean = model.follower_init.mean()
-    offsets = np.linspace(-1.0, 1.0, n)[:, None] * np.ones((1, lx))
-    followers_init = mean[None, :] + offsets
-    mdl_n = replace(model, n_followers=n,
-                    follower_init=model_mod.InitSpec(kind="deterministic", dim=lx,
-                                                     values=followers_init),
-                    leader_init=model_mod.InitSpec(kind="deterministic", dim=lx,
-                                                   values=np.atleast_2d(x0_init)),
-                    noise_leader=np.zeros_like(model.noise_leader),
-                    noise_follower=np.zeros_like(model.noise_follower))
-    ric_n = solve_riccati(mdl_n)
-    value = synth_mod.optimal_value(mdl_n, ric_n)
-    eq = oracle_mod.verify_equivalence(mdl_n, gains, n, x0_init, followers_init, value)
-    sc = oracle_mod.saddle_check(mdl_n, gains, num_directions=args.directions,
-                                 seed=args.seed or 0, x0_init=x0_init,
-                                 followers_init=followers_init, n=n)
+    offsets = np.linspace(-1.0, 1.0, n)[:, None] * np.ones((1, model.state_dim))
+    point = oracle_mod.point_model(model, model.leader_init.mean(),
+                                   model.follower_init.mean()[None, :] + offsets)
+    eq = oracle_mod.verify_equivalence(point, gains)
+    sc = oracle_mod.saddle_check(point, gains, num_directions=args.directions,
+                                 seed=args.seed or 0)
     passed = eq.ok and sc.ok
     lines = [
         f"value gap: {float(eq.value_gap)!r}",

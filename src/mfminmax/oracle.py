@@ -4,7 +4,8 @@ Everything here deliberately avoids the deviation/aggregate change of
 coordinates: the joint state is the raw stack [x0; x1; ...; xn], the
 backward minmax recursion solves the joint stage stationarity system
 directly, and costs are accumulated from the raw per-agent sum.  Agreement
-with the decomposed synthesis is therefore evidence, not tautology.
+with the decomposed synthesis is therefore evidence, not tautology.  Each
+check reads n and its start point from the model (see ``point_model``).
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import DisturbancePolicy, InfoStructure, ModelSpec
+from .model import DisturbancePolicy, InfoStructure, InitSpec, ModelSpec
 from .sim import SimConfig, evaluate_cost, simulate, stage_cost
 from .strategy import matvec
-from .synthesis import StrategyGains
+from .synthesis import StrategyGains, optimal_value, solve_riccati
 
 __all__ = [
     "StackedProblem",
     "StackedSolution",
     "SaddleReport",
+    "point_model",
     "build_stacked",
     "stacked_saddle_solve",
     "decomposed_joint_gains",
@@ -52,7 +54,6 @@ class StackedProblem:
     weight (leader channel 1, each follower channel 1/n).
     """
 
-    n: int
     AA: np.ndarray
     BB: np.ndarray
     QQ: np.ndarray
@@ -69,9 +70,9 @@ class StackedSolution:
     c1: float
     feasible: bool
 
-    def value(self, x0: np.ndarray, followers: np.ndarray) -> float:
-        """Deterministic-initials value x1' M1 x1 + c1."""
-        x1 = np.concatenate([np.atleast_1d(x0), np.asarray(followers, dtype=float).ravel()])
+    def value(self, model: ModelSpec) -> float:
+        """Value x1' M1 x1 + c1 at the model's start point x1."""
+        x1 = _start_point(model)
         return float(x1 @ self.M1 @ x1 + self.c1)
 
 
@@ -86,13 +87,36 @@ class SaddleReport:
     ok: bool = False
 
 
-def build_stacked(model: ModelSpec, n: int) -> StackedProblem:
-    """Assemble the joint matrices from the raw dynamics and cost.
+def point_model(model: ModelSpec, leader, followers) -> ModelSpec:
+    """``model`` with n = len(followers), deterministic starts ``leader`` and
+    ``followers`` and zero noise; gamma and the dynamics are kept."""
+    lx, n = model.state_dim, len(followers)
+    leader = np.asarray(leader, dtype=float).reshape(1, lx)
+    followers = np.asarray(followers, dtype=float).reshape(n, lx)
+    return replace(model, n_followers=n,
+                   leader_init=InitSpec(kind="deterministic", dim=lx, values=leader),
+                   follower_init=InitSpec(kind="deterministic", dim=lx, values=followers),
+                   noise_leader=np.zeros_like(model.noise_leader),
+                   noise_follower=np.zeros_like(model.noise_follower))
+
+
+def _start_point(model: ModelSpec) -> np.ndarray:
+    """The stacked start [x0; x1..xn]: the leader's mean, then a deterministic
+    follower list broadcast to n, or the follower mean repeated n times."""
+    init, n = model.follower_init, model.n_followers
+    followers = (init.sample(None, n) if init.kind == "deterministic"
+                 else np.tile(init.mean(), (n, 1)))
+    return np.concatenate([model.leader_init.mean(), followers.ravel()])
+
+
+def build_stacked(model: ModelSpec) -> StackedProblem:
+    """Assemble the joint matrices for ``model.n_followers`` from the raw dynamics and cost.
 
     Each stack is filled as (T, n+1, dim, n+1, dim), whose [:, i, :, j] is the
     block of agents i and j (0 = leader), for all t and followers at once; each
     entry gets a per-agent loop's writes in its order, signs of zeros included.
     """
+    n = model.n_followers
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_ORACLE_FOLLOWERS:
@@ -121,12 +145,12 @@ def build_stacked(model: ModelSpec, n: int) -> StackedProblem:
     noise[:, 0, :, 0] = model.noise_leader
     noise[:, f, :, f] = model.noise_follower
     Wd = np.diag(np.concatenate([np.ones(lx), np.full(n * lx, 1.0 / n)]))
-    return StackedProblem(n=n, AA=AA.reshape(T, N, N), BB=BB.reshape(T, N, Nu),
+    return StackedProblem(AA=AA.reshape(T, N, N), BB=BB.reshape(T, N, Nu),
                           QQ=QQ.reshape(T, N, N), RR=RR.reshape(T, Nu, Nu), Wd=Wd,
                           noise_cov=noise.reshape(T, N, N))
 
 
-def stacked_saddle_solve(model: ModelSpec, n: int) -> StackedSolution:
+def stacked_saddle_solve(model: ModelSpec) -> StackedSolution:
     """Backward joint minmax recursion on the stacked state.
 
     At each step the joint stage quadratic is optimized by solving the
@@ -134,7 +158,7 @@ def stacked_saddle_solve(model: ModelSpec, n: int) -> StackedSolution:
     block positive definite, disturbance block negative definite) is
     verified and failure marks the solution infeasible.
     """
-    prob = build_stacked(model, n)
+    prob = build_stacked(model)
     T = model.horizon
     N, Nu = prob.AA.shape[1], prob.BB.shape[2]
     g2 = model.gamma ** 2
@@ -167,7 +191,7 @@ def stacked_saddle_solve(model: ModelSpec, n: int) -> StackedSolution:
     return StackedSolution(KU=KU, KD=KD, M1=M, c1=c, feasible=feasible)
 
 
-def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains, n: int):
+def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains):
     """Map the decomposed feedback to joint-state gain matrices.
 
     The induced joint feedback is linear in the stack, so the decomposed
@@ -175,7 +199,7 @@ def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains, n: int):
     recursion's unique saddle-point gains.  Each stack is filled as
     (T, n+1, dim, n+1, lx), the layout of ``build_stacked``.
     """
-    T, lx, lu = model.horizon, model.state_dim, model.action_dim
+    T, lx, lu, n = model.horizon, model.state_dim, model.action_dim, model.n_followers
     f = np.arange(1, n + 1)  # [:, f, :, f] are the n follower diagonal blocks
     joint = []
     for own, bar, dim in ((gains.L_brev, gains.L_bar, lu), (gains.K_brev, gains.K_bar, lx)):
@@ -192,9 +216,8 @@ def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains, n: int):
     return tuple(joint)
 
 
-def rollout_joint(model: ModelSpec, prob: StackedProblem, KU: np.ndarray, KD: np.ndarray,
-                  x0_init: np.ndarray, followers_init: np.ndarray):
-    """Noise-free closed loop under joint feedback; raw cost accounting.
+def rollout_joint(model: ModelSpec, prob: StackedProblem, KU: np.ndarray, KD: np.ndarray):
+    """Noise-free closed loop under joint feedback from the model's start point; raw costs.
 
     With gains KU (T, Nu, N) and KD (T, N, N), returns (total cost,
     trajectory (T, N)).  Gain stacks with a leading batch axis, KU
@@ -203,11 +226,9 @@ def rollout_joint(model: ModelSpec, prob: StackedProblem, KU: np.ndarray, KD: np
     (P, T, N); each loop gets the bits it gets alone.  The cost is the
     plain per-agent sum, no deviation or aggregate shortcut.
     """
-    T, lx, lu, n = model.horizon, model.state_dim, model.action_dim, prob.n
+    T, lx, lu, n = model.horizon, model.state_dim, model.action_dim, model.n_followers
     batch = np.broadcast_shapes(KU.shape[:-3], KD.shape[:-3])  # () or (P,)
-    X = np.concatenate([np.atleast_1d(x0_init),
-                        np.asarray(followers_init, dtype=float).reshape(n * lx)])
-    X = np.broadcast_to(X, batch + X.shape)
+    X = np.broadcast_to(_start_point(model), batch + (prob.AA.shape[1],))
     traj = np.zeros(batch + (T, X.shape[-1]))
     total = np.zeros(batch)
     for t in range(1, T + 1):
@@ -223,22 +244,28 @@ def rollout_joint(model: ModelSpec, prob: StackedProblem, KU: np.ndarray, KD: np
     return (total if batch else float(total)), traj
 
 
-def verify_equivalence(model: ModelSpec, gains: StrategyGains, n: int,
-                       x0_init, followers_init, decomposed_value: float) -> SaddleReport:
-    """Joint-vs-decomposed agreement: value, gains, closed-loop trajectory."""
-    sol = stacked_saddle_solve(model, n)
+def verify_equivalence(model: ModelSpec, gains: StrategyGains) -> SaddleReport:
+    """Joint-vs-decomposed value, gains and noise-free trajectory of a ``point_model``."""
+    loose = [f"{name} is {getattr(model, name).kind}" for name in ("leader_init", "follower_init")
+             if getattr(model, name).kind != "deterministic"]
+    loose += [f"{name} is nonzero" for name in ("noise_leader", "noise_follower")
+              if np.any(getattr(model, name))]
+    if loose:
+        raise ValueError(f"{loose[0]}: verify_equivalence needs a deterministic start and zero "
+                         f"noise; build the model with oracle.point_model")
+    decomposed_value = optimal_value(model, solve_riccati(model))
+    sol = stacked_saddle_solve(model)
     report = SaddleReport()
     if not sol.feasible:
         report.value_gap = float("inf")
         return report
-    joint_value = sol.value(np.atleast_1d(x0_init), followers_init)
+    joint_value = sol.value(model)
     report.value_gap = float(abs(joint_value - decomposed_value))
-    KUd, KDd = decomposed_joint_gains(model, gains, n)
+    KUd, KDd = decomposed_joint_gains(model, gains)
     report.max_gain_discrepancy = max(
         float(np.max(np.abs(KUd - sol.KU))), float(np.max(np.abs(KDd - sol.KD))))
-    prob = build_stacked(model, n)
-    costs, trajs = rollout_joint(model, prob, np.stack([sol.KU, KUd]), np.stack([sol.KD, KDd]),
-                                 x0_init, followers_init)
+    prob = build_stacked(model)
+    costs, trajs = rollout_joint(model, prob, np.stack([sol.KU, KUd]), np.stack([sol.KD, KDd]))
     cost_joint, cost_dec = float(costs[0]), float(costs[1])
     report.base_cost = cost_dec
     scale = max(1.0, abs(joint_value))
@@ -250,9 +277,9 @@ def verify_equivalence(model: ModelSpec, gains: StrategyGains, n: int,
     return report
 
 
-def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 50, seed: int = 0,
-                 x0_init=None, followers_init=None, n: int | None = None) -> SaddleReport:
-    """Random gain perturbations around the saddle point.
+def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 50,
+                 seed: int = 0) -> SaddleReport:
+    """Random gain perturbations around the saddle point, from the model's start point.
 
     Control-side perturbations must not decrease the deterministic cost
     (beyond -1e-9), disturbance-side perturbations must not increase it
@@ -262,14 +289,9 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     """
     if num_directions < 1:
         raise ValueError(f"--directions must be >= 1, got {num_directions}")
-    n = model.n_followers if n is None else n
-    if x0_init is None:
-        x0_init = model.leader_init.mean()
-    if followers_init is None:
-        followers_init = np.atleast_2d(model.follower_init.mean()).repeat(n, axis=0)
-    KU0, KD0 = decomposed_joint_gains(model, gains, n)
-    prob = build_stacked(model, n)
-    base, _ = rollout_joint(model, prob, KU0, KD0, x0_init, followers_init)
+    KU0, KD0 = decomposed_joint_gains(model, gains)
+    prob = build_stacked(model)
+    base, _ = rollout_joint(model, prob, KU0, KD0)
     rng = np.random.default_rng(seed)
     step_axis = np.asarray(SADDLE_STEPS)[:, None, None, None]
 
@@ -285,7 +307,7 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
                 row[:] = K0 + step_axis * direction
             perturbed = perturbed.reshape((-1,) + K0.shape)  # rows in (direction, step) order
             KU, KD = (perturbed, KD0) if side == "control" else (KU0, perturbed)
-            costs, _ = rollout_joint(model, prob, KU, KD, x0_init, followers_init)
+            costs, _ = rollout_joint(model, prob, KU, KD)
             report.perturbations.extend(
                 (side, k, step, float(delta))
                 for (k, step), delta in zip(itertools.product(ks, SADDLE_STEPS), costs - base))

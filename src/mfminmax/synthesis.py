@@ -45,10 +45,6 @@ BISECT_DEPTH = 5
 class InfeasibleError(RuntimeError):
     """No finite saddle point at this attenuation level."""
 
-    def __init__(self, message: str, solution: "RiccatiSolution" = None):
-        super().__init__(message)
-        self.solution = solution
-
 
 @dataclass(frozen=True)
 class RiccatiSolution:
@@ -209,7 +205,6 @@ def compute_gains(model: ModelSpec, ric: RiccatiSolution) -> StrategyGains:
         raise InfeasibleError(
             f"no saddle point at gamma={ric.gamma:g}: "
             f"margin {ric.min_margin():.3g} at t in {list(ric.infeasible_times)[:6]}",
-            solution=ric,
         )
     aug = build_augmented(model)
     g2 = model.gamma ** 2
@@ -233,7 +228,6 @@ def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:
     if not ric.feasible:
         raise InfeasibleError(
             f"optimal value undefined at gamma={ric.gamma:g} (margin {ric.min_margin():.3g})",
-            solution=ric,
         )
     n, lx = model.n_followers, model.state_dim
     finit = model.follower_init

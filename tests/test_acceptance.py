@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from mfminmax.cli import bundled_config_path, main
-from mfminmax.model import InfoStructure, InitSpec, build_augmented
-from mfminmax.oracle import imfs_gap_study, saddle_check, verify_equivalence
+from mfminmax.model import InfoStructure, build_augmented
+from mfminmax.oracle import imfs_gap_study, point_model, saddle_check, verify_equivalence
 from mfminmax.sim import DisturbancePolicy, SimConfig, evaluate_cost, simulate
-from mfminmax.synthesis import compute_gains, critical_gamma, optimal_value, solve_riccati
+from mfminmax.synthesis import compute_gains, critical_gamma, solve_riccati
 
 from conftest import (
     random_feasible_scalar_model,
@@ -33,15 +33,9 @@ EX1_FEASIBLE = 20.0
 EX2_FEASIBLE = 4.0
 
 
-def deterministic_variant(model, n, followers, leader):
-    T = model.horizon
-    return replace(
-        model, n_followers=n,
-        follower_init=InitSpec(kind="deterministic", dim=1,
-                               values=np.asarray(followers, dtype=float).reshape(n, 1)),
-        leader_init=InitSpec(kind="deterministic", dim=1,
-                             values=np.array([[float(leader)]])),
-        noise_leader=np.zeros((T, 1, 1)), noise_follower=np.zeros((T, 1, 1)))
+def deterministic_variant(model, followers, leader):
+    """The scalar ``model`` started at ``leader`` and ``followers``, noise-free."""
+    return point_model(model, [leader], followers)
 
 
 def gains_for(model):
@@ -59,13 +53,10 @@ def test_criterion_1_oracle_equivalence(example1, example2):
         for n in (1, 2, 3):
             leader = float(base.leader_init.mean()[0])
             followers = leader + np.linspace(-1.0, 2.0, n)
-            mdl = deterministic_variant(base, n, followers, leader)
+            mdl = deterministic_variant(base, followers, leader)
             ric = solve_riccati(mdl)
             assert ric.feasible
-            gains = compute_gains(mdl, ric)
-            value = optimal_value(mdl, ric)
-            rep = verify_equivalence(mdl, gains, n, np.array([leader]),
-                                     followers.reshape(n, 1), value)
+            rep = verify_equivalence(mdl, compute_gains(mdl, ric))
             assert rep.ok, (f"model gamma={mdl.gamma:g} n={n}: value gap "
                             f"{rep.value_gap:g}, gain gap {rep.max_gain_discrepancy:g}")
             checked += 1
@@ -83,17 +74,13 @@ def test_criterion_2_saddle_property(example2):
     gamma ~2.0273), so the check runs at the feasible gamma=4.
     """
     t0 = time.time()
-    mdl = deterministic_variant(example2.with_gamma(EX2_FEASIBLE), 2, [2.0, 6.0], 10.0)
+    mdl = deterministic_variant(example2.with_gamma(EX2_FEASIBLE), [2.0, 6.0], 10.0)
     gains = gains_for(mdl)
-    rep = saddle_check(mdl, gains, num_directions=50, seed=7,
-                       x0_init=np.array([10.0]), followers_init=np.array([[2.0], [6.0]]),
-                       n=2)
+    rep = saddle_check(mdl, gains, num_directions=50, seed=7)
     assert rep.control_min_delta >= -1e-9, rep.control_min_delta
     assert rep.disturbance_max_delta <= 1e-9, rep.disturbance_max_delta
     corrupted = replace(gains, L_brev=-gains.L_brev)
-    bad = saddle_check(mdl, corrupted, num_directions=50, seed=7,
-                       x0_init=np.array([10.0]), followers_init=np.array([[2.0], [6.0]]),
-                       n=2)
+    bad = saddle_check(mdl, corrupted, num_directions=50, seed=7)
     assert bad.control_min_delta < -1e-6, "sign-flipped gain went undetected"
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"runtime {elapsed:.1f}s exceeds 5s"

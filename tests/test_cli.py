@@ -598,3 +598,4 @@ def test_readme_library_sketch_runs():
     exec(code.replace('"model.yaml"', repr(str(bundled_config_path(2)))), scope)
     assert scope["ric"].feasible and list(scope["ok"]) == [False, True]
     assert np.isfinite(scope["value"]) and np.isfinite(scope["cost"].mean)
+    assert scope["eq"].ok and scope["sc"].ok

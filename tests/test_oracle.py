@@ -6,21 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mfminmax.model import InfoStructure, InitSpec
+from mfminmax.model import InfoStructure, InitSpec, ModelError
 from mfminmax.oracle import (
     MAX_ORACLE_FOLLOWERS,
     build_stacked,
     decomposed_joint_gains,
     gap_table_csv,
     imfs_gap_study,
+    point_model,
     rollout_joint,
     saddle_check,
     saddle_report_csv,
     stacked_saddle_solve,
     verify_equivalence,
 )
-from mfminmax.sim import DisturbancePolicy
-from mfminmax.synthesis import compute_gains, optimal_value, solve_riccati
+from mfminmax.sim import DisturbancePolicy, SimConfig, simulate
+from mfminmax.synthesis import compute_gains, critical_gamma, optimal_value, solve_riccati
 
 from conftest import (
     EX2_GAMMA,
@@ -33,12 +34,9 @@ from conftest import (
 from conftest import vector_model as vector_model_2x2
 
 
-def example2_n(example2, n, followers, gamma=EX2_GAMMA):
-    return replace(
-        example2.with_gamma(gamma), n_followers=n,
-        follower_init=InitSpec(kind="deterministic", dim=1,
-                               values=np.asarray(followers, dtype=float).reshape(n, 1)),
-        noise_leader=np.zeros((30, 1, 1)), noise_follower=np.zeros((30, 1, 1)))
+def example2_n(example2, followers, gamma=EX2_GAMMA):
+    """Example 2 at ``gamma`` started from its leader's 10 and ``followers``, noise-free."""
+    return point_model(example2.with_gamma(gamma), [10.0], followers)
 
 
 def vector_model():
@@ -62,7 +60,7 @@ def split(V, n, dim):
 class TestStackedAssembly:
     def test_dimension_guard(self, example2):
         with pytest.raises(ValueError, match="capped"):
-            build_stacked(example2, MAX_ORACLE_FOLLOWERS + 1)
+            build_stacked(replace(example2, n_followers=MAX_ORACLE_FOLLOWERS + 1))
 
     @pytest.mark.parametrize("which, n", [("example2", 3), ("example2", 16),
                                           ("vector", 3), ("vector", 16)])
@@ -70,7 +68,7 @@ class TestStackedAssembly:
         # X' QQ X + U' RR U must equal the literal per-agent cost expansion.
         m = vector_model() if which == "vector" else request.getfixturevalue(which)
         lx, lu = m.state_dim, m.action_dim
-        prob = build_stacked(m, n)
+        prob = build_stacked(replace(m, n_followers=n))
         rng = np.random.default_rng(0)
         for _ in range(5):
             X, U = rng.standard_normal((n + 1) * lx), rng.standard_normal((n + 1) * lu)
@@ -91,7 +89,7 @@ class TestStackedAssembly:
     def test_joint_dynamics_match_raw_step(self, request, which, n):
         m = vector_model() if which == "vector" else request.getfixturevalue(which)
         lx, lu = m.state_dim, m.action_dim
-        prob = build_stacked(m, n)
+        prob = build_stacked(replace(m, n_followers=n))
         rng = np.random.default_rng(1)
         X, U = rng.standard_normal((n + 1) * lx), rng.standard_normal((n + 1) * lu)
         (x0, xf), (u0, uf) = split(X, n, lx), split(U, n, lu)
@@ -142,7 +140,7 @@ class TestDecomposedJointGains:
                             L_bar=np.full_like(gains.L_bar, -0.0),
                             K_brev=np.zeros_like(gains.K_brev),
                             K_bar=np.full_like(gains.K_bar, -0.0))
-        for got, want in zip(decomposed_joint_gains(m, gains, n),
+        for got, want in zip(decomposed_joint_gains(replace(m, n_followers=n), gains),
                              reference_joint_gains(m, gains, n), strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -152,23 +150,21 @@ class TestDecoupling:
         m = make_model(T=6, n=1, gamma=4.0, A0=0.9, B0=0.5, S0=0.0, A=0.8, B=0.6,
                        S=0.0, E=0.0, Q=1.0, Q0=0.7, F=0.0, P=0.0, R=1.2, R0=0.9, H=0.0,
                        leader_value=2.0, follower_values=[[(-1.5)]])
-        sol = stacked_saddle_solve(m, 1)
+        sol = stacked_saddle_solve(m)
         assert sol.feasible
         Ml, _, _ = reference_scalar_recursion(0.9, 0.5, 0.7, 0.9, 4.0, 6)
         Mf, _, _ = reference_scalar_recursion(0.8, 0.6, 1.0, 1.2, 4.0, 6)
         expected = Ml[0] * 2.0 ** 2 + Mf[0] * (-1.5) ** 2
-        assert sol.value(np.array([2.0]), np.array([[-1.5]])) == pytest.approx(expected, rel=1e-10)
+        assert sol.value(m) == pytest.approx(expected, rel=1e-10)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("n", [2, 8, MAX_ORACLE_FOLLOWERS])
     def test_example2_value_and_trajectories(self, example2, n):
-        followers = np.linspace(2.0, 6.0, n)
-        m = example2_n(example2, n, followers)
+        m = example2_n(example2, np.linspace(2.0, 6.0, n))
         gains = compute_gains(m, solve_riccati(m))
         value = optimal_value(m, solve_riccati(m))
-        rep = verify_equivalence(m, gains, n, np.array([10.0]),
-                                 followers.reshape(n, 1), value)
+        rep = verify_equivalence(m, gains)
         assert rep.ok
         assert rep.value_gap <= 1e-8 * abs(value)
         assert rep.max_gain_discrepancy <= 1e-9
@@ -178,20 +174,13 @@ class TestEquivalence:
         for _ in range(6):
             m = random_feasible_scalar_model(rng)
             for n in (1, 2, 3):
-                followers = rng.uniform(-2, 2, size=(n, 1))
-                mdl = replace(m, n_followers=n,
-                              follower_init=InitSpec(kind="deterministic", dim=1,
-                                                     values=followers))
-                ric = solve_riccati(mdl)
-                gains = compute_gains(mdl, ric)
-                value = optimal_value(mdl, ric)
-                rep = verify_equivalence(mdl, gains, n, mdl.leader_init.mean(),
-                                         followers, value)
+                mdl = point_model(m, m.leader_init.mean(), rng.uniform(-2, 2, size=(n, 1)))
+                rep = verify_equivalence(mdl, compute_gains(mdl, solve_riccati(mdl)))
                 assert rep.ok, f"n={n}: gap {rep.value_gap}, gains {rep.max_gain_discrepancy}"
 
     def test_infeasible_gamma_agrees_with_recursion(self, example2):
         # Below the boundary both sides must report failure (n >= 2).
-        sol = stacked_saddle_solve(example2.with_gamma(1.0), 2)
+        sol = stacked_saddle_solve(replace(example2.with_gamma(1.0), n_followers=2))
         assert not sol.feasible
         assert not solve_riccati(example2.with_gamma(1.0)).feasible
 
@@ -204,7 +193,7 @@ class TestEquivalence:
             for gamma in (m.gamma, m.gamma * rng.uniform(0.05, 0.5)):
                 mdl = m.with_gamma(gamma)
                 ric_ok = solve_riccati(mdl).feasible
-                sol_ok = stacked_saddle_solve(mdl, 2).feasible
+                sol_ok = stacked_saddle_solve(replace(mdl, n_followers=2)).feasible
                 assert ric_ok == sol_ok
                 checked_both += 1
         assert checked_both >= 20
@@ -216,7 +205,7 @@ class TestTwoStepTruncationCrossCheck:
         # 2-step problem by finite differences of a raw forward
         # simulation, solve the stationarity system, and compare values.
         T = 2
-        m = example2_n(example2, 2, [2.0, 6.0])
+        m = example2_n(example2, [2.0, 6.0])
         m = replace(m, A0=m.A0[:T], B0=m.B0[:T], S0=m.S0[:T], A=m.A[:T], B=m.B[:T],
                     S=m.S[:T], E=m.E[:T], Q=m.Q[:T], Q0=m.Q0[:T], F=m.F[:T],
                     P=m.P[:T], R=m.R[:T], R0=m.R0[:T], H=m.H[:T],
@@ -269,9 +258,9 @@ class TestTwoStepTruncationCrossCheck:
         assert np.linalg.eigvalsh(hess[np.ix_(u_idx, u_idx)]).min() > 0
         assert np.linalg.eigvalsh(hess[np.ix_(d_idx, d_idx)]).max() < 0
 
-        sol = stacked_saddle_solve(m, 2)
+        sol = stacked_saddle_solve(m)
         assert sol.feasible
-        oracle_value = sol.value(np.array([10.0]), np.array([[2.0], [6.0]]))
+        oracle_value = sol.value(m)
         decomposed = optimal_value(m, solve_riccati(m))
         assert oracle_value == pytest.approx(value, rel=1e-10)
         assert decomposed == pytest.approx(value, rel=1e-10)
@@ -282,24 +271,24 @@ class TestBatchedRollout:
     @pytest.mark.parametrize("which", ["example2", "vector"])
     def test_each_row_matches_its_own_rollout(self, example2, which, n):
         m = example2.with_gamma(EX2_GAMMA) if which == "example2" else vector_model_2x2(T=30)
-        KU0, KD0 = decomposed_joint_gains(m, compute_gains(m, solve_riccati(m)), n)
-        prob = build_stacked(m, n)
+        gains = compute_gains(m, solve_riccati(m))
         rng = np.random.default_rng(n)
+        m = point_model(m, m.leader_init.mean(), rng.uniform(-2.0, 2.0, size=(n, m.state_dim)))
+        KU0, KD0 = decomposed_joint_gains(m, gains)
+        prob = build_stacked(m)
         P = 5
         KU = KU0 + 1e-2 * rng.standard_normal((P,) + KU0.shape)
         KD = KD0 + 1e-2 * rng.standard_normal((P,) + KD0.shape)
-        x0 = m.leader_init.mean()
-        followers = rng.uniform(-2.0, 2.0, size=(n, m.state_dim))
-        costs, trajs = rollout_joint(m, prob, KU, KD, x0, followers)
+        costs, trajs = rollout_joint(m, prob, KU, KD)
         assert costs.shape == (P,) and trajs.shape == (P, m.horizon, prob.AA.shape[1])
         for p in range(P):
-            cost, traj = rollout_joint(m, prob, KU[p], KD[p], x0, followers)
+            cost, traj = rollout_joint(m, prob, KU[p], KD[p])
             assert isinstance(cost, float)
             assert costs[p] == cost
             assert np.array_equal(trajs[p], traj)
         # an unbatched side is shared by every row
-        costs_u, _ = rollout_joint(m, prob, KU, KD0, x0, followers)
-        assert costs_u[-1] == rollout_joint(m, prob, KU[-1], KD0, x0, followers)[0]
+        costs_u, _ = rollout_joint(m, prob, KU, KD0)
+        assert costs_u[-1] == rollout_joint(m, prob, KU[-1], KD0)[0]
 
     def test_saddle_check_memory_is_bounded(self):
         # 50 directions at n = 16 would be 100 perturbed stacks of 34 x 34
@@ -320,37 +309,106 @@ class TestSaddleCheck:
     def test_zero_weight_model_has_flat_cost(self):
         m = zero_weight_model()
         gains = compute_gains(m, solve_riccati(m))
-        rep = saddle_check(m, gains, num_directions=10, seed=4,
-                           x0_init=np.zeros(1), followers_init=np.zeros((3, 1)))
+        rep = saddle_check(m, gains, num_directions=10, seed=4)
         assert rep.ok
         assert all(d == 0.0 for _, _, _, d in rep.perturbations)
 
     def test_example2_saddle_holds(self, example2):
-        m = example2_n(example2, 2, [2.0, 6.0])
+        m = example2_n(example2, [2.0, 6.0])
         gains = compute_gains(m, solve_riccati(m))
-        rep = saddle_check(m, gains, num_directions=50, seed=9,
-                           x0_init=np.array([10.0]),
-                           followers_init=np.array([[2.0], [6.0]]), n=2)
+        rep = saddle_check(m, gains, num_directions=50, seed=9)
         assert rep.ok
         assert rep.control_min_delta >= -1e-9
         assert rep.disturbance_max_delta <= 1e-9
 
     def test_sign_flipped_gain_detected(self, example2):
-        m = example2_n(example2, 2, [2.0, 6.0])
+        m = example2_n(example2, [2.0, 6.0])
         gains = compute_gains(m, solve_riccati(m))
         corrupted = replace(gains, L_brev=-gains.L_brev)
-        rep = saddle_check(m, corrupted, num_directions=50, seed=9,
-                           x0_init=np.array([10.0]),
-                           followers_init=np.array([[2.0], [6.0]]), n=2)
+        rep = saddle_check(m, corrupted, num_directions=50, seed=9)
         assert not rep.ok
         assert rep.control_min_delta < -1e-6
 
     def test_no_directions_rejected(self, example2):
         # Min and max over no perturbations would report a failed check.
-        m = example2_n(example2, 2, [2.0, 6.0])
+        m = example2_n(example2, [2.0, 6.0])
         gains = compute_gains(m, solve_riccati(m))
         with pytest.raises(ValueError, match="--directions"):
-            saddle_check(m, gains, num_directions=0, n=2)
+            saddle_check(m, gains, num_directions=0)
+
+
+class TestModelContract:
+    """The oracle reads n and its start point from the model alone."""
+
+    def test_deterministic_list_is_the_start(self, example2):
+        m = example2_n(example2, [2.0, 4.0, 6.0, 8.0])
+        gains = compute_gains(m, solve_riccati(m))
+        base = saddle_check(m, gains, num_directions=1).base_cost
+        assert base == rollout_joint(m, build_stacked(m), *decomposed_joint_gains(m, gains))[0]
+        # the decomposed engine from the same list, noise-free, worst case: an independent route
+        cfg = SimConfig(master_seed=0, num_runs=1, disturbance=DisturbancePolicy.worst_case(),
+                        info=InfoStructure.mfs(m.horizon))
+        assert base == pytest.approx(simulate(m, gains, cfg)[0].total_cost, rel=1e-12)
+        # not the list's mean, [5, 5, 5, 5]
+        around_mean = saddle_check(example2_n(example2, [5.0] * 4), gains, num_directions=1)
+        assert abs(base - around_mean.base_cost) > 0.1
+
+    def test_uniform_init_starts_at_its_means(self, example2):
+        m = replace(example2.with_gamma(EX2_GAMMA), n_followers=4)  # followers uniform on [0, 8]
+        gains = compute_gains(m, solve_riccati(m))
+        at_means = example2_n(example2, [[4.0]] * 4)
+        assert (saddle_check(m, gains, num_directions=2).base_cost
+                == saddle_check(at_means, gains, num_directions=2).base_cost)
+
+    def test_list_of_wrong_length_raises_model_error(self, example2):
+        m = replace(example2_n(example2, [2.0, 4.0, 6.0, 8.0]), n_followers=3)
+        gains = compute_gains(m, solve_riccati(m))
+        with pytest.raises(ModelError, match="4 entries, need"):
+            saddle_check(m, gains, num_directions=1)
+        with pytest.raises(ModelError, match="4 entries, need"):
+            verify_equivalence(m, gains)
+
+    @pytest.mark.parametrize("field, value", [
+        ("follower_init", InitSpec(kind="uniform", dim=1, low=np.zeros(1), high=np.ones(1))),
+        ("leader_init", InitSpec(kind="gaussian", dim=1, mu=np.zeros(1), sigma=np.eye(1))),
+        ("noise_follower", np.full((30, 1, 1), 0.3)),
+        ("noise_leader", np.full((30, 1, 1), 0.1)),
+    ])
+    def test_equivalence_rejects_a_model_that_is_not_a_point_model(self, example2, field, value):
+        # Its value would carry a noise constant or a spread the noise-free rollouts lack.
+        m = replace(example2_n(example2, [2.0, 4.0, 6.0, 8.0]), **{field: value})
+        gains = compute_gains(m, solve_riccati(m))
+        with pytest.raises(ValueError, match=f"{field} .*point_model"):
+            verify_equivalence(m, gains)
+
+    @pytest.mark.parametrize("make", [mixed_dims_model, vector_model_2x2])
+    def test_point_model_keeps_dynamics_and_gamma(self, make):
+        m = make()
+        pm = point_model(m, [1.0, -2.0], [[0.5, 0.25], [3.0, -1.0]])
+        assert pm.n_followers == 2 and pm.gamma == m.gamma
+        for name in ("A0", "B0", "S0", "A", "B", "S", "E", "Q", "Q0", "F", "P", "R", "R0", "H"):
+            assert getattr(pm, name) is getattr(m, name)
+        for name in ("noise_leader", "noise_follower"):
+            assert np.any(getattr(m, name))
+            assert getattr(pm, name).shape == getattr(m, name).shape
+            assert not np.any(getattr(pm, name))
+        assert pm.leader_init.kind == pm.follower_init.kind == "deterministic"
+        assert np.array_equal(pm.leader_init.mean(), [1.0, -2.0])
+        assert np.array_equal(pm.follower_init.values, [[0.5, 0.25], [3.0, -1.0]])
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("which", ["example1", "example2", "vector", "mixed_dims"])
+    def test_stacked_boundary_brackets_critical_gamma(self, request, which, n):
+        # The stacked Hessian signature flips within 1e-9 relative of the
+        # decomposed critical gamma, on the same side as the recursion's.
+        m = {"vector": vector_model_2x2, "mixed_dims": mixed_dims_model}.get(which)
+        m = request.getfixturevalue(which) if m is None else m()
+        gstar = critical_gamma(m, 0.5, 40.0, tol=1e-12)
+        m = replace(m, n_followers=n)
+        assert stacked_saddle_solve(m.with_gamma(gstar * (1 + 1e-9))).feasible
+        assert not stacked_saddle_solve(m.with_gamma(gstar * (1 - 1e-9))).feasible
 
 
 class TestGapStudy:
@@ -388,9 +446,8 @@ class TestGapStudy:
         text = gap_table_csv(rows)
         assert text.splitlines()[0] == "n,runs,j_mfs,j_imfs,gap,gap_times_n"
         assert len(text.splitlines()) == 2
-        rep = saddle_check(m, gains, num_directions=2, seed=0,
-                           x0_init=np.array([10.0]),
-                           followers_init=np.array([[3.0], [5.0]]), n=2)
+        rep = saddle_check(point_model(m, [10.0], [[3.0], [5.0]]), gains,
+                           num_directions=2, seed=0)
         lines = saddle_report_csv(rep).splitlines()
         assert lines[0] == "side,direction,step,delta"
         assert len(lines) == 1 + 2 * 2 * 2
