@@ -173,7 +173,8 @@ class InitSpec:
             if v.shape[0] == 1:
                 return np.broadcast_to(v[0], (count, self.dim)).copy()
             if v.shape[0] != count:
-                raise ModelError(f"deterministic list has {v.shape[0]} entries, need {count}")
+                raise ModelError(f"follower_init: deterministic list has {v.shape[0]} entries, "
+                                 f"need 1 or n_followers = {count}")
             return v.copy()
         if self.kind == "gaussian":
             return rng.multivariate_normal(self.mu, self.sigma, size=count)

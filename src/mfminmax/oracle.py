@@ -11,6 +11,7 @@ check reads n and its start point from the model (see ``point_model``).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,6 +65,7 @@ class StackedProblem:
 
 @dataclass(frozen=True)
 class StackedSolution:
+    prob: StackedProblem  # the joint system solved
     KU: np.ndarray        # (T, Nu, N) joint control feedback
     KD: np.ndarray        # (T, N, N) joint disturbance feedback
     M1: np.ndarray        # (N, N) joint value matrix at t=1
@@ -188,7 +190,7 @@ def stacked_saddle_solve(model: ModelSpec) -> StackedSolution:
         M = (prob.QQ[t - 1] + KU[t - 1].T @ prob.RR[t - 1] @ KU[t - 1]
              - g2 * KD[t - 1].T @ prob.Wd @ KD[t - 1] + Phi.T @ M @ Phi)
         M = (M + M.T) / 2.0
-    return StackedSolution(KU=KU, KD=KD, M1=M, c1=c, feasible=feasible)
+    return StackedSolution(prob=prob, KU=KU, KD=KD, M1=M, c1=c, feasible=feasible)
 
 
 def decomposed_joint_gains(model: ModelSpec, gains: StrategyGains):
@@ -264,8 +266,8 @@ def verify_equivalence(model: ModelSpec, gains: StrategyGains) -> SaddleReport:
     KUd, KDd = decomposed_joint_gains(model, gains)
     report.max_gain_discrepancy = max(
         float(np.max(np.abs(KUd - sol.KU))), float(np.max(np.abs(KDd - sol.KD))))
-    prob = build_stacked(model)
-    costs, trajs = rollout_joint(model, prob, np.stack([sol.KU, KUd]), np.stack([sol.KD, KDd]))
+    costs, trajs = rollout_joint(model, sol.prob, np.stack([sol.KU, KUd]),
+                                 np.stack([sol.KD, KDd]))
     cost_joint, cost_dec = float(costs[0]), float(costs[1])
     report.base_cost = cost_dec
     scale = max(1.0, abs(joint_value))
@@ -320,10 +322,11 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
 
 
 def check_population_sizes(n_list) -> None:
-    """Raise ValueError unless every population size is at least 1."""
-    bad = [int(n) for n in n_list if int(n) < 1]
+    """Raise ValueError unless every population size is a whole number of at least 1, not a bool."""
+    bad = [n for n in n_list if isinstance(n, bool) or not isinstance(n, numbers.Real)
+           or not float(n).is_integer() or n < 1]
     if bad:
-        raise ValueError(f"--n population sizes must be >= 1, got {bad}")
+        raise ValueError(f"--n population sizes must be whole numbers >= 1, got {bad}")
 
 
 def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, runs: int,
@@ -342,12 +345,12 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
     cfg = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance)
     arms = (InfoStructure.mfs(model.horizon), InfoStructure.imfs(observation_times))
     rows = []
-    for n in n_list:
-        mdl = replace(model, n_followers=int(n))
+    for n in map(int, n_list):
+        mdl = replace(model, n_followers=n)
         j_mfs, j_imfs = (evaluate_cost(records)
                          for records in simulate(mdl, gains, cfg, arms=arms))
         gap = abs(j_imfs.mean - j_mfs.mean)
-        rows.append({"n": int(n), "runs": runs, "j_mfs": j_mfs.mean, "j_imfs": j_imfs.mean,
+        rows.append({"n": n, "runs": runs, "j_mfs": j_mfs.mean, "j_imfs": j_imfs.mean,
                      "gap": gap, "gap_times_n": gap * n})
     return rows
 

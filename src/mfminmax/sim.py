@@ -322,14 +322,6 @@ def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains,
     raise ValueError(f"unknown disturbance kind '{policy.kind}'")
 
 
-def _observe(seen: list, arm: np.ndarray, mean: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
-    """``m_hat`` with the rows of each arm that sees the mean reset to ``mean``.
-
-    ``seen`` holds a bool per arm and ``arm`` the arm of each row.
-    """
-    return mean if all(seen) else np.where(np.array(seen)[arm][:, None], mean, m_hat)
-
-
 def _work_arrays(model: ModelSpec, arms: int, runs: int) -> dict:
     """The population arrays of a block of ``runs`` runs under ``arms`` arms, made once per call.
 
@@ -356,7 +348,11 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     """The runs ``runs`` under each information structure of ``infos``, stepped together.
 
     Rows are arm-major: row ``a * R + k`` is run ``runs[k]`` under ``infos[a]``
-    (None for full mean-field sharing), for the whole horizon.  A run's arms
+    (None for full mean-field sharing), for the whole horizon.  The (T, rows)
+    bool mask ``seen`` holds at ``[t - 1, row]`` whether the row's arm
+    observes the mean at t: each step first resets the estimates of the rows
+    that observe to the mean, and the others carry the estimate that
+    ``estimator_step`` propagated at the end of the last step.  A run's arms
     start from one initial draw and share one noise draw per t; ``stream``
     gives the substreams, ``colour`` holds the (leader, follower) factor
     stacks and ``work`` the arrays of ``_work_arrays``, with room for the
@@ -367,7 +363,6 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
     A, R, seed = len(infos), len(runs), cfg.master_seed
     rows = A * R
-    infos = [InfoStructure.mfs(T) if info is None else info for info in infos]
     states, scratch = work["states"], work["scratch"]
 
     x0, xf = np.empty((R, lx)), states[0][:rows]
@@ -377,7 +372,8 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
         xf[k] = model.follower_init.sample(init_rng, n)
     x0 = np.tile(x0, (A, 1))
     xf.reshape(A, R, n, lx)[1:] = xf[:R]  # each further arm starts from the same draw
-    arm = np.arange(rows) // R
+    seen = np.repeat([[info is None or info.observed(t) for info in infos]
+                      for t in range(1, T + 1)], R, axis=1)  # (T, rows), arm-major
     live = range(R)  # the runs still stepping in some arm: one draw each per t
     z = work["z"][:R]  # row 0 leader noise, rows 1.. follower noise
 
@@ -391,14 +387,11 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     failed_at = np.zeros(rows, dtype=int)  # 0 while a row's states are finite
 
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
-        xbar = xf.mean(axis=1)
         m_hat = np.broadcast_to(model.follower_init.mean(), (rows, lx))
-        seen = [info.observed(1) for info in infos]
-        if any(seen):
-            m_hat = _observe(seen, arm, xbar, m_hat)
         for t in range(1, T + 1):
-            if xbar is None:
-                xbar = xf.mean(axis=1)
+            xbar = xf.mean(axis=1)
+            # a row that observes the mean at t resets its estimate to it
+            m_hat = xbar if seen[t - 1].all() else np.where(seen[t - 1, :, None], xbar, m_hat)
             u0 = leader_action(gains, t, x0, m_hat)
             uf = follower_action(gains, t, xf, x0, m_hat, out=work["uf"][:rows])
             ubar = uf.mean(axis=1)
@@ -442,14 +435,8 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
                 if live.size == 0:
                     break
 
-            xbar = None
-            if t < T:
-                seen = [info.observed(t + 1) for info in infos]
-                if not all(seen):
-                    m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
-                if any(seen):  # the observed mean is the next step's xbar
-                    xbar = xf_next.mean(axis=1)
-                    m_hat = _observe(seen, arm, xbar, m_hat)
+            if t < T and not seen[t].all():
+                m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
             x0, xf = x0_next, xf_next
 
     for row in np.flatnonzero(failed_at):  # a failed row reads nan from its failed_at on

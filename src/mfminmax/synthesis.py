@@ -233,12 +233,7 @@ def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:
     finit = model.follower_init
     with np.errstate(over="ignore", invalid="ignore"):  # a moment that overflows is rejected below
         if finit.kind == "deterministic":
-            vals = np.atleast_2d(finit.values)
-            if vals.shape[0] == 1:
-                vals = np.broadcast_to(vals[0], (n, lx))
-            elif vals.shape[0] != n:
-                raise ModelError(f"follower_init: deterministic list has {vals.shape[0]} entries, "
-                                 f"need 1 or n_followers = {n}")
+            vals = finit.sample(None, n)
             dev = vals - vals.mean(axis=0)
             dev_sm = dev.T @ dev / n
             mean_cov = np.zeros((lx, lx))

@@ -251,6 +251,21 @@ class TestVerifyCommand:
         golden = Path(__file__).parent / "data" / f"golden_verify_example2_gamma4_n4_seed7_{name}"
         assert read(out / name) == read(golden)
 
+    def test_builds_the_stacked_problem_twice(self, tmp_path, monkeypatch):
+        # The equivalence check rolls out on the problem its solve built;
+        # the saddle check builds its own.  Each side of the saddle check is
+        # one batched rollout, beside its base rollout and the equivalence one.
+        calls = {"build_stacked": 0, "rollout_joint": 0}
+        for name in calls:
+            def counted(*args, _name=name, _func=getattr(oracle, name)):
+                calls[_name] += 1
+                return _func(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        code = main(["verify", "--config", str(bundled_config_path(2)), "--gamma", "4",
+                     "--n", "4", "--out", str(tmp_path / "verify")])
+        assert code == EXIT_OK
+        assert calls == {"build_stacked": 2, "rollout_joint": 4}
+
     def test_corrupted_gains_fail(self, tmp_path):
         out = tmp_path / "verifybad"
         code = main(["verify", "--config", str(bundled_config_path(2)),

@@ -412,7 +412,7 @@ class TestBoundary:
 
 
 class TestGapStudy:
-    @pytest.mark.parametrize("n_list", [[0], [10, -3]])
+    @pytest.mark.parametrize("n_list", [[0], [10, -3], [2.7], [True]])
     def test_population_below_one_rejected(self, example2, n_list):
         m = example2.with_gamma(EX2_GAMMA)
         gains = compute_gains(m, solve_riccati(m))

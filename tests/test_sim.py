@@ -60,7 +60,7 @@ def block_cases(example2, monkeypatch):
 
     Caps a block at 30 follower states: the ten followers of the scalar and
     vector cases put seven runs in blocks of 3, 3 and 1 under one arm and of
-    one run under three.
+    one run under three or more.
     """
     monkeypatch.setattr(sim, "BLOCK_STATES", 30)
     n = 10
@@ -174,9 +174,10 @@ class TestDeterminism:
     def test_each_arm_equals_its_own_call(self, example2, monkeypatch, case):
         # Several information structures in one pass share blocks and draws;
         # each arm must still get the bits of its own call.  The scalar and
-        # vector cases split into one run per block under three arms.
+        # vector cases split into one run per block under four arms, one of
+        # which observes the mean at the last step only.
         m, cfg = block_cases(example2, monkeypatch)[case]
-        arms = (cfg.info, None, InfoStructure.no_sharing())
+        arms = (cfg.info, None, InfoStructure.no_sharing(), InfoStructure.imfs([m.horizon]))
         quiet = contextlib.nullcontext()
         if case == "diverging":
             # Without sharing the estimate starts at the initial mean and
@@ -584,6 +585,20 @@ class TestGoldenTrajectory:
                         info=InfoStructure.imfs([5, 12]))
         text = trajectory_csv(simulate(m, gains_for(m), cfg))
         golden = Path(__file__).parent / "data" / f"golden_example2_imfs_worstcase_seed{seed}.csv"
+        assert text == golden.read_text(encoding="utf-8")
+
+    def test_first_and_last_observation_regression(self, example2):
+        # The mean is observed at t = 1 and at t = T only: the first step
+        # starts from it, the estimate is propagated in between, and the
+        # last step resets to it with no propagation after.
+        from pathlib import Path
+        m = replace(example2.with_gamma(EX2_GAMMA), n_followers=5)
+        cfg = SimConfig(master_seed=9, num_runs=3, retain_full_states=True,
+                        disturbance=DisturbancePolicy.worst_case(use_estimate=True),
+                        info=InfoStructure.imfs([1, m.horizon]))
+        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        golden = (Path(__file__).parent / "data"
+                  / "golden_example2_imfs_first_last_worstcase_seed9.csv")
         assert text == golden.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("block_states", [1, None, 2 ** 62],
