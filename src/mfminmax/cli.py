@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: run-example, synthesize, simulate, sweep-gamma, verify,
-gap-study, critical-gamma.  Every command is deterministic given (config,
-seed): re-running writes byte-identical CSVs.  Outputs land in --out
-(default ./out).
+Subcommands: run-example, synthesize, simulate, verify, gap-study,
+critical-gamma.  Every command is deterministic given (config, seed):
+re-running writes byte-identical CSVs.  Outputs land in --out (default
+./out).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _write(path: Path, text: str) -> None:
 
 def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
            disturbance: DisturbancePolicy, info_text: str, retain: bool) -> int:
-    """Shared core of run-example / sweep-gamma / simulate.
+    """Shared core of run-example / simulate.
 
     The schedule and every gamma are checked before any work: each gamma
     must be valid and name its own output files.
@@ -176,13 +176,6 @@ def cmd_simulate(args) -> int:
             {key: value for key, value in flags.items() if value is not None})
     return _sweep(model, gamma_list, seed, runs, Path(args.out),
                   disturbance, args.observe, retain=args.retain_states)
-
-
-def cmd_sweep_gamma(args) -> int:
-    if not args.gamma:
-        print("sweep-gamma requires --gamma", file=sys.stderr)
-        return EXIT_FAIL
-    return cmd_simulate(args)
 
 
 def cmd_verify(args) -> int:
@@ -290,17 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "config", "gamma", gammas=None)
     p.set_defaults(func=cmd_synthesize)
 
-    for name in ("simulate", "sweep-gamma"):
-        p = sub.add_parser(name, help="closed-loop Monte Carlo")
-        _add_flags(p, "config", "gamma", "seed", "runs", "observe")
-        p.add_argument("--disturbance", choices=["config", "zero", "sinusoid", "worst-case"],
-                       default="config")
-        p.add_argument("--amplitude", type=float, default=None,
-                       help="sinusoid amplitude (default 0.0); --disturbance sinusoid only")
-        p.add_argument("--applied-to", choices=["followers", "leader", "both"], default=None,
-                       help="sinusoid target (default followers); --disturbance sinusoid only")
-        p.add_argument("--retain-states", action="store_true")
-        p.set_defaults(func=cmd_simulate if name == "simulate" else cmd_sweep_gamma)
+    p = sub.add_parser("simulate", help="closed-loop Monte Carlo")
+    _add_flags(p, "config", "gamma", "seed", "runs", "observe")
+    p.add_argument("--disturbance", choices=["config", "zero", "sinusoid", "worst-case"],
+                   default="config")
+    p.add_argument("--amplitude", type=float, default=None,
+                   help="sinusoid amplitude (default 0.0); --disturbance sinusoid only")
+    p.add_argument("--applied-to", choices=["followers", "leader", "both"], default=None,
+                   help="sinusoid target (default followers); --disturbance sinusoid only")
+    p.add_argument("--retain-states", action="store_true")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="stacked-oracle equivalence + saddle perturbations")
     _add_flags(p, "config", "gamma", "seed", gammas=None)

@@ -37,7 +37,7 @@ __all__ = [
     "gap_table_csv",
 ]
 
-MAX_ORACLE_FOLLOWERS = 16
+MAX_ORACLE_FOLLOWERS = 64
 
 BLOCK_GAIN_ENTRIES = 2 ** 18
 """Most perturbed gain entries one batched saddle-check rollout holds: bounds its memory at large n."""
@@ -330,7 +330,7 @@ def check_population_sizes(n_list) -> None:
 
 
 def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, runs: int,
-                   disturbance: DisturbancePolicy | None = None,
+                   disturbance: DisturbancePolicy = DisturbancePolicy.worst_case(),
                    observation_times=()) -> list[dict]:
     """|J(intermittent) - J(full sharing)| across population sizes.
 
@@ -339,9 +339,8 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
     coincide run by run.  The per-follower coefficients are n-independent,
     so the same gains drive every population size.
     """
+    n_list = list(n_list)
     check_population_sizes(n_list)
-    if disturbance is None:
-        disturbance = DisturbancePolicy.worst_case()
     cfg = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance)
     arms = (InfoStructure.mfs(model.horizon), InfoStructure.imfs(observation_times))
     rows = []

@@ -83,7 +83,6 @@ class TrajectoryRecord:
     u0: np.ndarray          # (T, lu)
     ubar: np.ndarray        # (T, lu)
     d0: np.ndarray          # (T, lx)
-    dbar: np.ndarray        # (T, lx)
     stage_costs: np.ndarray  # (T,)
     xi: np.ndarray | None = None  # (T, n, lx) when retained
     ui: np.ndarray | None = None  # (T, n, lu) when retained
@@ -378,8 +377,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     z = work["z"][:R]  # row 0 leader noise, rows 1.. follower noise
 
     series = {name: np.empty((rows, T, dim)) for name, dim in (
-        ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("d0", lx),
-        ("dbar", lx))}
+        ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("d0", lx))}
     stage_costs = np.empty((rows, T))
     keep = cfg.retain_full_states
     full = {name: np.empty((rows, T, n, dim)) for name, dim in (
@@ -397,10 +395,9 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
             ubar = uf.mean(axis=1)
             d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat,
                                    work["df"][:rows])
-            dbar = df.mean(axis=1)
 
             for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
-                                ("ubar", ubar), ("d0", d0), ("dbar", dbar)):
+                                ("ubar", ubar), ("d0", d0)):
                 series[name][:, t - 1] = value
             stage_costs[:, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar,
                                                scratch)

@@ -207,7 +207,7 @@ class TestSweepCommand:
         # an intermittent schedule, a sinusoid on both agents and every
         # follower state kept, to the byte.
         out = tmp_path / "sweep"
-        code = main(["sweep-gamma", "--config", str(bundled_config_path(2)), "--gamma", "1", "4",
+        code = main(["simulate", "--config", str(bundled_config_path(2)), "--gamma", "1", "4",
                      "--runs", "2", "--seed", "9", "--observe", "5,12",
                      "--disturbance", "sinusoid", "--amplitude", "0.3", "--applied-to", "both",
                      "--retain-states", "--out", str(out)])
@@ -239,6 +239,13 @@ class TestVerifyCommand:
         report = read(out / "report.txt")
         assert "verdict: PASS" in report
         assert (out / "saddle_report.csv").exists()
+
+    def test_pass_at_the_follower_cap(self, tmp_path):
+        out = tmp_path / "verify"
+        code = main(["verify", "--config", str(bundled_config_path(2)), "--gamma", "4",
+                     "--n", str(oracle.MAX_ORACLE_FOLLOWERS), "--out", str(out)])
+        assert code == EXIT_OK
+        assert "verdict: PASS" in read(out / "report.txt")
 
     @pytest.mark.parametrize("name", ["saddle_report.csv", "report.txt"])
     def test_matches_golden_output(self, tmp_path, name):
@@ -362,7 +369,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--gamma", "1", "--observe", "99"],
         ["simulate", "--gamma", "4", "--observe", "99"],
-        ["sweep-gamma", "--gamma", "1", "4", "--observe", "2,x"],
+        ["simulate", "--gamma", "1", "4", "--observe", "2,x"],
         ["simulate", "--observe", "5-3"],
         ["gap-study", "--gamma", "1", "--observe", "99"],
     ], ids=["infeasible-gamma", "feasible-gamma", "not-a-number", "reversed-range",
@@ -407,7 +414,7 @@ class TestOtherCommands:
         ["gap-study", "--gamma", "1", "--n", "0"],
         ["gap-study", "--n", "10", "-3"],
         ["verify", "--directions", "0"],
-    ], ids=["verify-n0", "verify-n17", "simulate-runs0", "gap-study-runs0", "gap-study-n0",
+    ], ids=["verify-n0", "verify-n-over-max", "simulate-runs0", "gap-study-runs0", "gap-study-n0",
             "gap-study-n0-infeasible", "gap-study-n-3", "verify-directions0"])
     def test_count_out_of_range_fails(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -433,7 +440,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv, flag", [
         (["simulate", "--disturbance", "worst-case", "--amplitude", "0.5"], "--amplitude"),
         (["simulate", "--applied-to", "leader"], "--applied-to"),
-        (["sweep-gamma", "--gamma", "4", "--disturbance", "zero", "--amplitude", "0"],
+        (["simulate", "--gamma", "4", "--disturbance", "zero", "--amplitude", "0"],
          "--amplitude"),
     ], ids=["amplitude-worst-case", "applied-to-config", "amplitude-zero"])
     def test_sinusoid_flag_without_sinusoid_fails_naming_it(self, tmp_path, capsys, argv, flag):
@@ -487,9 +494,12 @@ class TestOtherCommands:
         assert captured.err == "error: follower_init: initial second moments are not finite\n"
         assert captured.out == ""
 
-    def test_sweep_requires_gamma(self, capsys):
-        code = main(["sweep-gamma", "--config", str(bundled_config_path(2))])
-        assert code == EXIT_FAIL
+    def test_sweep_gamma_is_not_a_command(self, capsys):
+        # simulate --gamma G... is the one multi-gamma Monte Carlo command
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-gamma", "--config", str(bundled_config_path(2)), "--gamma", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep-gamma'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, typo", [("amplitude", "amplitud"),
                                            ("gamma_list", "gama_list")])

@@ -127,7 +127,7 @@ def reference_joint_gains(model, gains, n):
 
 
 class TestDecomposedJointGains:
-    @pytest.mark.parametrize("n", [1, 2, 5, MAX_ORACLE_FOLLOWERS])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, MAX_ORACLE_FOLLOWERS])
     @pytest.mark.parametrize("which", ["example2", "vector", "vector_2x2", "mixed_dims",
                                        "signed_zeros"])
     def test_equals_blockwise_reference_bitwise(self, request, which, n):
@@ -159,7 +159,7 @@ class TestDecoupling:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("n", [2, 8, MAX_ORACLE_FOLLOWERS])
+    @pytest.mark.parametrize("n", [2, 8, 16, MAX_ORACLE_FOLLOWERS])
     def test_example2_value_and_trajectories(self, example2, n):
         m = example2_n(example2, np.linspace(2.0, 6.0, n))
         gains = compute_gains(m, solve_riccati(m))
@@ -418,6 +418,14 @@ class TestGapStudy:
         gains = compute_gains(m, solve_riccati(m))
         with pytest.raises(ValueError, match="--n"):
             imfs_gap_study(m, gains, n_list, seed=5, runs=2)
+
+    def test_iterator_of_sizes_equals_list(self, example2):
+        # the sizes are read once, so an iterator gives the rows a list gives
+        m = example2.with_gamma(EX2_GAMMA)
+        gains = compute_gains(m, solve_riccati(m))
+        rows = imfs_gap_study(m, gains, iter([4, 8]), seed=5, runs=2)
+        assert rows == imfs_gap_study(m, gains, [4, 8], seed=5, runs=2)
+        assert [row["n"] for row in rows] == [4, 8]
 
     def test_full_observation_gap_zero(self, example2):
         m = example2.with_gamma(EX2_GAMMA)

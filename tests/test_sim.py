@@ -31,7 +31,7 @@ def gains_for(model):
     return compute_gains(model, solve_riccati(model))
 
 
-RECORD_ARRAYS = ("x0", "xbar", "mhat", "u0", "ubar", "d0", "dbar", "stage_costs", "xi", "ui", "di")
+RECORD_ARRAYS = ("x0", "xbar", "mhat", "u0", "ubar", "d0", "stage_costs", "xi", "ui", "di")
 
 
 def assert_same_record(a, b):
@@ -693,7 +693,7 @@ def synthetic_record(rng, palette, run, T, lx, lu, n):
 
     return sim.TrajectoryRecord(
         run=run, seed=0, x0=draw(T, lx), xbar=draw(T, lx), mhat=draw(T, lx), u0=draw(T, lu),
-        ubar=draw(T, lu), d0=np.zeros((T, lx)), dbar=np.zeros((T, lx)), stage_costs=draw(T),
+        ubar=draw(T, lu), d0=np.zeros((T, lx)), stage_costs=draw(T),
         xi=None if n is None else draw(T, n, lx))
 
 
