@@ -41,9 +41,9 @@ def parse_schedule(text: str, horizon: int) -> InfoStructure:
     """
     text = text.strip().lower()
     if text == "all":
-        return InfoStructure.mfs(horizon)
+        return InfoStructure.mfs()
     if text == "none":
-        return InfoStructure.no_sharing()
+        return InfoStructure()
     times = set()
     for entry in text.split(","):
         entry = entry.strip()
@@ -233,13 +233,13 @@ def cmd_gap_study(args) -> int:
     seed, runs = _seed_and_runs(args, Experiment())  # the experiment section is not read here
     n_list = args.n_list or [10, 50, 250]
     oracle_mod.check_population_sizes(n_list)
-    times = parse_schedule(args.observe, model.horizon).observation_times
+    info = parse_schedule(args.observe, model.horizon)
     ric = solve_riccati(model)
     if not ric.feasible:
         print(f"model infeasible at gamma={model.gamma:g}; gap study needs a saddle point")
         return EXIT_INFEASIBLE
     gains = compute_gains(model, ric)
-    rows = oracle_mod.imfs_gap_study(model, gains, n_list, seed, runs, observation_times=times)
+    rows = oracle_mod.imfs_gap_study(model, gains, n_list, seed, runs, info=info)
     out = Path(args.out)
     _write(out / "gap_study.csv", oracle_mod.gap_table_csv(rows))
     for row in rows:
@@ -253,7 +253,7 @@ def cmd_critical_gamma(args) -> int:
     return EXIT_OK
 
 
-def _add_flags(p, *flags, gammas="*", runs_default=None):
+def _add_flags(p, *flags, gammas="+", runs_default=None):
     """The shared ``flags`` a subcommand reads, plus --out; ``gammas`` is the --gamma nargs."""
     specs = {
         "config": dict(type=Path, help="model config path"),
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-study", help="intermittent-vs-full sharing cost gap across n")
     _add_flags(p, "config", "gamma", "seed", "runs", "observe", gammas=None, runs_default=500)
-    p.add_argument("--n", dest="n_list", type=int, nargs="*", default=None)
+    p.add_argument("--n", dest="n_list", type=int, nargs="+", default=None)
     p.set_defaults(func=cmd_gap_study, observe="none")
 
     p = sub.add_parser("critical-gamma", help="bisect the feasibility boundary")

@@ -231,27 +231,23 @@ class InfoStructure:
     """What the agents see: the mean-field at all, some, or no times.
 
     ``observation_times`` is the set of t at which the true follower
-    average is available; everything else runs on the propagated estimate.
-    Full-time observation is exactly mean-field sharing; the empty set is
-    no-sharing.
+    average is available, or None for every t; everything else runs on
+    the propagated estimate.  ``mfs()``, observation at every t, is
+    mean-field sharing; ``InfoStructure()``, the empty set, is no-sharing.
     """
 
-    observation_times: frozenset[int] = frozenset()
+    observation_times: frozenset[int] | None = frozenset()
 
     @staticmethod
-    def mfs(horizon: int) -> "InfoStructure":
-        return InfoStructure(frozenset(range(1, horizon + 1)))
+    def mfs() -> "InfoStructure":
+        return InfoStructure(None)
 
     @staticmethod
     def imfs(times: Sequence[int]) -> "InfoStructure":
         return InfoStructure(frozenset(int(t) for t in times))
 
-    @staticmethod
-    def no_sharing() -> "InfoStructure":
-        return InfoStructure(frozenset())
-
     def observed(self, t: int) -> bool:
-        return t in self.observation_times
+        return self.observation_times is None or t in self.observation_times
 
 
 @dataclass(frozen=True)
@@ -269,10 +265,6 @@ class DisturbancePolicy:
     amplitude: float = 0.0
     applied_to: str = "followers"  # "followers" | "leader" | "both"
     use_estimate: bool = False
-
-    @staticmethod
-    def zero() -> "DisturbancePolicy":
-        return DisturbancePolicy(kind="zero")
 
     @staticmethod
     def sinusoid(amplitude: float, applied_to: str = "followers") -> "DisturbancePolicy":

@@ -331,8 +331,8 @@ def check_population_sizes(n_list) -> None:
 
 def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, runs: int,
                    disturbance: DisturbancePolicy = DisturbancePolicy.worst_case(),
-                   observation_times=()) -> list[dict]:
-    """|J(intermittent) - J(full sharing)| across population sizes.
+                   info: InfoStructure = InfoStructure()) -> list[dict]:
+    """|J(info) - J(full sharing)| across population sizes; ``info`` defaults to no sharing.
 
     Common random numbers: both arms are simulated in one ``simulate``
     call per n, as two arms of the same runs, so initial states and noises
@@ -342,7 +342,7 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
     n_list = list(n_list)
     check_population_sizes(n_list)
     cfg = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance)
-    arms = (InfoStructure.mfs(model.horizon), InfoStructure.imfs(observation_times))
+    arms = (InfoStructure.mfs(), info)
     rows = []
     for n in map(int, n_list):
         mdl = replace(model, n_followers=n)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,8 @@ class SimConfig:
     master_seed: int
     num_runs: int = 1
     retain_full_states: bool = False
-    disturbance: DisturbancePolicy = field(default_factory=DisturbancePolicy.zero)
-    info: InfoStructure | None = None  # None -> full mean-field sharing
+    disturbance: DisturbancePolicy = DisturbancePolicy()
+    info: InfoStructure = InfoStructure.mfs()
     use_worst_case_dbar: bool = True   # estimator propagation switch
 
     def __post_init__(self):
@@ -76,7 +76,6 @@ class TrajectoryRecord:
     """
 
     run: int
-    seed: int
     x0: np.ndarray          # (T, lx)
     xbar: np.ndarray        # (T, lx)
     mhat: np.ndarray        # (T, lx)
@@ -347,20 +346,19 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     """The runs ``runs`` under each information structure of ``infos``, stepped together.
 
     Rows are arm-major: row ``a * R + k`` is run ``runs[k]`` under ``infos[a]``
-    (None for full mean-field sharing), for the whole horizon.  The (T, rows)
-    bool mask ``seen`` holds at ``[t - 1, row]`` whether the row's arm
-    observes the mean at t: each step first resets the estimates of the rows
-    that observe to the mean, and the others carry the estimate that
-    ``estimator_step`` propagated at the end of the last step.  A run's arms
-    start from one initial draw and share one noise draw per t; ``stream``
-    gives the substreams, ``colour`` holds the (leader, follower) factor
-    stacks and ``work`` the arrays of ``_work_arrays``, with room for the
-    block's rows.  A failed row steps on, and its entries from its
-    ``failed_at`` on are set to nan at the end.  Returns one record list per
-    arm.
+    for the whole horizon.  The (T, rows) bool mask ``seen`` holds at
+    ``[t - 1, row]`` whether the row's arm observes the mean at t: each
+    step first resets the estimates of the rows that observe to the mean,
+    and the others carry the estimate that ``estimator_step`` propagated at
+    the end of the last step.  A run's arms start from one initial draw and
+    share one noise draw per t; ``stream`` gives the substreams, ``colour``
+    holds the (leader, follower) factor stacks and ``work`` the arrays of
+    ``_work_arrays``, with room for the block's rows.  A failed row steps
+    on, and its entries from its ``failed_at`` on are set to nan at the
+    end.  Returns one record list per arm.
     """
     T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
-    A, R, seed = len(infos), len(runs), cfg.master_seed
+    A, R = len(infos), len(runs)
     rows = A * R
     states, scratch = work["states"], work["scratch"]
 
@@ -371,7 +369,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
         xf[k] = model.follower_init.sample(init_rng, n)
     x0 = np.tile(x0, (A, 1))
     xf.reshape(A, R, n, lx)[1:] = xf[:R]  # each further arm starts from the same draw
-    seen = np.repeat([[info is None or info.observed(t) for info in infos]
+    seen = np.repeat([[info.observed(t) for info in infos]
                       for t in range(1, T + 1)], R, axis=1)  # (T, rows), arm-major
     live = range(R)  # the runs still stepping in some arm: one draw each per t
     z = work["z"][:R]  # row 0 leader noise, rows 1.. follower noise
@@ -441,7 +439,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
             arr[row, failed_at[row]:] = np.nan
     records = [
         TrajectoryRecord(
-            run=runs[row % R], seed=seed, **{name: arr[row] for name, arr in series.items()},
+            run=runs[row % R], **{name: arr[row] for name, arr in series.items()},
             stage_costs=stage_costs[row], **{name: arr[row] for name, arr in full.items()},
             failed_at=int(failed_at[row]) or None)
         for row in range(rows)
@@ -453,10 +451,10 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
              arms: tuple | None = None) -> list:
     """All runs, in run-index order, in blocks of at most BLOCK_STATES follower states.
 
-    With ``arms``, a sequence of information structures (None for full
-    sharing) that replaces ``cfg.info``, every run is simulated under each
-    of them from the same draws, and the result is one record list per arm,
-    each bit for bit what ``simulate`` gives with that arm as ``cfg.info``.
+    With ``arms``, a sequence of information structures that replaces
+    ``cfg.info``, every run is simulated under each of them from the same
+    draws, and the result is one record list per arm, each bit for bit
+    what ``simulate`` gives with that arm as ``cfg.info``.
     A block then holds every arm of its runs and counts the follower states
     of all of them.  Every block reuses one set of work arrays.
     """
@@ -478,12 +476,12 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
 
 
 def evaluate_cost(records: list[TrajectoryRecord]) -> CostSummary:
-    """Monte Carlo mean and standard error of the realized cost."""
+    """Monte Carlo mean and standard error of the realized cost; both nan if every run failed."""
     per_run = np.array([r.total_cost for r in records])
     ok = np.isfinite(per_run)
     vals = per_run[ok]
-    if vals.size == 0:
-        raise ValueError("no successful runs to aggregate")
+    if vals.size == 0:  # every run failed: the cost is undefined, not an error
+        return CostSummary(mean=math.nan, stderr=math.nan, failed_runs=len(records))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return CostSummary(mean=mean, stderr=stderr, failed_runs=int((~ok).sum()))

@@ -180,7 +180,7 @@ def test_criterion_6_imfs_coincidence_and_rate(example2):
     gains = gains_for(mdl)
     cfg_a = SimConfig(master_seed=17, num_runs=2,
                       disturbance=DisturbancePolicy.worst_case(),
-                      info=InfoStructure.mfs(mdl.horizon))
+                      info=InfoStructure.mfs())
     cfg_b = SimConfig(master_seed=17, num_runs=2,
                       disturbance=DisturbancePolicy.worst_case(),
                       info=InfoStructure.imfs(range(1, mdl.horizon + 1)))

@@ -19,6 +19,19 @@ from mfminmax.cli import (
     main,
     parse_schedule,
 )
+from mfminmax.model import InfoStructure
+
+
+# Followers grow tenfold per step from up to 1e300, so every run overflows, and the
+# feedback maps overflow on the estimate before the state update marks a run failed.
+DIVERGING_YAML = (
+    "horizon: 12\nn_followers: 1\nstate_dim: 1\naction_dim: 1\ngamma: 5.0\n"
+    "leader: {A0: 1.0, B0: 0.0, S0: 0.0}\n"
+    "follower: {A: 10.0, B: 0.0, S: 0.0, E: 0.0}\n"
+    "cost: {Q: 0.0, Q0: 0.0, F: 0.0, P: 0.0, R: 1.0, R0: 1.0, H: 0.0}\n"
+    "leader_init: {value: 0.0}\n"
+    "follower_init: {uniform: {low: 0.0, high: 1.0e+300}}\n"
+    "noise: {follower: 1.0, leader: 0.0}\n")
 
 
 def read(path):
@@ -32,8 +45,8 @@ def csv_rows(path):
 
 class TestScheduleParsing:
     def test_all_and_none(self):
-        assert parse_schedule("all", 5).observation_times == frozenset(range(1, 6))
-        assert parse_schedule("none", 5).observation_times == frozenset()
+        assert parse_schedule("all", 5) == InfoStructure.mfs()
+        assert parse_schedule("none", 5) == InfoStructure()
 
     def test_lists_and_ranges(self):
         info = parse_schedule("1,5,10-12", 20)
@@ -342,6 +355,14 @@ class TestOtherCommands:
         rows = csv_rows(out / "gap_study.csv")
         assert [int(r[0]) for r in rows] == [3, 6]
 
+    def test_gap_study_infeasible_gamma_writes_no_table(self, tmp_path, capsys):
+        out = tmp_path / "gap"
+        code = main(["gap-study", "--config", str(bundled_config_path(2)),
+                     "--gamma", "1.0", "--runs", "2", "--out", str(out)])
+        assert code == EXIT_INFEASIBLE
+        assert "infeasible" in capsys.readouterr().out
+        assert not (out / "gap_study.csv").exists()
+
     @pytest.mark.parametrize("block_states", [1, None, 2 ** 62],
                              ids=["one-run-blocks", "default-blocks", "one-block"])
     def test_gap_study_matches_golden_output(self, tmp_path, monkeypatch, block_states):
@@ -462,22 +483,31 @@ class TestOtherCommands:
         assert not out.exists()
 
     def test_runs_that_all_overflow_fail_without_warnings(self, tmp_path, capsys):
-        # Followers grow tenfold per step from up to 1e300, so every run overflows, and the
-        # feedback maps overflow on the estimate before the state update marks a run failed.
+        # The gamma still writes its files and reports a nan cost, like any feasible gamma.
         config = tmp_path / "diverging.yaml"
-        config.write_text(
-            "horizon: 12\nn_followers: 1\nstate_dim: 1\naction_dim: 1\ngamma: 5.0\n"
-            "leader: {A0: 1.0, B0: 0.0, S0: 0.0}\n"
-            "follower: {A: 10.0, B: 0.0, S: 0.0, E: 0.0}\n"
-            "cost: {Q: 0.0, Q0: 0.0, F: 0.0, P: 0.0, R: 1.0, R0: 1.0, H: 0.0}\n"
-            "leader_init: {value: 0.0}\n"
-            "follower_init: {uniform: {low: 0.0, high: 1.0e+300}}\n"
-            "noise: {follower: 1.0, leader: 0.0}\n", encoding="utf-8")
+        config.write_text(DIVERGING_YAML, encoding="utf-8")
         code = main(["simulate", "--config", str(config), "--gamma", "5", "--runs", "40",
                      "--seed", "0", "--observe", "none", "--disturbance", "worst-case",
                      "--out", str(tmp_path / "out")])
-        assert code == EXIT_FAIL
-        assert capsys.readouterr().err == "error: no successful runs to aggregate\n"
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "out"
+        assert csv_rows(out / "summary.csv") == [["5.0", "True", "25.0", "25.0", "40", "0",
+                                                  "nan", "nan"]]
+        assert "mean cost nan (stderr nan, 40 runs, 40 failed)" in read(out / "report.txt")
+        assert (out / "trajectories_gamma_5.csv").is_file()
+        assert (out / "riccati_gamma_5.csv").is_file()
+
+    def test_gap_study_whose_runs_all_overflow_reports_nan(self, tmp_path, capsys):
+        config = tmp_path / "diverging.yaml"
+        config.write_text(DIVERGING_YAML, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["gap-study", "--config", str(config), "--n", "1", "2", "--runs", "3",
+                     "--seed", "0", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert csv_rows(out / "gap_study.csv") == [[n, "3", "nan", "nan", "nan", "nan"]
+                                                   for n in ("1", "2")]
 
     @pytest.mark.parametrize("argv", [["synthesize", "--gamma", "4"],
                                       ["verify", "--gamma", "4", "--n", "4"]])
@@ -493,6 +523,18 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.err == "error: follower_init: initial second moments are not finite\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--config", str(bundled_config_path(2)), "--gamma"], "--gamma"),
+        (["run-example", "2", "--gamma"], "--gamma"),
+        (["gap-study", "--config", str(bundled_config_path(2)), "--n"], "--n"),
+    ], ids=["simulate-gamma", "run-example-gamma", "gap-study-n"])
+    def test_flag_without_values_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected at least one argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_gamma_is_not_a_command(self, capsys):
         # simulate --gamma G... is the one multi-gamma Monte Carlo command

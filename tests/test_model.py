@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mfminmax.cli import bundled_config_path
 from mfminmax.model import (
+    DisturbancePolicy,
     InfoStructure,
     ModelError,
     _as_matrix,
@@ -224,6 +225,11 @@ class TestLoadModel:
          "leader_init:", "experiment.disturbance.amplitude must be finite"),
         ("leader_init:", "experiment: {disturbance: {kind: sinusoid, amplitude: -.inf}}\n"
          "leader_init:", "experiment.disturbance.amplitude must be finite"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{value: 1.0, uniform: {low: 0.0, high: 2.0}}",
+         "follower_init: expected one of value/values/gaussian/uniform"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{values: [[1.0, 2.0], [3.0, 4.0]]}",
+         "follower_init: values have dimension 2, expected 1"),
+        ("horizon: 4", "horizon: 4\nstate_dim: 0", "state_dim and action_dim must be >= 1"),
     ], ids=["missing-leader-key", "gaussian-without-cov", "uniform-without-high",
             "leader-not-mapping", "misspelled-noise-key", "unknown-leader-key",
             "unknown-follower-key", "unknown-cost-key", "unknown-uniform-key",
@@ -236,7 +242,8 @@ class TestLoadModel:
             "two-leader-states", "nan-gaussian-mean", "inf-uniform-bound",
             "uniform-width-overflows",
             "uniform-bound-too-long", "uniform-bound-rank-2", "nan-sinusoid-amplitude",
-            "inf-sinusoid-amplitude"])
+            "inf-sinusoid-amplitude", "two-follower_init-keys", "follower-values-dimension",
+            "zero-state_dim"])
     def test_malformed_config_names_the_key(self, old, new, named):
         text = minimal()
         assert old in text
@@ -390,15 +397,21 @@ class TestValidateConvexity:
         assert validate_convexity(m).ok
 
 
+class TestDisturbancePolicy:
+    def test_sinusoid_unknown_target_rejected(self):
+        with pytest.raises(ValueError, match="unknown target 'bogus'"):
+            DisturbancePolicy.sinusoid(1.0, "bogus")
+
+
 class TestInfoStructure:
     def test_mfs_observes_everything(self):
-        info = InfoStructure.mfs(5)
+        info = InfoStructure.mfs()
         assert all(info.observed(t) for t in range(1, 6))
 
     def test_no_sharing_is_empty_imfs(self):
-        assert InfoStructure.no_sharing().observation_times == frozenset()
+        assert InfoStructure().observation_times == frozenset()
         assert InfoStructure.imfs([]).observation_times == frozenset()
 
     def test_imfs_full_equals_mfs_set(self):
-        assert (InfoStructure.imfs(range(1, 8)).observation_times
-                == InfoStructure.mfs(7).observation_times)
+        full, mfs = InfoStructure.imfs(range(1, 8)), InfoStructure.mfs()
+        assert all(full.observed(t) == mfs.observed(t) for t in range(1, 8))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mfminmax import oracle
 from mfminmax.model import InfoStructure, InitSpec, ModelError
 from mfminmax.oracle import (
     MAX_ORACLE_FOLLOWERS,
@@ -21,7 +22,8 @@ from mfminmax.oracle import (
     verify_equivalence,
 )
 from mfminmax.sim import DisturbancePolicy, SimConfig, simulate
-from mfminmax.synthesis import compute_gains, critical_gamma, optimal_value, solve_riccati
+from mfminmax.synthesis import (InfeasibleError, compute_gains, critical_gamma, optimal_value,
+                                solve_riccati)
 
 from conftest import (
     EX2_GAMMA,
@@ -61,6 +63,10 @@ class TestStackedAssembly:
     def test_dimension_guard(self, example2):
         with pytest.raises(ValueError, match="capped"):
             build_stacked(replace(example2, n_followers=MAX_ORACLE_FOLLOWERS + 1))
+
+    def test_empty_population_rejected(self, example2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build_stacked(point_model(example2, [0.0], []))
 
     @pytest.mark.parametrize("which, n", [("example2", 3), ("example2", 16),
                                           ("vector", 3), ("vector", 16)])
@@ -183,6 +189,22 @@ class TestEquivalence:
         sol = stacked_saddle_solve(replace(example2.with_gamma(1.0), n_followers=2))
         assert not sol.feasible
         assert not solve_riccati(example2.with_gamma(1.0)).feasible
+
+    def test_infeasible_point_model_has_no_decomposed_value(self, example2):
+        m = example2_n(example2, [[2.0], [6.0]])
+        gains = compute_gains(m, solve_riccati(m))
+        with pytest.raises(InfeasibleError, match="gamma=1"):
+            verify_equivalence(example2_n(example2, [[2.0], [6.0]], gamma=1.0), gains)
+
+    def test_stacked_solve_without_saddle_fails_the_report(self, example2, monkeypatch):
+        # Should the stacked recursion find no saddle point where the decomposed
+        # one finds a value, the report fails with an infinite value gap.
+        m = example2_n(example2, [[2.0], [6.0]])
+        below = stacked_saddle_solve(example2_n(example2, [[2.0], [6.0]], gamma=1.0))
+        assert not below.feasible
+        monkeypatch.setattr(oracle, "stacked_saddle_solve", lambda model: below)
+        rep = verify_equivalence(m, compute_gains(m, solve_riccati(m)))
+        assert rep.value_gap == float("inf") and not rep.ok
 
     def test_hessian_signature_iff_feasible(self):
         rng = np.random.default_rng(55)
@@ -347,7 +369,7 @@ class TestModelContract:
         assert base == rollout_joint(m, build_stacked(m), *decomposed_joint_gains(m, gains))[0]
         # the decomposed engine from the same list, noise-free, worst case: an independent route
         cfg = SimConfig(master_seed=0, num_runs=1, disturbance=DisturbancePolicy.worst_case(),
-                        info=InfoStructure.mfs(m.horizon))
+                        info=InfoStructure.mfs())
         assert base == pytest.approx(simulate(m, gains, cfg)[0].total_cost, rel=1e-12)
         # not the list's mean, [5, 5, 5, 5]
         around_mean = saddle_check(example2_n(example2, [5.0] * 4), gains, num_directions=1)
@@ -431,7 +453,7 @@ class TestGapStudy:
         m = example2.with_gamma(EX2_GAMMA)
         gains = compute_gains(m, solve_riccati(m))
         rows = imfs_gap_study(m, gains, [4, 8], seed=5, runs=5,
-                              observation_times=range(1, m.horizon + 1))
+                              info=InfoStructure.imfs(range(1, m.horizon + 1)))
         for row in rows:
             assert row["gap"] == 0.0
 

@@ -244,7 +244,7 @@ class TestInformationStructureInvariants:
         gains = compute_gains(m, solve_riccati(m))
         base = SimConfig(master_seed=99, num_runs=3,
                          disturbance=DisturbancePolicy.sinusoid(0.4),
-                         info=InfoStructure.mfs(m.horizon))
+                         info=InfoStructure.mfs())
         full = SimConfig(master_seed=99, num_runs=3,
                          disturbance=DisturbancePolicy.sinusoid(0.4),
                          info=InfoStructure.imfs(range(1, m.horizon + 1)))
@@ -268,7 +268,7 @@ class TestInformationStructureInvariants:
         gains = compute_gains(m, solve_riccati(m))
         cfg = SimConfig(master_seed=1, num_runs=1,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=True),
-                        info=InfoStructure.no_sharing())
+                        info=InfoStructure())
         rec = simulate(m, gains, cfg)[0]
         assert np.max(np.abs(rec.mhat - rec.xbar)) <= 1e-10
 
@@ -283,7 +283,7 @@ class TestInformationStructureInvariants:
         gains = compute_gains(m, solve_riccati(m))
 
         def tracking_error(worst_case_dbar):
-            cfg = SimConfig(master_seed=1, num_runs=1, info=InfoStructure.no_sharing(),
+            cfg = SimConfig(master_seed=1, num_runs=1, info=InfoStructure(),
                             use_worst_case_dbar=worst_case_dbar)
             rec = simulate(m, gains, cfg)[0]
             return np.max(np.abs(rec.mhat - rec.xbar))
@@ -300,7 +300,7 @@ class TestInformationStructureInvariants:
             mdl = replace(m, n_followers=n)
             cfg = SimConfig(master_seed=1234, num_runs=runs,
                             disturbance=DisturbancePolicy.worst_case(),
-                            info=InfoStructure.no_sharing())
+                            info=InfoStructure())
             recs = simulate(mdl, gains, cfg)
             errs = [float(np.sum((r.mhat[t_probe - 1] - r.xbar[t_probe - 1]) ** 2))
                     for r in recs]
