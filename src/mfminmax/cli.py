@@ -76,10 +76,11 @@ def _gamma_tag(gamma: float) -> str:
     return format(float(gamma), "g")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks) -> None:
+    """Write ``chunks``, one string or an iterable of them, to ``path`` as they come."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines((chunks,) if isinstance(chunks, str) else chunks)
 
 
 def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
@@ -110,6 +111,7 @@ def _sweep(model: ModelSpec, gamma_list, seed: int, runs: int, out: Path,
             cost = evaluate_cost(records)
             mean, stderr = cost.mean, cost.stderr
             _write(out / f"trajectories_gamma_{_gamma_tag(gamma)}.csv", trajectory_csv(records))
+            del records  # no gamma's records outlive its trajectory file
             _write(out / f"riccati_gamma_{_gamma_tag(gamma)}.csv", riccati_csv(ric, gains))
             report_lines.append(
                 f"gamma={gamma:g}: feasible, min margin {ric.min_margin():.6g}, "
@@ -323,7 +325,7 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     try:
         return args.func(args)
-    except (model_mod.ModelError, InfeasibleError, ValueError) as exc:
+    except (model_mod.ModelError, InfeasibleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -425,10 +425,30 @@ def _parse_experiment(node) -> Experiment:
                       disturbance=disturbance_policy(node.get("disturbance")))
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping key given twice, naming it and its line."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # keys a merge brings in may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:
+                continue  # unhashable: the base constructor rejects it
+            if repeated:
+                raise ModelError(f"config line {key_node.start_mark.line + 1}: "
+                                 f"duplicate key {key!r}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_model(text: str) -> ModelSpec:
     """Parse and validate a YAML model description."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ModelError(f"config does not parse: {exc}") from exc
     required = ("horizon", "n_followers", "gamma", "leader", "follower",
@@ -496,8 +516,12 @@ def load_model(text: str) -> ModelSpec:
 
 
 def load_model_file(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelError(f"config {path}: {exc.strerror}") from exc
+    return load_model(text)
 
 
 def build_augmented(model: ModelSpec) -> AugmentedSystem:

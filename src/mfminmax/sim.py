@@ -500,19 +500,20 @@ def _run_template(T: int, lx: int, lu: int, n: int) -> str:
     return "".join(f"\0,{t},{row}%r\n" for t in range(1, T + 1) for row in aggregates + followers)
 
 
-def trajectory_csv(records: list[TrajectoryRecord]) -> str:
-    """Long-format CSV (run, t, series, agent, value), plot-ready.
+def trajectory_csv(records: list[TrajectoryRecord]):
+    """Long-format CSV (run, t, series, agent, value), plot-ready, as chunks.
 
-    Per t: x0, xbar, mhat, u0, ubar, cost_stage, then ``xi`` of each kept
-    follower with its 1-based agent index.  Labels follow the record's
-    arrays: a series of one component is its bare name, a vector one
-    gets a _k suffix per component.  Values are ``repr`` of each float
+    Yields the header, then one chunk per record; ``"".join`` of them is
+    the file.  Per t: x0, xbar, mhat, u0, ubar, cost_stage, then ``xi`` of
+    each kept follower with its 1-based agent index.  Labels follow the
+    record's arrays: a series of one component is its bare name, a vector
+    one gets a _k suffix per component.  Values are ``repr`` of each float
     (the shortest string that reads back to the same float), rows end in
     a bare newline.  Each record is one ``%`` format over a template
     made once per (T, lx, lu, n).
     """
     templates = {}
-    chunks = ["run,t,series,agent,value\n"]  # one per record, to bound the peak
+    yield "run,t,series,agent,value\n"
     for rec in records:
         T, lx = rec.x0.shape
         columns = [rec.x0, rec.xbar, rec.mhat, rec.u0, rec.ubar, rec.stage_costs[:, None]]
@@ -522,5 +523,4 @@ def trajectory_csv(records: list[TrajectoryRecord]) -> str:
         if shape not in templates:
             templates[shape] = _run_template(*shape)
         values = np.concatenate(columns, axis=1).ravel().tolist()
-        chunks.append(templates[shape].replace("\0", str(rec.run)) % tuple(values))
-    return "".join(chunks)
+        yield templates[shape].replace("\0", str(rec.run)) % tuple(values)

@@ -4,12 +4,14 @@ import argparse
 import hashlib
 import itertools
 import re
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfminmax import oracle, sim
+from mfminmax import cli, oracle, sim
 from mfminmax.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -628,6 +630,63 @@ class TestOtherCommands:
     def test_missing_config_fails_cleanly(self, capsys):
         code = main(["synthesize"])
         assert code == EXIT_FAIL
+
+    @pytest.mark.parametrize("where, reason", [("missing.yaml", "No such file or directory"),
+                                               (".", "Is a directory")],
+                             ids=["missing-file", "directory"])
+    def test_unreadable_config_fails_without_traceback(self, tmp_path, capsys, where, reason):
+        config = tmp_path / where
+        code = main(["synthesize", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err == f"error: config {config}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_below_a_file_fails_without_traceback(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["synthesize", "--config", str(bundled_config_path(2)),
+                     "--out", str(blocker / "sub")])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err and "Traceback" not in err
+
+
+class TestTrajectoryStreaming:
+    def test_records_of_a_gamma_are_freed_before_the_next_simulates(self, tmp_path,
+                                                                     monkeypatch):
+        states, freed_at_call = [], []
+
+        def tracked(*args, **kwargs):
+            freed_at_call.append([ref() is None for ref in states])
+            records = sim.simulate(*args, **kwargs)
+            states.extend(weakref.ref(rec.xi) for rec in records)
+            return records
+
+        monkeypatch.setattr(cli, "simulate", tracked)
+        code = main(["simulate", "--config", str(bundled_config_path(1)), "--gamma", "20", "25",
+                     "--runs", "2", "--retain-states", "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert freed_at_call == [[], [True, True]]
+
+    def test_traced_peak_is_bounded_by_the_file(self, tmp_path):
+        # Only one gamma's records and one run's rows are alive at a time, so
+        # the traced peak stays within a small multiple of one trajectory file.
+        config = tmp_path / "n300.yaml"
+        text = read(bundled_config_path(1))
+        assert "n_followers: 100\n" in text
+        config.write_text(text.replace("n_followers: 100\n", "n_followers: 300\n"),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(config), "--runs", "8", "--retain-states",
+                         "--gamma", "20", "25", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2.5 * (out / "trajectories_gamma_20.csv").stat().st_size
 
 
 def readme_flags_table():

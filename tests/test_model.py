@@ -119,6 +119,18 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="positive definite"):
             load_model(minimal(R=0.0))
 
+    @pytest.mark.parametrize("text, line, key", [
+        (minimal(gamma=20.0) + "gamma: 5.0\n", 10, "gamma"),
+        (minimal().replace("A0: 0.9,", "A0: 0.9, A0: 0.7,"), 5, "A0"),
+    ], ids=["top-level", "nested"])
+    def test_duplicate_key_rejected(self, text, line, key):
+        with pytest.raises(ModelError, match=f"^config line {line}: duplicate key '{key}'$"):
+            load_model(text)
+
+    def test_key_over_a_merge_is_not_a_duplicate(self):
+        text = minimal().replace("{A0: 0.9,", "{<<: {A0: 0.5}, A0: 0.9,")
+        assert load_model(text).A0[0, 0, 0] == 0.9
+
     def test_missing_field(self):
         with pytest.raises(ModelError, match="missing"):
             load_model("horizon: 3\nn_followers: 1\ngamma: 1.0\n")

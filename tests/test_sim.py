@@ -285,8 +285,8 @@ class TestDeterminism:
         m = replace(example2, n_followers=3)
         g = gains_for(m)
         cfg = SimConfig(master_seed=8, num_runs=2, retain_full_states=True)
-        csv_a = trajectory_csv(simulate(m, g, cfg))
-        csv_b = trajectory_csv(simulate(m, g, cfg))
+        csv_a = "".join(trajectory_csv(simulate(m, g, cfg)))
+        csv_b = "".join(trajectory_csv(simulate(m, g, cfg)))
         assert csv_a == csv_b
 
 
@@ -560,7 +560,7 @@ class TestGoldenTrajectory:
         m = example1.with_gamma(20.0)
         cfg = SimConfig(master_seed=7, num_runs=1, retain_full_states=True,
                         disturbance=DisturbancePolicy.sinusoid(0.6))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         golden = Path(__file__).parent / "data" / "golden_example1_gamma20_seed7.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -573,7 +573,7 @@ class TestGoldenTrajectory:
         cfg = SimConfig(master_seed=5, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=True),
                         info=InfoStructure.imfs([1, 4]))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         golden = Path(__file__).parent / "data" / "golden_vector_imfs_worstcase_seed5.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -588,7 +588,7 @@ class TestGoldenTrajectory:
         cfg = SimConfig(master_seed=seed, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=True),
                         info=InfoStructure.imfs([5, 12]))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         golden = Path(__file__).parent / "data" / f"golden_example2_imfs_worstcase_seed{seed}.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -601,7 +601,7 @@ class TestGoldenTrajectory:
         cfg = SimConfig(master_seed=9, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=True),
                         info=InfoStructure.imfs([1, m.horizon]))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         golden = (Path(__file__).parent / "data"
                   / "golden_example2_imfs_first_last_worstcase_seed9.csv")
         assert text == golden.read_text(encoding="utf-8")
@@ -618,7 +618,7 @@ class TestGoldenTrajectory:
             monkeypatch.setattr(sim, "BLOCK_STATES", block_states)
         m = diverging_model()
         cfg = SimConfig(master_seed=0, num_runs=4, retain_full_states=True)
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         golden = Path(__file__).parent / "data" / "golden_diverging_seed0.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -629,7 +629,7 @@ class TestGoldenTrajectory:
         cfg = SimConfig(master_seed=11, num_runs=2, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(),
                         info=InfoStructure.imfs([2]))
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         golden = Path(__file__).parent / "data" / "golden_mixed_dims_imfs_worstcase_seed11.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -638,7 +638,7 @@ class TestGoldenTrajectory:
         from pathlib import Path
         m = example2.with_gamma(EX2_GAMMA)
         cfg = SimConfig(master_seed=3, num_runs=3, disturbance=m.experiment.disturbance)
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         golden = Path(__file__).parent / "data" / "golden_example2_gamma4_seed3_no_states.csv"
         assert text == golden.read_text(encoding="utf-8")
 
@@ -658,7 +658,7 @@ class TestTrajectoryCsv:
     def test_layout_and_series(self, example2):
         m = replace(example2, n_followers=2)
         cfg = SimConfig(master_seed=1, num_runs=1, retain_full_states=True)
-        text = trajectory_csv(simulate(m, gains_for(m), cfg))
+        text = "".join(trajectory_csv(simulate(m, gains_for(m), cfg)))
         lines = text.strip().split("\n")
         assert lines[0] == "run,t,series,agent,value"
         rows = [line.split(",") for line in lines[1:]]
@@ -674,6 +674,7 @@ class TestTrajectoryCsv:
     def test_matches_per_value_reference(self, data):
         # Records of one or two shapes, so a template is both made and reused;
         # their values are picked from a drawn palette, which keeps drawing cheap.
+        # The header comes alone, then one chunk per record.
         shapes = data.draw(st.lists(st.tuples(
             st.integers(1, 5), st.integers(1, 3), st.integers(1, 3),
             st.one_of(st.none(), st.integers(0, 4))), min_size=1, max_size=2))
@@ -682,9 +683,9 @@ class TestTrajectoryCsv:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         records = [synthetic_record(rng, palette, run, *shapes[rng.integers(len(shapes))])
                    for run in runs]
-        expected = "run,t,series,agent,value\n" + "".join(
-            reference_trajectory_rows(rec, rec.x0.shape[1], rec.u0.shape[1]) for rec in records)
-        assert trajectory_csv(records) == expected
+        expected = ["run,t,series,agent,value\n"] + [
+            reference_trajectory_rows(rec, rec.x0.shape[1], rec.u0.shape[1]) for rec in records]
+        assert list(trajectory_csv(records)) == expected
 
 
 FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5, 1e16]),
