@@ -258,7 +258,7 @@ def cmd_critical_gamma(args) -> int:
 def _add_flags(p, *flags, gammas="+", runs_default=None):
     """The shared ``flags`` a subcommand reads, plus --out; ``gammas`` is the --gamma nargs."""
     specs = {
-        "config": dict(type=Path, help="model config path"),
+        "config": dict(type=Path, required=True, help="model config path"),
         "gamma": dict(type=float, nargs=gammas, default=None,
                       help="attenuation values" if gammas else "attenuation value"),
         "seed": dict(type=int, default=None),
@@ -320,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "config", None) is None and args.command != "run-example":
-        print("--config is required", file=sys.stderr)
-        return EXIT_FAIL
     try:
         return args.func(args)
     except (model_mod.ModelError, InfeasibleError, ValueError, OSError) as exc:

@@ -45,13 +45,20 @@ class ModelError(ValueError):
     """Raised when a model description is inconsistent or invalid."""
 
 
+def _has_bool(value) -> bool:
+    """Whether ``value`` is a YAML boolean or a list holding one at any depth."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _floats(value, name: str) -> np.ndarray:
     """``value`` as a finite float array; anything else is a ModelError.
 
-    Every array the loader reads passes through here.  YAML's null reads
-    as nan, so it is rejected as a non-finite entry.
+    Every array the loader reads passes through here.  YAML's null reads as nan, so it
+    is rejected as a non-finite entry; a boolean (numpy reads 1.0 or 0.0) as not a number.
     """
     try:
+        if _has_bool(value):
+            raise TypeError
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ModelError(f"{name}: expected numbers, got {value!r}") from None
@@ -61,8 +68,10 @@ def _floats(value, name: str) -> np.ndarray:
 
 
 def _number(value, name: str) -> float:
-    """``value`` as one float; a list, mapping or non-numeric string is a ModelError."""
+    """``value`` as one float; a boolean, list, mapping or non-numeric string is a ModelError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         raise ModelError(f"{name} must be a number, got {value!r}") from None
@@ -292,8 +301,9 @@ class ModelSpec:
     """Validated system + cost description.
 
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
-    Weight matrices are symmetric after load.  The horizon T and the
-    dimensions lx and lu are read from the leader's stacks.
+    Weight matrices are symmetric after load.  The horizon T and the dimensions lx and lu
+    are read from the leader's stacks.  Making one in any way checks a positive finite gamma,
+    n_followers >= 1 and ``validate_convexity``; the first failure is a ModelError.
     """
 
     n_followers: int
@@ -322,6 +332,14 @@ class ModelSpec:
     noise_follower: np.ndarray = None  # (T, lx, lx) covariance of wi_t
     experiment: Experiment = Experiment()
 
+    def __post_init__(self):
+        _attenuation(self.gamma)
+        if self.n_followers < 1:
+            raise ModelError("n_followers must be >= 1")
+        for t, name, ev in validate_convexity(self).violations[:1]:  # the first, if any
+            semi = "" if name.startswith("R") else "semi-"
+            raise ModelError(f"{name} at t={t} is not positive {semi}definite (min eig {ev:.3g})")
+
     @property
     def horizon(self) -> int:
         return self.A0.shape[0]
@@ -335,7 +353,7 @@ class ModelSpec:
         return self.B0.shape[2]
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
-        return replace(self, gamma=_attenuation(gamma))
+        return replace(self, gamma=float(gamma))
 
 
 @dataclass(frozen=True)
@@ -460,11 +478,9 @@ def load_model(text: str) -> ModelSpec:
     n = _integer(raw, "n_followers")
     lx = _integer(raw, "state_dim", 1)
     lu = _integer(raw, "action_dim", 1)
-    gamma = _attenuation(_number(raw["gamma"], "gamma"))
+    gamma = _number(raw["gamma"], "gamma")
     if T < 1:
         raise ModelError("horizon must be >= 1")
-    if n < 1:
-        raise ModelError("n_followers must be >= 1")
     if lx < 1 or lu < 1:
         raise ModelError("state_dim and action_dim must be >= 1")
 
@@ -498,21 +514,11 @@ def load_model(text: str) -> ModelSpec:
     if follower_init.kind == "deterministic" and np.atleast_2d(follower_init.values).shape[0] not in (1, n):
         raise ModelError("follower_init.values must list 1 or n_followers states")
 
-    model = ModelSpec(
-        n_followers=n, gamma=gamma, A0=A0, B0=B0, S0=S0, A=A, B=B, S=S, E=E,
-        Q=weights["Q"], Q0=weights["Q0"], F=weights["F"], P=weights["P"],
-        R=weights["R"], R0=weights["R0"], H=weights["H"],
-        leader_init=leader_init, follower_init=follower_init,
-        noise_leader=nl, noise_follower=nf,
+    return ModelSpec(
+        n_followers=n, gamma=gamma, A0=A0, B0=B0, S0=S0, A=A, B=B, S=S, E=E, **weights,
+        leader_init=leader_init, follower_init=follower_init, noise_leader=nl, noise_follower=nf,
         experiment=_parse_experiment(raw.get("experiment")),
     )
-
-    report = validate_convexity(model)
-    bad_r = [v for v in report.violations if v[1] in ("R", "R_bar")]
-    if bad_r:
-        t, name, ev = bad_r[0]
-        raise ModelError(f"{name} at t={t} is not positive definite (min eig {ev:.3g})")
-    return model
 
 
 def load_model_file(path) -> ModelSpec:

@@ -119,8 +119,6 @@ def build_stacked(model: ModelSpec) -> StackedProblem:
     entry gets a per-agent loop's writes in its order, signs of zeros included.
     """
     n = model.n_followers
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > MAX_ORACLE_FOLLOWERS:
         raise ValueError(f"oracle capped at n <= {MAX_ORACLE_FOLLOWERS} followers")
     T, lx, lu = model.horizon, model.state_dim, model.action_dim

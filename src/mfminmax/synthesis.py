@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, ModelSpec, _attenuation, build_augmented, validate_convexity
+from .model import ModelError, ModelSpec, _attenuation, build_augmented
 
 __all__ = [
     "InfeasibleError",
@@ -159,9 +159,6 @@ def _backward(A, B, Q, R, W, gammas: np.ndarray):
 
 def _walk(model: ModelSpec, gammas: np.ndarray):
     """The deviation and the augmented ``_backward`` outputs of ``model`` for every gamma."""
-    report = validate_convexity(model)
-    if not report.ok:
-        raise InfeasibleError(f"convexity assumptions violated: {report.violations[:4]}")
     aug = build_augmented(model)
     T, n, lx = model.horizon, model.n_followers, model.state_dim
     # The deviation noise w^i - wbar has covariance (1 - 1/n) Cov(w^i); the

@@ -5,8 +5,10 @@ the package: plain-float scalar/2x2 recursions, the classical completion
 form of the no-disturbance recursion, and direct model construction.
 """
 
+import math
 import shutil
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +80,16 @@ def make_model(*, T, n, gamma, A0, B0, S0, A, B, S, E, Q, Q0, F, P, R, R0, H,
         leader_init=linit, follower_init=finit,
         noise_leader=stack(noise_leader, lx, lx), noise_follower=stack(noise_follower, lx, lx),
     )
+
+
+def scale_cost(model: ModelSpec, c: float) -> ModelSpec:
+    """``model`` with the seven cost weights times c and gamma times sqrt(c).
+
+    Every term of the cost, the disturbance penalty included, is then c
+    times what it was, so the saddle point is the same.
+    """
+    weights = {name: c * getattr(model, name) for name in ("Q", "Q0", "F", "P", "R", "R0", "H")}
+    return replace(model, gamma=math.sqrt(c) * model.gamma, **weights)
 
 
 def vector_model(T=6, n=4, gamma=3.5):

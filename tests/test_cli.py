@@ -627,9 +627,15 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'S0'" in err and "Traceback" not in err
 
-    def test_missing_config_fails_cleanly(self, capsys):
-        code = main(["synthesize"])
-        assert code == EXIT_FAIL
+    @pytest.mark.parametrize("argv", [
+        ["synthesize"], ["simulate"], ["verify"], ["gap-study"],
+        ["critical-gamma", "--lo", "0.5", "--hi", "20"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_config_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where, reason", [("missing.yaml", "No such file or directory"),
                                                (".", "Is a directory")],

@@ -115,6 +115,32 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="gamma"):
             load_model(minimal()).with_gamma(value)
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("gamma: 5.0", "gamma: yes", "gamma must be a number, got True"),
+        ("A: 0.8", "A: on", "follower.A: expected numbers, got True"),
+        ("R: 2.0", "R: [true]", r"cost.R: expected numbers, got \[True\]"),
+        ("A0: 0.9", "A0: [[false]]", r"leader.A0: expected numbers, got \[\[False\]\]"),
+        ("{uniform: {low: 0.0, high: 2.0}}", "{values: [true, 1.0]}",
+         r"follower_init: expected numbers, got \[True, 1.0\]"),
+        ("leader_init:", "experiment: {disturbance: {kind: sinusoid, amplitude: yes}}\n"
+         "leader_init:", "experiment.disturbance.amplitude must be a number, got True"),
+        ("leader_init:", "experiment: {gamma_list: [yes]}\nleader_init:",
+         "experiment.gamma_list entry must be a number, got True"),
+    ], ids=["gamma", "matrix", "matrix-list", "nested-matrix", "mixed-list", "amplitude",
+            "gamma_list"])
+    def test_yaml_boolean_is_not_a_number(self, old, new, named):
+        # numpy would read a boolean as 1.0 or 0.0, also inside a list of floats
+        text = minimal()
+        assert old in text
+        with pytest.raises(ModelError, match=f"^{named}$"):
+            load_model(text.replace(old, new, 1))
+
+    def test_numeric_string_is_a_number(self):
+        # YAML 1.1 reads 1e-4 (no dot) as a string; it stays a number
+        m = load_model(minimal().replace("R0: 1.0", "R0: 1e-4"))
+        assert yaml.safe_load("R0: 1e-4") == {"R0": "1e-4"}
+        assert m.R0[0, 0, 0] == 1e-4
+
     def test_zero_r_rejected(self):
         with pytest.raises(ModelError, match="positive definite"):
             load_model(minimal(R=0.0))
@@ -390,13 +416,15 @@ class TestValidateConvexity:
         assert validate_convexity(example2).ok
 
     def test_negative_q_flagged(self):
-        m = make_model(T=3, n=2, gamma=5.0, A0=1.0, B0=1.0, S0=0.0, A=1.0, B=1.0,
+        # A model is checked when it is made; the first violation names its matrix and t.
+        weights = dict(T=3, n=2, gamma=5.0, A0=1.0, B0=1.0, S0=0.0, A=1.0, B=1.0,
                        S=0.0, E=0.0, Q=-1.0, Q0=0.0, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0)
-        rep = validate_convexity(m)
-        assert not rep.ok
-        assert any(name == "Q" for _, name, _ in rep.violations)
-        # Q_bar inherits the negative block
-        assert any(name == "Q_bar" for _, name, _ in rep.violations)
+        with pytest.raises(ModelError, match=r"^Q at t=1 is not positive semi-definite "
+                                             r"\(min eig -1\)$"):
+            make_model(**weights)
+        # Q >= 0 alone is not enough: Q_bar holds Q0 + F in its leader block
+        with pytest.raises(ModelError, match=r"^Q_bar at t=1 is not positive semi-definite"):
+            make_model(**{**weights, "Q": 1.0, "Q0": -1.0})
 
     def test_indefinite_looking_cross_block_still_psd(self):
         # Q0=1, F=4, Q=P=0 -> Q_bar = [[5,-4],[-4,4]], det 4 > 0: PSD.

@@ -65,8 +65,8 @@ class TestStackedAssembly:
             build_stacked(replace(example2, n_followers=MAX_ORACLE_FOLLOWERS + 1))
 
     def test_empty_population_rejected(self, example2):
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            build_stacked(point_model(example2, [0.0], []))
+        with pytest.raises(ModelError, match="^n_followers must be >= 1$"):
+            point_model(example2, [0.0], [])
 
     @pytest.mark.parametrize("which, n", [("example2", 3), ("example2", 16),
                                           ("vector", 3), ("vector", 16)])

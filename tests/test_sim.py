@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,7 +441,9 @@ class TestCostFormula:
         m = make_model(T=1, n=1, gamma=1.5, A0=1.0, B0=np.ones(lx * lu), S0=0.0, A=1.0,
                        B=np.ones(lx * lu), S=0.0, E=0.0, Q=1.0, Q0=1.0, F=1.0, P=1.0, R=1.0,
                        R0=1.0, H=1.0, lx=lx, lu=lu)
-        m = replace(m, Q=gen.normal(size=(1, lx, lx)), R=gen.normal(size=(1, lu, lu)))
+        # Non-symmetric weights no ModelSpec accepts: stage_cost reads them as given.
+        m = SimpleNamespace(**{**vars(m), "Q": gen.normal(size=(1, lx, lx)),
+                               "R": gen.normal(size=(1, lu, lu))})
         values = np.concatenate([[0.0, -0.0, 5e-324], gen.normal(size=9)])
         for n in (1, 2, 5):
             xf, uf, df = (gen.choice(values, size=(3, n, d)) for d in (lx, lu, lx))

@@ -530,8 +530,9 @@ class TestBatchedWalk:
             feasible(example2, [4.0, bad])
 
     def test_nonconvex_model_raises(self, example2):
+        # The model is rejected where it is made, before any walk.
         R = example2.R.copy()
         R[3] = -1.0
-        with pytest.raises(InfeasibleError, match="convexity"):
-            feasible(replace(example2, R=R), [4.0])
+        with pytest.raises(ModelError, match=r"^R at t=4 is not positive definite \(min eig -1\)$"):
+            replace(example2, R=R)
 
