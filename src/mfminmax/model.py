@@ -13,7 +13,8 @@ shape (T, ...) indexed [t-1].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -177,14 +178,7 @@ class InitSpec:
         """Draw one vector (count=None) or a (count, dim) batch."""
         if self.kind == "deterministic":
             v = np.atleast_2d(self.values)
-            if count is None:
-                return v[0].copy()
-            if v.shape[0] == 1:
-                return np.broadcast_to(v[0], (count, self.dim)).copy()
-            if v.shape[0] != count:
-                raise ModelError(f"follower_init: deterministic list has {v.shape[0]} entries, "
-                                 f"need 1 or n_followers = {count}")
-            return v.copy()
+            return v[0].copy() if count is None else np.broadcast_to(v, (count, self.dim)).copy()
         if self.kind == "gaussian":
             return rng.multivariate_normal(self.mu, self.sigma, size=count)
         shape = (self.dim,) if count is None else (count, self.dim)
@@ -303,7 +297,9 @@ class ModelSpec:
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
     Weight matrices are symmetric after load.  The horizon T and the dimensions lx and lu
     are read from the leader's stacks.  Making one in any way checks a positive finite gamma,
-    n_followers >= 1 and ``validate_convexity``; the first failure is a ModelError.
+    n_followers >= 1, ``validate_convexity``, PSD noise covariances, one leader start
+    state and 1 or n_followers follower start states; the first failure is a ModelError.
+    ``with_gamma`` checks only the new gamma.
     """
 
     n_followers: int
@@ -339,6 +335,13 @@ class ModelSpec:
         for t, name, ev in validate_convexity(self).violations[:1]:  # the first, if any
             semi = "" if name.startswith("R") else "semi-"
             raise ModelError(f"{name} at t={t} is not positive {semi}definite (min eig {ev:.3g})")
+        _check_psd(self.noise_leader, "noise.leader")
+        _check_psd(self.noise_follower, "noise.follower")
+        if self.leader_init.kind == "deterministic" and len(np.atleast_2d(self.leader_init.values)) != 1:
+            raise ModelError("leader_init must give one state")
+        if (self.follower_init.kind == "deterministic"
+                and len(np.atleast_2d(self.follower_init.values)) not in (1, self.n_followers)):
+            raise ModelError("follower_init.values must list 1 or n_followers states")
 
     @property
     def horizon(self) -> int:
@@ -353,7 +356,9 @@ class ModelSpec:
         return self.B0.shape[2]
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
-        return replace(self, gamma=float(gamma))
+        model = copy(self)  # checked already; nothing but gamma depends on gamma
+        object.__setattr__(model, "gamma", _attenuation(float(gamma)))
+        return model
 
 
 @dataclass(frozen=True)
@@ -504,19 +509,11 @@ def load_model(text: str) -> ModelSpec:
     none_cov = np.zeros((lx, lx))
     nl = _symmetric(_per_t_stack(noise.get("leader", none_cov), T, lx, lx, "noise.leader"), "noise.leader")
     nf = _symmetric(_per_t_stack(noise.get("follower", none_cov), T, lx, lx, "noise.follower"), "noise.follower")
-    _check_psd(nl, "noise.leader")
-    _check_psd(nf, "noise.follower")
-
-    leader_init = _parse_init(raw["leader_init"], lx, "leader_init")
-    if leader_init.kind == "deterministic" and leader_init.values.shape[0] != 1:
-        raise ModelError("leader_init must give one state")
-    follower_init = _parse_init(raw["follower_init"], lx, "follower_init")
-    if follower_init.kind == "deterministic" and np.atleast_2d(follower_init.values).shape[0] not in (1, n):
-        raise ModelError("follower_init.values must list 1 or n_followers states")
-
     return ModelSpec(
         n_followers=n, gamma=gamma, A0=A0, B0=B0, S0=S0, A=A, B=B, S=S, E=E, **weights,
-        leader_init=leader_init, follower_init=follower_init, noise_leader=nl, noise_follower=nf,
+        leader_init=_parse_init(raw["leader_init"], lx, "leader_init"),
+        follower_init=_parse_init(raw["follower_init"], lx, "follower_init"),
+        noise_leader=nl, noise_follower=nf,
         experiment=_parse_experiment(raw.get("experiment")),
     )
 

@@ -1,6 +1,7 @@
 """Model loading, augmentation, convexity checks, information structures."""
 
 import copy
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -11,18 +12,21 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfminmax import model as model_module
 from mfminmax.cli import bundled_config_path
 from mfminmax.model import (
     DisturbancePolicy,
     InfoStructure,
+    InitSpec,
     ModelError,
     _as_matrix,
     build_augmented,
     load_model,
     validate_convexity,
 )
+from mfminmax.oracle import point_model
 
-from conftest import make_model, mixed_dims_model
+from conftest import EX2_GAMMA, make_model, mixed_dims_model, vector_model
 
 MINIMAL = """
 horizon: {T}
@@ -318,6 +322,62 @@ class TestDerivedDimensions:
     def test_state_and_action_dimensions_differ(self):
         m = mixed_dims_model()
         assert (m.horizon, m.state_dim, m.action_dim) == (5, 2, 1)
+
+
+class TestModelSpecInvariants:
+    """Every invariant is checked where the model is made, whichever way it is made."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: {"noise_follower": -m.noise_follower},
+         r"^noise.follower\[t=1\]: not positive semi-definite$"),
+        (lambda m: {"noise_leader": np.full_like(m.noise_leader, -0.1)},
+         r"^noise.leader\[t=1\]: not positive semi-definite$"),
+        (lambda m: {"leader_init": InitSpec(kind="deterministic", dim=1,
+                                            values=np.array([[10.0], [12.0]]))},
+         "^leader_init must give one state$"),
+        (lambda m: {"follower_init": InitSpec(kind="deterministic", dim=1,
+                                              values=np.array([[2.0], [4.0], [6.0]]))},
+         "^follower_init.values must list 1 or n_followers states$"),
+    ], ids=["negative-follower-noise", "negative-leader-noise", "two-leader-states",
+            "three-follower-states"])
+    def test_replace_checks_noise_and_initials(self, example2, change, message):
+        m = example2.with_gamma(EX2_GAMMA)
+        with pytest.raises(ModelError, match=message):
+            replace(m, **change(m))
+
+    def test_population_size_checks_the_follower_list(self, example2):
+        m = point_model(example2.with_gamma(EX2_GAMMA), [10.0], [[2.0], [4.0], [6.0], [8.0]])
+        with pytest.raises(ModelError, match="^follower_init.values must list 1 or n_followers"):
+            replace(m, n_followers=3)
+        assert replace(m, n_followers=4).n_followers == 4
+
+    def test_one_follower_state_serves_any_population(self, example2):
+        m = point_model(example2.with_gamma(EX2_GAMMA), [10.0], [[2.0]])
+        assert replace(m, n_followers=7).follower_init.sample(None, 7).tolist() == [[2.0]] * 7
+
+    @pytest.mark.parametrize("which", ["example1", "example2", "vector"])
+    @pytest.mark.parametrize("gamma", [0.5, 4.0, 1e9, np.float64(2.5)])
+    def test_with_gamma_equals_replace(self, request, which, gamma):
+        m = vector_model() if which == "vector" else request.getfixturevalue(which)
+        got, want = m.with_gamma(gamma), replace(m, gamma=float(gamma))
+        assert type(got.gamma) is float
+        for f in dataclasses.fields(m):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a is b or a == b, f.name
+
+    def test_with_gamma_does_not_recheck_convexity(self, example2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model_module, "validate_convexity",
+                            lambda m: calls.append(m) or validate_convexity(m))
+        example2.with_gamma(3.0)
+        assert calls == []
+        replace(example2, gamma=3.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_with_gamma_rejects_a_bad_gamma(self, example2, gamma):
+        with pytest.raises(ModelError, match=f"^gamma must be positive and finite, got {gamma!r}$"):
+            example2.with_gamma(gamma)
 
 
 def _leaves(node, path=()):

@@ -290,16 +290,14 @@ class TestOptimalValue:
             optimal_value(m, solve_riccati(m))
 
     def test_follower_list_of_wrong_length_raises(self):
-        # As simulate does, through InitSpec.sample: a list of 3 states for 5 followers.
-        from mfminmax.sim import SimConfig, simulate
-        m = replace(make_model(T=3, n=3, gamma=6.0, A0=0.9, B0=0.3, S0=0.0, A=0.9, B=0.4, S=0.0,
-                               E=0.0, Q=1.0, Q0=1.0, F=0.5, P=0.0, R=1.0, R0=1.0, H=0.0,
-                               follower_values=[[1.0], [2.0], [4.0]]), n_followers=5)
-        ric = solve_riccati(m)
-        with pytest.raises(ModelError, match="^follower_init: deterministic list has 3 entries"):
-            optimal_value(m, ric)
-        with pytest.raises(ModelError, match="deterministic list has 3 entries"):
-            simulate(m, compute_gains(m, ric), SimConfig(master_seed=0))
+        # A list of 3 states for 5 followers is refused where the model is made, before
+        # optimal_value or simulate could draw from it.
+        m = make_model(T=3, n=3, gamma=6.0, A0=0.9, B0=0.3, S0=0.0, A=0.9, B=0.4, S=0.0,
+                       E=0.0, Q=1.0, Q0=1.0, F=0.5, P=0.0, R=1.0, R0=1.0, H=0.0,
+                       follower_values=[[1.0], [2.0], [4.0]])
+        with pytest.raises(ModelError, match="^follower_init.values must list 1 or n_followers "
+                                             "states$"):
+            replace(m, n_followers=5)
 
     def test_overflowing_value_raises(self):
         # finite moments of 1e300 against weights of 1e10
