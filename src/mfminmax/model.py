@@ -142,6 +142,28 @@ def _check_psd(mat: np.ndarray, name: str, tol: float = 1e-10) -> None:
         raise ModelError(f"{name if mat.ndim == 2 else f'{name}[t={bad[0] + 1}]'}: not positive semi-definite")
 
 
+# The (rows, cols) of each ModelSpec stack, in the state and action dimensions x and u.
+STACK_DIMS = {"A0": "xx", "B0": "xu", "S0": "xx", "A": "xx", "B": "xu", "S": "xx", "E": "xx",
+              "Q": "xx", "Q0": "xx", "F": "xx", "P": "xx", "R": "uu", "R0": "uu", "H": "uu",
+              "noise_leader": "xx", "noise_follower": "xx"}
+
+
+def _check_stacks(model) -> None:
+    """Reject a stack that is not an array of shape (T, rows, cols) in the T, lx and lu of the
+    leader's A0 and B0, naming the first such field in ``STACK_DIMS`` order."""
+    for name in ("A0", "B0"):
+        if np.ndim(getattr(model, name)) != 3:
+            raise ModelError(f"{name}: expected a (T, rows, cols) stack, "
+                             f"got shape {np.shape(getattr(model, name))}")
+    T, lx = np.shape(model.A0)[:2]
+    size = {"x": lx, "u": np.shape(model.B0)[2]}
+    for name, (rows, cols) in STACK_DIMS.items():
+        stack, shape = getattr(model, name), (T, size[rows], size[cols])
+        if not isinstance(stack, np.ndarray) or stack.shape != shape:
+            got = f"shape {stack.shape}" if isinstance(stack, np.ndarray) else type(stack).__name__
+            raise ModelError(f"{name}: expected an array of shape {shape}, got {got}")
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Initial-state distribution: deterministic, gaussian, or uniform box.
@@ -247,6 +269,11 @@ class InfoStructure:
 
     @staticmethod
     def imfs(times: Sequence[int]) -> "InfoStructure":
+        """Observation at each of ``times``: ints (or numpy integers) >= 1, not bools."""
+        times = list(times)
+        bad = [t for t in times if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1]
+        if bad:
+            raise ValueError(f"observation time {bad[0]!r} is not a whole number >= 1")
         return InfoStructure(frozenset(int(t) for t in times))
 
     def observed(self, t: int) -> bool:
@@ -297,8 +324,9 @@ class ModelSpec:
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
     Weight matrices are symmetric after load.  The horizon T and the dimensions lx and lu
     are read from the leader's stacks.  Making one in any way checks a positive finite gamma,
-    n_followers >= 1, ``validate_convexity``, PSD noise covariances, one leader start
-    state and 1 or n_followers follower start states; the first failure is a ModelError.
+    an integer n_followers >= 1, the shape of every stack, ``validate_convexity``, PSD noise
+    covariances, one leader start state and 1 or n_followers follower start states; the first
+    failure is a ModelError.
     ``with_gamma`` checks only the new gamma.
     """
 
@@ -330,8 +358,11 @@ class ModelSpec:
 
     def __post_init__(self):
         _attenuation(self.gamma)
+        if isinstance(self.n_followers, bool) or not isinstance(self.n_followers, (int, np.integer)):
+            raise ModelError(f"n_followers must be an integer, got {self.n_followers!r}")
         if self.n_followers < 1:
             raise ModelError("n_followers must be >= 1")
+        _check_stacks(self)
         for t, name, ev in validate_convexity(self).violations[:1]:  # the first, if any
             semi = "" if name.startswith("R") else "semi-"
             raise ModelError(f"{name} at t={t} is not positive {semi}definite (min eig {ev:.3g})")
@@ -356,7 +387,7 @@ class ModelSpec:
         return self.B0.shape[2]
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
-        model = copy(self)  # checked already; nothing but gamma depends on gamma
+        model = copy(self)  # every other field is checked already, and none depends on gamma
         object.__setattr__(model, "gamma", _attenuation(float(gamma)))
         return model
 

@@ -16,7 +16,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from mfminmax.cli import bundled_config_path
-from mfminmax.model import InitSpec, ModelSpec, load_model_file
+from mfminmax.model import STACK_DIMS, InitSpec, ModelSpec, load_model_file
 from mfminmax.synthesis import solve_riccati
 
 # Property tests draw the same examples on every run and keep no example
@@ -90,6 +90,30 @@ def scale_cost(model: ModelSpec, c: float) -> ModelSpec:
     """
     weights = {name: c * getattr(model, name) for name in ("Q", "Q0", "F", "P", "R", "R0", "H")}
     return replace(model, gamma=math.sqrt(c) * model.gamma, **weights)
+
+
+def rotate(model: ModelSpec, U: np.ndarray) -> ModelSpec:
+    """``model`` in the coordinates x -> U x, for an orthogonal U (lx x lx).
+
+    Every state-indexed side of a stack is multiplied by U, so the dynamics,
+    weights and noise become U A U', U B, U Q U', U W U'; a deterministic or
+    gaussian start moves with x.  A uniform box does not rotate into a box.
+    """
+    stacks = {}
+    for name, (rows, cols) in STACK_DIMS.items():
+        stack = getattr(model, name)
+        stack = U @ stack if rows == "x" else stack
+        stacks[name] = stack @ U.T if cols == "x" else stack
+
+    def moved(init: InitSpec) -> InitSpec:
+        if init.kind == "deterministic":
+            return replace(init, values=init.values @ U.T)
+        if init.kind == "gaussian":
+            return replace(init, mu=U @ init.mu, sigma=U @ init.sigma @ U.T)
+        raise ValueError("a uniform box does not rotate into a box")
+
+    return replace(model, leader_init=moved(model.leader_init),
+                   follower_init=moved(model.follower_init), **stacks)
 
 
 def vector_model(T=6, n=4, gamma=3.5):

@@ -1,7 +1,9 @@
 """Metamorphic relations: transforms of a model with a known effect on every output.
 
 No reference implementation is involved.  Scaling the cost by c = 4 and
-gamma by 2 is exact in floating point, so its relations hold bit for bit.
+gamma by 2 is exact in floating point, so its relations hold bit for bit;
+other scalings, orthogonal coordinates and a permuted follower list hold to
+rounding.
 """
 
 from dataclasses import replace
@@ -9,11 +11,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mfminmax.model import DisturbancePolicy, InfoStructure
+from mfminmax import oracle
+from mfminmax.model import DisturbancePolicy, InfoStructure, InitSpec
+from mfminmax.oracle import point_model, saddle_check, stacked_saddle_solve
 from mfminmax.sim import SimConfig, simulate
 from mfminmax.synthesis import compute_gains, critical_gamma, optimal_value, solve_riccati
 
-from conftest import EX1_GAMMA, EX2_GAMMA, mixed_dims_model, scale_cost, vector_model
+from conftest import EX1_GAMMA, EX2_GAMMA, mixed_dims_model, rotate, scale_cost, vector_model
 
 C = 4.0
 MODELS = ["example1", "example2", "vector", "mixed_dims"]
@@ -43,6 +47,12 @@ def gain_bits(gains):
     return bits(*(getattr(gains, f) for f in GAIN_FIELDS))
 
 
+def assert_close(got, want, rel):
+    """``got`` equals ``want`` to ``rel`` times the largest magnitude in ``want``."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
 class TestCostScaling:
     def test_recursions_scale_and_gains_do_not_move(self, case):
         _, m = case
@@ -51,6 +61,20 @@ class TestCostScaling:
         assert bits(ric_c.M_brev, ric_c.M_bar) == bits(C * ric.M_brev, C * ric.M_bar)
         assert gain_bits(compute_gains(m_c, ric_c)) == gain_bits(compute_gains(m, ric))
         assert optimal_value(m_c, ric_c) == C * optimal_value(m, ric)
+
+    def test_any_scale_holds_to_rounding(self, case):
+        # c = 2.25 and gamma times 1.5 are not exact, so each output is c times
+        # (the gains: equal to) the unscaled one to rounding.
+        _, m = case
+        c = 2.25
+        m_c = scale_cost(m, c)
+        ric, ric_c = solve_riccati(m), solve_riccati(m_c)
+        for f in ("M_brev", "M_bar", "c_brev", "c_bar", "margin_brev", "margin_bar"):
+            assert_close(getattr(ric_c, f), c * getattr(ric, f), rel=1e-14)
+        gains, gains_c = compute_gains(m, ric), compute_gains(m_c, ric_c)
+        for f in GAIN_FIELDS:
+            assert_close(getattr(gains_c, f), getattr(gains, f), rel=1e-14)
+        assert_close(optimal_value(m_c, ric_c), c * optimal_value(m, ric), rel=1e-14)
 
     def test_critical_gamma_doubles(self, case):
         name, m = case
@@ -84,3 +108,89 @@ class TestPopulationSize:
         other = replace(m, n_followers=7 * n + 3)
         gains = compute_gains(m, solve_riccati(m))
         assert gain_bits(compute_gains(other, solve_riccati(other))) == gain_bits(gains)
+
+
+def orthogonal(dim: int, seed: int = 3) -> np.ndarray:
+    """A random orthogonal matrix, neither a permutation nor a sign flip."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def start(kind: str, lx: int, shift: float) -> InitSpec:
+    if kind == "deterministic":
+        return InitSpec(kind=kind, dim=lx, values=np.array([[1.0 + shift, -2.0]]))
+    return InitSpec(kind=kind, dim=lx, mu=np.array([0.5, -1.0 + shift]),
+                    sigma=np.array([[2.0, 0.3], [0.3, 1.0 + shift]]))
+
+
+class TestOrthogonalCoordinates:
+    @pytest.mark.parametrize("kind", ["deterministic", "gaussian"])
+    @pytest.mark.parametrize("make", [vector_model, mixed_dims_model], ids=["vector", "mixed_dims"])
+    def test_value_and_margins_hold_and_gains_rotate(self, make, kind):
+        # x -> U x: the value, margins and noise constants do not move; u = L x
+        # becomes L U' (U x) and d = K x becomes U K U' (U x).
+        m = make()
+        m = replace(m, leader_init=start(kind, m.state_dim, 0.5),
+                    follower_init=start(kind, m.state_dim, 0.0))
+        U = orthogonal(m.state_dim)
+        m_u = rotate(m, U)
+        ric, ric_u = solve_riccati(m), solve_riccati(m_u)
+        assert_close(optimal_value(m_u, ric_u), optimal_value(m, ric), rel=1e-12)
+        for f in ("margin_brev", "margin_bar", "c_brev", "c_bar"):
+            assert_close(getattr(ric_u, f), getattr(ric, f), rel=1e-12)
+        gains, gains_u = compute_gains(m, ric), compute_gains(m_u, ric_u)
+        U2 = np.kron(np.eye(2), U)  # on [leader; mean]
+        assert_close(gains_u.L_brev, gains.L_brev @ U.T, rel=1e-12)
+        assert_close(gains_u.L_bar, gains.L_bar @ U2.T, rel=1e-12)
+        assert_close(gains_u.K_brev, U @ gains.K_brev @ U.T, rel=1e-12)
+        assert_close(gains_u.K_bar, U2 @ gains.K_bar @ U2.T, rel=1e-12)
+        assert np.abs(gains_u.L_brev - gains.L_brev).max() > 1e-3  # the coordinates did move
+
+    def test_a_uniform_box_does_not_rotate(self):
+        with pytest.raises(ValueError, match="uniform"):
+            rotate(vector_model(), orthogonal(2))
+
+
+def agent_order(perm, dim):
+    """Stacked indices of [agent 0; followers in ``perm`` order], ``dim`` entries each."""
+    return np.concatenate([np.arange(dim) + k * dim for k in [0] + [1 + p for p in perm]])
+
+
+class TestFollowerPermutation:
+    PERM = [3, 0, 4, 1, 2]
+
+    @pytest.mark.parametrize("which", ["example2", "vector", "mixed_dims"])
+    def test_stacked_value_and_saddle_check_hold(self, request, monkeypatch, which):
+        base = (request.getfixturevalue("example2").with_gamma(EX2_GAMMA) if which == "example2"
+                else vector_model() if which == "vector" else mixed_dims_model())
+        lx, lu = base.state_dim, base.action_dim
+        followers = np.random.default_rng(0).uniform(-5.0, 5.0, (5, lx))
+        m = point_model(base, np.ones(lx), followers)
+        m_p = point_model(base, np.ones(lx), followers[self.PERM])
+        value = stacked_saddle_solve(m).value(m)
+        assert_close(stacked_saddle_solve(m_p).value(m_p), value, rel=1e-14)
+
+        gains = compute_gains(m, solve_riccati(m))
+        report = saddle_check(m, gains, num_directions=6)
+        # saddle_check draws its directions in agent order, so the permuted model is
+        # checked along the same directions with their agent blocks permuted likewise.
+        rows_u, rows_x = agent_order(self.PERM, lu), agent_order(self.PERM, lx)
+        default_rng = np.random.default_rng
+
+        class PermutedDraws:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, shape):
+                rows = rows_u if shape[1] == rows_u.size else rows_x
+                return self.rng.standard_normal(shape)[:, rows][:, :, rows_x]
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", PermutedDraws)
+        report_p = saddle_check(m_p, gains, num_directions=6)
+        assert report.ok and report_p.ok
+        assert_close(report_p.base_cost, report.base_cost, rel=1e-14)
+        # Each delta is a difference of two costs, so its rounding is that of the
+        # costs: hold it to 1e-14 of the base cost.
+        deltas = [[d for *_, d in r.perturbations] for r in (report, report_p)]
+        assert np.abs(np.subtract(*deltas)).max() <= 1e-14 * abs(report.base_cost)
+        assert [p[:3] for p in report_p.perturbations] == [p[:3] for p in report.perturbations]

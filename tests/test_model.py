@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mfminmax import model as model_module
 from mfminmax.cli import bundled_config_path
 from mfminmax.model import (
+    STACK_DIMS,
     DisturbancePolicy,
     InfoStructure,
     InitSpec,
@@ -310,8 +311,7 @@ class TestLoadModel:
 
 
 class TestDerivedDimensions:
-    STACKS = ("A0", "B0", "S0", "A", "B", "S", "E", "Q", "Q0", "F", "P", "R", "R0", "H",
-              "noise_leader", "noise_follower")
+    STACKS = tuple(STACK_DIMS)
 
     def test_sliced_stacks_give_the_horizon(self, example2):
         T = 4
@@ -354,6 +354,32 @@ class TestModelSpecInvariants:
     def test_one_follower_state_serves_any_population(self, example2):
         m = point_model(example2.with_gamma(EX2_GAMMA), [10.0], [[2.0]])
         assert replace(m, n_followers=7).follower_init.sample(None, 7).tolist() == [[2.0]] * 7
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: {"Q": m.Q[:5]}, r"^Q: expected an array of shape \(30, 1, 1\), "
+                                   r"got shape \(5, 1, 1\)$"),
+        (lambda m: {"noise_follower": m.noise_follower[:5]},
+         r"^noise_follower: expected an array of shape \(30, 1, 1\), got shape \(5, 1, 1\)$"),
+        (lambda m: {"n_followers": 2.5}, "^n_followers must be an integer, got 2.5$"),
+        (lambda m: {"R": m.R.tolist()}, r"^R: expected an array of shape \(30, 1, 1\), got list$"),
+    ], ids=["short-Q", "short-noise", "fractional-n", "list-R"])
+    def test_shape_and_type_errors_name_the_field(self, example2, change, message):
+        # These used to end in a broadcast ValueError inside validate_convexity, in
+        # simulate, or in a TypeError later on.
+        m = example2.with_gamma(EX2_GAMMA)
+        with pytest.raises(ModelError, match=message):
+            replace(m, **change(m))
+
+    @pytest.mark.parametrize("name", TestDerivedDimensions.STACKS)
+    def test_every_stack_is_checked(self, name):
+        m = mixed_dims_model()
+        stack = getattr(m, name)
+        bad = stack[0] if name in ("A0", "B0") else stack[:-1]  # A0 and B0 set T, lx and lu
+        with pytest.raises(ModelError, match=f"^{name}: expected "):
+            replace(m, **{name: bad})
+
+    def test_numpy_integer_population_is_accepted(self, example2):
+        assert replace(example2, n_followers=np.int64(7)).n_followers == 7
 
     @pytest.mark.parametrize("which", ["example1", "example2", "vector"])
     @pytest.mark.parametrize("gamma", [0.5, 4.0, 1e9, np.float64(2.5)])
@@ -511,6 +537,16 @@ class TestInfoStructure:
     def test_no_sharing_is_empty_imfs(self):
         assert InfoStructure().observation_times == frozenset()
         assert InfoStructure.imfs([]).observation_times == frozenset()
+
+    @pytest.mark.parametrize("time", [True, 1.5, 0, -3, "2"])
+    def test_imfs_rejects_a_time_that_is_not_a_whole_number_from_1(self, time):
+        with pytest.raises(ValueError, match=f"^observation time {time!r} is not a whole number >= 1$"):
+            InfoStructure.imfs([4, time])
+
+    def test_imfs_takes_numpy_integers_and_iterators(self):
+        want = frozenset({2, 5})
+        assert InfoStructure.imfs(np.array([2, 5])).observation_times == want
+        assert InfoStructure.imfs(t for t in (5, 2, 5)).observation_times == want
 
     def test_imfs_full_equals_mfs_set(self):
         full, mfs = InfoStructure.imfs(range(1, 8)), InfoStructure.mfs()
