@@ -12,6 +12,7 @@ shape (T, ...) indexed [t-1].
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from copy import copy
 from dataclasses import dataclass, field
@@ -78,8 +79,15 @@ def _number(value, name: str) -> float:
         raise ModelError(f"{name} must be a number, got {value!r}") from None
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy scalars included) and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 def _attenuation(gamma: float, name: str = "gamma") -> float:
-    """``gamma`` as a float, unless it is not positive and finite (nan passes ``gamma <= 0``)."""
+    """``gamma`` as a float, unless it is not a positive finite real (nan passes ``gamma <= 0``)."""
+    if not _is_real(gamma):
+        raise ModelError(f"{name} must be a number, got {gamma!r}")
     if not 0 < gamma < np.inf:
         raise ModelError(f"{name} must be positive and finite, got {gamma!r}")
     return float(gamma)
@@ -135,6 +143,14 @@ def _symmetric(x: np.ndarray, name: str) -> np.ndarray:
     return (x + xt) / 2.0
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    """Reject an array of a non-real dtype or with a nan or inf entry."""
+    if arr.dtype.kind not in "iuf":
+        raise ModelError(f"{name}: expected real numbers, got dtype {arr.dtype}")
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(f"{name}: non-finite entries")
+
+
 def _check_psd(mat: np.ndarray, name: str, tol: float = 1e-10) -> None:
     """Reject a matrix, or a (T, l, l) stack naming its first such t, with an eigenvalue < -tol."""
     bad = np.flatnonzero(np.linalg.eigvalsh(mat).min(axis=-1) < -tol)
@@ -149,8 +165,8 @@ STACK_DIMS = {"A0": "xx", "B0": "xu", "S0": "xx", "A": "xx", "B": "xu", "S": "xx
 
 
 def _check_stacks(model) -> None:
-    """Reject a stack that is not an array of shape (T, rows, cols) in the T, lx and lu of the
-    leader's A0 and B0, naming the first such field in ``STACK_DIMS`` order."""
+    """Reject a stack that is not a finite real array of shape (T, rows, cols) in the T, lx and
+    lu of the leader's A0 and B0, naming the first such field in ``STACK_DIMS`` order."""
     for name in ("A0", "B0"):
         if np.ndim(getattr(model, name)) != 3:
             raise ModelError(f"{name}: expected a (T, rows, cols) stack, "
@@ -162,28 +178,32 @@ def _check_stacks(model) -> None:
         if not isinstance(stack, np.ndarray) or stack.shape != shape:
             got = f"shape {stack.shape}" if isinstance(stack, np.ndarray) else type(stack).__name__
             raise ModelError(f"{name}: expected an array of shape {shape}, got {got}")
+        _check_finite(stack, name)
 
 
 @dataclass(frozen=True)
 class InitSpec:
     """Initial-state distribution: deterministic, gaussian, or uniform box.
 
-    ``values`` holds either a single vector (leader) or a list of per-agent
-    vectors (deterministic follower population).
+    ``values`` lists the states of a deterministic law, one per row: one
+    for the leader, 1 or n for the followers.  The state dimension is read
+    from the kind's array.
     """
 
     kind: str  # "deterministic" | "gaussian" | "uniform"
-    dim: int
-    values: np.ndarray | None = None     # (dim,) or (n, dim)
+    values: np.ndarray | None = None     # (count, dim)
     mu: np.ndarray | None = None         # (dim,)
     sigma: np.ndarray | None = None      # (dim, dim)
     low: np.ndarray | None = None        # (dim,)
     high: np.ndarray | None = None       # (dim,)
 
+    @property
+    def dim(self) -> int:
+        return getattr(self, INIT_ARRAYS[self.kind][0]).shape[-1]
+
     def mean(self) -> np.ndarray:
         if self.kind == "deterministic":
-            v = np.atleast_2d(self.values)
-            return v.mean(axis=0)
+            return self.values.mean(axis=0)
         if self.kind == "gaussian":
             return self.mu.copy()
         return (self.low + self.high) / 2.0
@@ -196,18 +216,66 @@ class InitSpec:
             return self.sigma.copy()
         return np.diag((self.high - self.low) ** 2 / 12.0)
 
-    def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-        """Draw one vector (count=None) or a (count, dim) batch."""
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw a (count, dim) batch; a deterministic list of one state repeats it count times."""
         if self.kind == "deterministic":
-            v = np.atleast_2d(self.values)
-            return v[0].copy() if count is None else np.broadcast_to(v, (count, self.dim)).copy()
+            return np.broadcast_to(self.values, (count, self.dim)).copy()
         if self.kind == "gaussian":
             return rng.multivariate_normal(self.mu, self.sigma, size=count)
-        shape = (self.dim,) if count is None else (count, self.dim)
-        return rng.uniform(self.low, self.high, size=shape)
+        return rng.uniform(self.low, self.high, size=(count, self.dim))
 
 
-def _parse_init(node, dim: int, name: str) -> InitSpec:
+# The arrays each kind of InitSpec reads; the first gives its dimension.
+INIT_ARRAYS = {"deterministic": ("values",), "gaussian": ("mu", "sigma"),
+               "uniform": ("low", "high")}
+
+
+def _check_init(init, name: str, lx: int, counts: tuple) -> None:
+    """Reject ``init`` unless it is an InitSpec of a known kind whose arrays are finite, real
+    and in lx components: a gaussian with a PSD covariance, a uniform box with low <= high and
+    a finite width, or a deterministic list whose length is one of ``counts``.  The message
+    names ``name``, in the text the loader's keys would give."""
+    if not isinstance(init, InitSpec) or init.kind not in INIT_ARRAYS:
+        raise ModelError(f"{name} must be an InitSpec of kind deterministic, gaussian or uniform, "
+                         f"got {init!r}")
+    for key in INIT_ARRAYS[init.kind]:
+        arr = getattr(init, key)
+        if not isinstance(arr, np.ndarray):
+            raise ModelError(f"{name}.{key}: expected an array, got {type(arr).__name__}")
+        _check_finite(arr, f"{name}.{key}")
+    if init.kind == "deterministic":
+        if init.values.ndim != 2:
+            raise ModelError(f"{name}.values: expected shape (count, {lx}), "
+                             f"got shape {init.values.shape}")
+        if init.values.shape[1] != lx:
+            raise ModelError(f"{name}: values have dimension {init.values.shape[1]}, expected {lx}")
+        if len(init.values) not in counts:
+            raise ModelError(f"{name} must give one state" if counts == (1,)
+                             else f"{name}.values must list 1 or n_followers states")
+    elif init.kind == "gaussian":
+        if init.mu.shape != (lx,):
+            raise ModelError(f"{name}.mean: expected dimension {lx}")
+        if init.sigma.shape != (lx, lx):
+            raise ModelError(f"{name}.cov: expected shape ({lx}, {lx}), "
+                             f"got shape {init.sigma.shape}")
+        _check_psd(init.sigma, f"{name}.cov")
+    else:
+        for key in ("low", "high"):
+            shape = getattr(init, key).shape
+            if shape != (lx,):
+                raise ModelError(f"{name}.{key}: expected a scalar or shape ({lx},), "
+                                 f"got shape {shape}")
+        if np.any(init.high < init.low):
+            raise ModelError(f"{name}: uniform high < low")
+        with np.errstate(over="ignore"):
+            width = init.high - init.low
+        if not np.all(np.isfinite(width)):
+            raise ModelError(f"{name}.uniform: the width high - low overflows a float")
+
+
+def _parse_init(node, lx: int, name: str) -> InitSpec:
+    """The InitSpec an initializer mapping names, a flat list or scalar bound reshaped for lx
+    components; ``_check_init`` checks the law where the model is made."""
     node = _check_keys(node, {"value", "values", "gaussian", "uniform"}, name)
     if len(node) != 1:
         raise ModelError(f"{name}: expected one of value/values/gaussian/uniform")
@@ -218,37 +286,18 @@ def _parse_init(node, dim: int, name: str) -> InitSpec:
         vals = np.atleast_2d(_floats(body, name))
         if vals.ndim != 2 or vals.size == 0:
             raise ModelError(f"{name}: expected one state or a list of states, got {body!r}")
-        if vals.shape[1] != dim:
-            # a flat list of scalars for dim=1
-            if dim == 1 and vals.shape[0] == 1:
-                vals = vals.T
-            else:
-                raise ModelError(f"{name}: values have dimension {vals.shape[1]}, expected {dim}")
-        return InitSpec(kind="deterministic", dim=dim, values=vals)
+        if lx == 1 and vals.shape[0] == 1:
+            vals = vals.T  # a flat list of scalars
+        return InitSpec(kind="deterministic", values=vals)
     if key == "gaussian":
         body = _check_keys(body, {"mean", "cov"}, f"{name}.gaussian", required=("mean", "cov"))
         mu = np.atleast_1d(_floats(body["mean"], f"{name}.mean"))
-        sigma = _symmetric(_as_matrix(body["cov"], dim, dim, f"{name}.cov"), f"{name}.cov")
-        _check_psd(sigma, f"{name}.cov")
-        if mu.shape != (dim,):
-            raise ModelError(f"{name}.mean: expected dimension {dim}")
-        return InitSpec(kind="gaussian", dim=dim, mu=mu, sigma=sigma)
+        sigma = _symmetric(_as_matrix(body["cov"], lx, lx, f"{name}.cov"), f"{name}.cov")
+        return InitSpec(kind="gaussian", mu=mu, sigma=sigma)
     body = _check_keys(body, {"low", "high"}, f"{name}.uniform", required=("low", "high"))
-    bounds = []
-    for bound in ("low", "high"):
-        arr = _floats(body[bound], f"{name}.{bound}")
-        if arr.shape not in ((), (dim,)):
-            raise ModelError(f"{name}.{bound}: expected a scalar or shape ({dim},), "
-                             f"got shape {arr.shape}")
-        bounds.append(np.broadcast_to(arr, (dim,)).copy())
-    low, high = bounds
-    if np.any(high < low):
-        raise ModelError(f"{name}: uniform high < low")
-    with np.errstate(over="ignore"):
-        width = high - low
-    if not np.all(np.isfinite(width)):
-        raise ModelError(f"{name}.uniform: the width high - low overflows a float")
-    return InitSpec(kind="uniform", dim=dim, low=low, high=high)
+    low, high = (_floats(body[bound], f"{name}.{bound}") for bound in ("low", "high"))
+    return InitSpec(kind="uniform", low=np.full(lx, low) if low.ndim == 0 else low,
+                    high=np.full(lx, high) if high.ndim == 0 else high)
 
 
 @dataclass(frozen=True)
@@ -288,7 +337,8 @@ class DisturbancePolicy:
     Sinusoid applies amplitude*sin(t) (t in radians, starting at 1) to
     every component, identically across followers.  Worst-case feedback
     uses the true states unless ``use_estimate`` routes the mean through
-    the policy estimate.
+    the policy estimate.  Making one checks the kind, the target and a
+    finite amplitude; the first failure is a ModelError.
     """
 
     kind: str = "zero"
@@ -296,10 +346,16 @@ class DisturbancePolicy:
     applied_to: str = "followers"  # "followers" | "leader" | "both"
     use_estimate: bool = False
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "sinusoid", "worst_case"):
+            raise ModelError(f"unknown disturbance kind '{self.kind}'")
+        if self.applied_to not in ("followers", "leader", "both"):
+            raise ModelError(f"unknown target '{self.applied_to}'")
+        if not (_is_real(self.amplitude) and np.isfinite(self.amplitude)):
+            raise ModelError(f"amplitude must be a finite number, got {self.amplitude!r}")
+
     @staticmethod
     def sinusoid(amplitude: float, applied_to: str = "followers") -> "DisturbancePolicy":
-        if applied_to not in ("followers", "leader", "both"):
-            raise ValueError(f"unknown target '{applied_to}'")
         return DisturbancePolicy(kind="sinusoid", amplitude=float(amplitude), applied_to=applied_to)
 
     @staticmethod
@@ -324,9 +380,9 @@ class ModelSpec:
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
     Weight matrices are symmetric after load.  The horizon T and the dimensions lx and lu
     are read from the leader's stacks.  Making one in any way checks a positive finite gamma,
-    an integer n_followers >= 1, the shape of every stack, ``validate_convexity``, PSD noise
-    covariances, one leader start state and 1 or n_followers follower start states; the first
-    failure is a ModelError.
+    an integer n_followers >= 1, the shape and finiteness of every stack, ``validate_convexity``,
+    PSD noise covariances and each initial law with ``_check_init``: lx components, one leader
+    start state and 1 or n_followers follower start states; the first failure is a ModelError.
     ``with_gamma`` checks only the new gamma.
     """
 
@@ -368,11 +424,8 @@ class ModelSpec:
             raise ModelError(f"{name} at t={t} is not positive {semi}definite (min eig {ev:.3g})")
         _check_psd(self.noise_leader, "noise.leader")
         _check_psd(self.noise_follower, "noise.follower")
-        if self.leader_init.kind == "deterministic" and len(np.atleast_2d(self.leader_init.values)) != 1:
-            raise ModelError("leader_init must give one state")
-        if (self.follower_init.kind == "deterministic"
-                and len(np.atleast_2d(self.follower_init.values)) not in (1, self.n_followers)):
-            raise ModelError("follower_init.values must list 1 or n_followers states")
+        _check_init(self.leader_init, "leader_init", self.state_dim, (1,))
+        _check_init(self.follower_init, "follower_init", self.state_dim, (1, self.n_followers))
 
     @property
     def horizon(self) -> int:
@@ -388,7 +441,7 @@ class ModelSpec:
 
     def with_gamma(self, gamma: float) -> "ModelSpec":
         model = copy(self)  # every other field is checked already, and none depends on gamma
-        object.__setattr__(model, "gamma", _attenuation(float(gamma)))
+        object.__setattr__(model, "gamma", _attenuation(gamma))
         return model
 
 

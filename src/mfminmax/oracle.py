@@ -96,8 +96,8 @@ def point_model(model: ModelSpec, leader, followers) -> ModelSpec:
     leader = np.asarray(leader, dtype=float).reshape(1, lx)
     followers = np.asarray(followers, dtype=float).reshape(n, lx)
     return replace(model, n_followers=n,
-                   leader_init=InitSpec(kind="deterministic", dim=lx, values=leader),
-                   follower_init=InitSpec(kind="deterministic", dim=lx, values=followers),
+                   leader_init=InitSpec(kind="deterministic", values=leader),
+                   follower_init=InitSpec(kind="deterministic", values=followers),
                    noise_leader=np.zeros_like(model.noise_leader),
                    noise_follower=np.zeros_like(model.noise_follower))
 

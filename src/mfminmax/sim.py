@@ -208,8 +208,9 @@ def _colouring(cov: np.ndarray) -> np.ndarray:
     ``Generator.multivariate_normal(0, cov)`` on the same stream.
 
     It is numpy's own factor from ``svd(cov)``, made once per covariance
-    instead of once per draw, without numpy's PSD check (the loader checks
-    PSD).  A (T, l, l) stack of covariances gives the stack of their factors.
+    instead of once per draw, without numpy's PSD check (a ModelSpec checks
+    its noise covariances where it is made).  A (T, l, l) stack of
+    covariances gives the stack of their factors.
     """
     u, s, _ = np.linalg.svd(cov)
     return np.swapaxes(u * np.sqrt(s)[..., None, :], -1, -2)
@@ -314,10 +315,8 @@ def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains,
               else np.zeros(x0.shape))
         out.fill(pulse if policy.applied_to in ("followers", "both") else 0.0)
         return d0, out
-    if policy.kind == "worst_case":
-        return worst_case_disturbance(gains, t, x0, m_hat if policy.use_estimate else xbar, xf,
-                                      out=out)
-    raise ValueError(f"unknown disturbance kind '{policy.kind}'")
+    return worst_case_disturbance(gains, t, x0, m_hat if policy.use_estimate else xbar, xf,
+                                  out=out)
 
 
 def _work_arrays(model: ModelSpec, arms: int, runs: int) -> dict:
@@ -365,7 +364,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     x0, xf = np.empty((R, lx)), states[0][:rows]
     for k, run in enumerate(runs):
         init_rng = stream(run, 0)
-        x0[k] = model.leader_init.sample(init_rng)
+        x0[k] = model.leader_init.sample(init_rng, 1)[0]
         xf[k] = model.follower_init.sample(init_rng, n)
     x0 = np.tile(x0, (A, 1))
     xf.reshape(A, R, n, lx)[1:] = xf[:R]  # each further arm starts from the same draw

@@ -61,16 +61,16 @@ def make_model(*, T, n, gamma, A0, B0, S0, A, B, S, E, Q, Q0, F, P, R, R0, H,
         return np.broadcast_to(arr.reshape(rows, cols), (T, rows, cols)).copy()
 
     if follower_values is not None:
-        finit = InitSpec(kind="deterministic", dim=lx,
+        finit = InitSpec(kind="deterministic",
                          values=np.atleast_2d(np.asarray(follower_values, dtype=float)))
     elif follower_uniform is not None:
         lo, hi = follower_uniform
-        finit = InitSpec(kind="uniform", dim=lx, low=np.full(lx, float(lo)),
-                         high=np.full(lx, float(hi)))
+        finit = InitSpec(kind="uniform", low=np.full(lx, float(lo)), high=np.full(lx, float(hi)))
     else:
-        finit = InitSpec(kind="deterministic", dim=lx, values=np.zeros((1, lx)))
-    linit = InitSpec(kind="deterministic", dim=lx,
-                     values=np.atleast_2d(np.asarray(leader_value, dtype=float)))
+        finit = InitSpec(kind="deterministic", values=np.zeros((1, lx)))
+    # one state of lx components; a scalar fills every component
+    linit = InitSpec(kind="deterministic",
+                     values=np.broadcast_to(np.asarray(leader_value, dtype=float), (1, lx)).copy())
     return ModelSpec(
         n_followers=n, gamma=float(gamma),
         A0=stack(A0, lx, lx), B0=stack(B0, lx, lu), S0=stack(S0, lx, lx),

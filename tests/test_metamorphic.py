@@ -118,8 +118,8 @@ def orthogonal(dim: int, seed: int = 3) -> np.ndarray:
 
 def start(kind: str, lx: int, shift: float) -> InitSpec:
     if kind == "deterministic":
-        return InitSpec(kind=kind, dim=lx, values=np.array([[1.0 + shift, -2.0]]))
-    return InitSpec(kind=kind, dim=lx, mu=np.array([0.5, -1.0 + shift]),
+        return InitSpec(kind=kind, values=np.array([[1.0 + shift, -2.0]]))
+    return InitSpec(kind=kind, mu=np.array([0.5, -1.0 + shift]),
                     sigma=np.array([[2.0, 0.3], [0.3, 1.0 + shift]]))
 
 

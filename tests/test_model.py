@@ -332,18 +332,64 @@ class TestModelSpecInvariants:
          r"^noise.follower\[t=1\]: not positive semi-definite$"),
         (lambda m: {"noise_leader": np.full_like(m.noise_leader, -0.1)},
          r"^noise.leader\[t=1\]: not positive semi-definite$"),
-        (lambda m: {"leader_init": InitSpec(kind="deterministic", dim=1,
+        (lambda m: {"leader_init": InitSpec(kind="deterministic",
                                             values=np.array([[10.0], [12.0]]))},
          "^leader_init must give one state$"),
-        (lambda m: {"follower_init": InitSpec(kind="deterministic", dim=1,
+        (lambda m: {"follower_init": InitSpec(kind="deterministic",
                                               values=np.array([[2.0], [4.0], [6.0]]))},
          "^follower_init.values must list 1 or n_followers states$"),
+        # The cases below used to be checked by the loader alone, or not at all: the first
+        # was accepted and failed later in numpy, and a None law in an AttributeError.
+        (lambda m: {"follower_init": InitSpec(kind="deterministic",
+                                              values=np.array([[1.0, 2.0]]))},
+         "^follower_init: values have dimension 2, expected 1$"),
+        (lambda m: {"follower_init": InitSpec(kind="deterministic", values=np.array([1.0, 2.0]))},
+         r"^follower_init.values: expected shape \(count, 1\), got shape \(2,\)$"),
+        (lambda m: {"leader_init": InitSpec(kind="deterministic", values=[[1.0]])},
+         "^leader_init.values: expected an array, got list$"),
+        (lambda m: {"leader_init": None},
+         "^leader_init must be an InitSpec of kind deterministic, gaussian or uniform, got None$"),
+        (lambda m: {"follower_init": InitSpec(kind="poisson", mu=np.ones(1))},
+         "^follower_init must be an InitSpec of kind deterministic, gaussian or uniform, "
+         "got InitSpec"),
+        (lambda m: {"leader_init": InitSpec(kind="gaussian", mu=np.zeros(2), sigma=np.eye(1))},
+         "^leader_init.mean: expected dimension 1$"),
+        (lambda m: {"leader_init": InitSpec(kind="gaussian", mu=np.zeros(1), sigma=np.eye(2))},
+         r"^leader_init.cov: expected shape \(1, 1\), got shape \(2, 2\)$"),
+        (lambda m: {"follower_init": InitSpec(kind="gaussian", mu=np.zeros(1), sigma=-np.eye(1))},
+         "^follower_init.cov: not positive semi-definite$"),
+        (lambda m: {"follower_init": InitSpec(kind="gaussian", mu=np.array([np.nan]),
+                                              sigma=np.eye(1))},
+         "^follower_init.mu: non-finite entries$"),
+        (lambda m: {"follower_init": InitSpec(kind="uniform", low=np.ones(1), high=np.zeros(1))},
+         "^follower_init: uniform high < low$"),
+        (lambda m: {"follower_init": InitSpec(kind="uniform", low=np.zeros(2), high=np.ones(2))},
+         r"^follower_init.low: expected a scalar or shape \(1,\), got shape \(2,\)$"),
+        (lambda m: {"follower_init": InitSpec(kind="uniform", low=np.array([-1e308]),
+                                              high=np.array([1e308]))},
+         "^follower_init.uniform: the width high - low overflows a float$"),
+        (lambda m: {"leader_init": InitSpec(kind="uniform", low=np.zeros(1),
+                                            high=np.array(["1"]))},
+         "^leader_init.high: expected real numbers, got dtype <U1$"),
     ], ids=["negative-follower-noise", "negative-leader-noise", "two-leader-states",
-            "three-follower-states"])
+            "three-follower-states", "follower-two-components", "flat-values", "list-values",
+            "leader-none", "unknown-kind", "mean-two-components", "cov-two-by-two",
+            "cov-not-psd", "nan-mean", "high-below-low", "low-two-components",
+            "width-overflows", "string-bound"])
     def test_replace_checks_noise_and_initials(self, example2, change, message):
         m = example2.with_gamma(EX2_GAMMA)
         with pytest.raises(ModelError, match=message):
             replace(m, **change(m))
+
+    @pytest.mark.parametrize("init, dim", [
+        (InitSpec(kind="deterministic", values=np.array([[1.0, 2.0]])), 2),
+        (InitSpec(kind="gaussian", mu=np.zeros(3), sigma=np.eye(3)), 3),
+        (InitSpec(kind="uniform", low=np.zeros(1), high=np.ones(1)), 1),
+    ], ids=["deterministic", "gaussian", "uniform"])
+    def test_initial_law_reads_its_dimension_and_draws_batches(self, init, dim):
+        assert init.dim == dim and init.cov().shape == (dim, dim)
+        rng = np.random.default_rng(0)
+        assert [init.sample(rng, count).shape for count in (1, 4)] == [(1, dim), (4, dim)]
 
     def test_population_size_checks_the_follower_list(self, example2):
         m = point_model(example2.with_gamma(EX2_GAMMA), [10.0], [[2.0], [4.0], [6.0], [8.0]])
@@ -362,10 +408,15 @@ class TestModelSpecInvariants:
          r"^noise_follower: expected an array of shape \(30, 1, 1\), got shape \(5, 1, 1\)$"),
         (lambda m: {"n_followers": 2.5}, "^n_followers must be an integer, got 2.5$"),
         (lambda m: {"R": m.R.tolist()}, r"^R: expected an array of shape \(30, 1, 1\), got list$"),
-    ], ids=["short-Q", "short-noise", "fractional-n", "list-R"])
+        (lambda m: {"A": m.A * np.inf}, "^A: non-finite entries$"),
+        (lambda m: {"noise_leader": m.noise_leader * np.nan}, "^noise_leader: non-finite entries$"),
+        (lambda m: {"Q": m.Q.astype(str)}, "^Q: expected real numbers, got dtype <U"),
+    ], ids=["short-Q", "short-noise", "fractional-n", "list-R", "infinite-A", "nan-noise",
+            "string-Q"])
     def test_shape_and_type_errors_name_the_field(self, example2, change, message):
         # These used to end in a broadcast ValueError inside validate_convexity, in
-        # simulate, or in a TypeError later on.
+        # simulate, or in a TypeError later on; an infinite A was accepted and reported
+        # feasible, every margin nan.
         m = example2.with_gamma(EX2_GAMMA)
         with pytest.raises(ModelError, match=message):
             replace(m, **change(m))
@@ -404,6 +455,14 @@ class TestModelSpecInvariants:
     def test_with_gamma_rejects_a_bad_gamma(self, example2, gamma):
         with pytest.raises(ModelError, match=f"^gamma must be positive and finite, got {gamma!r}$"):
             example2.with_gamma(gamma)
+
+    @pytest.mark.parametrize("gamma", ["2", True, np.bool_(True), None])
+    def test_gamma_that_is_not_a_number_rejected(self, example2, gamma):
+        # with_gamma used to convert first: "2" gave gamma 2.0 and True gave 1.0.
+        with pytest.raises(ModelError, match=f"^gamma must be a number, got {gamma!r}$"):
+            example2.with_gamma(gamma)
+        with pytest.raises(ModelError, match="^gamma must be a number"):
+            replace(example2, gamma=gamma)
 
 
 def _leaves(node, path=()):
@@ -527,6 +586,20 @@ class TestDisturbancePolicy:
     def test_sinusoid_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="unknown target 'bogus'"):
             DisturbancePolicy.sinusoid(1.0, "bogus")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "sinusoid", "amplitude": 0.5, "applied_to": "all"}, "^unknown target 'all'$"),
+        ({"kind": "worst-case"}, "^unknown disturbance kind 'worst-case'$"),
+        ({"kind": "sinusoid", "amplitude": math.inf},
+         "^amplitude must be a finite number, got inf$"),
+        ({"kind": "sinusoid", "amplitude": "0.5"},
+         "^amplitude must be a finite number, got '0.5'$"),
+    ], ids=["unknown-target", "hyphenated-kind", "infinite-amplitude", "string-amplitude"])
+    def test_checked_where_made(self, fields, message):
+        # An unknown target used to run as the zero policy, and the hyphenated kind
+        # failed only at t = 1 inside simulate.
+        with pytest.raises(ModelError, match=message):
+            DisturbancePolicy(**fields)
 
 
 class TestInfoStructure:

@@ -388,8 +388,8 @@ class TestModelContract:
             replace(example2_n(example2, [2.0, 4.0, 6.0, 8.0]), n_followers=3)
 
     @pytest.mark.parametrize("field, value", [
-        ("follower_init", InitSpec(kind="uniform", dim=1, low=np.zeros(1), high=np.ones(1))),
-        ("leader_init", InitSpec(kind="gaussian", dim=1, mu=np.zeros(1), sigma=np.eye(1))),
+        ("follower_init", InitSpec(kind="uniform", low=np.zeros(1), high=np.ones(1))),
+        ("leader_init", InitSpec(kind="gaussian", mu=np.zeros(1), sigma=np.eye(1))),
         ("noise_follower", np.full((30, 1, 1), 0.3)),
         ("noise_leader", np.full((30, 1, 1), 0.1)),
     ])
@@ -456,8 +456,7 @@ class TestGapStudy:
 
     def test_noise_free_common_disturbance_gap_negligible(self, example2):
         m = replace(example2.with_gamma(EX2_GAMMA),
-                    follower_init=InitSpec(kind="deterministic", dim=1,
-                                           values=np.array([[4.0]])),
+                    follower_init=InitSpec(kind="deterministic", values=np.array([[4.0]])),
                     noise_leader=np.zeros((30, 1, 1)),
                     noise_follower=np.zeros((30, 1, 1)))
         gains = compute_gains(m, solve_riccati(m))

@@ -305,7 +305,7 @@ def noise_model():
 def reference_states(seed, run, m):
     """(x0, xi) of ``noise_model`` ``m`` drawn from ``sim._rng`` substreams."""
     init = sim._rng(seed, run, 0)
-    x0 = [m.leader_init.sample(init)]
+    x0 = [m.leader_init.sample(init, 1)[0]]
     xi = [m.follower_init.sample(init, m.n_followers)]
     for t in range(1, m.horizon):
         noise = sim._rng(seed, run, t)
@@ -354,9 +354,9 @@ class TestSubstreams:
             simulate(m, g, SimConfig(master_seed=-1))
 
     @pytest.mark.parametrize("init", [
-        InitSpec(kind="deterministic", dim=2, values=np.array([[1.0, -2.0]])),
-        InitSpec(kind="uniform", dim=2, low=np.zeros(2), high=np.array([1.0, 5.0])),
-        InitSpec(kind="gaussian", dim=2, mu=np.array([1.0, 2.0]),
+        InitSpec(kind="deterministic", values=np.array([[1.0, -2.0]])),
+        InitSpec(kind="uniform", low=np.zeros(2), high=np.array([1.0, 5.0])),
+        InitSpec(kind="gaussian", mu=np.array([1.0, 2.0]),
                  sigma=np.array([[2.0, 0.5], [0.5, 1.0]])),
     ], ids=["deterministic", "uniform", "gaussian"])
     def test_rekeyed_draws_equal_fresh_substreams(self, init):
@@ -367,7 +367,7 @@ class TestSubstreams:
         for k, t in [(2, 0), (0, 3), (2, 1), (3, 0), (0, 0), (1, 2), (2, 0)]:
             got, ref = stream(runs[k], t), sim._rng(seed, runs[k], t)
             if t == 0:
-                for size in (None, n):
+                for size in (1, n):
                     assert init.sample(got, size).tobytes() == init.sample(ref, size).tobytes()
             else:
                 z = np.empty((n + 1, lx))
@@ -492,7 +492,7 @@ class TestCostFormula:
 class TestAgainstOptimalValue:
     def test_deterministic_worst_case_run_hits_value(self, example2):
         m = replace(example2.with_gamma(EX2_GAMMA), n_followers=3,
-                    follower_init=InitSpec(kind="deterministic", dim=1,
+                    follower_init=InitSpec(kind="deterministic",
                                            values=np.array([[2.0], [4.0], [6.0]])),
                     noise_leader=np.zeros((30, 1, 1)),
                     noise_follower=np.zeros((30, 1, 1)))

@@ -261,8 +261,7 @@ class TestInformationStructureInvariants:
         # disturbance computed from m_hat: the estimate equals the true
         # mean at every t even with no observations.
         m = replace(example2.with_gamma(EX2_GAMMA), n_followers=4,
-                    follower_init=InitSpec(kind="deterministic", dim=1,
-                                           values=np.full((4, 1), 3.0)),
+                    follower_init=InitSpec(kind="deterministic", values=np.full((4, 1), 3.0)),
                     noise_leader=np.zeros((30, 1, 1)),
                     noise_follower=np.zeros((30, 1, 1)))
         gains = compute_gains(m, solve_riccati(m))
@@ -276,8 +275,7 @@ class TestInformationStructureInvariants:
         # No disturbance acts, so only the nominal estimator (zero dbar)
         # tracks the true mean; the worst-case one drifts off it.
         m = replace(example2.with_gamma(EX2_GAMMA), n_followers=4,
-                    follower_init=InitSpec(kind="deterministic", dim=1,
-                                           values=np.full((4, 1), 3.0)),
+                    follower_init=InitSpec(kind="deterministic", values=np.full((4, 1), 3.0)),
                     noise_leader=np.zeros((30, 1, 1)),
                     noise_follower=np.zeros((30, 1, 1)))
         gains = compute_gains(m, solve_riccati(m))

@@ -265,8 +265,7 @@ class TestOptimalValue:
 
         from mfminmax.model import InitSpec
         m = replace(example2.with_gamma(EX2_GAMMA), n_followers=2,
-                    follower_init=InitSpec(kind="deterministic", dim=1,
-                                           values=np.array([[2.0], [6.0]])),
+                    follower_init=InitSpec(kind="deterministic", values=np.array([[2.0], [6.0]])),
                     noise_leader=np.zeros((30, 1, 1)),
                     noise_follower=np.zeros((30, 1, 1)))
         ric = solve_riccati(m)
@@ -428,7 +427,7 @@ def _random_model(rng: np.random.Generator, T: int, lx: int, lu: int) -> ModelSp
         X = mats(dim, dim, 1.0)
         return scale * X @ np.swapaxes(X, -1, -2)
 
-    zeros = InitSpec(kind="deterministic", dim=lx, values=np.zeros((1, lx)))
+    zeros = InitSpec(kind="deterministic", values=np.zeros((1, lx)))
     return ModelSpec(
         n_followers=int(rng.integers(1, 17)), gamma=1.0,
         A0=np.eye(lx) + mats(lx, lx, 0.3), B0=mats(lx, lu, 0.5), S0=mats(lx, lx, 0.1),
@@ -525,6 +524,12 @@ class TestBatchedWalk:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_gamma_must_be_positive_and_finite(self, example2, bad):
         with pytest.raises(ModelError, match="gamma must be positive and finite"):
+            feasible(example2, [4.0, bad])
+
+    @pytest.mark.parametrize("bad", [True, "2", None, 1j])
+    def test_gamma_must_be_a_number(self, example2, bad):
+        # A bool used to walk as gamma 1.
+        with pytest.raises(ModelError, match=f"^gamma must be a number, got {bad!r}$"):
             feasible(example2, [4.0, bad])
 
     def test_nonconvex_model_raises(self, example2):
