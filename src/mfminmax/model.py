@@ -117,6 +117,7 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
 
     Per-time input uses an explicit ``{per_t: [...]}`` mapping with exactly
     T entries; anything else is treated as a single matrix valid at all t.
+    A horizon T < 1 gives a stack of no t, which ``ModelSpec`` rejects.
     """
     if isinstance(value, dict):
         seq = _check_keys(value, {"per_t"}, name, required=("per_t",))["per_t"]
@@ -124,23 +125,39 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
             raise ModelError(f"{name}: per_t must be a list of {T} matrices, got {seq!r}")
         if len(seq) != T:
             raise ModelError(f"{name}: per_t has {len(seq)} entries, horizon is {T}")
-        return np.stack([_as_matrix(v, rows, cols, f"{name}[t={t + 1}]") for t, v in enumerate(seq)])
+        mats = [_as_matrix(v, rows, cols, f"{name}[t={t + 1}]") for t, v in enumerate(seq)]
+        return np.array(mats).reshape(T, rows, cols)
     mat = _as_matrix(value, rows, cols, name)
-    return np.broadcast_to(mat, (T, rows, cols)).copy()
+    return np.broadcast_to(mat, (max(T, 0), rows, cols)).copy()
+
+
+def _first_asymmetry(x: np.ndarray, name: str, limit: float):
+    """(asymmetry, where) of the first matrix of a (T, l, l) stack, or of one matrix, whose
+    asymmetry relative to its magnitude is past ``limit``: where is "Q at t=2", or "Q" for
+    one matrix.  None if no matrix is past it."""
+    rel = np.ravel(np.abs(x - np.swapaxes(x, -1, -2)).max(axis=(-2, -1))
+                   / np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0))
+    bad = np.flatnonzero(rel > limit)
+    if not bad.size:
+        return None
+    return rel[bad[0]], name if x.ndim == 2 else f"{name} at t={bad[0] + 1}"
+
+
+def _check_symmetric(x: np.ndarray, name: str) -> None:
+    """Reject a matrix or stack with an asymmetry past SYM_REJECT, naming its first such t."""
+    past = _first_asymmetry(x, name, SYM_REJECT)
+    if past:
+        raise ModelError(f"{past[1]}: asymmetry {past[0]:.3g} exceeds {SYM_REJECT:.0e}")
 
 
 def _symmetric(x: np.ndarray, name: str) -> np.ndarray:
-    """(x + x') / 2 of a matrix or of each in a (T, l, l) stack, warning once or rejecting by the
-    asymmetry of each matrix relative to its magnitude, at a stack's first t past the limit."""
-    xt = np.swapaxes(x, -1, -2)
-    rel = np.ravel(np.abs(x - xt).max(axis=(-2, -1)) / np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0))
-    k = np.argmax(rel > (SYM_REJECT if rel.max() > SYM_REJECT else SYM_WARN))
-    where = name if x.ndim == 2 else f"{name} at t={k + 1}"
-    if rel[k] > SYM_REJECT:
-        raise ModelError(f"{where}: asymmetry {rel[k]:.3g} exceeds {SYM_REJECT:.0e}")
-    if rel[k] > SYM_WARN:
-        warnings.warn(f"{where}: symmetrized (asymmetry {rel[k]:.3g})", stacklevel=3)
-    return (x + xt) / 2.0
+    """(x + x') / 2 of a matrix or of each in a (T, l, l) stack, rejecting as ``_check_symmetric``
+    or warning once, at a stack's first t past SYM_WARN."""
+    _check_symmetric(x, name)
+    past = _first_asymmetry(x, name, SYM_WARN)
+    if past:
+        warnings.warn(f"{past[1]}: symmetrized (asymmetry {past[0]:.3g})", stacklevel=3)
+    return (x + np.swapaxes(x, -1, -2)) / 2.0
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -164,9 +181,14 @@ STACK_DIMS = {"A0": "xx", "B0": "xu", "S0": "xx", "A": "xx", "B": "xu", "S": "xx
               "noise_leader": "xx", "noise_follower": "xx"}
 
 
+# The cost weights, each a symmetric (T, l, l) stack.
+WEIGHTS = ("Q", "Q0", "F", "P", "R", "R0", "H")
+
+
 def _check_stacks(model) -> None:
     """Reject a stack that is not a finite real array of shape (T, rows, cols) in the T, lx and
-    lu of the leader's A0 and B0, naming the first such field in ``STACK_DIMS`` order."""
+    lu of the leader's A0 and B0, naming the first such field in ``STACK_DIMS`` order, then a
+    horizon T below 1."""
     for name in ("A0", "B0"):
         if np.ndim(getattr(model, name)) != 3:
             raise ModelError(f"{name}: expected a (T, rows, cols) stack, "
@@ -179,6 +201,8 @@ def _check_stacks(model) -> None:
             got = f"shape {stack.shape}" if isinstance(stack, np.ndarray) else type(stack).__name__
             raise ModelError(f"{name}: expected an array of shape {shape}, got {got}")
         _check_finite(stack, name)
+    if T < 1:
+        raise ModelError("horizon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -232,9 +256,9 @@ INIT_ARRAYS = {"deterministic": ("values",), "gaussian": ("mu", "sigma"),
 
 def _check_init(init, name: str, lx: int, counts: tuple) -> None:
     """Reject ``init`` unless it is an InitSpec of a known kind whose arrays are finite, real
-    and in lx components: a gaussian with a PSD covariance, a uniform box with low <= high and
-    a finite width, or a deterministic list whose length is one of ``counts``.  The message
-    names ``name``, in the text the loader's keys would give."""
+    and in lx components: a gaussian with a symmetric PSD covariance, a uniform box with
+    low <= high and a finite width, or a deterministic list whose length is one of ``counts``.
+    The message names ``name``, in the text the loader's keys would give."""
     if not isinstance(init, InitSpec) or init.kind not in INIT_ARRAYS:
         raise ModelError(f"{name} must be an InitSpec of kind deterministic, gaussian or uniform, "
                          f"got {init!r}")
@@ -258,6 +282,7 @@ def _check_init(init, name: str, lx: int, counts: tuple) -> None:
         if init.sigma.shape != (lx, lx):
             raise ModelError(f"{name}.cov: expected shape ({lx}, {lx}), "
                              f"got shape {init.sigma.shape}")
+        _check_symmetric(init.sigma, f"{name}.cov")
         _check_psd(init.sigma, f"{name}.cov")
     else:
         for key in ("low", "high"):
@@ -337,8 +362,9 @@ class DisturbancePolicy:
     Sinusoid applies amplitude*sin(t) (t in radians, starting at 1) to
     every component, identically across followers.  Worst-case feedback
     uses the true states unless ``use_estimate`` routes the mean through
-    the policy estimate.  Making one checks the kind, the target and a
-    finite amplitude; the first failure is a ModelError.
+    the policy estimate.  Making one checks the kind, the target, a
+    finite amplitude and a bool ``use_estimate``; the first failure is a
+    ModelError.
     """
 
     kind: str = "zero"
@@ -353,6 +379,8 @@ class DisturbancePolicy:
             raise ModelError(f"unknown target '{self.applied_to}'")
         if not (_is_real(self.amplitude) and np.isfinite(self.amplitude)):
             raise ModelError(f"amplitude must be a finite number, got {self.amplitude!r}")
+        if not isinstance(self.use_estimate, (bool, np.bool_)):
+            raise ModelError(f"use_estimate must be a bool, got {self.use_estimate!r}")
 
     @staticmethod
     def sinusoid(amplitude: float, applied_to: str = "followers") -> "DisturbancePolicy":
@@ -380,9 +408,10 @@ class ModelSpec:
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
     Weight matrices are symmetric after load.  The horizon T and the dimensions lx and lu
     are read from the leader's stacks.  Making one in any way checks a positive finite gamma,
-    an integer n_followers >= 1, the shape and finiteness of every stack, ``validate_convexity``,
-    PSD noise covariances and each initial law with ``_check_init``: lx components, one leader
-    start state and 1 or n_followers follower start states; the first failure is a ModelError.
+    an integer n_followers >= 1, the shape and finiteness of every stack, a horizon T >= 1,
+    symmetric weights and noise covariances, ``validate_convexity``, PSD noise covariances and
+    each initial law with ``_check_init``: lx components, one leader start state and 1 or
+    n_followers follower start states; the first failure is a ModelError.
     ``with_gamma`` checks only the new gamma.
     """
 
@@ -419,6 +448,10 @@ class ModelSpec:
         if self.n_followers < 1:
             raise ModelError("n_followers must be >= 1")
         _check_stacks(self)
+        for name in WEIGHTS:
+            _check_symmetric(getattr(self, name), name)
+        _check_symmetric(self.noise_leader, "noise.leader")
+        _check_symmetric(self.noise_follower, "noise.follower")
         for t, name, ev in validate_convexity(self).violations[:1]:  # the first, if any
             semi = "" if name.startswith("R") else "semi-"
             raise ModelError(f"{name} at t={t} is not positive {semi}definite (min eig {ev:.3g})")
@@ -568,15 +601,12 @@ def load_model(text: str) -> ModelSpec:
     lx = _integer(raw, "state_dim", 1)
     lu = _integer(raw, "action_dim", 1)
     gamma = _number(raw["gamma"], "gamma")
-    if T < 1:
-        raise ModelError("horizon must be >= 1")
     if lx < 1 or lu < 1:
         raise ModelError("state_dim and action_dim must be >= 1")
 
     led = _check_keys(raw["leader"], {"A0", "B0", "S0"}, "leader", ("A0", "B0", "S0"))
     fol = _check_keys(raw["follower"], {"A", "B", "S", "E"}, "follower", ("A", "B", "S", "E"))
-    weight_names = ("Q", "Q0", "F", "P", "R", "R0", "H")
-    cost = _check_keys(raw["cost"], set(weight_names), "cost", weight_names)
+    cost = _check_keys(raw["cost"], set(WEIGHTS), "cost", WEIGHTS)
     A0 = _per_t_stack(led["A0"], T, lx, lx, "leader.A0")
     B0 = _per_t_stack(led["B0"], T, lx, lu, "leader.B0")
     S0 = _per_t_stack(led["S0"], T, lx, lx, "leader.S0")
@@ -586,7 +616,7 @@ def load_model(text: str) -> ModelSpec:
     E = _per_t_stack(fol["E"], T, lx, lx, "follower.E")
 
     weights = {}
-    for name, rows in zip(weight_names, (lx, lx, lx, lx, lu, lu, lu)):
+    for name, rows in zip(WEIGHTS, (lx, lx, lx, lx, lu, lu, lu)):
         weights[name] = _symmetric(_per_t_stack(cost[name], T, rows, rows, f"cost.{name}"), f"cost.{name}")
 
     noise = _check_keys(raw.get("noise"), {"leader", "follower"}, "noise")

@@ -26,8 +26,9 @@ the bits it gets alone, so a run's results are bit-identical whichever
 other runs or arms are simulated with it.  A row whose next state is not
 finite is marked failed at that t and stays in place, masked: its later
 rows read nan, and its run stops drawing once every arm has failed.  The
-others step on.  Stage costs are accumulated online (sufficient
-statistics), full per-follower state retention is opt-in.
+others step on.  A record keeps what the outputs read: aggregate series
+and stage costs, and per-follower states only when asked for; a step's
+disturbances and follower actions feed its dynamics and cost, unkept.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class SimConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """One run: aggregate series for t = 1..T plus the realized cost.
+    """One run: aggregate series and stage costs for t = 1..T, follower states if retained.
 
     A run that failed at t has ``failed_at`` t; its total cost is nan.
     """
@@ -81,11 +82,8 @@ class TrajectoryRecord:
     mhat: np.ndarray        # (T, lx)
     u0: np.ndarray          # (T, lu)
     ubar: np.ndarray        # (T, lu)
-    d0: np.ndarray          # (T, lx)
     stage_costs: np.ndarray  # (T,)
     xi: np.ndarray | None = None  # (T, n, lx) when retained
-    ui: np.ndarray | None = None  # (T, n, lu) when retained
-    di: np.ndarray | None = None  # (T, n, lx) when retained
     failed_at: int | None = None
 
     @property
@@ -374,11 +372,9 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     z = work["z"][:R]  # row 0 leader noise, rows 1.. follower noise
 
     series = {name: np.empty((rows, T, dim)) for name, dim in (
-        ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu), ("d0", lx))}
+        ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu))}
     stage_costs = np.empty((rows, T))
-    keep = cfg.retain_full_states
-    full = {name: np.empty((rows, T, n, dim)) for name, dim in (
-        ("xi", lx), ("ui", lu), ("di", lx))} if keep else {}
+    full = {"xi": np.empty((rows, T, n, lx))} if cfg.retain_full_states else {}
     failed_at = np.zeros(rows, dtype=int)  # 0 while a row's states are finite
 
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
@@ -394,12 +390,12 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
                                    work["df"][:rows])
 
             for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
-                                ("ubar", ubar), ("d0", d0)):
+                                ("ubar", ubar)):
                 series[name][:, t - 1] = value
             stage_costs[:, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar,
                                                scratch)
-            if keep:
-                full["xi"][:, t - 1], full["ui"][:, t - 1], full["di"][:, t - 1] = xf, uf, df
+            if full:
+                full["xi"][:, t - 1] = xf
 
             for k in live:
                 stream(runs[k], t).standard_normal(out=z[k])

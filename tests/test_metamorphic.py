@@ -25,7 +25,7 @@ MODELS = ["example1", "example2", "vector", "mixed_dims"]
 BRACKETS = {"example1": (10.0, 20.0), "example2": (1.0, 4.0), "vector": (1.0, 3.5),
             "mixed_dims": (1.0, 5.0)}
 GAIN_FIELDS = ("L_brev", "L_bar", "K_brev", "K_bar")
-STATE_FIELDS = ("x0", "xbar", "mhat", "u0", "ubar", "d0", "xi", "ui", "di")
+STATE_FIELDS = ("x0", "xbar", "mhat", "u0", "ubar", "xi")
 
 
 @pytest.fixture(params=MODELS)

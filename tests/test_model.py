@@ -246,7 +246,8 @@ class TestLoadModel:
          "follower_init.mean: expected dimension 1"),
         ("A0: 0.9", "A0: .nan", "leader.A0: non-finite"),
         ("B: 0.5", "B: [-.inf]", "follower.B: non-finite"),
-        ("horizon: 4", "horizon: 0", "horizon must be >= 1"),
+        ("horizon: 4", "horizon: 0", "^horizon must be >= 1$"),
+        ("horizon: 4", "horizon: -1", "^horizon must be >= 1$"),
         ("n_followers: 2", "n_followers: 0", "n_followers must be >= 1"),
         ("high: 2.0", "high: -1.0", "follower_init: uniform high < low"),
         ("{uniform: {low: 0.0, high: 2.0}}", "{values: [1.0, 2.0, 3.0]}",
@@ -279,7 +280,8 @@ class TestLoadModel:
             "unknown-leader_init-key", "fractional-horizon", "fractional-n_followers",
             "mapping-in-matrix", "per_t-not-a-list", "gamma-a-list", "mapping-in-init",
             "gamma_list-not-a-list", "gaussian-cov-not-psd", "gaussian-mean-dimension",
-            "nan-matrix-entry", "inf-matrix-entry", "zero-horizon", "zero-n_followers",
+            "nan-matrix-entry", "inf-matrix-entry", "zero-horizon", "negative-horizon",
+            "zero-n_followers",
             "uniform-high-below-low", "follower-values-count", "nan-initial-value",
             "null-initial-value", "empty-initial-value", "initial-value-rank-3",
             "two-leader-states", "nan-gaussian-mean", "inf-uniform-bound",
@@ -292,6 +294,12 @@ class TestLoadModel:
         assert old in text
         with pytest.raises(ModelError, match=named):
             load_model(text.replace(old, new, 1))
+
+    def test_zero_horizon_with_empty_per_t_rejected(self):
+        # The loader builds stacks of no t; the model rejects them.
+        text = minimal(T=0).replace("A: 0.8", "A: {per_t: []}")
+        with pytest.raises(ModelError, match="^horizon must be >= 1$"):
+            load_model(text)
 
     def test_gaussian_initials(self):
         text = minimal().replace("{uniform: {low: 0.0, high: 2.0}}",
@@ -322,6 +330,13 @@ class TestDerivedDimensions:
     def test_state_and_action_dimensions_differ(self):
         m = mixed_dims_model()
         assert (m.horizon, m.state_dim, m.action_dim) == (5, 2, 1)
+
+
+def bumped(stack, t, i, j, by):
+    """A copy of ``stack`` with ``by`` added to entry (i, j) at index t, or at every t for None."""
+    stack = stack.copy()
+    stack[slice(None) if t is None else t, i, j] += by
+    return stack
 
 
 class TestModelSpecInvariants:
@@ -420,6 +435,37 @@ class TestModelSpecInvariants:
         m = example2.with_gamma(EX2_GAMMA)
         with pytest.raises(ModelError, match=message):
             replace(m, **change(m))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: {"Q": bumped(m.Q, None, 0, 1, 3.0)}, r"^Q at t=1: asymmetry 0\.909 exceeds 1e-06$"),
+        (lambda m: {"R0": bumped(m.R0, 3, 1, 0, 1e-3)},
+         r"^R0 at t=4: asymmetry 0\.000833 exceeds 1e-06$"),
+        (lambda m: {"noise_follower": bumped(m.noise_follower, None, 0, 1, 0.5)},
+         r"^noise.follower at t=1: asymmetry 0\.5 exceeds 1e-06$"),
+        (lambda m: {"noise_leader": bumped(m.noise_leader, 5, 1, 0, 1.0)},
+         r"^noise.leader at t=6: asymmetry 0\.909 exceeds 1e-06$"),
+        (lambda m: {"follower_init": InitSpec(kind="gaussian", mu=np.zeros(2),
+                                              sigma=np.array([[1.0, 5.0], [0.0, 1.0]]))},
+         "^follower_init.cov: asymmetry 1 exceeds 1e-06$"),
+    ], ids=["weight", "weight-at-t4", "follower-noise", "leader-noise-at-t6", "gaussian-sigma"])
+    def test_asymmetric_matrix_rejected(self, change, message):
+        # eigvalsh reads one triangle: these were accepted, an asymmetric Q then reported
+        # infeasible, a noise covariance given a value, and the sigma's symmetric part
+        # [[1, 2.5], [2.5, 1]] is indefinite.  The rule and the text are the loader's.
+        m = vector_model()
+        with pytest.raises(ModelError, match=message):
+            replace(m, **change(m))
+
+    def test_asymmetry_within_the_limit_accepted(self):
+        m = vector_model()
+        Q = m.Q + np.array([[0.0, 1e-7], [0.0, 0.0]])
+        assert replace(m, Q=Q).Q is Q  # kept as given: only the loader symmetrizes
+
+    def test_zero_horizon_rejected(self, example2):
+        # Stacks of no t used to construct: solve_riccati called the model feasible,
+        # optimal_value gave 0.0 and simulate ended in a numpy AxisError.
+        with pytest.raises(ModelError, match="^horizon must be >= 1$"):
+            replace(example2, **{name: getattr(example2, name)[:0] for name in STACK_DIMS})
 
     @pytest.mark.parametrize("name", TestDerivedDimensions.STACKS)
     def test_every_stack_is_checked(self, name):
@@ -594,12 +640,19 @@ class TestDisturbancePolicy:
          "^amplitude must be a finite number, got inf$"),
         ({"kind": "sinusoid", "amplitude": "0.5"},
          "^amplitude must be a finite number, got '0.5'$"),
-    ], ids=["unknown-target", "hyphenated-kind", "infinite-amplitude", "string-amplitude"])
+        ({"kind": "worst_case", "use_estimate": "no"}, "^use_estimate must be a bool, got 'no'$"),
+        ({"kind": "worst_case", "use_estimate": 1}, "^use_estimate must be a bool, got 1$"),
+    ], ids=["unknown-target", "hyphenated-kind", "infinite-amplitude", "string-amplitude",
+            "string-use_estimate", "int-use_estimate"])
     def test_checked_where_made(self, fields, message):
-        # An unknown target used to run as the zero policy, and the hyphenated kind
-        # failed only at t = 1 inside simulate.
+        # An unknown target used to run as the zero policy, the hyphenated kind
+        # failed only at t = 1 inside simulate, and use_estimate "no" read as True.
         with pytest.raises(ModelError, match=message):
             DisturbancePolicy(**fields)
+
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+    def test_use_estimate_takes_python_and_numpy_bools(self, flag):
+        assert DisturbancePolicy.worst_case(use_estimate=flag).use_estimate == flag
 
 
 class TestInfoStructure:

@@ -26,6 +26,7 @@ from mfminmax.synthesis import (InfeasibleError, compute_gains, critical_gamma, 
                                 solve_riccati)
 
 from conftest import (
+    EX1_GAMMA,
     EX2_GAMMA,
     make_model,
     mixed_dims_model,
@@ -174,6 +175,20 @@ class TestEquivalence:
         assert rep.ok
         assert rep.value_gap <= 1e-8 * abs(value)
         assert rep.max_gain_discrepancy <= 1e-9
+
+    @pytest.mark.parametrize("which", ["example1", "example2", "vector", "mixed_dims"])
+    def test_noise_constant_equals_decomposed(self, request, which):
+        # The stacked recursion sums trace(M W) over the joint noise at each t; the
+        # decomposition splits that sum into its deviation and mean constants.
+        m = {"example1": lambda: request.getfixturevalue("example1").with_gamma(EX1_GAMMA),
+             "example2": lambda: request.getfixturevalue("example2").with_gamma(EX2_GAMMA),
+             "vector": vector_model_2x2, "mixed_dims": mixed_dims_model}[which]()
+        assert np.any(m.noise_follower)  # the examples have no leader noise
+        for n in (1, 2, 5, 16):
+            m_n = replace(m, n_followers=n)
+            ric = solve_riccati(m_n)
+            c1 = stacked_saddle_solve(m_n).c1
+            assert c1 == pytest.approx(ric.c_brev[0] + ric.c_bar[0], rel=1e-12, abs=0.0), n
 
     def test_randomized_scalar_models(self):
         rng = np.random.default_rng(101)

@@ -23,6 +23,7 @@ from mfminmax.sim import (
     stage_cost,
     trajectory_csv,
 )
+from mfminmax.strategy import follower_action
 from mfminmax.synthesis import compute_gains, optimal_value, solve_riccati
 
 from conftest import EX2_GAMMA, make_model, mixed_dims_model, vector_model, zero_weight_model
@@ -32,7 +33,7 @@ def gains_for(model):
     return compute_gains(model, solve_riccati(model))
 
 
-RECORD_ARRAYS = ("x0", "xbar", "mhat", "u0", "ubar", "d0", "stage_costs", "xi", "ui", "di")
+RECORD_ARRAYS = ("x0", "xbar", "mhat", "u0", "ubar", "stage_costs", "xi")
 
 
 def assert_same_record(a, b):
@@ -78,12 +79,33 @@ def block_cases(example2, monkeypatch):
     }
 
 
-def retained_cost(model, rec):
-    """A run's cost re-derived from its retained per-follower states."""
-    return sum(stage_cost(model, t, rec.x0[t - 1], rec.u0[t - 1], rec.d0[t - 1],
-                          rec.xi[t - 1], rec.ui[t - 1], rec.di[t - 1],
-                          rec.xi[t - 1].mean(axis=0), rec.ui[t - 1].mean(axis=0))
-               for t in range(1, model.horizon + 1))
+def retained_cost(model, gains, policy, rec):
+    """A run's cost re-derived from its retained per-follower states.
+
+    The follower actions and the disturbances of each t are recomputed from
+    the states with ``gains`` and ``policy``, as the engine computes them.
+    """
+    total = 0.0
+    for t in range(1, model.horizon + 1):
+        x0, xi, xbar, m_hat = rec.x0[t - 1], rec.xi[t - 1], rec.xbar[t - 1], rec.mhat[t - 1]
+        ui = follower_action(gains, t, xi, x0, m_hat)
+        d0, di = sim._disturbances(policy, t, gains, x0, xbar, xi, m_hat, np.empty(xi.shape))
+        total += stage_cost(model, t, x0, rec.u0[t - 1], d0, xi, ui, di, xi.mean(axis=0),
+                            ui.mean(axis=0))
+    return total
+
+
+def engine_disturbances(monkeypatch):
+    """The (d0, df) the engine gets from ``sim._disturbances`` at each step, copied."""
+    seen, disturbances = [], sim._disturbances
+
+    def spy(*args):
+        d0, df = disturbances(*args)
+        seen.append((d0.copy(), df.copy()))
+        return d0, df
+
+    monkeypatch.setattr(sim, "_disturbances", spy)
+    return seen
 
 
 class TestDynamics:
@@ -113,27 +135,30 @@ class TestDynamics:
         assert rec.failed_at is not None
         assert math.isnan(rec.total_cost)
 
-    def test_sinusoid_identical_across_followers(self, example1):
+    def test_sinusoid_identical_across_followers(self, example1, monkeypatch):
         m = example1.with_gamma(20.0)
         m = replace(m, n_followers=5)
-        cfg = SimConfig(master_seed=3, num_runs=1, retain_full_states=True,
-                        disturbance=DisturbancePolicy.sinusoid(0.6))
-        rec = simulate(m, gains_for(m), cfg)[0]
-        for t in range(1, m.horizon + 1):
-            assert np.ptp(rec.di[t - 1]) == 0.0
-            assert rec.di[t - 1, 0, 0] == pytest.approx(0.6 * math.sin(t))
-        assert np.all(rec.d0 == 0.0)
+        cfg = SimConfig(master_seed=3, num_runs=1, disturbance=DisturbancePolicy.sinusoid(0.6))
+        seen = engine_disturbances(monkeypatch)
+        simulate(m, gains_for(m), cfg)
+        assert len(seen) == m.horizon
+        for t, (d0, di) in enumerate(seen, start=1):
+            assert di.shape == (1, 5, 1) and np.ptp(di) == 0.0
+            assert di[0, 0, 0] == pytest.approx(0.6 * math.sin(t))
+            assert np.all(d0 == 0.0)
 
     @pytest.mark.parametrize("applied_to", ["leader", "both"])
-    def test_sinusoid_reaches_its_targets(self, example1, applied_to):
+    def test_sinusoid_reaches_its_targets(self, example1, monkeypatch, applied_to):
         m = replace(example1.with_gamma(20.0), n_followers=5)
-        cfg = SimConfig(master_seed=3, num_runs=1, retain_full_states=True,
+        cfg = SimConfig(master_seed=3, num_runs=1,
                         disturbance=DisturbancePolicy.sinusoid(0.6, applied_to))
-        rec = simulate(m, gains_for(m), cfg)[0]
+        seen = engine_disturbances(monkeypatch)
+        simulate(m, gains_for(m), cfg)
         pulse = 0.6 * np.sin(np.arange(1, m.horizon + 1))
         to_followers = pulse if applied_to == "both" else np.zeros(m.horizon)
-        assert rec.d0[:, 0] == pytest.approx(pulse)
-        assert rec.di[:, :, 0] == pytest.approx(np.repeat(to_followers[:, None], 5, axis=1))
+        d0, di = (np.stack(series) for series in zip(*seen))
+        assert d0[:, 0, 0] == pytest.approx(pulse)
+        assert di[:, 0, :, 0] == pytest.approx(np.repeat(to_followers[:, None], 5, axis=1))
 
 
 class TestDeterminism:
@@ -419,7 +444,8 @@ class TestAggregation:
         cfg = SimConfig(master_seed=9, num_runs=3, retain_full_states=True,
                         disturbance=DisturbancePolicy.sinusoid(0.4))
         for rec in simulate(m, g, cfg):
-            assert retained_cost(m, rec) == pytest.approx(rec.total_cost, rel=1e-12)
+            assert retained_cost(m, g, cfg.disturbance, rec) == pytest.approx(rec.total_cost,
+                                                                               rel=1e-12)
 
 
 class TestCostFormula:
@@ -460,8 +486,8 @@ class TestCostFormula:
         cfg = SimConfig(master_seed=13, num_runs=2, retain_full_states=True,
                         disturbance=DisturbancePolicy())
         for rec in simulate(m, g, cfg):
-            doubled = retained_cost(m.with_gamma(2 * m.gamma), rec)
-            assert retained_cost(m, rec) == pytest.approx(doubled, rel=1e-12)
+            doubled = retained_cost(m.with_gamma(2 * m.gamma), g, cfg.disturbance, rec)
+            assert retained_cost(m, g, cfg.disturbance, rec) == pytest.approx(doubled, rel=1e-12)
 
     @staticmethod
     def zero_weight_records():
@@ -551,8 +577,31 @@ class TestWorkSet:
         finally:
             tracemalloc.stop()
         assert len(records) == 9 and not any(rec.failed for rec in records)
-        series = cfg.num_runs * m.horizon * 8 * 8  # seven aggregate series and the stage costs
+        series = cfg.num_runs * m.horizon * 8 * 8  # the aggregate series and stage costs, and room
         assert peak < self.BLOCK_ARRAYS * sim.BLOCK_STATES * 8 + series
+
+    def test_retained_runs_keep_one_array_of_follower_states(self, example2):
+        # Four runs of 1000 followers are one block.  Kept states add one (runs, T, n, lx)
+        # array to the work arrays; the engine used to keep each step's follower actions
+        # and disturbances too, two more such arrays.  The allowance covers the arrays of
+        # a call whose size does not grow with n: the substream keys, the records and
+        # their views.
+        m = replace(example2.with_gamma(EX2_GAMMA), n_followers=1000)
+        g = gains_for(m)
+        cfg = SimConfig(master_seed=7, num_runs=4, retain_full_states=True,
+                        disturbance=DisturbancePolicy.worst_case())
+        simulate(m, g, replace(cfg, num_runs=1))  # lazy imports of a first call
+        tracemalloc.start()
+        try:
+            records = simulate(m, g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4 and not any(rec.failed for rec in records)
+        block = cfg.num_runs * m.n_followers * m.state_dim * 8  # bytes of the block's states at one t
+        series = cfg.num_runs * m.horizon * 8 * 8  # as above
+        allowance = 2 ** 16
+        assert peak < m.horizon * block + self.BLOCK_ARRAYS * block + series + allowance
 
 
 class TestGoldenTrajectory:
@@ -702,7 +751,7 @@ def synthetic_record(rng, palette, run, T, lx, lu, n):
 
     return sim.TrajectoryRecord(
         run=run, x0=draw(T, lx), xbar=draw(T, lx), mhat=draw(T, lx), u0=draw(T, lu),
-        ubar=draw(T, lu), d0=np.zeros((T, lx)), stage_costs=draw(T),
+        ubar=draw(T, lu), stage_costs=draw(T),
         xi=None if n is None else draw(T, n, lx))
 
 

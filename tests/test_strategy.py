@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfminmax.model import InfoStructure, InitSpec
-from mfminmax.sim import DisturbancePolicy, SimConfig, simulate
+from mfminmax.sim import DisturbancePolicy, SimConfig, simulate, stage_cost
 from mfminmax.strategy import (
     estimator_step,
     follower_action,
@@ -206,14 +206,17 @@ class TestWorstCaseDisturbance:
         cfg = SimConfig(master_seed=17, num_runs=2, retain_full_states=True,
                         disturbance=DisturbancePolicy.worst_case(use_estimate=use_estimate),
                         info=InfoStructure.imfs([1, 10, 20]))
+        # The stage cost weighs both disturbances by -gamma^2, so its bits pin the ones applied.
         for rec in simulate(m, gains, cfg):
             means = rec.mhat if use_estimate else rec.xbar
             assert not np.array_equal(rec.mhat, rec.xbar)
             for t in range(1, m.horizon + 1):
-                d0, di = worst_case_disturbance(gains, t, rec.x0[t - 1], means[t - 1],
-                                                rec.xi[t - 1])
-                assert np.array_equal(rec.d0[t - 1], d0)
-                assert np.array_equal(rec.di[t - 1], di)
+                x0, xi = rec.x0[t - 1], rec.xi[t - 1]
+                ui = follower_action(gains, t, xi, x0, rec.mhat[t - 1])
+                d0, di = worst_case_disturbance(gains, t, x0, means[t - 1], xi)
+                cost = stage_cost(m, t, x0, rec.u0[t - 1], d0, xi, ui, di, rec.xbar[t - 1],
+                                  rec.ubar[t - 1])
+                assert cost.tobytes() == rec.stage_costs[t - 1].tobytes(), t
 
 
 class TestEstimator:
