@@ -166,16 +166,16 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--amplitude", args.amplitude), ("--applied-to", args.applied_to)):
         if value is not None and args.disturbance != "sinusoid":
             raise ValueError(f"{flag} applies to --disturbance sinusoid only")
+    if args.amplitude is not None and not np.isfinite(args.amplitude):
+        raise ValueError(f"--amplitude must be finite, got {args.amplitude!r}")
     model = load_model_file(args.config)
     seed, runs = _seed_and_runs(args, model.experiment)
     gamma_list = args.gamma if args.gamma else [model.gamma]
-    if args.disturbance == "config":
-        disturbance = model.experiment.disturbance
-    else:
-        flags = {"kind": args.disturbance, "amplitude": args.amplitude,
-                 "applied_to": args.applied_to}
-        disturbance = model_mod.disturbance_policy(
-            {key: value for key, value in flags.items() if value is not None})
+    disturbance = model.experiment.disturbance
+    if args.disturbance != "config":
+        flags = {"amplitude": args.amplitude, "applied_to": args.applied_to}
+        disturbance = DisturbancePolicy(kind=args.disturbance.replace("-", "_"), **{
+            key: value for key, value in flags.items() if value is not None})
     return _sweep(model, gamma_list, seed, runs, Path(args.out),
                   disturbance, args.observe, retain=args.retain_states)
 

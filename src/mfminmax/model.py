@@ -12,6 +12,7 @@ shape (T, ...) indexed [t-1].
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from copy import copy
@@ -30,7 +31,6 @@ __all__ = [
     "ModelSpec",
     "AugmentedSystem",
     "ConvexityReport",
-    "disturbance_policy",
     "load_model",
     "load_model_file",
     "build_augmented",
@@ -85,11 +85,14 @@ def _is_real(value) -> bool:
 
 
 def _attenuation(gamma: float, name: str = "gamma") -> float:
-    """``gamma`` as a float, unless it is not a positive finite real (nan passes ``gamma <= 0``)."""
+    """``gamma`` as a float, unless it is not a positive finite real (nan passes ``gamma <= 0``)
+    or its square, which the recursions and gains take, overflows a float."""
     if not _is_real(gamma):
         raise ModelError(f"{name} must be a number, got {gamma!r}")
     if not 0 < gamma < np.inf:
         raise ModelError(f"{name} must be positive and finite, got {gamma!r}")
+    if not math.isfinite(float(gamma) * float(gamma)):
+        raise ModelError(f"{name}: its square overflows a float, got {gamma!r}")
     return float(gamma)
 
 
@@ -185,16 +188,26 @@ STACK_DIMS = {"A0": "xx", "B0": "xu", "S0": "xx", "A": "xx", "B": "xu", "S": "xx
 WEIGHTS = ("Q", "Q0", "F", "P", "R", "R0", "H")
 
 
+# The stack each key of a config section fills.  Every key is required but the noise ones,
+# which default to zero; the loader symmetrizes the cost and noise stacks.
+CONFIG_STACKS = {"leader": {"A0": "A0", "B0": "B0", "S0": "S0"},
+                 "follower": {"A": "A", "B": "B", "S": "S", "E": "E"},
+                 "cost": {name: name for name in WEIGHTS},
+                 "noise": {"leader": "noise_leader", "follower": "noise_follower"}}
+
+
 def _check_stacks(model) -> None:
-    """Reject a stack that is not a finite real array of shape (T, rows, cols) in the T, lx and
-    lu of the leader's A0 and B0, naming the first such field in ``STACK_DIMS`` order, then a
-    horizon T below 1."""
+    """Reject an lx or lu below 1, read from the leader's A0 and B0, then a stack that is not a
+    finite real array of shape (T, rows, cols) in their T, lx and lu, naming the first such
+    field in ``STACK_DIMS`` order, then a horizon T below 1."""
     for name in ("A0", "B0"):
         if np.ndim(getattr(model, name)) != 3:
             raise ModelError(f"{name}: expected a (T, rows, cols) stack, "
                              f"got shape {np.shape(getattr(model, name))}")
     T, lx = np.shape(model.A0)[:2]
     size = {"x": lx, "u": np.shape(model.B0)[2]}
+    if min(size.values()) < 1:
+        raise ModelError("state_dim and action_dim must be >= 1")
     for name, (rows, cols) in STACK_DIMS.items():
         stack, shape = getattr(model, name), (T, size[rows], size[cols])
         if not isinstance(stack, np.ndarray) or stack.shape != shape:
@@ -259,7 +272,8 @@ def _check_init(init, name: str, lx: int, counts: tuple) -> None:
     and in lx components: a gaussian with a symmetric PSD covariance, a uniform box with
     low <= high and a finite width, or a deterministic list whose length is one of ``counts``.
     The message names ``name``, in the text the loader's keys would give."""
-    if not isinstance(init, InitSpec) or init.kind not in INIT_ARRAYS:
+    if (not isinstance(init, InitSpec) or not isinstance(init.kind, str)
+            or init.kind not in INIT_ARRAYS):
         raise ModelError(f"{name} must be an InitSpec of kind deterministic, gaussian or uniform, "
                          f"got {init!r}")
     for key in INIT_ARRAYS[init.kind]:
@@ -325,6 +339,13 @@ def _parse_init(node, lx: int, name: str) -> InitSpec:
                     high=np.full(lx, high) if high.ndim == 0 else high)
 
 
+def _check_times(times) -> None:
+    """Reject an observation time that is not an int or numpy integer >= 1 (a bool is not)."""
+    bad = [t for t in times if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1]
+    if bad:
+        raise ValueError(f"observation time {bad[0]!r} is not a whole number >= 1")
+
+
 @dataclass(frozen=True)
 class InfoStructure:
     """What the agents see: the mean-field at all, some, or no times.
@@ -333,9 +354,17 @@ class InfoStructure:
     average is available, or None for every t; everything else runs on
     the propagated estimate.  ``mfs()``, observation at every t, is
     mean-field sharing; ``InfoStructure()``, the empty set, is no-sharing.
+    Making one checks each time as ``imfs`` does; a failure is a ValueError.
     """
 
     observation_times: frozenset[int] | None = frozenset()
+
+    def __post_init__(self):
+        if self.observation_times is not None:
+            if not isinstance(self.observation_times, frozenset):
+                raise ValueError(f"observation_times must be a frozenset or None, "
+                                 f"got {self.observation_times!r}")
+            _check_times(self.observation_times)
 
     @staticmethod
     def mfs() -> "InfoStructure":
@@ -345,9 +374,7 @@ class InfoStructure:
     def imfs(times: Sequence[int]) -> "InfoStructure":
         """Observation at each of ``times``: ints (or numpy integers) >= 1, not bools."""
         times = list(times)
-        bad = [t for t in times if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1]
-        if bad:
-            raise ValueError(f"observation time {bad[0]!r} is not a whole number >= 1")
+        _check_times(times)  # before the set merges 1.0 into 1
         return InfoStructure(frozenset(int(t) for t in times))
 
     def observed(self, t: int) -> bool:
@@ -407,11 +434,12 @@ class ModelSpec:
 
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
     Weight matrices are symmetric after load.  The horizon T and the dimensions lx and lu
-    are read from the leader's stacks.  Making one in any way checks a positive finite gamma,
-    an integer n_followers >= 1, the shape and finiteness of every stack, a horizon T >= 1,
-    symmetric weights and noise covariances, ``validate_convexity``, PSD noise covariances and
-    each initial law with ``_check_init``: lx components, one leader start state and 1 or
-    n_followers follower start states; the first failure is a ModelError.
+    are read from the leader's stacks.  Making one in any way checks a positive finite gamma
+    with a finite square, an integer n_followers >= 1 (stored as a Python int), lx and
+    lu >= 1, the shape and finiteness of every stack, a horizon T >= 1, symmetric weights
+    and noise covariances, ``validate_convexity``, PSD noise covariances and each initial
+    law with ``_check_init``: lx components, one leader start state and 1 or n_followers
+    follower start states; the first failure is a ModelError.
     ``with_gamma`` checks only the new gamma.
     """
 
@@ -447,6 +475,7 @@ class ModelSpec:
             raise ModelError(f"n_followers must be an integer, got {self.n_followers!r}")
         if self.n_followers < 1:
             raise ModelError("n_followers must be >= 1")
+        object.__setattr__(self, "n_followers", int(self.n_followers))
         _check_stacks(self)
         for name in WEIGHTS:
             _check_symmetric(getattr(self, name), name)
@@ -519,7 +548,7 @@ def _integer(raw: dict, key: str, default: int | None = None, name: str | None =
     return value
 
 
-def disturbance_policy(section) -> DisturbancePolicy:
+def _disturbance_policy(section) -> DisturbancePolicy:
     """The policy an ``experiment.disturbance`` mapping names; a malformed key or value is an error.
 
     ``kind`` is zero (the default), sinusoid or worst_case (also spelled
@@ -562,7 +591,7 @@ def _parse_experiment(node) -> Experiment:
     gammas = tuple(_attenuation(_number(gamma, "experiment.gamma_list entry"),
                                 "experiment.gamma_list entry") for gamma in gamma_list)
     return Experiment(**counts, gamma_list=gammas,
-                      disturbance=disturbance_policy(node.get("disturbance")))
+                      disturbance=_disturbance_policy(node.get("disturbance")))
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -597,37 +626,26 @@ def load_model(text: str) -> ModelSpec:
                       "config", required)
 
     T = _integer(raw, "horizon")
-    n = _integer(raw, "n_followers")
     lx = _integer(raw, "state_dim", 1)
     lu = _integer(raw, "action_dim", 1)
     gamma = _number(raw["gamma"], "gamma")
     if lx < 1 or lu < 1:
         raise ModelError("state_dim and action_dim must be >= 1")
 
-    led = _check_keys(raw["leader"], {"A0", "B0", "S0"}, "leader", ("A0", "B0", "S0"))
-    fol = _check_keys(raw["follower"], {"A", "B", "S", "E"}, "follower", ("A", "B", "S", "E"))
-    cost = _check_keys(raw["cost"], set(WEIGHTS), "cost", WEIGHTS)
-    A0 = _per_t_stack(led["A0"], T, lx, lx, "leader.A0")
-    B0 = _per_t_stack(led["B0"], T, lx, lu, "leader.B0")
-    S0 = _per_t_stack(led["S0"], T, lx, lx, "leader.S0")
-    A = _per_t_stack(fol["A"], T, lx, lx, "follower.A")
-    B = _per_t_stack(fol["B"], T, lx, lu, "follower.B")
-    S = _per_t_stack(fol["S"], T, lx, lx, "follower.S")
-    E = _per_t_stack(fol["E"], T, lx, lx, "follower.E")
-
-    weights = {}
-    for name, rows in zip(WEIGHTS, (lx, lx, lx, lx, lu, lu, lu)):
-        weights[name] = _symmetric(_per_t_stack(cost[name], T, rows, rows, f"cost.{name}"), f"cost.{name}")
-
-    noise = _check_keys(raw.get("noise"), {"leader", "follower"}, "noise")
-    none_cov = np.zeros((lx, lx))
-    nl = _symmetric(_per_t_stack(noise.get("leader", none_cov), T, lx, lx, "noise.leader"), "noise.leader")
-    nf = _symmetric(_per_t_stack(noise.get("follower", none_cov), T, lx, lx, "noise.follower"), "noise.follower")
+    size = {"x": lx, "u": lu}
+    stacks = {}
+    for section, keys in CONFIG_STACKS.items():
+        node = _check_keys(raw.get(section), set(keys), section,
+                           () if section == "noise" else tuple(keys))
+        for key, name in keys.items():
+            rows, cols = (size[dim] for dim in STACK_DIMS[name])
+            where = f"{section}.{key}"
+            stack = _per_t_stack(node.get(key, np.zeros((rows, cols))), T, rows, cols, where)
+            stacks[name] = _symmetric(stack, where) if section in ("cost", "noise") else stack
     return ModelSpec(
-        n_followers=n, gamma=gamma, A0=A0, B0=B0, S0=S0, A=A, B=B, S=S, E=E, **weights,
+        n_followers=raw["n_followers"], gamma=gamma, **stacks,
         leader_init=_parse_init(raw["leader_init"], lx, "leader_init"),
         follower_init=_parse_init(raw["follower_init"], lx, "follower_init"),
-        noise_leader=nl, noise_follower=nf,
         experiment=_parse_experiment(raw.get("experiment")),
     )
 

@@ -110,14 +110,18 @@ class StrategyGains:
         return self.L_bar[t - 1, self.action_dim :, self.state_dim :]
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a non-finite t is flagged
 def _backward(A, B, Q, R, W, gammas: np.ndarray):
     """One soft-constrained recursion and its noise constants for G gammas at once.
 
     Never raises on infeasibility.  Returns, with a leading gamma axis, M
     (G, T+1, dim, dim), Delta (G, T, dim, dim), c (G, T+1), the margins and a
     (G, T) mask of the flagged t (index t-1): a margin at or below FEAS_TOL,
-    a singular Delta or an asymmetric M.  Each gamma's rows carry the bits of
-    its own walk: every product and inverse is taken matrix by matrix.
+    a singular Delta, an asymmetric M, or a non-finite entry in M_t, Delta_t
+    or the margin's test matrix, whose margin is nan.  Each gamma's rows carry
+    the bits of its own walk: every product and inverse is taken matrix by
+    matrix, so a gamma whose walk overflows (gamma**2 near 0, say) flags
+    only its own rows.
     """
     T, dim = A.shape[0], A.shape[1]
     G = gammas.shape[0]
@@ -153,8 +157,11 @@ def _backward(A, B, Q, R, W, gammas: np.ndarray):
     # c_t = c_{t+1} + tr(M_{t+1} W_t), summed from c_{T+1} = +0.0
     traces = np.trace(M[:, 1:] @ W, axis1=-2, axis2=-1)
     c = np.cumsum(np.concatenate([np.zeros((G, 1)), traces[:, ::-1]], axis=1), axis=1)[:, ::-1]
-    margins = np.linalg.eigvalsh(g2[:, None] * eye - M[:, 1:]).min(axis=-1)
-    return M, Delta, c, margins, bad | (margins <= FEAS_TOL)
+    test = g2[:, None] * eye - M[:, 1:]  # gamma^2 I - M_{t+1}
+    finite = np.isfinite(np.concatenate([test, M[:, :-1], Delta], axis=-1)).all(axis=(-2, -1))
+    margins = np.full((G, T), np.nan)
+    margins[finite] = np.linalg.eigvalsh(test[finite]).min(axis=-1)
+    return M, Delta, c, margins, bad | ~finite | (margins <= FEAS_TOL)
 
 
 def _walk(model: ModelSpec, gammas: np.ndarray):

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import itertools
+import math
 import re
 import tracemalloc
 import weakref
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from mfminmax import cli, oracle, sim
+from mfminmax import model as model_module
 from mfminmax.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -21,7 +23,7 @@ from mfminmax.cli import (
     main,
     parse_schedule,
 )
-from mfminmax.model import InfoStructure
+from mfminmax.model import DisturbancePolicy, InfoStructure
 
 
 # Followers grow tenfold per step from up to 1e300, so every run overflows, and the
@@ -481,8 +483,29 @@ class TestOtherCommands:
                      "--config", str(bundled_config_path(2)), "--out", str(out)])
         assert code == EXIT_FAIL
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "amplitude must be finite" in err
+        assert err.startswith("error: --amplitude ") and "amplitude must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, policy", [
+        (["--disturbance", "sinusoid"], DisturbancePolicy(kind="sinusoid")),
+        (["--disturbance", "sinusoid", "--amplitude", "-0.0", "--applied-to", "leader"],
+         DisturbancePolicy(kind="sinusoid", amplitude=-0.0, applied_to="leader")),
+        (["--disturbance", "worst-case"], DisturbancePolicy.worst_case()),
+        (["--disturbance", "zero"], DisturbancePolicy()),
+    ], ids=["sinusoid-defaults", "signed-zero-leader", "worst-case", "zero"])
+    def test_flags_build_their_own_policy(self, tmp_path, monkeypatch, flags, policy):
+        # The flags used to pass through the config's disturbance parser; only the
+        # loader calls it now, once for the config's own section.
+        parsed, swept = [], []
+        parser = model_module._disturbance_policy
+        monkeypatch.setattr(model_module, "_disturbance_policy",
+                            lambda section: parsed.append(section) or parser(section))
+        monkeypatch.setattr(cli, "_sweep", lambda *args, **kw: swept.append(args[5]) or EXIT_OK)
+        code = main(["simulate", "--config", str(bundled_config_path(2)), *flags,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK and len(parsed) == 1
+        assert swept == [policy]
+        assert math.copysign(1.0, swept[0].amplitude) == math.copysign(1.0, policy.amplitude)
 
     def test_runs_that_all_overflow_fail_without_warnings(self, tmp_path, capsys):
         # The gamma still writes its files and reports a nan cost, like any feasible gamma.

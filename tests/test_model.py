@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -26,6 +27,8 @@ from mfminmax.model import (
     validate_convexity,
 )
 from mfminmax.oracle import point_model
+from mfminmax.sim import SimConfig, simulate
+from mfminmax.synthesis import compute_gains, solve_riccati
 
 from conftest import EX2_GAMMA, make_model, mixed_dims_model, vector_model
 
@@ -386,11 +389,15 @@ class TestModelSpecInvariants:
         (lambda m: {"leader_init": InitSpec(kind="uniform", low=np.zeros(1),
                                             high=np.array(["1"]))},
          "^leader_init.high: expected real numbers, got dtype <U1$"),
+        # An unhashable kind used to end in a TypeError from the kind lookup.
+        (lambda m: {"leader_init": InitSpec(kind=["deterministic"], values=np.array([[1.0]]))},
+         "^leader_init must be an InitSpec of kind deterministic, gaussian or uniform, "
+         "got InitSpec"),
     ], ids=["negative-follower-noise", "negative-leader-noise", "two-leader-states",
             "three-follower-states", "follower-two-components", "flat-values", "list-values",
             "leader-none", "unknown-kind", "mean-two-components", "cov-two-by-two",
             "cov-not-psd", "nan-mean", "high-below-low", "low-two-components",
-            "width-overflows", "string-bound"])
+            "width-overflows", "string-bound", "list-kind"])
     def test_replace_checks_noise_and_initials(self, example2, change, message):
         m = example2.with_gamma(EX2_GAMMA)
         with pytest.raises(ModelError, match=message):
@@ -467,6 +474,19 @@ class TestModelSpecInvariants:
         with pytest.raises(ModelError, match="^horizon must be >= 1$"):
             replace(example2, **{name: getattr(example2, name)[:0] for name in STACK_DIMS})
 
+    @pytest.mark.parametrize("dim", ["x", "u"])
+    def test_zero_dimension_rejected(self, example2, dim):
+        # A state or action dimension of 0 used to end in numpy's "zero-size array to
+        # reduction operation" at the first symmetry or convexity check.
+        size = {"x": 1, "u": 1, dim: 0}
+        T = example2.horizon
+        stacks = {name: np.zeros((T, size[rows], size[cols]))
+                  for name, (rows, cols) in STACK_DIMS.items()}
+        starts = {key: InitSpec(kind="deterministic", values=np.zeros((1, size["x"])))
+                  for key in ("leader_init", "follower_init")}
+        with pytest.raises(ModelError, match="^state_dim and action_dim must be >= 1$"):
+            replace(example2, **stacks, **starts)
+
     @pytest.mark.parametrize("name", TestDerivedDimensions.STACKS)
     def test_every_stack_is_checked(self, name):
         m = mixed_dims_model()
@@ -477,6 +497,14 @@ class TestModelSpecInvariants:
 
     def test_numpy_integer_population_is_accepted(self, example2):
         assert replace(example2, n_followers=np.int64(7)).n_followers == 7
+
+    def test_population_is_stored_as_a_python_int(self, example2):
+        # An np.int8 population used to be kept, and simulate overflowed in int8 sizing
+        # its blocks.
+        m = replace(example2.with_gamma(EX2_GAMMA), n_followers=np.int8(100))
+        assert type(m.n_followers) is int and m.n_followers == 100
+        records = simulate(m, compute_gains(m, solve_riccati(m)), SimConfig(master_seed=1))
+        assert np.isfinite(records[0].total_cost)
 
     @pytest.mark.parametrize("which", ["example1", "example2", "vector"])
     @pytest.mark.parametrize("gamma", [0.5, 4.0, 1e9, np.float64(2.5)])
@@ -501,6 +529,17 @@ class TestModelSpecInvariants:
     def test_with_gamma_rejects_a_bad_gamma(self, example2, gamma):
         with pytest.raises(ModelError, match=f"^gamma must be positive and finite, got {gamma!r}$"):
             example2.with_gamma(gamma)
+
+    @pytest.mark.parametrize("gamma", [1e155, 1e300, np.float64(1e300)])
+    def test_gamma_whose_square_overflows_rejected(self, example2, gamma):
+        # 1e300 used to be accepted and reported feasible; compute_gains then raised
+        # OverflowError from gamma ** 2.
+        message = "^" + re.escape(f"gamma: its square overflows a float, got {gamma!r}") + "$"
+        with pytest.raises(ModelError, match=message):
+            example2.with_gamma(gamma)
+        with pytest.raises(ModelError, match=message):
+            replace(example2, gamma=gamma)
+        assert example2.with_gamma(1.34e154).gamma == 1.34e154  # its square is finite
 
     @pytest.mark.parametrize("gamma", ["2", True, np.bool_(True), None])
     def test_gamma_that_is_not_a_number_rejected(self, example2, gamma):
@@ -668,6 +707,22 @@ class TestInfoStructure:
     def test_imfs_rejects_a_time_that_is_not_a_whole_number_from_1(self, time):
         with pytest.raises(ValueError, match=f"^observation time {time!r} is not a whole number >= 1$"):
             InfoStructure.imfs([4, time])
+
+    @pytest.mark.parametrize("times, message", [
+        (frozenset({1.5}), "^observation time 1.5 is not a whole number >= 1$"),
+        (frozenset({0, 3}), "^observation time 0 is not a whole number >= 1$"),
+        (frozenset({"2"}), "^observation time '2' is not a whole number >= 1$"),
+        ([1, 2], r"^observation_times must be a frozenset or None, got \[1, 2\]$"),
+    ], ids=["fraction", "zero", "string", "list"])
+    def test_made_directly_checks_each_time(self, times, message):
+        # A time of 1.5 used to be accepted and never observed: a silent no-sharing run.
+        with pytest.raises(ValueError, match=message):
+            InfoStructure(times)
+
+    def test_imfs_checks_the_times_before_merging_them(self):
+        # frozenset({1, 1.0}) is {1}: the list is checked, not the set.
+        with pytest.raises(ValueError, match="^observation time 1.0 is not a whole number >= 1$"):
+            InfoStructure.imfs([1, 1.0])
 
     def test_imfs_takes_numpy_integers_and_iterators(self):
         want = frozenset({2, 5})

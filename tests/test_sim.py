@@ -230,6 +230,32 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="num_runs must be >= 1"):
             SimConfig(master_seed=0, num_runs=0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"num_runs": 2.5}, "^num_runs must be an integer, got 2.5$"),
+        ({"num_runs": True}, "^num_runs must be an integer, got True$"),
+        ({"master_seed": None}, "^master_seed must be an integer, got None$"),
+        ({"master_seed": 1.5}, "^master_seed must be an integer, got 1.5$"),
+        ({"master_seed": True}, "^master_seed must be an integer, got True$"),
+        ({"master_seed": np.int8(-1)}, "^master_seed must be >= 0, got -1$"),
+        ({"use_worst_case_dbar": "no"}, "^use_worst_case_dbar must be a bool, got 'no'$"),
+        ({"retain_full_states": 1}, "^retain_full_states must be a bool, got 1$"),
+        ({"disturbance": None}, "^disturbance must be a DisturbancePolicy, got None$"),
+        ({"info": None}, "^info must be an InfoStructure, got None$"),
+    ], ids=["fractional-runs", "bool-runs", "none-seed", "fractional-seed", "bool-seed",
+            "negative-numpy-seed", "string-dbar-switch", "int-retain", "none-disturbance",
+            "none-info"])
+    def test_config_checks_every_field(self, fields, message):
+        # Each of these used to construct: simulate then raised a bare TypeError or
+        # AttributeError, or ran seed True as 1 and the switch "no" as True.
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{"master_seed": 0, **fields})
+
+    def test_config_stores_python_ints(self):
+        cfg = SimConfig(master_seed=np.uint64(2 ** 40), num_runs=np.int8(3),
+                        use_worst_case_dbar=np.bool_(False))
+        assert (type(cfg.master_seed), type(cfg.num_runs)) == (int, int)
+        assert (cfg.master_seed, cfg.num_runs) == (2 ** 40, 3)
+
     def test_no_arms_rejected(self):
         m = zero_weight_model()
         with pytest.raises(ValueError, match="arms"):

@@ -521,6 +521,23 @@ class TestBatchedWalk:
             assert [a.tobytes() for a in _rows(walk, 1)[:4]] == [a.tobytes() for a in arrays]
         assert feasible(m, [1.0, 2.0]).tolist() == [False, True]
 
+    @pytest.mark.parametrize("which", ["vector", "example2"])
+    def test_a_gamma_whose_walk_overflows_flags_only_itself(self, request, which):
+        # gamma 1e-300 squares to 0, so its walk is nan from the first step.  On a
+        # 2-state model eigvalsh used to raise LinAlgError and lose the answer for 3.5.
+        m = vector_model() if which == "vector" else request.getfixturevalue(which)
+        tiny = solve_riccati(m.with_gamma(1e-300))
+        assert not tiny.feasible and tiny.infeasible_times == tuple(range(1, m.horizon + 1))
+        assert np.isnan(tiny.margin_brev).all() and np.isnan(tiny.margin_bar).all()
+        assert feasible(m, [1e-300, 3.5]).tolist() == [False, True]
+        dev, aug = synthesis._walk(m, np.array([1e-300, 3.5]))
+        own = solve_riccati(m.with_gamma(3.5))
+        own_arrays = [(own.M_brev, own.Delta_brev, own.c_brev, own.margin_brev),
+                      (own.M_bar, own.Delta_bar, own.c_bar, own.margin_bar)]
+        for walk, arrays in zip((dev, aug), own_arrays):
+            assert [a.tobytes() for a in _rows(walk, 1)[:4]] == [a.tobytes() for a in arrays]
+        assert abs(critical_gamma(m, 1e-300, 3.5) - critical_gamma(m, 1.0, 3.5)) <= 1e-6
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_gamma_must_be_positive_and_finite(self, example2, bad):
         with pytest.raises(ModelError, match="gamma must be positive and finite"):
