@@ -16,7 +16,7 @@ import math
 import numbers
 import warnings
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -134,33 +134,24 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
     return np.broadcast_to(mat, (max(T, 0), rows, cols)).copy()
 
 
-def _first_asymmetry(x: np.ndarray, name: str, limit: float):
-    """(asymmetry, where) of the first matrix of a (T, l, l) stack, or of one matrix, whose
-    asymmetry relative to its magnitude is past ``limit``: where is "Q at t=2", or "Q" for
-    one matrix.  None if no matrix is past it."""
-    rel = np.ravel(np.abs(x - np.swapaxes(x, -1, -2)).max(axis=(-2, -1))
-                   / np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0))
-    bad = np.flatnonzero(rel > limit)
-    if not bad.size:
-        return None
-    return rel[bad[0]], name if x.ndim == 2 else f"{name} at t={bad[0] + 1}"
-
-
-def _check_symmetric(x: np.ndarray, name: str) -> None:
-    """Reject a matrix or stack with an asymmetry past SYM_REJECT, naming its first such t."""
-    past = _first_asymmetry(x, name, SYM_REJECT)
-    if past:
-        raise ModelError(f"{past[1]}: asymmetry {past[0]:.3g} exceeds {SYM_REJECT:.0e}")
-
-
 def _symmetric(x: np.ndarray, name: str) -> np.ndarray:
-    """(x + x') / 2 of a matrix or of each in a (T, l, l) stack, rejecting as ``_check_symmetric``
-    or warning once, at a stack's first t past SYM_WARN."""
-    _check_symmetric(x, name)
-    past = _first_asymmetry(x, name, SYM_WARN)
-    if past:
-        warnings.warn(f"{past[1]}: symmetrized (asymmetry {past[0]:.3g})", stacklevel=3)
-    return (x + np.swapaxes(x, -1, -2)) / 2.0
+    """(x + x') / 2 of a matrix or of each in a (T, l, l) stack, or ``x`` itself if it is
+    symmetric.  Each matrix's asymmetry relative to its magnitude is graded once: past
+    SYM_REJECT it is a ModelError, past SYM_WARN a warning, each naming the stack's first
+    such t ("cost.Q at t=2", or "cost.Q" for one matrix)."""
+    xt = np.swapaxes(x, -1, -2)
+    rel = np.ravel(np.abs(x - xt).max(axis=(-2, -1))
+                   / np.maximum(np.abs(x).max(axis=(-2, -1)), 1.0))
+    if not rel.any():
+        return x
+    rejected = rel > SYM_REJECT
+    t = np.argmax(rejected if rejected.any() else rel > SYM_WARN)
+    where = name if x.ndim == 2 else f"{name} at t={t + 1}"
+    if rejected.any():
+        raise ModelError(f"{where}: asymmetry {rel[t]:.3g} exceeds {SYM_REJECT:.0e}")
+    if rel[t] > SYM_WARN:  # stacklevel: for a stack, the line that makes the ModelSpec
+        warnings.warn(f"{where}: symmetrized (asymmetry {rel[t]:.3g})", stacklevel=4)
+    return (x + xt) / 2.0
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -189,7 +180,8 @@ WEIGHTS = ("Q", "Q0", "F", "P", "R", "R0", "H")
 
 
 # The stack each key of a config section fills.  Every key is required but the noise ones,
-# which default to zero; the loader symmetrizes the cost and noise stacks.
+# which default to zero.  A ModelSpec stores the symmetric part of each cost and noise stack,
+# named "cost.Q" or "noise.leader" in what ``_symmetric`` reports.
 CONFIG_STACKS = {"leader": {"A0": "A0", "B0": "B0", "S0": "S0"},
                  "follower": {"A": "A", "B": "B", "S": "S", "E": "E"},
                  "cost": {name: name for name in WEIGHTS},
@@ -267,11 +259,12 @@ INIT_ARRAYS = {"deterministic": ("values",), "gaussian": ("mu", "sigma"),
                "uniform": ("low", "high")}
 
 
-def _check_init(init, name: str, lx: int, counts: tuple) -> None:
-    """Reject ``init`` unless it is an InitSpec of a known kind whose arrays are finite, real
-    and in lx components: a gaussian with a symmetric PSD covariance, a uniform box with
-    low <= high and a finite width, or a deterministic list whose length is one of ``counts``.
-    The message names ``name``, in the text the loader's keys would give."""
+def _check_init(init, name: str, lx: int, counts: tuple) -> InitSpec:
+    """``init``, unless it is not an InitSpec of a known kind whose arrays are finite, real
+    and in lx components: a gaussian with a PSD covariance, symmetrized by ``_symmetric``,
+    a uniform box with low <= high and a finite width, or a deterministic list whose length
+    is one of ``counts``.  A gaussian whose covariance changed comes back as a copy holding
+    the symmetrized one.  The message names ``name``, in the text the loader's keys would give."""
     if (not isinstance(init, InitSpec) or not isinstance(init.kind, str)
             or init.kind not in INIT_ARRAYS):
         raise ModelError(f"{name} must be an InitSpec of kind deterministic, gaussian or uniform, "
@@ -296,8 +289,10 @@ def _check_init(init, name: str, lx: int, counts: tuple) -> None:
         if init.sigma.shape != (lx, lx):
             raise ModelError(f"{name}.cov: expected shape ({lx}, {lx}), "
                              f"got shape {init.sigma.shape}")
-        _check_symmetric(init.sigma, f"{name}.cov")
-        _check_psd(init.sigma, f"{name}.cov")
+        sigma = _symmetric(init.sigma, f"{name}.cov")
+        _check_psd(sigma, f"{name}.cov")
+        if sigma is not init.sigma:
+            init = replace(init, sigma=sigma)
     else:
         for key in ("low", "high"):
             shape = getattr(init, key).shape
@@ -310,6 +305,7 @@ def _check_init(init, name: str, lx: int, counts: tuple) -> None:
             width = init.high - init.low
         if not np.all(np.isfinite(width)):
             raise ModelError(f"{name}.uniform: the width high - low overflows a float")
+    return init
 
 
 def _parse_init(node, lx: int, name: str) -> InitSpec:
@@ -331,7 +327,7 @@ def _parse_init(node, lx: int, name: str) -> InitSpec:
     if key == "gaussian":
         body = _check_keys(body, {"mean", "cov"}, f"{name}.gaussian", required=("mean", "cov"))
         mu = np.atleast_1d(_floats(body["mean"], f"{name}.mean"))
-        sigma = _symmetric(_as_matrix(body["cov"], lx, lx, f"{name}.cov"), f"{name}.cov")
+        sigma = _as_matrix(body["cov"], lx, lx, f"{name}.cov")
         return InitSpec(kind="gaussian", mu=mu, sigma=sigma)
     body = _check_keys(body, {"low", "high"}, f"{name}.uniform", required=("low", "high"))
     low, high = (_floats(body[bound], f"{name}.{bound}") for bound in ("low", "high"))
@@ -433,13 +429,13 @@ class ModelSpec:
     """Validated system + cost description.
 
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
-    Weight matrices are symmetric after load.  The horizon T and the dimensions lx and lu
-    are read from the leader's stacks.  Making one in any way checks a positive finite gamma
-    with a finite square, an integer n_followers >= 1 (stored as a Python int), lx and
-    lu >= 1, the shape and finiteness of every stack, a horizon T >= 1, symmetric weights
-    and noise covariances, ``validate_convexity``, PSD noise covariances and each initial
-    law with ``_check_init``: lx components, one leader start state and 1 or n_followers
-    follower start states; the first failure is a ModelError.
+    The horizon T and the dimensions lx and lu are read from the leader's stacks.  Making
+    one in any way checks a positive finite gamma with a finite square, an integer
+    n_followers >= 1 (stored as a Python int), lx and lu >= 1, the shape and finiteness of
+    every stack and a horizon T >= 1, then stores the symmetric part of each weight and noise
+    stack by ``_symmetric``, then checks ``validate_convexity``, PSD noise covariances and
+    each initial law with ``_check_init``: lx components, one leader start state and 1 or
+    n_followers follower start states; the first failure is a ModelError.
     ``with_gamma`` checks only the new gamma.
     """
 
@@ -477,17 +473,17 @@ class ModelSpec:
             raise ModelError("n_followers must be >= 1")
         object.__setattr__(self, "n_followers", int(self.n_followers))
         _check_stacks(self)
-        for name in WEIGHTS:
-            _check_symmetric(getattr(self, name), name)
-        _check_symmetric(self.noise_leader, "noise.leader")
-        _check_symmetric(self.noise_follower, "noise.follower")
+        for section in ("cost", "noise"):
+            for key, name in CONFIG_STACKS[section].items():
+                object.__setattr__(self, name, _symmetric(getattr(self, name), f"{section}.{key}"))
         for t, name, ev in validate_convexity(self).violations[:1]:  # the first, if any
             semi = "" if name.startswith("R") else "semi-"
             raise ModelError(f"{name} at t={t} is not positive {semi}definite (min eig {ev:.3g})")
         _check_psd(self.noise_leader, "noise.leader")
         _check_psd(self.noise_follower, "noise.follower")
-        _check_init(self.leader_init, "leader_init", self.state_dim, (1,))
-        _check_init(self.follower_init, "follower_init", self.state_dim, (1, self.n_followers))
+        for name, counts in (("leader_init", (1,)), ("follower_init", (1, self.n_followers))):
+            object.__setattr__(self, name,
+                               _check_init(getattr(self, name), name, self.state_dim, counts))
 
     @property
     def horizon(self) -> int:
@@ -639,9 +635,8 @@ def load_model(text: str) -> ModelSpec:
                            () if section == "noise" else tuple(keys))
         for key, name in keys.items():
             rows, cols = (size[dim] for dim in STACK_DIMS[name])
-            where = f"{section}.{key}"
-            stack = _per_t_stack(node.get(key, np.zeros((rows, cols))), T, rows, cols, where)
-            stacks[name] = _symmetric(stack, where) if section in ("cost", "noise") else stack
+            stacks[name] = _per_t_stack(node.get(key, np.zeros((rows, cols))), T, rows, cols,
+                                        f"{section}.{key}")
     return ModelSpec(
         n_followers=raw["n_followers"], gamma=gamma, **stacks,
         leader_init=_parse_init(raw["leader_init"], lx, "leader_init"),

@@ -467,10 +467,19 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
     what ``simulate`` gives with that arm as ``cfg.info``.
     A block then holds every arm of its runs and counts the follower states
     of all of them.  Every block reuses one set of work arrays.
+    Gains of another horizon or other dimensions than ``model``'s are a
+    ValueError, and so is an observation time past its horizon.
     """
     infos = (cfg.info,) if arms is None else tuple(arms)
     if not infos:
         raise ValueError("arms must hold at least one information structure")
+    shape = (model.horizon, model.action_dim, model.state_dim)
+    if gains.L_brev.shape != shape:
+        raise ValueError(f"the gains' L_brev has shape {gains.L_brev.shape}, "
+                         f"the model's (T, lu, lx) is {shape}")
+    late = sorted(t for info in infos for t in info.observation_times or () if t > model.horizon)
+    if late:
+        raise ValueError(f"observation time {late[0]} is past the horizon {model.horizon}")
     runs = range(cfg.num_runs)
     stream = _substreams(cfg.master_seed, runs, model.horizon)
     colour = _colouring(model.noise_leader), _colouring(model.noise_follower)

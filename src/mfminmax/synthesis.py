@@ -203,8 +203,21 @@ def feasible(model: ModelSpec, gammas) -> np.ndarray:
     return ~(bad_dev | bad_aug).any(axis=1)
 
 
+def _check_solution(model: ModelSpec, ric: RiccatiSolution) -> None:
+    """Reject a solution of another gamma, horizon or state dimension than ``model``'s."""
+    if ric.gamma != model.gamma:
+        raise ValueError(f"the solution is for gamma={ric.gamma!r}, the model has "
+                         f"gamma={model.gamma!r}")
+    shape = (model.horizon + 1, model.state_dim, model.state_dim)
+    if ric.M_brev.shape != shape:
+        raise ValueError(f"the solution's M_brev has shape {ric.M_brev.shape}, "
+                         f"the model's (T+1, lx, lx) is {shape}")
+
+
 def compute_gains(model: ModelSpec, ric: RiccatiSolution) -> StrategyGains:
-    """Control gains and worst-case disturbance gains from the recursions."""
+    """Control gains and worst-case disturbance gains from the recursions of this model;
+    a solution of another gamma, horizon or state dimension is a ValueError."""
+    _check_solution(model, ric)
     if not ric.feasible:
         raise InfeasibleError(
             f"no saddle point at gamma={ric.gamma:g}: "
@@ -227,8 +240,10 @@ def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:
     Uses E[zz'] = Cov(z) + mean mean' throughout; for i.i.d. follower
     initials the deviation from the sample mean has zero mean and
     covariance (1 - 1/n) Cov(x^i_1), while a deterministic population
-    list contributes its empirical deviation second moment.
+    list contributes its empirical deviation second moment.  A solution of
+    another gamma, horizon or state dimension than ``model``'s is a ValueError.
     """
+    _check_solution(model, ric)
     if not ric.feasible:
         raise InfeasibleError(
             f"optimal value undefined at gamma={ric.gamma:g} (margin {ric.min_margin():.3g})",

@@ -225,6 +225,11 @@ class TestLoadModel:
         with pytest.raises(ModelError):
             load_model("horizon: [unclosed")
 
+    def test_unhashable_key_does_not_parse(self):
+        # The duplicate-key check skips a key it cannot hash; the YAML constructor rejects it.
+        with pytest.raises(ModelError, match="^config does not parse: (?s:.*)unhashable key"):
+            load_model("? [1, 2]\n: 3\n")
+
     @pytest.mark.parametrize("old, new, named", [
         (", S0: 0.05", "", "'S0'"),
         ("{uniform: {low: 0.0, high: 2.0}}", "{gaussian: {mean: 4.0}}", "'cov'"),
@@ -444,9 +449,10 @@ class TestModelSpecInvariants:
             replace(m, **change(m))
 
     @pytest.mark.parametrize("change, message", [
-        (lambda m: {"Q": bumped(m.Q, None, 0, 1, 3.0)}, r"^Q at t=1: asymmetry 0\.909 exceeds 1e-06$"),
+        (lambda m: {"Q": bumped(m.Q, None, 0, 1, 3.0)},
+         r"^cost.Q at t=1: asymmetry 0\.909 exceeds 1e-06$"),
         (lambda m: {"R0": bumped(m.R0, 3, 1, 0, 1e-3)},
-         r"^R0 at t=4: asymmetry 0\.000833 exceeds 1e-06$"),
+         r"^cost.R0 at t=4: asymmetry 0\.000833 exceeds 1e-06$"),
         (lambda m: {"noise_follower": bumped(m.noise_follower, None, 0, 1, 0.5)},
          r"^noise.follower at t=1: asymmetry 0\.5 exceeds 1e-06$"),
         (lambda m: {"noise_leader": bumped(m.noise_leader, 5, 1, 0, 1.0)},
@@ -464,9 +470,37 @@ class TestModelSpecInvariants:
             replace(m, **change(m))
 
     def test_asymmetry_within_the_limit_accepted(self):
+        # Stored symmetrized, with the one warning the loader gives for this Q.
         m = vector_model()
-        Q = m.Q + np.array([[0.0, 1e-7], [0.0, 0.0]])
-        assert replace(m, Q=Q).Q is Q  # kept as given: only the loader symmetrizes
+        Q = m.Q.copy()
+        Q[:, 0, 1] += 1e-8
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stored = replace(m, Q=Q).Q
+        assert [str(w.message) for w in caught] == ["cost.Q at t=1: symmetrized (asymmetry 1e-08)"]
+        assert np.array_equal(stored, (Q + np.swapaxes(Q, 1, 2)) / 2)
+        assert np.array_equal(stored, np.swapaxes(stored, 1, 2))
+
+    def test_silent_asymmetry_is_not_read_as_infeasible(self):
+        # Kept as given, an asymmetry below the warning limit made _backward flag
+        # every t: 6 of 6 infeasible where the symmetric model has a margin of 8.
+        m = vector_model()
+        Q = m.Q.copy()
+        Q[:, 0, 1] += 5e-10
+        ric = solve_riccati(replace(m, Q=Q))
+        assert ric.feasible
+        assert ric.min_margin() == pytest.approx(solve_riccati(m).min_margin(), abs=1e-6)
+
+    def test_only_an_asymmetric_sigma_is_copied(self):
+        m = vector_model()
+        finit = InitSpec(kind="gaussian", mu=np.zeros(2), sigma=np.array([[1.0, 0.5], [0.5, 2.0]]))
+        made = replace(m, follower_init=finit)
+        assert made.follower_init is finit
+        assert all(getattr(made, name) is getattr(m, name) for name in STACK_DIMS)
+        skewed = replace(finit, sigma=finit.sigma + [[0.0, 1e-10], [0.0, 0.0]])
+        stored = replace(m, follower_init=skewed).follower_init
+        assert stored is not skewed and skewed.sigma[0, 1] == 0.5 + 1e-10
+        assert stored.sigma[0, 1] == stored.sigma[1, 0] == (skewed.sigma[0, 1] + 0.5) / 2
 
     def test_zero_horizon_rejected(self, example2):
         # Stacks of no t used to construct: solve_riccati called the model feasible,

@@ -444,6 +444,15 @@ class TestBoundary:
         assert stacked_saddle_solve(m.with_gamma(gstar * (1 + 1e-9))).feasible
         assert not stacked_saddle_solve(m.with_gamma(gstar * (1 - 1e-9))).feasible
 
+    def test_singular_stationarity_system_falls_back_to_least_squares(self):
+        # Q0 = gamma^2 with B0 = F = P = 0 zeroes the leader-disturbance row of the
+        # stage Hessian at t = 1: np.linalg.solve raises, lstsq gives finite gains.
+        m = make_model(T=2, n=1, gamma=2.0, A0=1.0, B0=0.0, S0=0.0, A=1.0, B=1.0, S=0.0,
+                       E=0.0, Q=1.0, Q0=4.0, F=0.0, P=0.0, R=1.0, R0=1.0, H=0.0)
+        sol = stacked_saddle_solve(m)
+        assert not sol.feasible
+        assert np.all(np.isfinite(sol.KU)) and np.all(np.isfinite(sol.KD))
+
 
 class TestGapStudy:
     @pytest.mark.parametrize("n_list", [[0], [10, -3], [2.7], [True]])
@@ -452,6 +461,13 @@ class TestGapStudy:
         gains = compute_gains(m, solve_riccati(m))
         with pytest.raises(ValueError, match="--n"):
             imfs_gap_study(m, gains, n_list, seed=5, runs=2)
+
+    def test_observation_time_past_the_horizon_rejected(self, example2):
+        # It ran as no sharing: the gap of imfs([99]) was bit for bit that of InfoStructure().
+        m = example2.with_gamma(EX2_GAMMA)
+        gains = compute_gains(m, solve_riccati(m))
+        with pytest.raises(ValueError, match="^observation time 99 is past the horizon 30$"):
+            imfs_gap_study(m, gains, [4], seed=5, runs=2, info=InfoStructure.imfs([99]))
 
     def test_iterator_of_sizes_equals_list(self, example2):
         # the sizes are read once, so an iterator gives the rows a list gives

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -159,6 +160,25 @@ class TestDynamics:
         d0, di = (np.stack(series) for series in zip(*seen))
         assert d0[:, 0, 0] == pytest.approx(pulse)
         assert di[:, 0, :, 0] == pytest.approx(np.repeat(to_followers[:, None], 5, axis=1))
+
+
+class TestInputsOfAnotherModel:
+    def test_gains_of_another_horizon_rejected(self, example1, example2):
+        # T = 30 gains on example 1 (T = 20) ran and gave a cost; T = 20 gains on
+        # example 2 ended in an IndexError.
+        for m, other, shape in ((example1, example2, (30, 1, 1)), (example2, example1, (20, 1, 1))):
+            message = (f"the gains' L_brev has shape {shape}, "
+                       f"the model's (T, lu, lx) is {(m.horizon, 1, 1)}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                simulate(m, gains_for(other), SimConfig(master_seed=1))
+
+    @pytest.mark.parametrize("arms", [None, (InfoStructure.mfs(), InfoStructure.imfs([3, 99]))])
+    def test_observation_time_past_the_horizon_rejected(self, example2, arms):
+        # imfs([99]) on T = 30 ran as no sharing, its costs those of InfoStructure().
+        m = example2.with_gamma(EX2_GAMMA)
+        cfg = SimConfig(master_seed=1, info=InfoStructure.imfs([99]))
+        with pytest.raises(ValueError, match="^observation time 99 is past the horizon 30$"):
+            simulate(m, gains_for(m), cfg, arms=arms)
 
 
 class TestDeterminism:

@@ -245,6 +245,23 @@ class TestGains:
         assert np.array_equal(recomposed, gains.L_bar[t - 1])
 
 
+class TestSolutionOfAnotherModel:
+    @pytest.mark.parametrize("use", [compute_gains, optimal_value])
+    @pytest.mark.parametrize("other, message", [
+        (lambda e1, e2: e2.with_gamma(5.0),
+         r"^the solution is for gamma=4\.0, the model has gamma=5\.0$"),
+        (lambda e1, e2: e1.with_gamma(EX2_GAMMA),
+         r"^the solution's M_brev has shape \(31, 1, 1\), the model's \(T\+1, lx, lx\) "
+         r"is \(21, 1, 1\)$"),
+    ], ids=["gamma", "horizon"])
+    def test_rejected(self, example1, example2, use, other, message):
+        # A gamma-4 solution of example 2 used at gamma 5 gave a K_bar off by 1.8e-3
+        # and an optimal value of 45.27 where 41.88 is right.
+        ric = solve_riccati(example2.with_gamma(EX2_GAMMA))
+        with pytest.raises(ValueError, match=message):
+            use(other(example1, example2), ric)
+
+
 class TestOptimalValue:
     def test_zero_everything_gives_zero(self):
         m = make_model(T=4, n=3, gamma=2.0, A0=1.0, B0=1.0, S0=0.0, A=1.0, B=1.0,
@@ -354,6 +371,21 @@ class TestCriticalGamma:
         gstar = critical_gamma(example2, 0.5, 20.0, tol=1e-300)
         assert gstar == pytest.approx(EX2_GAMMA_STAR, abs=5e-6)
         assert len(walks) < 15
+
+    def test_tolerance_below_the_least_float_ends_on_adjacent_floats(self, example2):
+        # The walk's bisection tree reaches a bracket one ulp wide, whose midpoint
+        # rounds onto an end; the result keeps the bits of one gamma at a time.
+        gstar = critical_gamma(example2, 1.0, 4.0, tol=5e-324)
+        assert solve_riccati(example2.with_gamma(gstar)).feasible
+        assert not solve_riccati(example2.with_gamma(np.nextafter(gstar, 0.0))).feasible
+        lo, hi = 1.0, 4.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if solve_riccati(example2.with_gamma(mid)).feasible:
+                hi = mid
+            else:
+                lo = mid
+        assert gstar == 0.5 * (lo + hi)
 
     def test_reversed_bracket_rejected(self, example2, monkeypatch):
         # A feasibility that falls with gamma makes the reversed bracket
