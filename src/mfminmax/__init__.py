@@ -3,7 +3,12 @@
 Synthesis (two backward recursions), executable policies for full /
 intermittent mean-field sharing, seeded Monte Carlo simulation, and an
 independent stacked-state verification oracle.
+
+``import mfminmax`` loads the model layer alone; the other layers load on
+first use of one of their names (PEP 562).
 """
+
+from importlib import import_module
 
 from .model import (
     AugmentedSystem,
@@ -17,22 +22,22 @@ from .model import (
     load_model_file,
     validate_convexity,
 )
-from .oracle import (imfs_gap_study, point_model, saddle_check, stacked_saddle_solve,
-                     verify_equivalence)
-from .sim import SimConfig, TrajectoryRecord, evaluate_cost, simulate
-from .strategy import estimator_step, follower_action, leader_action, worst_case_disturbance
-from .synthesis import (
-    InfeasibleError,
-    RiccatiSolution,
-    StrategyGains,
-    compute_gains,
-    critical_gamma,
-    feasible,
-    optimal_value,
-    solve_riccati,
-)
 
 __version__ = "0.1.0"
+
+# Each public name outside the model layer, by its home module.
+_LAZY = {
+    "InfeasibleError": "synthesis", "RiccatiSolution": "synthesis",
+    "StrategyGains": "synthesis", "compute_gains": "synthesis", "critical_gamma": "synthesis",
+    "feasible": "synthesis", "optimal_value": "synthesis", "solve_riccati": "synthesis",
+    "estimator_step": "strategy", "follower_action": "strategy", "leader_action": "strategy",
+    "worst_case_disturbance": "strategy",
+    "SimConfig": "sim", "TrajectoryRecord": "sim", "evaluate_cost": "sim", "simulate": "sim",
+    "imfs_gap_study": "oracle", "point_model": "oracle", "saddle_check": "oracle",
+    "stacked_saddle_solve": "oracle", "verify_equivalence": "oracle",
+}
+
+_SUBMODULES = ("synthesis", "strategy", "sim", "oracle", "cli")
 
 __all__ = [
     "AugmentedSystem", "InfoStructure", "InitSpec", "ModelError", "ModelSpec",
@@ -46,3 +51,17 @@ __all__ = [
     "verify_equivalence",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Not cached in this namespace: every lookup reaches the home module's current
+    # binding, which a tracer may replace and later restore.
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return list(__all__)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import DisturbancePolicy, InfoStructure, InitSpec, ModelSpec
-from .sim import SimConfig, evaluate_cost, simulate, stage_cost
+from .sim import SimConfig, _count, evaluate_cost, simulate, stage_cost
 from .strategy import matvec
-from .synthesis import StrategyGains, optimal_value, solve_riccati
+from .synthesis import StrategyGains, _check_gains, optimal_value, solve_riccati
 
 __all__ = [
     "StackedProblem",
@@ -91,10 +91,16 @@ class SaddleReport:
 
 def point_model(model: ModelSpec, leader, followers) -> ModelSpec:
     """``model`` with n = len(followers), deterministic starts ``leader`` and
-    ``followers`` and zero noise; gamma and the dynamics are kept."""
-    lx, n = model.state_dim, len(followers)
-    leader = np.asarray(leader, dtype=float).reshape(1, lx)
-    followers = np.asarray(followers, dtype=float).reshape(n, lx)
+    ``followers`` and zero noise; gamma and the dynamics are kept.  A leader
+    that is not lx values or followers that are not (n, lx) are a ValueError."""
+    lx = model.state_dim
+    leader, followers = np.asarray(leader, dtype=float), np.asarray(followers, dtype=float)
+    if leader.size != lx:
+        raise ValueError(f"leader must hold lx = {lx} values, got shape {leader.shape}")
+    if followers.ndim == 0 or followers.size != len(followers) * lx:
+        raise ValueError(f"followers must be (n, lx) = (n, {lx}), got shape {followers.shape}")
+    n = len(followers)
+    leader, followers = leader.reshape(1, lx), followers.reshape(n, lx)
     return replace(model, n_followers=n,
                    leader_init=InitSpec(kind="deterministic", values=leader),
                    follower_init=InitSpec(kind="deterministic", values=followers),
@@ -253,6 +259,7 @@ def verify_equivalence(model: ModelSpec, gains: StrategyGains) -> SaddleReport:
     if loose:
         raise ValueError(f"{loose[0]}: verify_equivalence needs a deterministic start and zero "
                          f"noise; build the model with oracle.point_model")
+    _check_gains(model, gains)
     decomposed_value = optimal_value(model, solve_riccati(model))
     sol = stacked_saddle_solve(model)
     report = SaddleReport()
@@ -285,10 +292,13 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     (beyond -1e-9), disturbance-side perturbations must not increase it
     (beyond +1e-9).  All deltas are recorded.  Each side's perturbed gains
     are rolled out as one batch, or in blocks of directions holding at most
-    ``BLOCK_GAIN_ENTRIES`` gain entries each.
+    ``BLOCK_GAIN_ENTRIES`` gain entries each.  ``num_directions`` must be an
+    integer >= 1 and ``seed`` one >= 0; gains of another horizon or other
+    dimensions than ``model``'s are a ValueError.
     """
-    if num_directions < 1:
-        raise ValueError(f"--directions must be >= 1, got {num_directions}")
+    num_directions = _count("num_directions (verify --directions)", num_directions, 1)
+    seed = _count("seed", seed, 0)
+    _check_gains(model, gains)
     KU0, KD0 = decomposed_joint_gains(model, gains)
     prob = build_stacked(model)
     base, _ = rollout_joint(model, prob, KU0, KD0)

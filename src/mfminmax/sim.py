@@ -41,7 +41,7 @@ import numpy as np
 from .model import DisturbancePolicy, InfoStructure, ModelSpec
 from .strategy import (estimator_step, follower_action, leader_action, matvec, rmatmul,
                        worst_case_disturbance)
-from .synthesis import StrategyGains
+from .synthesis import StrategyGains, _check_gains
 
 __all__ = [
     "SimConfig",
@@ -52,6 +52,16 @@ __all__ = [
     "evaluate_cost",
     "trajectory_csv",
 ]
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as a Python int; anything but a Python or numpy integer (a bool
+    included) >= ``least`` is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -69,12 +79,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, least in (("master_seed", 0), ("num_runs", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
         for name in ("retain_full_states", "use_worst_case_dbar"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -473,10 +478,7 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
     infos = (cfg.info,) if arms is None else tuple(arms)
     if not infos:
         raise ValueError("arms must hold at least one information structure")
-    shape = (model.horizon, model.action_dim, model.state_dim)
-    if gains.L_brev.shape != shape:
-        raise ValueError(f"the gains' L_brev has shape {gains.L_brev.shape}, "
-                         f"the model's (T, lu, lx) is {shape}")
+    _check_gains(model, gains)
     late = sorted(t for info in infos for t in info.observation_times or () if t > model.horizon)
     if late:
         raise ValueError(f"observation time {late[0]} is past the horizon {model.horizon}")

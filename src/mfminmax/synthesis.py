@@ -214,6 +214,14 @@ def _check_solution(model: ModelSpec, ric: RiccatiSolution) -> None:
                          f"the model's (T+1, lx, lx) is {shape}")
 
 
+def _check_gains(model: ModelSpec, gains: StrategyGains) -> None:
+    """Reject gains of another horizon or other dimensions than ``model``'s."""
+    shape = (model.horizon, model.action_dim, model.state_dim)
+    if gains.L_brev.shape != shape:
+        raise ValueError(f"the gains' L_brev has shape {gains.L_brev.shape}, "
+                         f"the model's (T, lu, lx) is {shape}")
+
+
 def compute_gains(model: ModelSpec, ric: RiccatiSolution) -> StrategyGains:
     """Control gains and worst-case disturbance gains from the recursions of this model;
     a solution of another gamma, horizon or state dimension is a ValueError."""

@@ -4,6 +4,11 @@ A refactor that would break the benchmark's set-up or workloads fails here first
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,58 @@ def test_setup_loads_and_validates_each_bundled_config(which):
     path = mf.cli.bundled_config_path(which)
     assert path.is_file()
     assert mf.validate_convexity(mf.load_model_file(path)).ok is True
+
+
+# perfbench/run.py SETUP_CODE's steps, then the package's modules at that point and
+# the first use of a name and a submodule of a lazily loaded layer.
+FRESH_SETUP = """
+import json, sys
+import mfminmax
+for path in sys.argv[1:]:
+    if not mfminmax.validate_convexity(mfminmax.load_model_file(path)).ok:
+        raise SystemExit("convexity check failed: " + path)
+loaded = lambda: sorted(name for name in sys.modules if name.split(".")[0] == "mfminmax")
+print(json.dumps([mfminmax.__file__, loaded()]), flush=True)
+same = mfminmax.sim.simulate is mfminmax.simulate
+print(json.dumps([same, mfminmax.cli.__name__, loaded()]))
+"""
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_setup_loads_the_model_layer_alone(which):
+    paths = [str(Path(mf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    config = str(mf.cli.bundled_config_path(which))
+    proc = subprocess.run([sys.executable, "-c", FRESH_SETUP, config], env=env,
+                          capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[0]) == [mf.__file__, ["mfminmax", "mfminmax.model"]]
+    assert proc.returncode == 0, proc.stderr
+    same, cli_name, after_use = json.loads(lines[1])
+    assert same is True and cli_name == "mfminmax.cli"
+    assert after_use == sorted(MODULES + ["mfminmax.cli"])
+
+
+def test_dir_and_star_import_hold_every_exported_name():
+    assert [name for name in mf.__all__ if name not in dir(mf)] == []
+    namespace = {}
+    exec("from mfminmax import *", namespace)
+    assert [name for name in mf.__all__ if name not in namespace] == []
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'mfminmax' has no attribute 'no_such_name'$"):
+        mf.no_such_name
+
+
+def test_a_name_reaches_its_home_modules_binding(monkeypatch):
+    # perfbench/spans.Tracer replaces a function in its home module and later restores it;
+    # the package's name must follow both, so it may hold no copy of its own.
+    original = mf.synthesis.solve_riccati
+    monkeypatch.setattr(mf.synthesis, "solve_riccati", len)
+    assert mf.solve_riccati is len
+    monkeypatch.undo()
+    assert mf.solve_riccati is original
 
 
 def test_rng_reference_is_the_keyed_philox_stream():

@@ -1,5 +1,6 @@
 """Stacked-state verification oracle and saddle perturbation checks."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -373,6 +374,29 @@ class TestSaddleCheck:
         with pytest.raises(ValueError, match="--directions"):
             saddle_check(m, gains, num_directions=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # 2.5 ended in a bare TypeError, True ran as one direction and seed -1
+        # ended in numpy's "expected non-negative integer"
+        (dict(num_directions=2.5), "num_directions (verify --directions) must be an integer, "
+                                   "got 2.5"),
+        (dict(num_directions=True), "num_directions (verify --directions) must be an integer, "
+                                    "got True"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(seed=1.0), "seed must be an integer, got 1.0"),
+        (dict(seed=False), "seed must be an integer, got False"),
+    ])
+    def test_arguments_checked(self, example2, kwargs, message):
+        m = example2_n(example2, [2.0, 6.0])
+        gains = compute_gains(m, solve_riccati(m))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            saddle_check(m, gains, **kwargs)
+
+    def test_numpy_integers_accepted(self, example2):
+        m = example2_n(example2, [2.0, 6.0])
+        gains = compute_gains(m, solve_riccati(m))
+        assert (saddle_check(m, gains, num_directions=np.int64(3), seed=np.uint8(4)).perturbations
+                == saddle_check(m, gains, num_directions=3, seed=4).perturbations)
+
 
 class TestModelContract:
     """The oracle reads n and its start point from the model alone."""
@@ -414,6 +438,35 @@ class TestModelContract:
         gains = compute_gains(m, solve_riccati(m))
         with pytest.raises(ValueError, match=f"{field} .*point_model"):
             verify_equivalence(m, gains)
+
+    @pytest.mark.parametrize("check", [verify_equivalence, saddle_check])
+    def test_gains_of_another_horizon_rejected(self, example1, example2, check):
+        # Each ended in numpy's "could not broadcast input array from shape (30,1,1)
+        # into shape (20,1,1)", or the reverse.
+        models = [point_model(example1, [1.0], [[0.0], [1.0]]),  # T = 20
+                  point_model(example2.with_gamma(EX2_GAMMA), [1.0], [[0.0], [1.0]])]  # T = 30
+        for m, other in (models, models[::-1]):
+            gains = compute_gains(other, solve_riccati(other))
+            message = (f"the gains' L_brev has shape {(other.horizon, 1, 1)}, "
+                       f"the model's (T, lu, lx) is {(m.horizon, 1, 1)}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(m, gains)
+
+    @pytest.mark.parametrize("make, leader, followers, message", [
+        # each ended in numpy's "cannot reshape array", the scalar in len()'s TypeError
+        ("example2", [1.0, 2.0], [[0.0]], "leader must hold lx = 1 values, got shape (2,)"),
+        ("example2", [1.0], [[0.0, 1.0]], "followers must be (n, lx) = (n, 1), got shape (1, 2)"),
+        ("example2", [1.0], 3.0, "followers must be (n, lx) = (n, 1), got shape ()"),
+        ("vector", [1.0], [[0.0, 1.0]], "leader must hold lx = 2 values, got shape (1,)"),
+        ("vector", [1.0, 2.0], [0.0, 1.0], "followers must be (n, lx) = (n, 2), got shape (2,)"),
+        ("vector", [1.0, 2.0], [[0.0, 1.0, 2.0]],
+         "followers must be (n, lx) = (n, 2), got shape (1, 3)"),
+    ])
+    def test_point_model_names_a_misshapen_start(self, example2, make, leader, followers,
+                                                 message):
+        m = example2 if make == "example2" else vector_model_2x2()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            point_model(m, leader, followers)
 
     @pytest.mark.parametrize("make", [mixed_dims_model, vector_model_2x2])
     def test_point_model_keeps_dynamics_and_gamma(self, make):
