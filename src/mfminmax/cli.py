@@ -19,7 +19,7 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from . import synthesis as synth_mod
-from .model import DisturbancePolicy, Experiment, InfoStructure, ModelSpec, load_model_file
+from .model import DisturbancePolicy, Experiment, InfoStructure, ModelSpec, _count, load_model_file
 from .sim import SimConfig, evaluate_cost, simulate, trajectory_csv
 from .synthesis import InfeasibleError, compute_gains, critical_gamma, riccati_csv, solve_riccati
 
@@ -62,13 +62,9 @@ def parse_schedule(text: str, horizon: int) -> InfoStructure:
 
 
 def _seed_and_runs(args, defaults: Experiment) -> tuple:
-    """--seed/--runs if given, else the ``defaults`` the loader checked."""
-    seed = defaults.seed if args.seed is None else args.seed
-    runs = defaults.runs if args.runs is None else args.runs
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
-    if runs < 1:
-        raise ValueError(f"--runs must be >= 1, got {runs}")
+    """--seed/--runs if given, else the ``defaults`` the Experiment checked."""
+    seed = defaults.seed if args.seed is None else _count("--seed", args.seed, 0)
+    runs = defaults.runs if args.runs is None else _count("--runs", args.runs, 1)
     return seed, runs
 
 
@@ -187,10 +183,9 @@ def cmd_verify(args) -> int:
     n = args.n
     if not 1 <= n <= oracle_mod.MAX_ORACLE_FOLLOWERS:
         raise ValueError(f"--n must be in 1..{oracle_mod.MAX_ORACLE_FOLLOWERS}, got {n}")
-    if args.directions < 1:
-        raise ValueError(f"--directions must be >= 1, got {args.directions}")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _count("--directions", args.directions, 1)
+    if args.seed is not None:
+        _count("--seed", args.seed, 0)
     out = Path(args.out)
     ric = solve_riccati(model)
     if not ric.feasible:
@@ -233,8 +228,7 @@ def cmd_gap_study(args) -> int:
     if args.gamma is not None:
         model = model.with_gamma(args.gamma)
     seed, runs = _seed_and_runs(args, Experiment())  # the experiment section is not read here
-    n_list = args.n_list or [10, 50, 250]
-    oracle_mod.check_population_sizes(n_list)
+    n_list = [_count("--n", n, 1) for n in args.n_list or [10, 50, 250]]  # before the solve
     info = parse_schedule(args.observe, model.horizon)
     ric = solve_riccati(model)
     if not ric.feasible:

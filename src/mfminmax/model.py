@@ -79,6 +79,23 @@ def _number(value, name: str) -> float:
         raise ModelError(f"{name} must be a number, got {value!r}") from None
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as a Python int; anything but a Python or numpy integer (a bool
+    included) >= ``least`` is a ModelError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ModelError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _flag(name: str, value) -> bool:
+    """``value`` as a Python bool; anything but a Python or numpy bool is a ModelError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ModelError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number (numpy scalars included) and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
@@ -120,7 +137,6 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
 
     Per-time input uses an explicit ``{per_t: [...]}`` mapping with exactly
     T entries; anything else is treated as a single matrix valid at all t.
-    A horizon T < 1 gives a stack of no t, which ``ModelSpec`` rejects.
     """
     if isinstance(value, dict):
         seq = _check_keys(value, {"per_t"}, name, required=("per_t",))["per_t"]
@@ -131,7 +147,7 @@ def _per_t_stack(value, T: int, rows: int, cols: int, name: str) -> np.ndarray:
         mats = [_as_matrix(v, rows, cols, f"{name}[t={t + 1}]") for t, v in enumerate(seq)]
         return np.array(mats).reshape(T, rows, cols)
     mat = _as_matrix(value, rows, cols, name)
-    return np.broadcast_to(mat, (max(T, 0), rows, cols)).copy()
+    return np.broadcast_to(mat, (T, rows, cols)).copy()
 
 
 def _symmetric(x: np.ndarray, name: str) -> np.ndarray:
@@ -189,25 +205,22 @@ CONFIG_STACKS = {"leader": {"A0": "A0", "B0": "B0", "S0": "S0"},
 
 
 def _check_stacks(model) -> None:
-    """Reject an lx or lu below 1, read from the leader's A0 and B0, then a stack that is not a
-    finite real array of shape (T, rows, cols) in their T, lx and lu, naming the first such
-    field in ``STACK_DIMS`` order, then a horizon T below 1."""
+    """Reject a state_dim lx, action_dim lu or horizon T below 1, read from the leader's A0 and
+    B0, then a stack that is not a finite real array of shape (T, rows, cols) in their T, lx
+    and lu, naming the first such field in ``STACK_DIMS`` order."""
     for name in ("A0", "B0"):
         if np.ndim(getattr(model, name)) != 3:
             raise ModelError(f"{name}: expected a (T, rows, cols) stack, "
                              f"got shape {np.shape(getattr(model, name))}")
     T, lx = np.shape(model.A0)[:2]
-    size = {"x": lx, "u": np.shape(model.B0)[2]}
-    if min(size.values()) < 1:
-        raise ModelError("state_dim and action_dim must be >= 1")
+    size = {"x": _count("state_dim", lx, 1), "u": _count("action_dim", np.shape(model.B0)[2], 1)}
+    _count("horizon", T, 1)
     for name, (rows, cols) in STACK_DIMS.items():
         stack, shape = getattr(model, name), (T, size[rows], size[cols])
         if not isinstance(stack, np.ndarray) or stack.shape != shape:
             got = f"shape {stack.shape}" if isinstance(stack, np.ndarray) else type(stack).__name__
             raise ModelError(f"{name}: expected an array of shape {shape}, got {got}")
         _check_finite(stack, name)
-    if T < 1:
-        raise ModelError("horizon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -228,7 +241,7 @@ class InitSpec:
 
     @property
     def dim(self) -> int:
-        return getattr(self, INIT_ARRAYS[self.kind][0]).shape[-1]
+        return getattr(self, next(iter(INIT_ARRAYS[self.kind]))).shape[-1]
 
     def mean(self) -> np.ndarray:
         if self.kind == "deterministic":
@@ -254,9 +267,9 @@ class InitSpec:
         return rng.uniform(self.low, self.high, size=(count, self.dim))
 
 
-# The arrays each kind of InitSpec reads; the first gives its dimension.
-INIT_ARRAYS = {"deterministic": ("values",), "gaussian": ("mu", "sigma"),
-               "uniform": ("low", "high")}
+# The arrays each kind of InitSpec reads, to their config keys; the first gives its dimension.
+INIT_ARRAYS = {"deterministic": {"values": "values"}, "gaussian": {"mu": "mean", "sigma": "cov"},
+               "uniform": {"low": "low", "high": "high"}}
 
 
 def _check_init(init, name: str, lx: int, counts: tuple) -> InitSpec:
@@ -264,16 +277,16 @@ def _check_init(init, name: str, lx: int, counts: tuple) -> InitSpec:
     and in lx components: a gaussian with a PSD covariance, symmetrized by ``_symmetric``,
     a uniform box with low <= high and a finite width, or a deterministic list whose length
     is one of ``counts``.  A gaussian whose covariance changed comes back as a copy holding
-    the symmetrized one.  The message names ``name``, in the text the loader's keys would give."""
+    the symmetrized one.  Each message names ``name`` and an array by its config key."""
     if (not isinstance(init, InitSpec) or not isinstance(init.kind, str)
             or init.kind not in INIT_ARRAYS):
         raise ModelError(f"{name} must be an InitSpec of kind deterministic, gaussian or uniform, "
                          f"got {init!r}")
-    for key in INIT_ARRAYS[init.kind]:
-        arr = getattr(init, key)
+    for key, config_key in INIT_ARRAYS[init.kind].items():
+        arr, where = getattr(init, key), f"{name}.{config_key}"
         if not isinstance(arr, np.ndarray):
-            raise ModelError(f"{name}.{key}: expected an array, got {type(arr).__name__}")
-        _check_finite(arr, f"{name}.{key}")
+            raise ModelError(f"{where}: expected an array, got {type(arr).__name__}")
+        _check_finite(arr, where)
     if init.kind == "deterministic":
         if init.values.ndim != 2:
             raise ModelError(f"{name}.values: expected shape (count, {lx}), "
@@ -318,7 +331,7 @@ def _parse_init(node, lx: int, name: str) -> InitSpec:
     if key == "value":
         key, body = "values", [body]
     if key == "values":
-        vals = np.atleast_2d(_floats(body, name))
+        vals = np.atleast_2d(_floats(body, f"{name}.values"))
         if vals.ndim != 2 or vals.size == 0:
             raise ModelError(f"{name}: expected one state or a list of states, got {body!r}")
         if lx == 1 and vals.shape[0] == 1:
@@ -335,13 +348,6 @@ def _parse_init(node, lx: int, name: str) -> InitSpec:
                     high=np.full(lx, high) if high.ndim == 0 else high)
 
 
-def _check_times(times) -> None:
-    """Reject an observation time that is not an int or numpy integer >= 1 (a bool is not)."""
-    bad = [t for t in times if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1]
-    if bad:
-        raise ValueError(f"observation time {bad[0]!r} is not a whole number >= 1")
-
-
 @dataclass(frozen=True)
 class InfoStructure:
     """What the agents see: the mean-field at all, some, or no times.
@@ -350,7 +356,7 @@ class InfoStructure:
     average is available, or None for every t; everything else runs on
     the propagated estimate.  ``mfs()``, observation at every t, is
     mean-field sharing; ``InfoStructure()``, the empty set, is no-sharing.
-    Making one checks each time as ``imfs`` does; a failure is a ValueError.
+    Making one checks each time as ``imfs`` does; a failure is a ModelError, which is a ValueError.
     """
 
     observation_times: frozenset[int] | None = frozenset()
@@ -358,9 +364,10 @@ class InfoStructure:
     def __post_init__(self):
         if self.observation_times is not None:
             if not isinstance(self.observation_times, frozenset):
-                raise ValueError(f"observation_times must be a frozenset or None, "
+                raise ModelError(f"observation_times must be a frozenset or None, "
                                  f"got {self.observation_times!r}")
-            _check_times(self.observation_times)
+            object.__setattr__(self, "observation_times", frozenset(
+                [_count("observation time", t, 1) for t in self.observation_times]))
 
     @staticmethod
     def mfs() -> "InfoStructure":
@@ -369,9 +376,8 @@ class InfoStructure:
     @staticmethod
     def imfs(times: Sequence[int]) -> "InfoStructure":
         """Observation at each of ``times``: ints (or numpy integers) >= 1, not bools."""
-        times = list(times)
-        _check_times(times)  # before the set merges 1.0 into 1
-        return InfoStructure(frozenset(int(t) for t in times))
+        # each is checked before the set merges 1.0 into 1
+        return InfoStructure(frozenset([_count("observation time", t, 1) for t in times]))
 
     def observed(self, t: int) -> bool:
         return self.observation_times is None or t in self.observation_times
@@ -402,8 +408,7 @@ class DisturbancePolicy:
             raise ModelError(f"unknown target '{self.applied_to}'")
         if not (_is_real(self.amplitude) and np.isfinite(self.amplitude)):
             raise ModelError(f"amplitude must be a finite number, got {self.amplitude!r}")
-        if not isinstance(self.use_estimate, (bool, np.bool_)):
-            raise ModelError(f"use_estimate must be a bool, got {self.use_estimate!r}")
+        object.__setattr__(self, "use_estimate", _flag("use_estimate", self.use_estimate))
 
     @staticmethod
     def sinusoid(amplitude: float, applied_to: str = "followers") -> "DisturbancePolicy":
@@ -416,12 +421,26 @@ class DisturbancePolicy:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Run defaults from the config's ``experiment`` section; command-line flags override them."""
+    """Run defaults from the config's ``experiment`` section; command-line flags override them.
+    Making one checks a seed >= 0, runs >= 1, a list of gammas, each by ``_attenuation`` (kept
+    as a tuple of floats), and a DisturbancePolicy; a ModelError names ``experiment.<key>``."""
 
     seed: int = 0
     runs: int = 1
     gamma_list: tuple = ()
     disturbance: DisturbancePolicy = DisturbancePolicy()
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _count("experiment.seed", self.seed, 0))
+        object.__setattr__(self, "runs", _count("experiment.runs", self.runs, 1))
+        if not isinstance(self.gamma_list, (list, tuple)):
+            raise ModelError(f"experiment.gamma_list must be a list of numbers, "
+                             f"got {self.gamma_list!r}")
+        object.__setattr__(self, "gamma_list", tuple(
+            _attenuation(gamma, "experiment.gamma_list entry") for gamma in self.gamma_list))
+        if not isinstance(self.disturbance, DisturbancePolicy):
+            raise ModelError(f"experiment.disturbance must be a DisturbancePolicy, "
+                             f"got {self.disturbance!r}")
 
 
 @dataclass(frozen=True)
@@ -431,8 +450,8 @@ class ModelSpec:
     All matrix fields are (T, rows, cols) stacks; index [t-1] for time t.
     The horizon T and the dimensions lx and lu are read from the leader's stacks.  Making
     one in any way checks a positive finite gamma with a finite square, an integer
-    n_followers >= 1 (stored as a Python int), lx and lu >= 1, the shape and finiteness of
-    every stack and a horizon T >= 1, then stores the symmetric part of each weight and noise
+    n_followers >= 1 (stored as a Python int), an Experiment, lx, lu and T >= 1 and the shape
+    and finiteness of every stack, then stores the symmetric part of each weight and noise
     stack by ``_symmetric``, then checks ``validate_convexity``, PSD noise covariances and
     each initial law with ``_check_init``: lx components, one leader start state and 1 or
     n_followers follower start states; the first failure is a ModelError.
@@ -467,11 +486,9 @@ class ModelSpec:
 
     def __post_init__(self):
         _attenuation(self.gamma)
-        if isinstance(self.n_followers, bool) or not isinstance(self.n_followers, (int, np.integer)):
-            raise ModelError(f"n_followers must be an integer, got {self.n_followers!r}")
-        if self.n_followers < 1:
-            raise ModelError("n_followers must be >= 1")
-        object.__setattr__(self, "n_followers", int(self.n_followers))
+        object.__setattr__(self, "n_followers", _count("n_followers", self.n_followers, 1))
+        if not isinstance(self.experiment, Experiment):
+            raise ModelError(f"experiment must be an Experiment, got {self.experiment!r}")
         _check_stacks(self)
         for section in ("cost", "noise"):
             for key, name in CONFIG_STACKS[section].items():
@@ -537,13 +554,6 @@ def _check_keys(node, allowed: set, name: str, required: tuple = ()) -> dict:
     return node
 
 
-def _integer(raw: dict, key: str, default: int | None = None, name: str | None = None) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"{name or key} must be an integer, got {value!r}")
-    return value
-
-
 def _disturbance_policy(section) -> DisturbancePolicy:
     """The policy an ``experiment.disturbance`` mapping names; a malformed key or value is an error.
 
@@ -573,21 +583,13 @@ def _disturbance_policy(section) -> DisturbancePolicy:
 
 
 def _parse_experiment(node) -> Experiment:
-    """The optional run-defaults section; a misspelled key or malformed value is an error."""
+    """The optional run-defaults section, checked by ``Experiment``; gamma strings read as numbers."""
     node = _check_keys(node, EXPERIMENT_KEYS, "experiment")
-    counts = {}
-    for key, least in (("seed", 0), ("runs", 1)):
-        if key in node:
-            counts[key] = _integer(node, key, name=f"experiment.{key}")
-            if counts[key] < least:
-                raise ModelError(f"experiment.{key} must be >= {least}, got {node[key]}")
-    gamma_list = node.get("gamma_list", [])
-    if not isinstance(gamma_list, list):
-        raise ModelError(f"experiment.gamma_list must be a list of numbers, got {gamma_list!r}")
-    gammas = tuple(_attenuation(_number(gamma, "experiment.gamma_list entry"),
-                                "experiment.gamma_list entry") for gamma in gamma_list)
-    return Experiment(**counts, gamma_list=gammas,
-                      disturbance=_disturbance_policy(node.get("disturbance")))
+    fields = {key: node[key] for key in ("seed", "runs", "gamma_list") if key in node}
+    if isinstance(fields.get("gamma_list"), list):
+        fields["gamma_list"] = [_number(gamma, "experiment.gamma_list entry")
+                                for gamma in fields["gamma_list"]]
+    return Experiment(**fields, disturbance=_disturbance_policy(node.get("disturbance")))
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -621,12 +623,10 @@ def load_model(text: str) -> ModelSpec:
     raw = _check_keys(raw, {*required, "state_dim", "action_dim", "noise", "experiment"},
                       "config", required)
 
-    T = _integer(raw, "horizon")
-    lx = _integer(raw, "state_dim", 1)
-    lu = _integer(raw, "action_dim", 1)
+    T = _count("horizon", raw["horizon"], 1)
+    lx = _count("state_dim", raw.get("state_dim", 1), 1)
+    lu = _count("action_dim", raw.get("action_dim", 1), 1)
     gamma = _number(raw["gamma"], "gamma")
-    if lx < 1 or lu < 1:
-        raise ModelError("state_dim and action_dim must be >= 1")
 
     size = {"x": lx, "u": lu}
     stacks = {}

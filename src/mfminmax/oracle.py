@@ -11,13 +11,12 @@ check reads n and its start point from the model (see ``point_model``).
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import DisturbancePolicy, InfoStructure, InitSpec, ModelSpec
-from .sim import SimConfig, _count, evaluate_cost, simulate, stage_cost
+from .model import DisturbancePolicy, InfoStructure, InitSpec, ModelSpec, _count
+from .sim import SimConfig, evaluate_cost, simulate, stage_cost
 from .strategy import matvec
 from .synthesis import StrategyGains, _check_gains, optimal_value, solve_riccati
 
@@ -329,14 +328,6 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     return report
 
 
-def check_population_sizes(n_list) -> None:
-    """Raise ValueError unless every population size is a whole number of at least 1, not a bool."""
-    bad = [n for n in n_list if isinstance(n, bool) or not isinstance(n, numbers.Real)
-           or not float(n).is_integer() or n < 1]
-    if bad:
-        raise ValueError(f"--n population sizes must be whole numbers >= 1, got {bad}")
-
-
 def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, runs: int,
                    disturbance: DisturbancePolicy = DisturbancePolicy.worst_case(),
                    info: InfoStructure = InfoStructure()) -> list[dict]:
@@ -345,14 +336,14 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
     Common random numbers: both arms are simulated in one ``simulate``
     call per n, as two arms of the same runs, so initial states and noises
     coincide run by run.  The per-follower coefficients are n-independent,
-    so the same gains drive every population size.
+    so the same gains drive every population size.  Each size must be an
+    integer >= 1, stored as a Python int in its row.
     """
-    n_list = list(n_list)
-    check_population_sizes(n_list)
+    n_list = [_count("population size (gap-study --n)", n, 1) for n in n_list]
     cfg = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance)
     arms = (InfoStructure.mfs(), info)
     rows = []
-    for n in map(int, n_list):
+    for n in n_list:
         mdl = replace(model, n_followers=n)
         j_mfs, j_imfs = (evaluate_cost(records)
                          for records in simulate(mdl, gains, cfg, arms=arms))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DisturbancePolicy, InfoStructure, ModelSpec
+from .model import DisturbancePolicy, InfoStructure, ModelError, ModelSpec, _count, _flag
 from .strategy import (estimator_step, follower_action, leader_action, matvec, rmatmul,
                        worst_case_disturbance)
 from .synthesis import StrategyGains, _check_gains
@@ -54,21 +54,12 @@ __all__ = [
 ]
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as a Python int; anything but a Python or numpy integer (a bool
-    included) >= ``least`` is a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """What ``simulate`` runs.  Making one checks every field; the first failure is a
-    ValueError naming it.  ``master_seed`` (>= 0) and ``num_runs`` (>= 1) are Python or
-    numpy integers, not bools, stored as Python ints."""
+    ModelError, which is a ValueError, naming it.  ``master_seed`` (>= 0) and ``num_runs``
+    (>= 1) are Python or numpy integers, not bools, stored as Python ints; the two switches
+    are bools, stored as Python bools."""
 
     master_seed: int
     num_runs: int = 1
@@ -81,12 +72,11 @@ class SimConfig:
         for name, least in (("master_seed", 0), ("num_runs", 1)):
             object.__setattr__(self, name, _count(name, getattr(self, name), least))
         for name in ("retain_full_states", "use_worst_case_dbar"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _flag(name, getattr(self, name)))
         for name, kind, what in (("disturbance", DisturbancePolicy, "a DisturbancePolicy"),
                                  ("info", InfoStructure, "an InfoStructure")):
             if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+                raise ModelError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -394,7 +384,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
     series = {name: np.empty((rows, T, dim)) for name, dim in (
         ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu))}
     stage_costs = np.empty((rows, T))
-    full = {"xi": np.empty((rows, T, n, lx))} if cfg.retain_full_states else {}
+    xi = np.empty((rows, T, n, lx)) if cfg.retain_full_states else None
     failed_at = np.zeros(rows, dtype=int)  # 0 while a row's states are finite
 
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
@@ -414,8 +404,8 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
                 series[name][:, t - 1] = value
             stage_costs[:, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar,
                                                scratch)
-            if full:
-                full["xi"][:, t - 1] = xf
+            if xi is not None:
+                xi[:, t - 1] = xf
 
             for k in live:
                 stream(runs[k], t).standard_normal(out=z[k])
@@ -450,12 +440,13 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
             x0, xf = x0_next, xf_next
 
     for row in np.flatnonzero(failed_at):  # a failed row reads nan from its failed_at on
-        for arr in (*series.values(), stage_costs, *full.values()):
-            arr[row, failed_at[row]:] = np.nan
+        for arr in (*series.values(), stage_costs, xi):
+            if arr is not None:
+                arr[row, failed_at[row]:] = np.nan
     records = [
         TrajectoryRecord(
             run=runs[row % R], **{name: arr[row] for name, arr in series.items()},
-            stage_costs=stage_costs[row], **{name: arr[row] for name, arr in full.items()},
+            stage_costs=stage_costs[row], xi=None if xi is None else xi[row],
             failed_at=int(failed_at[row]) or None)
         for row in range(rows)
     ]
@@ -473,11 +464,15 @@ def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
     A block then holds every arm of its runs and counts the follower states
     of all of them.  Every block reuses one set of work arrays.
     Gains of another horizon or other dimensions than ``model``'s are a
-    ValueError, and so is an observation time past its horizon.
+    ValueError, and so is an observation time past its horizon; an arm that
+    is not an InfoStructure is a ModelError naming its index.
     """
     infos = (cfg.info,) if arms is None else tuple(arms)
     if not infos:
         raise ValueError("arms must hold at least one information structure")
+    for k, info in enumerate(infos):
+        if not isinstance(info, InfoStructure):
+            raise ModelError(f"arms[{k}] must be an InfoStructure, got {info!r}")
     _check_gains(model, gains)
     late = sorted(t for info in infos for t in info.observation_times or () if t > model.horizon)
     if late:

@@ -3,6 +3,7 @@
 A refactor that would break the benchmark's set-up or workloads fails here first.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import mfminmax as mf
 import mfminmax.cli  # noqa: F401  (the package does not import its CLI)
@@ -102,3 +104,19 @@ def test_workload_calls():
     assert 2.02 < mf.critical_gamma(model, 1.0, 4.0, tol=1e-3) < 2.04
     cfg = mf.SimConfig(master_seed=7, num_runs=1, disturbance=mf.DisturbancePolicy.worst_case())
     assert len(mf.simulate(model, gains, cfg)) == 1
+
+
+def test_workflow_digest_loops_list_every_workload():
+    # The workflow's digest loops name the workloads by hand; each must list exactly
+    # perfbench/workloads.py's NAMES, read from its source without importing it.
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["NAMES"])
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tests.yml").read_text())
+    loops = [line.split(" in ", 1)[1].removesuffix("; do").split()
+             for job in workflow["jobs"].values() for step in job["steps"]
+             for line in step.get("run", "").splitlines()
+             if line.strip().startswith("for workload in ")]
+    assert len(loops) == 2
+    assert all(tuple(loop) == names for loop in loops), loops

@@ -129,7 +129,7 @@ class TestLoadModel:
         ("R: 2.0", "R: [true]", r"cost.R: expected numbers, got \[True\]"),
         ("A0: 0.9", "A0: [[false]]", r"leader.A0: expected numbers, got \[\[False\]\]"),
         ("{uniform: {low: 0.0, high: 2.0}}", "{values: [true, 1.0]}",
-         r"follower_init: expected numbers, got \[True, 1.0\]"),
+         r"follower_init.values: expected numbers, got \[True, 1.0\]"),
         ("leader_init:", "experiment: {disturbance: {kind: sinusoid, amplitude: yes}}\n"
          "leader_init:", "experiment.disturbance.amplitude must be a number, got True"),
         ("leader_init:", "experiment: {gamma_list: [yes]}\nleader_init:",
@@ -254,14 +254,14 @@ class TestLoadModel:
          "follower_init.mean: expected dimension 1"),
         ("A0: 0.9", "A0: .nan", "leader.A0: non-finite"),
         ("B: 0.5", "B: [-.inf]", "follower.B: non-finite"),
-        ("horizon: 4", "horizon: 0", "^horizon must be >= 1$"),
-        ("horizon: 4", "horizon: -1", "^horizon must be >= 1$"),
+        ("horizon: 4", "horizon: 0", "^horizon must be >= 1, got 0$"),
+        ("horizon: 4", "horizon: -1", "^horizon must be >= 1, got -1$"),
         ("n_followers: 2", "n_followers: 0", "n_followers must be >= 1"),
         ("high: 2.0", "high: -1.0", "follower_init: uniform high < low"),
         ("{uniform: {low: 0.0, high: 2.0}}", "{values: [1.0, 2.0, 3.0]}",
          "follower_init.values must list 1 or n_followers states"),
-        ("{value: 1.0}", "{value: .nan}", "leader_init: non-finite"),
-        ("{value: 1.0}", "{value: null}", "leader_init: non-finite"),
+        ("{value: 1.0}", "{value: .nan}", "leader_init.values: non-finite"),
+        ("{value: 1.0}", "{value: null}", "leader_init.values: non-finite"),
         ("{value: 1.0}", "{value: []}", "leader_init: expected one state"),
         ("{value: 1.0}", "{value: [[1.0]]}", "leader_init: expected one state"),
         ("{value: 1.0}", "{values: [1.0, 2.0]}", "leader_init must give one state"),
@@ -281,7 +281,7 @@ class TestLoadModel:
          "follower_init: expected one of value/values/gaussian/uniform"),
         ("{uniform: {low: 0.0, high: 2.0}}", "{values: [[1.0, 2.0], [3.0, 4.0]]}",
          "follower_init: values have dimension 2, expected 1"),
-        ("horizon: 4", "horizon: 4\nstate_dim: 0", "state_dim and action_dim must be >= 1"),
+        ("horizon: 4", "horizon: 4\nstate_dim: 0", "^state_dim must be >= 1, got 0$"),
     ], ids=["missing-leader-key", "gaussian-without-cov", "uniform-without-high",
             "leader-not-mapping", "misspelled-noise-key", "unknown-leader-key",
             "unknown-follower-key", "unknown-cost-key", "unknown-uniform-key",
@@ -304,9 +304,9 @@ class TestLoadModel:
             load_model(text.replace(old, new, 1))
 
     def test_zero_horizon_with_empty_per_t_rejected(self):
-        # The loader builds stacks of no t; the model rejects them.
+        # The loader rejects the horizon before it builds stacks of no t.
         text = minimal(T=0).replace("A: 0.8", "A: {per_t: []}")
-        with pytest.raises(ModelError, match="^horizon must be >= 1$"):
+        with pytest.raises(ModelError, match="^horizon must be >= 1, got 0$"):
             load_model(text)
 
     def test_gaussian_initials(self):
@@ -383,7 +383,7 @@ class TestModelSpecInvariants:
          "^follower_init.cov: not positive semi-definite$"),
         (lambda m: {"follower_init": InitSpec(kind="gaussian", mu=np.array([np.nan]),
                                               sigma=np.eye(1))},
-         "^follower_init.mu: non-finite entries$"),
+         "^follower_init.mean: non-finite entries$"),
         (lambda m: {"follower_init": InitSpec(kind="uniform", low=np.ones(1), high=np.zeros(1))},
          "^follower_init: uniform high < low$"),
         (lambda m: {"follower_init": InitSpec(kind="uniform", low=np.zeros(2), high=np.ones(2))},
@@ -505,7 +505,7 @@ class TestModelSpecInvariants:
     def test_zero_horizon_rejected(self, example2):
         # Stacks of no t used to construct: solve_riccati called the model feasible,
         # optimal_value gave 0.0 and simulate ended in a numpy AxisError.
-        with pytest.raises(ModelError, match="^horizon must be >= 1$"):
+        with pytest.raises(ModelError, match="^horizon must be >= 1, got 0$"):
             replace(example2, **{name: getattr(example2, name)[:0] for name in STACK_DIMS})
 
     @pytest.mark.parametrize("dim", ["x", "u"])
@@ -518,7 +518,8 @@ class TestModelSpecInvariants:
                   for name, (rows, cols) in STACK_DIMS.items()}
         starts = {key: InitSpec(kind="deterministic", values=np.zeros((1, size["x"])))
                   for key in ("leader_init", "follower_init")}
-        with pytest.raises(ModelError, match="^state_dim and action_dim must be >= 1$"):
+        field = {"x": "state_dim", "u": "action_dim"}[dim]
+        with pytest.raises(ModelError, match=f"^{field} must be >= 1, got 0$"):
             replace(example2, **stacks, **starts)
 
     @pytest.mark.parametrize("name", TestDerivedDimensions.STACKS)
@@ -739,13 +740,14 @@ class TestInfoStructure:
 
     @pytest.mark.parametrize("time", [True, 1.5, 0, -3, "2"])
     def test_imfs_rejects_a_time_that_is_not_a_whole_number_from_1(self, time):
-        with pytest.raises(ValueError, match=f"^observation time {time!r} is not a whole number >= 1$"):
+        rule = "must be >= 1" if type(time) is int else "must be an integer"
+        with pytest.raises(ValueError, match=f"^observation time {rule}, got {time!r}$"):
             InfoStructure.imfs([4, time])
 
     @pytest.mark.parametrize("times, message", [
-        (frozenset({1.5}), "^observation time 1.5 is not a whole number >= 1$"),
-        (frozenset({0, 3}), "^observation time 0 is not a whole number >= 1$"),
-        (frozenset({"2"}), "^observation time '2' is not a whole number >= 1$"),
+        (frozenset({1.5}), "^observation time must be an integer, got 1.5$"),
+        (frozenset({0, 3}), "^observation time must be >= 1, got 0$"),
+        (frozenset({"2"}), "^observation time must be an integer, got '2'$"),
         ([1, 2], r"^observation_times must be a frozenset or None, got \[1, 2\]$"),
     ], ids=["fraction", "zero", "string", "list"])
     def test_made_directly_checks_each_time(self, times, message):
@@ -755,7 +757,7 @@ class TestInfoStructure:
 
     def test_imfs_checks_the_times_before_merging_them(self):
         # frozenset({1, 1.0}) is {1}: the list is checked, not the set.
-        with pytest.raises(ValueError, match="^observation time 1.0 is not a whole number >= 1$"):
+        with pytest.raises(ValueError, match="^observation time must be an integer, got 1.0$"):
             InfoStructure.imfs([1, 1.0])
 
     def test_imfs_takes_numpy_integers_and_iterators(self):

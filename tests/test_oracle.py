@@ -67,7 +67,7 @@ class TestStackedAssembly:
             build_stacked(replace(example2, n_followers=MAX_ORACLE_FOLLOWERS + 1))
 
     def test_empty_population_rejected(self, example2):
-        with pytest.raises(ModelError, match="^n_followers must be >= 1$"):
+        with pytest.raises(ModelError, match="^n_followers must be >= 1, got 0$"):
             point_model(example2, [0.0], [])
 
     @pytest.mark.parametrize("which, n", [("example2", 3), ("example2", 16),
