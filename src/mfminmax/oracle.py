@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import DisturbancePolicy, InfoStructure, InitSpec, ModelSpec, _count
+from .model import DisturbancePolicy, InfoStructure, InitSpec, ModelError, ModelSpec, _count
 from .sim import SimConfig, evaluate_cost, simulate, stage_cost
 from .strategy import matvec
 from .synthesis import StrategyGains, _check_gains, optimal_value, solve_riccati
@@ -91,13 +91,13 @@ class SaddleReport:
 def point_model(model: ModelSpec, leader, followers) -> ModelSpec:
     """``model`` with n = len(followers), deterministic starts ``leader`` and
     ``followers`` and zero noise; gamma and the dynamics are kept.  A leader
-    that is not lx values or followers that are not (n, lx) are a ValueError."""
+    that is not lx values or followers that are not (n, lx) are a ModelError."""
     lx = model.state_dim
     leader, followers = np.asarray(leader, dtype=float), np.asarray(followers, dtype=float)
     if leader.size != lx:
-        raise ValueError(f"leader must hold lx = {lx} values, got shape {leader.shape}")
+        raise ModelError(f"leader must hold lx = {lx} values, got shape {leader.shape}")
     if followers.ndim == 0 or followers.size != len(followers) * lx:
-        raise ValueError(f"followers must be (n, lx) = (n, {lx}), got shape {followers.shape}")
+        raise ModelError(f"followers must be (n, lx) = (n, {lx}), got shape {followers.shape}")
     n = len(followers)
     leader, followers = leader.reshape(1, lx), followers.reshape(n, lx)
     return replace(model, n_followers=n,
@@ -293,7 +293,7 @@ def saddle_check(model: ModelSpec, gains: StrategyGains, num_directions: int = 5
     are rolled out as one batch, or in blocks of directions holding at most
     ``BLOCK_GAIN_ENTRIES`` gain entries each.  ``num_directions`` must be an
     integer >= 1 and ``seed`` one >= 0; gains of another horizon or other
-    dimensions than ``model``'s are a ValueError.
+    dimensions than ``model``'s are a ModelError.
     """
     num_directions = _count("num_directions (verify --directions)", num_directions, 1)
     seed = _count("seed", seed, 0)
@@ -333,20 +333,20 @@ def imfs_gap_study(model: ModelSpec, gains: StrategyGains, n_list, seed: int, ru
                    info: InfoStructure = InfoStructure()) -> list[dict]:
     """|J(info) - J(full sharing)| across population sizes; ``info`` defaults to no sharing.
 
-    Common random numbers: both arms are simulated in one ``simulate``
-    call per n, as two arms of the same runs, so initial states and noises
-    coincide run by run.  The per-follower coefficients are n-independent,
-    so the same gains drive every population size.  Each size must be an
-    integer >= 1, stored as a Python int in its row.
+    Common random numbers: one ``simulate`` call steps every size of
+    ``n_list`` under both arms, so initial states coincide run by run
+    between the arms of one size, and every size and arm of a run reads
+    its noise from one draw per t.  The per-follower coefficients are
+    n-independent, so the same gains drive every population size.  Each
+    size must be an integer >= 1, stored as a Python int in its row, and
+    ``n_list`` must hold one.
     """
     n_list = [_count("population size (gap-study --n)", n, 1) for n in n_list]
     cfg = SimConfig(master_seed=seed, num_runs=runs, disturbance=disturbance)
-    arms = (InfoStructure.mfs(), info)
     rows = []
-    for n in n_list:
-        mdl = replace(model, n_followers=n)
-        j_mfs, j_imfs = (evaluate_cost(records)
-                         for records in simulate(mdl, gains, cfg, arms=arms))
+    for n, arms in zip(n_list, simulate(model, gains, cfg, arms=(InfoStructure.mfs(), info),
+                                        sizes=n_list)):
+        j_mfs, j_imfs = (evaluate_cost(records) for records in arms)
         gap = abs(j_imfs.mean - j_mfs.mean)
         rows.append({"n": n, "runs": runs, "j_mfs": j_mfs.mean, "j_imfs": j_imfs.mean,
                      "gap": gap, "gap_times_n": gap * n})

@@ -5,30 +5,39 @@ array axis: leader states (R, lx), followers (R, n, lx), estimates
 (R, lx).  The engine owns the estimates m_hat: it resets them to the
 observed mean at observation times and otherwise propagates them with
 ``strategy.estimator_step``.  ``simulate`` can run the same runs under
-several information structures at once, its arms: each arm of a run is
-one row of the block, arm-major, and the arms of a run share its initial
-draw and its noise draws.  A block holds at most ``BLOCK_STATES``
-follower states, counting the rows of every arm, so ``simulate`` walks
-``max(1, BLOCK_STATES // (arms * n))`` runs at a time.  Every population
-quantity of a step is computed into work arrays that a call makes once
-and each of its blocks reuses, so a step allocates nothing the size of
-its population.
+several information structures at once, its arms, and at several
+population sizes at once, its sizes.  Each (size, arm) of a run is one
+row of the block, size-major, then arm-major.  The leader, the means,
+the estimates and the stage cost's aggregate terms are stepped once over
+every row; each size keeps its followers in arrays of its own, shaped as
+a call of that size alone shapes them.  The arms of a run at one size
+share its initial draw; every row of a run shares its noise draws.  A
+block holds at most ``BLOCK_STATES`` follower states, counting every size
+and arm, so ``simulate`` walks ``max(1, BLOCK_STATES // (arms * sum of
+sizes))`` runs at a time.  Every population quantity of a step is computed
+into work arrays that a call makes once and each of its blocks reuses, so
+a step allocates nothing the size of its population.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
 index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives.
 A ``simulate`` call derives the keys of all its (run, t) in one array
 pass of that hash, whatever the width of its seed, and re-keys one Philox
 for each substream; ``_rng``, one substream built by ``SeedSequence``
-itself, is only the reference the keys are tested against.  At each t a
-run makes one draw, leader noise in row 0 and follower i's in row i,
-which every arm of the run reads.  Every batched operation gives each row
-the bits it gets alone, so a run's results are bit-identical whichever
-other runs or arms are simulated with it.  A row whose next state is not
-finite is marked failed at that t and stays in place, masked: its later
-rows read nan, and its run stops drawing once every arm has failed.  The
-others step on.  A record keeps what the outputs read: aggregate series
-and stage costs, and per-follower states only when asked for; a step's
-disturbances and follower actions feed its dynamics and cost, unkept.
+itself, is only the reference the keys are tested against.  At t = 0 each
+size of a run re-keys and draws its own initial states, the leader's
+first, through a transform of each initial law made once a call.  At each
+t >= 1 a run makes one draw for its largest size, leader noise in row 0
+and follower i's in row i; a size of n followers reads its first n + 1
+rows, which are the draw a call of that size makes, since a sequential
+fill is a prefix of any longer one.  Every batched operation gives each
+row the bits it gets alone, so a run's results are bit-identical whichever
+other runs, arms or sizes are simulated with it.  A row whose next state
+is not finite is marked failed at that t and stays in place, masked: its
+later rows read nan, and its run stops drawing once every row of it has
+failed.  The others step on.  A record keeps what the outputs read:
+aggregate series and stage costs, and per-follower states only when asked
+for; a step's disturbances and follower actions feed its dynamics and
+cost, unkept.
 """
 
 from __future__ import annotations
@@ -38,9 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DisturbancePolicy, InfoStructure, ModelError, ModelSpec, _count, _flag
-from .strategy import (estimator_step, follower_action, leader_action, matvec, rmatmul,
-                       worst_case_disturbance)
+from .model import (DisturbancePolicy, InfoStructure, InitSpec, ModelError, ModelSpec, _check_init,
+                    _count, _flag)
+from .strategy import (estimator_step, follower_action, follower_disturbance, leader_action,
+                       matvec, rmatmul, worst_case_disturbance)
 from .synthesis import StrategyGains, _check_gains
 
 __all__ = [
@@ -198,7 +208,7 @@ def _substreams(seed: int, runs: range, T: int):
 
 
 BLOCK_STATES = 2 ** 15
-"""Most follower states one block of runs holds, counting the rows of every arm.
+"""Most follower states one block of runs holds, counting the rows of every size and arm.
 
 More runs per block spread the fixed cost of a step over more runs; the
 cap bounds the memory that buys it.  A ``simulate`` call makes one set of
@@ -285,6 +295,25 @@ def _square_mean(X: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     return np.sum(square, axis=-1, out=norm).mean(axis=-1)
 
 
+def _population_cost(model: ModelSpec, t: int, xf: np.ndarray, uf: np.ndarray, df: np.ndarray,
+                     scratch: np.ndarray | None = None):
+    """The population terms of ``stage_cost``, added first: one sum per batch of followers."""
+    return (_quad_mean(xf, model.Q[t - 1], scratch) + _quad_mean(uf, model.R[t - 1], scratch)
+            - model.gamma ** 2 * _square_mean(df, scratch))
+
+
+def _aggregate_cost(model: ModelSpec, t: int, population, x0: np.ndarray, u0: np.ndarray,
+                    d0: np.ndarray, xbar: np.ndarray, ubar: np.ndarray):
+    """``population``, the result of ``_population_cost``, plus the terms of ``stage_cost``
+    that read only the leader and the follower means, in ``stage_cost``'s order."""
+    return (
+        population + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1])
+        - model.gamma ** 2 * _dot(d0, d0)
+        + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
+        + _quad(ubar, model.H[t - 1])
+    )
+
+
 def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.ndarray,
                xf: np.ndarray, uf: np.ndarray, df: np.ndarray,
                xbar: np.ndarray, ubar: np.ndarray, scratch: np.ndarray | None = None):
@@ -295,117 +324,154 @@ def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.
     them; with a leading run axis on every argument the result is one cost
     per run.  Disturbances enter with weight -gamma^2.  Each population term
     is formed in ``scratch`` when given, a flat float array of at least
-    ``_scratch_width(lx, lu)`` entries per follower of the batch.
+    ``_scratch_width(lx, lu)`` entries per follower of the batch.  The sum is
+    ``_aggregate_cost`` of ``_population_cost``, which the engine calls apart.
     """
-    g2 = model.gamma ** 2
-    return (
-        _quad_mean(xf, model.Q[t - 1], scratch) + _quad_mean(uf, model.R[t - 1], scratch)
-        - g2 * _square_mean(df, scratch)
-        + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1]) - g2 * _dot(d0, d0)
-        + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
-        + _quad(ubar, model.H[t - 1])
-    )
+    return _aggregate_cost(model, t, _population_cost(model, t, xf, uf, df, scratch),
+                           x0, u0, d0, xbar, ubar)
 
 
-def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains,
-                  x0: np.ndarray, xbar: np.ndarray, xf: np.ndarray, m_hat: np.ndarray,
-                  out: np.ndarray):
-    """Realized (d0, per-follower df) at time t, shaped like (x0, xf); df is written into ``out``."""
+def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains, x0: np.ndarray,
+                  xbar: np.ndarray, m_hat: np.ndarray, populations: list):
+    """Realized d0, shaped like x0, and each population's df at time t.
+
+    ``populations`` holds (rows, xf, out) triples: the rows of x0 a
+    follower batch ``xf`` belongs to, and the array its df is written into.
+    """
     if policy.kind == "zero":
-        out.fill(0.0)
-        return np.zeros(x0.shape), out
+        for _, _, out in populations:
+            out.fill(0.0)
+        return np.zeros(x0.shape), [out for _, _, out in populations]
     if policy.kind == "sinusoid":
         pulse = policy.amplitude * math.sin(t)
         d0 = (np.full(x0.shape, pulse) if policy.applied_to in ("leader", "both")
               else np.zeros(x0.shape))
-        out.fill(pulse if policy.applied_to in ("followers", "both") else 0.0)
-        return d0, out
-    return worst_case_disturbance(gains, t, x0, m_hat if policy.use_estimate else xbar, xf,
-                                  out=out)
+        for _, _, out in populations:
+            out.fill(pulse if policy.applied_to in ("followers", "both") else 0.0)
+        return d0, [out for _, _, out in populations]
+    mean = m_hat if policy.use_estimate else xbar
+    d0, dbar = worst_case_disturbance(gains, t, x0, mean)
+    return d0, [follower_disturbance(gains, t, xf, mean[rows], dbar[rows], out=out)
+                for rows, xf, out in populations]
 
 
-def _work_arrays(model: ModelSpec, arms: int, runs: int) -> dict:
+def _initial_draw(init: InitSpec):
+    """A function (rng, count) -> the bits of ``init.sample(rng, count)``, its transform made once.
+
+    A uniform box scales ``rng.random`` by its width, and a gaussian colours
+    ``rng.standard_normal`` by ``_colouring`` of its covariance, as numpy's
+    ``uniform`` and ``multivariate_normal`` do on every call.
+    """
+    if init.kind == "uniform":
+        low, width = init.low, init.high - init.low
+        return lambda rng, count: low + width * rng.random((count, low.size))
+    if init.kind == "gaussian":
+        mu, factor = init.mu, _colouring(init.sigma)
+        return lambda rng, count: rng.standard_normal((count, mu.size)) @ factor + mu
+    return init.sample
+
+
+def _work_arrays(sizes: tuple, lx: int, lu: int, arms: int, runs: int) -> dict:
     """The population arrays of a block of ``runs`` runs under ``arms`` arms, made once per call.
 
-    Every block of the call takes the leading rows of each: two follower
-    state arrays (now and next, swapped each step), actions, disturbances,
-    the noise draw of each run (leader in row 0), a flat scratch array and
-    a finite mask.  Every population quantity of a step is computed into
-    them.  They pay for themselves: at n = 10^4 (example 1, 50 runs, worst
-    case) a ``simulate`` call that allocated each step's arrays instead took
-    8,925 minor page faults rather than 321, and its fastest run was 5-10%
-    slower.
+    Every block of the call takes the leading rows of each.  Each population
+    size has its own: follower states now and next (two arrays that swap
+    each step), actions, disturbances and a finite mask, shaped as a call of
+    that size alone shapes them.  The sizes share the noise draw of each run
+    (leader in row 0, room for the largest population) and a flat scratch
+    array.  Every population quantity of a step is computed into them.  They
+    pay for themselves: at n = 10^4 (example 1, 50 runs, worst case) a
+    ``simulate`` call that allocated each step's arrays instead took 8,925
+    minor page faults rather than 321, and its fastest run was 5-10% slower.
     """
-    n, lx, lu = model.n_followers, model.state_dim, model.action_dim
-    rows = arms * runs
+    rows, top = arms * runs, max(sizes)
     return {
-        "states": (np.empty((rows, n, lx)), np.empty((rows, n, lx))),
-        "uf": np.empty((rows, n, lu)),
-        "df": np.empty((rows, n, lx)),
-        "z": np.empty((runs, n + 1, lx)),
-        "scratch": np.empty(rows * n * _scratch_width(lx, lu)),
-        "finite": np.empty((rows, n, lx), dtype=bool),
+        "sizes": [{"states": np.empty((2, rows, n, lx)),
+                   "uf": np.empty((rows, n, lu)),
+                   "df": np.empty((rows, n, lx)),
+                   "finite": np.empty((rows, n, lx), dtype=bool)} for n in sizes],
+        "z": np.empty((runs, top + 1, lx)),
+        "scratch": np.empty(rows * top * _scratch_width(lx, lu)),
     }
 
 
-def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, infos: tuple,
-                    runs: range, stream, colour: tuple, work: dict) -> list[list[TrajectoryRecord]]:
-    """The runs ``runs`` under each information structure of ``infos``, stepped together.
+def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, sizes: tuple,
+                    infos: tuple, runs: range, stream, draws: tuple, colour: tuple,
+                    work: dict) -> list:
+    """The runs ``runs`` at each population size of ``sizes`` under each information
+    structure of ``infos``, stepped together.
 
-    Rows are arm-major: row ``a * R + k`` is run ``runs[k]`` under ``infos[a]``
-    for the whole horizon.  The (T, rows) bool mask ``seen`` holds at
-    ``[t - 1, row]`` whether the row's arm observes the mean at t: each
-    step first resets the estimates of the rows that observe to the mean,
-    and the others carry the estimate that ``estimator_step`` propagated at
-    the end of the last step.  A run's arms start from one initial draw and
-    share one noise draw per t; ``stream`` gives the substreams, ``colour``
-    holds the (leader, follower) factor stacks and ``work`` the arrays of
-    ``_work_arrays``, with room for the block's rows.  A failed row steps
-    on, and its entries from its ``failed_at`` on are set to nan at the
-    end.  Returns one record list per arm.
+    Rows are size-major, then arm-major: row ``(s * A + a) * R + k`` is run
+    ``runs[k]`` at ``sizes[s]`` under ``infos[a]`` for the whole horizon.
+    Aggregate quantities (leader, means, estimates, costs) hold every row;
+    each size keeps its followers in its own arrays.  The (T, rows) bool
+    mask ``seen`` holds at ``[t - 1, row]`` whether the row's arm observes
+    the mean at t: each step first resets the estimates of the rows that
+    observe to the mean, and the others carry the estimate that
+    ``estimator_step`` propagated at the end of the last step.  The arms of
+    a run at one size start from one initial draw, made by ``draws`` (the
+    leader and follower draw functions); every row of a run reads one noise
+    draw per t, each size its first n + 1 rows.  ``stream`` gives the
+    substreams, ``colour`` holds the (leader, follower) factor stacks and
+    ``work`` the arrays of ``_work_arrays``, with room for the block's rows.
+    A failed row steps on, and its entries from its ``failed_at`` on are set
+    to nan at the end.  Returns one record list per arm for each size.
     """
-    T, n, lx, lu = model.horizon, model.n_followers, model.state_dim, model.action_dim
+    T, lx, lu = model.horizon, model.state_dim, model.action_dim
     A, R = len(infos), len(runs)
-    rows = A * R
-    states, scratch = work["states"], work["scratch"]
+    width = A * R  # the rows of one size
+    rows = len(sizes) * width
+    parts = [slice(s * width, (s + 1) * width) for s in range(len(sizes))]
+    pops = [{name: arr[:, :width] if name == "states" else arr[:width]
+             for name, arr in pop.items()} for pop in work["sizes"]]
+    scratch = work["scratch"]
 
-    x0, xf = np.empty((R, lx)), states[0][:rows]
+    x0 = np.empty((rows, lx))
     for k, run in enumerate(runs):
-        init_rng = stream(run, 0)
-        x0[k] = model.leader_init.sample(init_rng, 1)[0]
-        xf[k] = model.follower_init.sample(init_rng, n)
-    x0 = np.tile(x0, (A, 1))
-    xf.reshape(A, R, n, lx)[1:] = xf[:R]  # each further arm starts from the same draw
-    seen = np.repeat([[info.observed(t) for info in infos]
-                      for t in range(1, T + 1)], R, axis=1)  # (T, rows), arm-major
-    live = range(R)  # the runs still stepping in some arm: one draw each per t
+        for part, n, pop in zip(parts, sizes, pops):
+            init_rng = stream(run, 0)
+            x0[part.start + k] = draws[0](init_rng, 1)[0]
+            pop["states"][0, k] = draws[1](init_rng, n)
+    for part, n, pop in zip(parts, sizes, pops):  # each further arm starts from the same draw
+        x0[part].reshape(A, R, lx)[1:] = x0[part][:R]
+        pop["states"][0].reshape(A, R, n, lx)[1:] = pop["states"][0, :R]
+    seen = np.tile(np.repeat([[info.observed(t) for info in infos] for t in range(1, T + 1)],
+                             R, axis=1), len(sizes))  # (T, rows), size- then arm-major
+    live = range(R)  # the runs still stepping at some size and arm: one draw each per t
     z = work["z"][:R]  # row 0 leader noise, rows 1.. follower noise
 
     series = {name: np.empty((rows, T, dim)) for name, dim in (
         ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu))}
     stage_costs = np.empty((rows, T))
-    xi = np.empty((rows, T, n, lx)) if cfg.retain_full_states else None
+    xis = [np.empty((width, T, n, lx)) if cfg.retain_full_states else None for n in sizes]
     failed_at = np.zeros(rows, dtype=int)  # 0 while a row's states are finite
 
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
         m_hat = np.broadcast_to(model.follower_init.mean(), (rows, lx))
         for t in range(1, T + 1):
-            xbar = xf.mean(axis=1)
+            # the state arrays alternate: step t reads one and writes the next state to the other
+            xfs = [pop["states"][(t - 1) % 2] for pop in pops]
+            xbar, ubar, population = np.empty((rows, lx)), np.empty((rows, lu)), np.empty(rows)
+            for part, xf in zip(parts, xfs):
+                xf.mean(axis=1, out=xbar[part])
             # a row that observes the mean at t resets its estimate to it
             m_hat = xbar if seen[t - 1].all() else np.where(seen[t - 1, :, None], xbar, m_hat)
             u0 = leader_action(gains, t, x0, m_hat)
-            uf = follower_action(gains, t, xf, x0, m_hat, out=work["uf"][:rows])
-            ubar = uf.mean(axis=1)
-            d0, df = _disturbances(cfg.disturbance, t, gains, x0, xbar, xf, m_hat,
-                                   work["df"][:rows])
+            ufs = [follower_action(gains, t, xf, x0[part], m_hat[part], out=pop["uf"])
+                   for part, xf, pop in zip(parts, xfs, pops)]
+            d0, dfs = _disturbances(cfg.disturbance, t, gains, x0, xbar, m_hat,
+                                    [(part, xf, pop["df"])
+                                     for part, xf, pop in zip(parts, xfs, pops)])
+            for part, xf, uf, df, xi in zip(parts, xfs, ufs, dfs, xis):
+                uf.mean(axis=1, out=ubar[part])
+                population[part] = _population_cost(model, t, xf, uf, df, scratch)
+                if xi is not None:
+                    xi[:, t - 1] = xf
 
             for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
                                 ("ubar", ubar)):
                 series[name][:, t - 1] = value
-            stage_costs[:, t - 1] = stage_cost(model, t, x0, u0, d0, xf, uf, df, xbar, ubar,
-                                               scratch)
-            if xi is not None:
-                xi[:, t - 1] = xf
+            stage_costs[:, t - 1] = _aggregate_cost(model, t, population, x0, u0, d0, xbar, ubar)
 
             for k in live:
                 stream(runs[k], t).standard_normal(out=z[k])
@@ -413,82 +479,104 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, info
             w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
 
             x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)
-                       + matvec(model.S0[t - 1], xbar) + d0 + np.tile(w0, (A, 1)))
-            # the state arrays alternate: the next state goes where the last one was
-            xf_next = rmatmul(xf, model.A[t - 1], out=states[t % 2][:rows])
-            np.add(xf_next, rmatmul(uf, model.B[t - 1], out=_carve(scratch, xf.shape)[0]),
-                   out=xf_next)
-            np.add(xf_next, matvec(model.S[t - 1], xbar)[:, None, :], out=xf_next)
-            np.add(xf_next, matvec(model.E[t - 1], x0)[:, None, :], out=xf_next)
-            np.add(xf_next, df, out=xf_next)
-            wf = rmatmul(z[:, 1:], ff.T, out=_carve(scratch, (R, n, lx))[0])
-            if ff.shape != (1, 1):  # a 1x1 rmatmul has added its 0.0 already
-                np.add(wf, np.zeros(lx), out=wf)
-            by_arm = xf_next.reshape(A, R, n, lx)  # each arm of a run takes the run's noise
-            np.add(by_arm, wf, out=by_arm)
+                       + matvec(model.S0[t - 1], xbar) + d0
+                       + np.tile(w0, (len(sizes) * A, 1)))
+            mean_drive, leader_drive = matvec(model.S[t - 1], xbar), matvec(model.E[t - 1], x0)
+            ok = np.isfinite(x0_next).all(axis=1)
+            for part, n, xf, uf, df, pop in zip(parts, sizes, xfs, ufs, dfs, pops):
+                xf_next = rmatmul(xf, model.A[t - 1], out=pop["states"][t % 2])
+                np.add(xf_next, rmatmul(uf, model.B[t - 1], out=_carve(scratch, xf.shape)[0]),
+                       out=xf_next)
+                np.add(xf_next, mean_drive[part, None, :], out=xf_next)
+                np.add(xf_next, leader_drive[part, None, :], out=xf_next)
+                np.add(xf_next, df, out=xf_next)
+                wf = rmatmul(z[:, 1:n + 1], ff.T, out=_carve(scratch, (R, n, lx))[0])
+                if ff.shape != (1, 1):  # a 1x1 rmatmul has added its 0.0 already
+                    np.add(wf, np.zeros(lx), out=wf)
+                by_arm = xf_next.reshape(A, R, n, lx)  # each arm of a run takes the run's noise
+                np.add(by_arm, wf, out=by_arm)
+                ok[part] &= np.isfinite(xf_next, out=pop["finite"]).all(axis=(1, 2))
 
-            ok = (np.isfinite(x0_next).all(axis=1)
-                  & np.isfinite(xf_next, out=work["finite"][:rows]).all(axis=(1, 2)))
             if not ok.all():
                 failed_at[~ok & (failed_at == 0)] = t
-                live = np.flatnonzero((failed_at == 0).reshape(A, R).any(axis=0))
+                live = np.flatnonzero((failed_at == 0).reshape(-1, R).any(axis=0))
                 if live.size == 0:
                     break
 
             if t < T and not seen[t].all():
                 m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
-            x0, xf = x0_next, xf_next
+            x0 = x0_next
 
     for row in np.flatnonzero(failed_at):  # a failed row reads nan from its failed_at on
-        for arr in (*series.values(), stage_costs, xi):
-            if arr is not None:
-                arr[row, failed_at[row]:] = np.nan
+        size, local = divmod(row, width)
+        for arr in (*series.values(), stage_costs):
+            arr[row, failed_at[row]:] = np.nan
+        if xis[size] is not None:
+            xis[size][local, failed_at[row]:] = np.nan
     records = [
         TrajectoryRecord(
             run=runs[row % R], **{name: arr[row] for name, arr in series.items()},
-            stage_costs=stage_costs[row], xi=None if xi is None else xi[row],
+            stage_costs=stage_costs[row],
+            xi=None if xis[row // width] is None else xis[row // width][row % width],
             failed_at=int(failed_at[row]) or None)
         for row in range(rows)
     ]
-    return [records[first:first + R] for first in range(0, rows, R)]
+    return [[records[first:first + R] for first in range(part.start, part.stop, R)]
+            for part in parts]
 
 
 def simulate(model: ModelSpec, gains: StrategyGains, cfg: SimConfig,
-             arms: tuple | None = None) -> list:
+             arms: tuple | None = None, sizes=None) -> list:
     """All runs, in run-index order, in blocks of at most BLOCK_STATES follower states.
 
     With ``arms``, a sequence of information structures that replaces
     ``cfg.info``, every run is simulated under each of them from the same
     draws, and the result is one record list per arm, each bit for bit
-    what ``simulate`` gives with that arm as ``cfg.info``.
-    A block then holds every arm of its runs and counts the follower states
-    of all of them.  Every block reuses one set of work arrays.
-    Gains of another horizon or other dimensions than ``model``'s are a
-    ValueError, and so is an observation time past its horizon; an arm that
-    is not an InfoStructure is a ModelError naming its index.
+    what ``simulate`` gives with that arm as ``cfg.info``.  With ``sizes``,
+    a sequence of population sizes that replaces ``model.n_followers``, the
+    result is one entry per size, each bit for bit what ``simulate`` gives
+    on ``replace(model, n_followers=n)``; the sizes of a run share its noise
+    draw at each t.  A block holds every size and arm of its runs and counts
+    the follower states of all of them.  Every block reuses one set of work
+    arrays.  Gains of another horizon or other dimensions than ``model``'s
+    are a ModelError, and so are an observation time past its horizon, an
+    empty ``arms`` or ``sizes``, an arm that is not an InfoStructure (named
+    by its index) and a size that is not an integer >= 1 or that the
+    model's deterministic follower list does not fit.
     """
     infos = (cfg.info,) if arms is None else tuple(arms)
     if not infos:
-        raise ValueError("arms must hold at least one information structure")
+        raise ModelError("arms must hold at least one information structure")
     for k, info in enumerate(infos):
         if not isinstance(info, InfoStructure):
             raise ModelError(f"arms[{k}] must be an InfoStructure, got {info!r}")
+    counts = ((model.n_followers,) if sizes is None
+              else tuple(_count(f"sizes[{k}]", n, 1) for k, n in enumerate(sizes)))
+    if not counts:
+        raise ModelError("sizes must hold at least one population size")
+    lx = model.state_dim
+    if model.follower_init.kind == "deterministic":
+        for n in counts:
+            _check_init(model.follower_init, "follower_init", lx, (1, n))
     _check_gains(model, gains)
     late = sorted(t for info in infos for t in info.observation_times or () if t > model.horizon)
     if late:
-        raise ValueError(f"observation time {late[0]} is past the horizon {model.horizon}")
+        raise ModelError(f"observation time {late[0]} is past the horizon {model.horizon}")
     runs = range(cfg.num_runs)
     stream = _substreams(cfg.master_seed, runs, model.horizon)
+    draws = _initial_draw(model.leader_init), _initial_draw(model.follower_init)
     colour = _colouring(model.noise_leader), _colouring(model.noise_follower)
-    per_block = min(cfg.num_runs, max(1, BLOCK_STATES // (len(infos) * model.n_followers)))
-    work = _work_arrays(model, len(infos), per_block)
-    records = [[] for _ in infos]
+    per_block = min(cfg.num_runs, max(1, BLOCK_STATES // (len(infos) * sum(counts))))
+    work = _work_arrays(counts, lx, model.action_dim, len(infos), per_block)
+    records = [[[] for _ in infos] for _ in counts]
     for first in range(0, cfg.num_runs, per_block):
-        block = _simulate_block(model, gains, cfg, infos, runs[first:first + per_block], stream,
-                                colour, work)
-        for arm, part in zip(records, block):
-            arm += part
-    return records[0] if arms is None else records
+        block = _simulate_block(model, gains, cfg, counts, infos, runs[first:first + per_block],
+                                stream, draws, colour, work)
+        for size, size_part in zip(records, block):
+            for arm, part in zip(size, size_part):
+                arm += part
+    by_size = [size[0] if arms is None else size for size in records]
+    return by_size[0] if sizes is None else by_size
 
 
 def evaluate_cost(records: list[TrajectoryRecord]) -> CostSummary:

@@ -89,9 +89,16 @@ def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: n
     d0, dbar = aug[..., :lx], aug[..., lx:]
     if xi is None:
         return d0, dbar
+    return d0, follower_disturbance(gains, t, xi, mean, dbar, out=out)
+
+
+def follower_disturbance(gains: StrategyGains, t: int, xi: np.ndarray, mean: np.ndarray,
+                         dbar: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d^i = K_brev (x^i - mean) + dbar for each follower x^i of the population ``xi``,
+    with ``dbar`` the mean disturbance ``worst_case_disturbance`` gives at ``mean``."""
     dev = np.subtract(xi, mean[..., None, :], out=out)
     out = rmatmul(dev, gains.K_brev[t - 1], out=out)
-    return d0, np.add(out, dbar[..., None, :], out=out)
+    return np.add(out, dbar[..., None, :], out=out)
 
 
 def estimator_step(model: ModelSpec, gains: StrategyGains, t: int, x0: np.ndarray,

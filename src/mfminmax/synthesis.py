@@ -206,11 +206,11 @@ def feasible(model: ModelSpec, gammas) -> np.ndarray:
 def _check_solution(model: ModelSpec, ric: RiccatiSolution) -> None:
     """Reject a solution of another gamma, horizon or state dimension than ``model``'s."""
     if ric.gamma != model.gamma:
-        raise ValueError(f"the solution is for gamma={ric.gamma!r}, the model has "
+        raise ModelError(f"the solution is for gamma={ric.gamma!r}, the model has "
                          f"gamma={model.gamma!r}")
     shape = (model.horizon + 1, model.state_dim, model.state_dim)
     if ric.M_brev.shape != shape:
-        raise ValueError(f"the solution's M_brev has shape {ric.M_brev.shape}, "
+        raise ModelError(f"the solution's M_brev has shape {ric.M_brev.shape}, "
                          f"the model's (T+1, lx, lx) is {shape}")
 
 
@@ -218,13 +218,13 @@ def _check_gains(model: ModelSpec, gains: StrategyGains) -> None:
     """Reject gains of another horizon or other dimensions than ``model``'s."""
     shape = (model.horizon, model.action_dim, model.state_dim)
     if gains.L_brev.shape != shape:
-        raise ValueError(f"the gains' L_brev has shape {gains.L_brev.shape}, "
+        raise ModelError(f"the gains' L_brev has shape {gains.L_brev.shape}, "
                          f"the model's (T, lu, lx) is {shape}")
 
 
 def compute_gains(model: ModelSpec, ric: RiccatiSolution) -> StrategyGains:
     """Control gains and worst-case disturbance gains from the recursions of this model;
-    a solution of another gamma, horizon or state dimension is a ValueError."""
+    a solution of another gamma, horizon or state dimension is a ModelError."""
     _check_solution(model, ric)
     if not ric.feasible:
         raise InfeasibleError(
@@ -249,7 +249,7 @@ def optimal_value(model: ModelSpec, ric: RiccatiSolution) -> float:
     initials the deviation from the sample mean has zero mean and
     covariance (1 - 1/n) Cov(x^i_1), while a deterministic population
     list contributes its empirical deviation second moment.  A solution of
-    another gamma, horizon or state dimension than ``model``'s is a ValueError.
+    another gamma, horizon or state dimension than ``model``'s is a ModelError.
     """
     _check_solution(model, ric)
     if not ric.feasible:

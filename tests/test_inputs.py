@@ -4,7 +4,9 @@ An integer field takes a Python or numpy integer, not a bool, of at least its le
 value, and stores it as a Python int; a bool field takes a Python or numpy bool and
 stores a Python bool; a gamma takes a positive finite real and stores a float; a field
 of any other type takes none of the values.  Every value a field does not take is a
-ModelError whose text starts with the field's name.
+ModelError whose text starts with the field's name.  The other malformed inputs the
+package checks (an empty sequence of arms or sizes, gains or a solution of another
+model, a start point of the wrong shape) are ModelErrors too.
 """
 
 from dataclasses import replace
@@ -17,9 +19,9 @@ from mfminmax.cli import EXIT_FAIL, bundled_config_path, main
 from mfminmax.model import DisturbancePolicy, Experiment, InfoStructure, ModelError
 from mfminmax.oracle import imfs_gap_study, point_model, saddle_check
 from mfminmax.sim import SimConfig, simulate
-from mfminmax.synthesis import compute_gains, solve_riccati
+from mfminmax.synthesis import compute_gains, optimal_value, solve_riccati
 
-from conftest import EX2_GAMMA
+from conftest import EX2_GAMMA, zero_weight_model
 
 VALUES = [None, True, "3", 2.5, 2.0, np.int8(3), -1, 0]
 VALUE_IDS = ["None", "True", "str", "2.5", "2.0", "int8", "-1", "0"]
@@ -81,6 +83,9 @@ FIELDS = [
      lambda s, v: imfs_gap_study(s.model, s.gains, [2], 0, 1, info=v)),
     ("simulate.arms", ("type", None), "arms[0]",
      lambda s, v: simulate(s.model, s.gains, SimConfig(0), arms=[v])),
+    ("simulate.sizes", ("count", 1), "sizes[0]",
+     lambda s, v: simulate(s.model, s.gains, SimConfig(0, retain_full_states=True),
+                           sizes=[v])[0][0].xi.shape[1]),
 ]
 
 
@@ -88,8 +93,10 @@ FIELDS = [
 def setting(example2):
     model = example2.with_gamma(EX2_GAMMA)
     point = point_model(model, [10.0], [[2.0], [6.0]])
+    short = zero_weight_model()  # T = 5 against example 2's 30
     return SimpleNamespace(model=model, gains=compute_gains(model, solve_riccati(model)),
-                           point=point, point_gains=compute_gains(point, solve_riccati(point)))
+                           point=point, point_gains=compute_gains(point, solve_riccati(point)),
+                           short_gains=compute_gains(short, solve_riccati(short)))
 
 
 @pytest.mark.parametrize("value", VALUES, ids=VALUE_IDS)
@@ -104,6 +111,39 @@ def test_each_value_is_stored_or_rejected_naming_the_field(setting, field, rule,
     else:
         got = reach(setting, value)
         assert got is TAKEN or (got == want and type(got) is type(want))
+
+
+# (a malformed input that is not an integer or bool field, the start of its text, the call)
+MALFORMED = [
+    ("simulate-no-arms", "arms must hold at least one information structure",
+     lambda s: simulate(s.model, s.gains, SimConfig(0), arms=())),
+    ("simulate-late-observation", "observation time 99 is past the horizon 30",
+     lambda s: simulate(s.model, s.gains, SimConfig(0, info=InfoStructure.imfs([99])))),
+    ("simulate-no-sizes", "sizes must hold at least one population size",
+     lambda s: simulate(s.model, s.gains, SimConfig(0), sizes=[])),
+    ("simulate-size-off-the-list", "follower_init.values must list 1 or n_followers states",
+     lambda s: simulate(s.point, s.point_gains, SimConfig(0), sizes=[2, 3])),
+    ("simulate-gains-of-another-horizon", "the gains' L_brev has shape (5, 1, 1)",
+     lambda s: simulate(s.model, s.short_gains, SimConfig(0))),
+    ("compute_gains-solution-of-another-gamma", "the solution is for gamma=",
+     lambda s: compute_gains(s.model, solve_riccati(s.model.with_gamma(5.0)))),
+    ("optimal_value-solution-of-another-horizon", "the solution's M_brev has shape (6, 1, 1)",
+     lambda s: optimal_value(s.model, solve_riccati(replace(zero_weight_model(),
+                                                            gamma=s.model.gamma)))),
+    ("point_model-leader", "leader must hold lx = 1 values",
+     lambda s: point_model(s.model, [1.0, 2.0], [[1.0]])),
+    ("point_model-followers", "followers must be (n, lx) = (n, 1)",
+     lambda s: point_model(s.model, [1.0], [[1.0, 2.0]])),
+]
+
+
+@pytest.mark.parametrize("text, call", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_is_a_model_error(setting, text, call):
+    with pytest.raises(ModelError) as caught:
+        call(setting)
+    assert type(caught.value) is ModelError
+    assert str(caught.value).startswith(text), str(caught.value)
 
 
 @pytest.mark.parametrize("argv, flag", [

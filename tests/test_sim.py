@@ -90,20 +90,22 @@ def retained_cost(model, gains, policy, rec):
     for t in range(1, model.horizon + 1):
         x0, xi, xbar, m_hat = rec.x0[t - 1], rec.xi[t - 1], rec.xbar[t - 1], rec.mhat[t - 1]
         ui = follower_action(gains, t, xi, x0, m_hat)
-        d0, di = sim._disturbances(policy, t, gains, x0, xbar, xi, m_hat, np.empty(xi.shape))
+        d0, (di,) = sim._disturbances(policy, t, gains, x0, xbar, m_hat,
+                                      [(slice(None), xi, np.empty(xi.shape))])
         total += stage_cost(model, t, x0, rec.u0[t - 1], d0, xi, ui, di, xi.mean(axis=0),
                             ui.mean(axis=0))
     return total
 
 
 def engine_disturbances(monkeypatch):
-    """The (d0, df) the engine gets from ``sim._disturbances`` at each step, copied."""
+    """The (d0, df) the engine gets from ``sim._disturbances`` at each step of a one-size
+    call, copied."""
     seen, disturbances = [], sim._disturbances
 
     def spy(*args):
-        d0, df = disturbances(*args)
+        d0, (df,) = disturbances(*args)
         seen.append((d0.copy(), df.copy()))
-        return d0, df
+        return d0, [df]
 
     monkeypatch.setattr(sim, "_disturbances", spy)
     return seen
@@ -281,11 +283,12 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="arms"):
             simulate(m, gains_for(m), SimConfig(master_seed=0), arms=())
 
-    @pytest.mark.parametrize("case", ["split", "diverging"])
+    @pytest.mark.parametrize("case", ["split", "diverging", "sizes"])
     def test_arms_take_one_draw_per_run_and_t(self, example2, monkeypatch, case):
         # Keys are derived once per call and every (run, t) draws its noise
-        # once, whatever the number of arms and blocks.
-        if case == "split":  # two arms of ten followers in blocks of 40 states: 2 runs each
+        # once, whatever the number of arms, sizes and blocks.
+        sizes = (10, 3, 10) if case == "sizes" else None
+        if case in ("split", "sizes"):  # blocks of 40 states: 2 runs of 2 x 10, 1 run of 2 x 23
             monkeypatch.setattr(sim, "BLOCK_STATES", 40)
             m = replace(example2.with_gamma(EX2_GAMMA), n_followers=10)
             cfg = SimConfig(master_seed=4, num_runs=5, info=InfoStructure.imfs([3]))
@@ -314,9 +317,10 @@ class TestDeterminism:
         monkeypatch.setattr(sim, "_substream_keys",
                             lambda *args: key_calls.append(args) or substream_keys(*args))
         with np.errstate(over="ignore", invalid="ignore"):
-            arms = simulate(m, gains_for(m), cfg, arms=(cfg.info, InfoStructure()))
+            result = simulate(m, gains_for(m), cfg, arms=(cfg.info, InfoStructure()), sizes=sizes)
+        arms = result if sizes is None else [recs for size in result for recs in size]
         assert len(key_calls) == 1
-        # a run draws at each t up to the last one at which some arm still steps
+        # a run draws at each t up to the last one at which some size and arm still steps
         last = [max(rec.failed_at or m.horizon for rec in recs) for recs in zip(*arms)]
         assert draws == Counter({(run, t): 1 for run in range(cfg.num_runs)
                                  for t in range(1, last[run] + 1)})
@@ -360,6 +364,77 @@ class TestDeterminism:
         csv_a = "".join(trajectory_csv(simulate(m, g, cfg)))
         csv_b = "".join(trajectory_csv(simulate(m, g, cfg)))
         assert csv_a == csv_b
+
+
+def size_cases(example2):
+    """(model, config, context) triples for the sizes contract.
+
+    Example 2 (a one-state leader, uniform followers), ``vector_model`` with
+    gaussian leader and followers, ``mixed_dims_model``, example 2 with a
+    one-state follower list, and the diverging model, whose rows fail at
+    different t in each arm; the context quiets its overflow warnings.
+    """
+    quiet = contextlib.nullcontext()
+    estimate = DisturbancePolicy.worst_case(use_estimate=True)
+    gaussian = replace(
+        vector_model(),
+        leader_init=InitSpec(kind="gaussian", mu=np.array([2.0, -1.0]),
+                             sigma=np.array([[0.5, 0.1], [0.1, 0.3]])),
+        follower_init=InitSpec(kind="gaussian", mu=np.array([0.5, 1.0]),
+                               sigma=np.array([[1.0, -0.4], [-0.4, 2.0]])))
+    return {
+        "example2": (example2.with_gamma(EX2_GAMMA),
+                     SimConfig(master_seed=21, num_runs=5, info=InfoStructure.imfs([1, 5]),
+                               disturbance=estimate), quiet),
+        "vector-gaussian": (gaussian,
+                            SimConfig(master_seed=22, num_runs=5, retain_full_states=True,
+                                      info=InfoStructure.imfs([1, 4]), disturbance=estimate),
+                            quiet),
+        "mixed-dims": (mixed_dims_model(),
+                       SimConfig(master_seed=23, num_runs=5, retain_full_states=True,
+                                 info=InfoStructure.imfs([2]),
+                                 disturbance=DisturbancePolicy.sinusoid(0.5, "both")), quiet),
+        "one-state": (replace(example2.with_gamma(EX2_GAMMA),
+                              follower_init=InitSpec(kind="deterministic",
+                                                     values=np.array([[4.0]]))),
+                      SimConfig(master_seed=24, num_runs=5, info=InfoStructure()), quiet),
+        "diverging": (diverging_model(T=12),
+                      SimConfig(master_seed=0, num_runs=40, retain_full_states=True,
+                                disturbance=estimate),
+                      np.errstate(over="ignore", invalid="ignore")),
+    }
+
+
+class TestSizes:
+    SIZES = (10, 1, 3, 10)  # holds 1, out of order, with a repeat
+
+    @pytest.mark.parametrize("with_arms", [False, True], ids=["one-arm", "arms"])
+    @pytest.mark.parametrize("case", ["example2", "vector-gaussian", "mixed-dims", "one-state",
+                                      "diverging"])
+    def test_each_size_equals_its_own_call(self, example2, monkeypatch, case, with_arms):
+        # Every size and arm of a block shares the aggregate work and one noise
+        # draw per (run, t); each size must still get the bits of its own call.
+        # Blocks of 50 states hold two runs of the 24 followers under one arm
+        # and one run under two, against 5 and 2 runs in the calls alone.
+        m, cfg, quiet = size_cases(example2)[case]
+        monkeypatch.setattr(sim, "BLOCK_STATES", 50)
+        arms = (cfg.info, InfoStructure.mfs()) if with_arms else None
+        g = gains_for(m)
+        with quiet:
+            together = simulate(m, g, cfg, arms=arms, sizes=self.SIZES)
+            alone = [simulate(replace(m, n_followers=n), g, cfg, arms=arms) for n in self.SIZES]
+        assert len(together) == len(self.SIZES)
+        failed = 0
+        for got, expected in zip(together, alone):
+            if arms is None:
+                got, expected = [got], [expected]
+            assert len(got) == len(expected)
+            for records, references in zip(got, expected):
+                assert [rec.run for rec in records] == list(range(cfg.num_runs))
+                for a, b in zip(records, references):
+                    assert_same_record(a, b)
+                    failed += a.failed
+        assert (failed > 0) == (case == "diverging")
 
 
 def noise_model():
@@ -447,6 +522,47 @@ class TestSubstreams:
                                            ref.standard_normal((n, lx))])
                 assert z.tobytes() == expected.tobytes()
             assert got.random() == ref.random()  # both stand at the same place after the draws
+
+    @pytest.mark.parametrize("lx", [1, 2, 3])
+    def test_keyed_fill_is_a_prefix_of_any_longer_fill(self, lx):
+        # The sizes of a run read one noise draw per t, filled for the largest
+        # population: each size reads its first n + 1 rows.
+        stream = sim._substreams(7, range(3), 2)
+        longest = np.empty((251, lx))
+        stream(2, 1).standard_normal(out=longest)
+        for m in (0, 1, 2, 10, 249):
+            fill = np.empty((m + 1, lx))
+            stream(2, 1).standard_normal(out=fill)
+            assert fill.tobytes() == longest[:m + 1].tobytes(), m
+
+    def test_gaussian_initial_draw_is_not_a_prefix(self):
+        # numpy colours a batch of one state by another matmul path than a
+        # batch of many, so each size of a run makes its own initial draw.
+        init = InitSpec(kind="gaussian", mu=np.array([0.5, -1.0]),
+                        sigma=np.array([[1.0, 0.3], [0.3, 0.5]]))
+        firsts = [(init.sample(sim._rng(seed, 0, 0), 1)[0],
+                   init.sample(sim._rng(seed, 0, 0), 250)[0]) for seed in range(5)]
+        assert any(one.tobytes() != first.tobytes() for one, first in firsts)
+
+    @pytest.mark.parametrize("lx", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform", "gaussian"])
+    def test_initial_draw_equals_sample(self, kind, lx):
+        # The engine's draw, its transform made once a call, against the
+        # reference; each count from a fresh substream, since a gaussian batch
+        # is no prefix of a longer one.
+        gen = np.random.default_rng(lx)
+        root = gen.normal(size=(lx, lx))
+        init = {"deterministic": InitSpec(kind="deterministic", values=gen.normal(size=(1, lx))),
+                "uniform": InitSpec(kind="uniform", low=-gen.random(lx), high=5 * gen.random(lx)),
+                "gaussian": InitSpec(kind="gaussian", mu=gen.normal(size=lx),
+                                     sigma=root @ root.T)}[kind]
+        draw = sim._initial_draw(init)
+        for count in (1, 2, 250):
+            for seed in range(3):
+                got = draw(sim._rng(seed, count, 0), count)
+                expected = init.sample(sim._rng(seed, count, 0), count)
+                assert got.shape == expected.shape == (count, lx)
+                assert got.tobytes() == expected.tobytes(), (count, seed)
 
     @pytest.mark.parametrize("seed, run", [(2 ** 32 - 1, 2 ** 32 - 1)], ids=["keyed-last-word"])
     def test_run_index_substreams_equal_reference(self, monkeypatch, seed, run):
