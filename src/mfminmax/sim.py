@@ -6,17 +6,24 @@ array axis: leader states (R, lx), followers (R, n, lx), estimates
 observed mean at observation times and otherwise propagates them with
 ``strategy.estimator_step``.  ``simulate`` can run the same runs under
 several information structures at once, its arms, and at several
-population sizes at once, its sizes.  Each (size, arm) of a run is one
-row of the block, size-major, then arm-major.  The leader, the means,
-the estimates and the stage cost's aggregate terms are stepped once over
-every row; each size keeps its followers in arrays of its own, shaped as
-a call of that size alone shapes them.  The arms of a run at one size
-share its initial draw; every row of a run shares its noise draws.  A
-block holds at most ``BLOCK_STATES`` follower states, counting every size
-and arm, so ``simulate`` walks ``max(1, BLOCK_STATES // (arms * sum of
-sizes))`` runs at a time.  Every population quantity of a step is computed
-into work arrays that a call makes once and each of its blocks reuses, so
-a step allocates nothing the size of its population.
+population sizes at once, its sizes; a call without sizes is the
+one-size case of the same layout.  Each (size, arm) of a run is one row
+of the block, size-major, then arm-major.  The leader, the means, the
+estimates, the row part of the follower actions and the stage cost's
+aggregate terms are stepped once over every row.  The followers of every
+size sit back to back in one flat buffer per population array, each
+size's part a C-contiguous (rows, n, l) view shaped as a call of that
+size alone shapes it.  So the products with A, B and L_brev, the sums
+of the follower dynamics and the per-follower cost terms run once over
+the flat view of every size, while the means, the broadcast adds of row
+quantities and each row's finite check run per size on its view.  The
+arms of a run at one size share its initial draw; every row of a run
+shares its noise draws.  A block holds at most ``BLOCK_STATES`` follower
+states, counting every size and arm, so ``simulate`` walks ``max(1,
+BLOCK_STATES // (arms * sum of sizes))`` runs at a time.  Every
+population quantity of a step is computed into work arrays that a call
+makes once and each of its blocks reuses, so a step allocates nothing
+the size of its population.
 
 Each run owns a counter-based RNG substream keyed by (master seed, run
 index, t): the Philox key numpy's ``SeedSequence((seed, run, t))`` gives.
@@ -42,6 +49,7 @@ cost, unkept.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,8 +57,8 @@ import numpy as np
 
 from .model import (DisturbancePolicy, InfoStructure, InitSpec, ModelError, ModelSpec, _check_init,
                     _count, _flag)
-from .strategy import (estimator_step, follower_action, follower_disturbance, leader_action,
-                       matvec, rmatmul, worst_case_disturbance)
+from .strategy import (estimator_step, follower_disturbance, follower_feedback, leader_action,
+                       matvec, rmatmul, rproduct, worst_case_disturbance)
 from .synthesis import StrategyGains, _check_gains
 
 __all__ = [
@@ -193,14 +201,14 @@ def _substreams(seed: int, runs: range, T: int):
     one Philox takes each in turn, so a call re-positions the Generator the
     last call returned.
     """
-    keys = _substream_keys(seed, runs, T)
+    keys = _substream_keys(seed, runs, T).tolist()
     gen = np.random.Generator(np.random.Philox(0))  # its seed is replaced by every key
     bit_gen = gen.bit_generator
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def stream(run: int, t: int) -> np.random.Generator:
-        state["state"]["key"] = keys[run - runs.start, t].tolist()
+        state["state"]["key"] = keys[run - runs.start][t]
         bit_gen.state = state  # counter 0 and an empty buffer: a fresh substream
         return gen
 
@@ -259,47 +267,71 @@ def _scratch_width(lx: int, lu: int) -> int:
     return width + 1 if width > 1 else 1
 
 
-def _quad_mean(X: np.ndarray, W: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """mean_i x_i' W x_i over the rows x_i of each (n, l) batch in X.
+def _mean(X: np.ndarray, axis: int, out: np.ndarray | None = None):
+    """``X.mean(axis, out=out)`` bit for bit, without ``ndarray.mean``'s Python wrapper.
+
+    numpy's own mean of a float64 array is this ``add.reduce`` over the axis,
+    then ``true_divide`` by its length.
+    """
+    return np.true_divide(np.add.reduce(X, axis=axis, out=out), X.shape[axis], out=out)
+
+
+def _quad_sums(X: np.ndarray, W: np.ndarray, rowwise: bool, out: np.ndarray,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """x' W x for each vector x along the last axis of X, into ``out``.
 
     Sums the terms (x_j W_jk) x_k in the order numpy's
-    ``einsum("ij,jk,ik->i")`` sums them for one batch: in one sequence,
-    except for l = 2 and n <= 2, where each row j is summed apart first.
-    einsum itself picks that order from the size of the whole block, so it
-    would give a run other bits beside other runs.  The sums are formed in
-    ``scratch``, when given: three arrays of X less its last axis for the
-    rowwise sums, two for l > 1, one for l = 1.
+    ``einsum("ij,jk,ik->i")`` sums them for one batch of n followers: in one
+    sequence, except for l = 2 and n <= 2, ``rowwise``, where each row j is
+    summed apart first.  einsum itself picks that order from the size of
+    the whole block, so it would give a run other bits beside other runs.
+    For l > 1 the terms, and the row sums of ``rowwise``, are formed in
+    ``scratch``: one or two arrays of ``out``'s shape.
     """
-    l, shape = X.shape[-1], X.shape[:-1]
-    rowwise = l == 2 and X.shape[-2] <= 2
-    term, *sums = _carve(scratch, *[shape] * (3 if rowwise else 2 if l > 1 else 1))
-    sums = sums or [term]  # a lone term is summed where it lies
+    l = X.shape[-1]
+    term, *rows = _carve(scratch, *[out.shape] * (2 if rowwise else 1)) if l > 1 else (out,)
     total = 0.0  # a sum starts as 0.0 + its first term, as a zero-filled array would
     for j in range(l):
         row = 0.0 if rowwise else total
         for k in range(l):
             np.multiply(X[..., j], W[j, k], out=term)
             np.multiply(term, X[..., k], out=term)
-            row = np.add(row, term, out=sums[-1])
-        total = np.add(total, row, out=sums[0]) if rowwise else row
-    return total.mean(axis=-1)
+            row = np.add(row, term, out=rows[0] if rowwise else out)
+        total = np.add(total, row, out=out) if rowwise else row
+    return out
+
+
+def _square_sums(X: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """x' x for each vector x along the last axis of X, into ``out``; for l > 1 the squares
+    are formed in ``scratch``."""
+    if X.shape[-1] == 1:  # the sum of one square is 0.0 + x*x, x*x itself: it is never -0.0
+        np.multiply(X, X, out=out[..., None])
+        return out
+    square, = _carve(scratch, X.shape)
+    np.multiply(X, X, out=square)
+    return np.add.reduce(square, axis=-1, out=out)
+
+
+def _quad_mean(X: np.ndarray, W: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """mean_i x_i' W x_i over the rows x_i of each (n, l) batch in X, summed as
+    ``_quad_sums`` sums a batch of n.  Formed in ``scratch``, when given: three arrays of X
+    less its last axis for the rowwise sums, two for l > 1, one for l = 1."""
+    sums, = _carve(scratch, X.shape[:-1])
+    rest = None if scratch is None else scratch[sums.size:]
+    rowwise = X.shape[-1] == 2 and X.shape[-2] <= 2
+    return _mean(_quad_sums(X, W, rowwise, sums, rest), -1)
 
 
 def _square_mean(X: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """mean_i x_i' x_i over the rows x_i of each (n, l) batch in X, formed in ``scratch``."""
-    if X.shape[-1] == 1:  # the sum of one square is 0.0 + x*x, x*x itself: it is never -0.0
-        square, = _carve(scratch, X.shape)
-        return np.multiply(X, X, out=square)[..., 0].mean(axis=-1)
-    square, norm = _carve(scratch, X.shape, X.shape[:-1])
-    np.multiply(X, X, out=square)
-    return np.sum(square, axis=-1, out=norm).mean(axis=-1)
+    sums, = _carve(scratch, X.shape[:-1])
+    return _mean(_square_sums(X, sums, None if scratch is None else scratch[sums.size:]), -1)
 
 
-def _population_cost(model: ModelSpec, t: int, xf: np.ndarray, uf: np.ndarray, df: np.ndarray,
-                     scratch: np.ndarray | None = None):
-    """The population terms of ``stage_cost``, added first: one sum per batch of followers."""
-    return (_quad_mean(xf, model.Q[t - 1], scratch) + _quad_mean(uf, model.R[t - 1], scratch)
-            - model.gamma ** 2 * _square_mean(df, scratch))
+def _population_cost(model: ModelSpec, quad_x, quad_u, square_d):
+    """The population terms of ``stage_cost``, added first, from the follower means of
+    x'Qx, u'Ru and d'd: one sum per batch of followers."""
+    return quad_x + quad_u - model.gamma ** 2 * square_d
 
 
 def _aggregate_cost(model: ModelSpec, t: int, population, x0: np.ndarray, u0: np.ndarray,
@@ -327,8 +359,10 @@ def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.
     ``_scratch_width(lx, lu)`` entries per follower of the batch.  The sum is
     ``_aggregate_cost`` of ``_population_cost``, which the engine calls apart.
     """
-    return _aggregate_cost(model, t, _population_cost(model, t, xf, uf, df, scratch),
-                           x0, u0, d0, xbar, ubar)
+    population = _population_cost(model, _quad_mean(xf, model.Q[t - 1], scratch),
+                                  _quad_mean(uf, model.R[t - 1], scratch),
+                                  _square_mean(df, scratch))
+    return _aggregate_cost(model, t, population, x0, u0, d0, xbar, ubar)
 
 
 def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains, x0: np.ndarray,
@@ -374,25 +408,40 @@ def _initial_draw(init: InitSpec):
 def _work_arrays(sizes: tuple, lx: int, lu: int, arms: int, runs: int) -> dict:
     """The population arrays of a block of ``runs`` runs under ``arms`` arms, made once per call.
 
-    Every block of the call takes the leading rows of each.  Each population
-    size has its own: follower states now and next (two arrays that swap
-    each step), actions, disturbances and a finite mask, shaped as a call of
-    that size alone shapes them.  The sizes share the noise draw of each run
-    (leader in row 0, room for the largest population) and a flat scratch
-    array.  Every population quantity of a step is computed into them.  They
-    pay for themselves: at n = 10^4 (example 1, 50 runs, worst case) a
-    ``simulate`` call that allocated each step's arrays instead took 8,925
-    minor page faults rather than 321, and its fastest run was 5-10% slower.
+    Each is one flat buffer that holds the followers of every population
+    size back to back: follower states now and next (two buffers that swap
+    each step), actions, disturbances, a finite mask and the scratch.  A
+    block takes the front of each, which ``_layout`` views per size.  The
+    sizes share the noise draw of each run (leader in row 0, room for the
+    largest population).  Every population quantity of a step is computed
+    into them.  They pay for themselves: at n = 10^4 (example 1, 50 runs,
+    worst case) a ``simulate`` call that allocated each step's arrays
+    instead took 8,925 minor page faults rather than 321, and its fastest
+    run was 5-10% slower.
     """
-    rows, top = arms * runs, max(sizes)
-    return {
-        "sizes": [{"states": np.empty((2, rows, n, lx)),
-                   "uf": np.empty((rows, n, lu)),
-                   "df": np.empty((rows, n, lx)),
-                   "finite": np.empty((rows, n, lx), dtype=bool)} for n in sizes],
-        "z": np.empty((runs, top + 1, lx)),
-        "scratch": np.empty(rows * top * _scratch_width(lx, lu)),
-    }
+    states = arms * runs * sum(sizes)
+    return {"states": np.empty((2, states * lx)), "uf": np.empty(states * lu),
+            "df": np.empty(states * lx), "finite": np.empty(states * lx, dtype=bool),
+            "z": np.empty((runs, max(sizes) + 1, lx)),
+            "scratch": np.empty(states * _scratch_width(lx, lu))}
+
+
+def _layout(buffer: np.ndarray, sizes: tuple, width: int, *tail: int):
+    """The front of the flat ``buffer`` for ``width`` rows of each size: its flat view, one
+    entry per follower of every size, and each size's C-contiguous (width, n, *tail) view."""
+    flat = buffer[:width * sum(sizes) * math.prod(tail)].reshape(-1, *tail)
+    bounds = np.cumsum((0,) + sizes) * width
+    return flat, [flat[a:b].reshape(width, n, *tail) for a, b, n in zip(bounds, bounds[1:], sizes)]
+
+
+def _batches(sizes: tuple, width: int, key) -> list:
+    """(slice, value) pairs over the followers of the flat layout, one per run of consecutive
+    sizes on which ``key`` gives the same value."""
+    batches, start = [], 0
+    for value, group in itertools.groupby(sizes, key):
+        batches.append((slice(start, start + width * sum(group)), value))
+        start = batches[-1][0].stop
+    return batches
 
 
 def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, sizes: tuple,
@@ -403,42 +452,70 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, size
 
     Rows are size-major, then arm-major: row ``(s * A + a) * R + k`` is run
     ``runs[k]`` at ``sizes[s]`` under ``infos[a]`` for the whole horizon.
-    Aggregate quantities (leader, means, estimates, costs) hold every row;
-    each size keeps its followers in its own arrays.  The (T, rows) bool
-    mask ``seen`` holds at ``[t - 1, row]`` whether the row's arm observes
-    the mean at t: each step first resets the estimates of the rows that
-    observe to the mean, and the others carry the estimate that
-    ``estimator_step`` propagated at the end of the last step.  The arms of
-    a run at one size start from one initial draw, made by ``draws`` (the
-    leader and follower draw functions); every row of a run reads one noise
-    draw per t, each size its first n + 1 rows.  ``stream`` gives the
-    substreams, ``colour`` holds the (leader, follower) factor stacks and
-    ``work`` the arrays of ``_work_arrays``, with room for the block's rows.
-    A failed row steps on, and its entries from its ``failed_at`` on are set
-    to nan at the end.  Returns one record list per arm for each size.
+    Aggregate quantities (leader, means, estimates, costs) hold every row.
+    The followers of every size sit back to back in each work array of
+    ``_work_arrays``, with room for the block's rows: a flat view of all of
+    them takes the elementwise work, the products with A, B and L_brev and
+    the per-follower cost terms of a step, one call each, and each size's
+    view its means, its disturbances and the broadcast adds of its rows.
+    A call keeps apart only what numpy would
+    order otherwise for another batch shape: a size of one follower, whose
+    products numpy takes as vector products rather than gemm, and, at l = 2,
+    a size of n <= 2, whose cost terms it sums rowwise.  Each follower
+    action is ``follower_action``'s two parts: ``follower_feedback`` once
+    over every row, the product with L_brev once over every follower.  The
+    (T, rows) bool mask ``seen`` holds at ``[t - 1, row]`` whether the
+    row's arm observes the mean at t: each step first resets the estimates
+    of the rows that observe to the mean, and the others carry the estimate
+    that ``estimator_step`` propagated at the end of the last step.  The
+    arms of a run at one size start from one initial draw, made by
+    ``draws`` (the leader and follower draw functions); every row of a run
+    reads one noise draw per t, each size its first n + 1 rows.  ``stream``
+    gives the substreams and ``colour`` holds the (leader, follower) factor
+    stacks.  A failed row steps on, and its entries from its ``failed_at``
+    on are set to nan at the end.  Returns one record list per arm for each
+    size.
     """
     T, lx, lu = model.horizon, model.state_dim, model.action_dim
     A, R = len(infos), len(runs)
     width = A * R  # the rows of one size
     rows = len(sizes) * width
     parts = [slice(s * width, (s + 1) * width) for s in range(len(sizes))]
-    pops = [{name: arr[:, :width] if name == "states" else arr[:width]
-             for name, arr in pop.items()} for pop in work["sizes"]]
+    counts = np.repeat(np.array(sizes, dtype=float), width)  # each row's n
+    states = [_layout(buffer, sizes, width, lx) for buffer in work["states"]]
+    # a step sums its cost terms in the front of its next-state buffer, free until its dynamics
+    terms = [_layout(buffer, sizes, width) for buffer in work["states"]]
+    (uf, ufs), (df, dfs), (finite, finites), (bu, _) = (
+        _layout(work[name], sizes, width, l) for name, l in (("uf", lu), ("df", lx),
+                                                               ("finite", lx), ("scratch", lx)))
     scratch = work["scratch"]
+    # numpy multiplies a batch of one follower as vectors, with other bits than gemm's
+    products = [(part,) if several else (part, None)
+                for part, several in _batches(sizes, width, lambda n: n > 1)]
+    rowwise = [_batches(sizes, width, lambda n: l == 2 and n <= 2) for l in (lx, lu)]
+
+    def size_sums(views, out):
+        """Each size's add.reduce over its followers, axis 1 of its view, into its rows of
+        ``out``; a mean then divides every row by its n at once, as ``_mean`` divides."""
+        for part, view in zip(parts, views):
+            np.add.reduce(view, axis=1, out=out[part])
+        return out
 
     x0 = np.empty((rows, lx))
     for k, run in enumerate(runs):
-        for part, n, pop in zip(parts, sizes, pops):
+        for part, n, xf in zip(parts, sizes, states[0][1]):
             init_rng = stream(run, 0)
             x0[part.start + k] = draws[0](init_rng, 1)[0]
-            pop["states"][0, k] = draws[1](init_rng, n)
-    for part, n, pop in zip(parts, sizes, pops):  # each further arm starts from the same draw
+            xf[k] = draws[1](init_rng, n)
+    for part, n, xf in zip(parts, sizes, states[0][1]):  # each further arm starts from that draw
         x0[part].reshape(A, R, lx)[1:] = x0[part][:R]
-        pop["states"][0].reshape(A, R, n, lx)[1:] = pop["states"][0, :R]
+        xf.reshape(A, R, n, lx)[1:] = xf[:R]
     seen = np.tile(np.repeat([[info.observed(t) for info in infos] for t in range(1, T + 1)],
                              R, axis=1), len(sizes))  # (T, rows), size- then arm-major
+    all_seen = seen.all(axis=1)
     live = range(R)  # the runs still stepping at some size and arm: one draw each per t
     z = work["z"][:R]  # row 0 leader noise, rows 1.. follower noise
+    tops = {n > 1: n for n in sorted(sizes)}  # the largest size of one follower and of several
 
     series = {name: np.empty((rows, T, dim)) for name, dim in (
         ("x0", lx), ("xbar", lx), ("mhat", lx), ("u0", lu), ("ubar", lu))}
@@ -449,53 +526,69 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, size
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow are marked failed
         m_hat = np.broadcast_to(model.follower_init.mean(), (rows, lx))
         for t in range(1, T + 1):
-            # the state arrays alternate: step t reads one and writes the next state to the other
-            xfs = [pop["states"][(t - 1) % 2] for pop in pops]
-            xbar, ubar, population = np.empty((rows, lx)), np.empty((rows, lu)), np.empty(rows)
-            for part, xf in zip(parts, xfs):
-                xf.mean(axis=1, out=xbar[part])
+            # the state buffers alternate: step t reads one and writes the next state to the other
+            (xf, xfs), (xn, xns), (term, term_sizes) = (
+                states[(t - 1) % 2], states[t % 2], terms[t % 2])
+            xbar = np.true_divide(size_sums(xfs, np.empty((rows, lx))), counts[:, None])
             # a row that observes the mean at t resets its estimate to it
-            m_hat = xbar if seen[t - 1].all() else np.where(seen[t - 1, :, None], xbar, m_hat)
+            m_hat = xbar if all_seen[t - 1] else np.where(seen[t - 1, :, None], xbar, m_hat)
             u0 = leader_action(gains, t, x0, m_hat)
-            ufs = [follower_action(gains, t, xf, x0[part], m_hat[part], out=pop["uf"])
-                   for part, xf, pop in zip(parts, xfs, pops)]
-            d0, dfs = _disturbances(cfg.disturbance, t, gains, x0, xbar, m_hat,
-                                    [(part, xf, pop["df"])
-                                     for part, xf, pop in zip(parts, xfs, pops)])
-            for part, xf, uf, df, xi in zip(parts, xfs, ufs, dfs, xis):
-                uf.mean(axis=1, out=ubar[part])
-                population[part] = _population_cost(model, t, xf, uf, df, scratch)
-                if xi is not None:
-                    xi[:, t - 1] = xf
+            feedback = follower_feedback(gains, t, x0, m_hat)
+            for batch in products:  # + a feedback never -0.0: no 0.0 pass
+                rproduct(xf[batch], gains.L_brev[t - 1], out=uf[batch])
+            for part, u in zip(parts, ufs):
+                np.add(u, feedback[part, None, :], out=u)
+            ubar = np.true_divide(size_sums(ufs, np.empty((rows, lu))), counts[:, None])
+            d0, _ = _disturbances(cfg.disturbance, t, gains, x0, xbar, m_hat,
+                                  list(zip(parts, xfs, dfs)))
 
+            # each follower's x'Qx, u'Ru and d'd in turn, summed in the next-state buffer
+            means = np.empty((3, rows))
+            for k, (X, W, batches) in enumerate(((xf, model.Q[t - 1], rowwise[0]),
+                                                 (uf, model.R[t - 1], rowwise[1]))):
+                for part, by_row in batches:
+                    _quad_sums(X[part], W, by_row, term[part], scratch)
+                size_sums(term_sizes, means[k])
+            _square_sums(df, term, scratch)
+            size_sums(term_sizes, means[2])
+            np.true_divide(means, counts, out=means)
             for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
                                 ("ubar", ubar)):
                 series[name][:, t - 1] = value
-            stage_costs[:, t - 1] = _aggregate_cost(model, t, population, x0, u0, d0, xbar, ubar)
+            stage_costs[:, t - 1] = _aggregate_cost(model, t, _population_cost(model, *means),
+                                                    x0, u0, d0, xbar, ubar)
+            for x, xi in zip(xfs, xis):
+                if xi is not None:
+                    xi[:, t - 1] = x
 
             for k in live:
                 stream(runs[k], t).standard_normal(out=z[k])
             f0, ff = colour[0][t - 1], colour[1][t - 1]
-            w0 = (z[:, :1] @ f0)[:, 0] + np.zeros(lx)
-
+            # w0 is added to a state sum, never -0.0: no 0.0 pass, the + 0 of multivariate_normal
+            w0 = (z[:, :1] @ f0)[:, 0]
             x0_next = (matvec(model.A0[t - 1], x0) + matvec(model.B0[t - 1], u0)
-                       + matvec(model.S0[t - 1], xbar) + d0
-                       + np.tile(w0, (len(sizes) * A, 1)))
+                       + matvec(model.S0[t - 1], xbar) + d0)
+            by_run = x0_next.reshape(-1, R, lx)  # each size and arm of a run takes its noise
+            np.add(by_run, w0, out=by_run)
             mean_drive, leader_drive = matvec(model.S[t - 1], xbar), matvec(model.E[t - 1], x0)
-            ok = np.isfinite(x0_next).all(axis=1)
-            for part, n, xf, uf, df, pop in zip(parts, sizes, xfs, ufs, dfs, pops):
-                xf_next = rmatmul(xf, model.A[t - 1], out=pop["states"][t % 2])
-                np.add(xf_next, rmatmul(uf, model.B[t - 1], out=_carve(scratch, xf.shape)[0]),
-                       out=xf_next)
-                np.add(xf_next, mean_drive[part, None, :], out=xf_next)
-                np.add(xf_next, leader_drive[part, None, :], out=xf_next)
-                np.add(xf_next, df, out=xf_next)
-                wf = rmatmul(z[:, 1:n + 1], ff.T, out=_carve(scratch, (R, n, lx))[0])
-                if ff.shape != (1, 1):  # a 1x1 rmatmul has added its 0.0 already
-                    np.add(wf, np.zeros(lx), out=wf)
-                by_arm = xf_next.reshape(A, R, n, lx)  # each arm of a run takes the run's noise
-                np.add(by_arm, wf, out=by_arm)
-                ok[part] &= np.isfinite(xf_next, out=pop["finite"]).all(axis=(1, 2))
+            ok = np.logical_and.reduce(np.isfinite(x0_next), axis=1)
+            for batch in products:  # B u is added to the normalised A x: no 0.0 pass
+                rmatmul(xf[batch], model.A[t - 1], out=xn[batch])
+                rproduct(uf[batch], model.B[t - 1], out=bu[batch])
+            np.add(xn, bu, out=xn)
+            for part, x in zip(parts, xns):
+                np.add(x, mean_drive[part, None, :], out=x)
+                np.add(x, leader_drive[part, None, :], out=x)
+            np.add(xn, df, out=xn)
+            # the noise is added to a state sum, never -0.0: no 0.0 pass
+            noise = {several: rproduct(z[:, 1:top + 1], ff.T, out=w) for (several, top), w in zip(
+                tops.items(), _carve(scratch, *[(R, top, lx) for top in tops.values()]))}
+            for n, x in zip(sizes, xns):
+                by_arm = x.reshape(A, R, n, lx)  # each arm of a run takes the run's noise
+                np.add(by_arm, noise[n > 1][:, :n], out=by_arm)
+            np.isfinite(xn, out=finite)
+            for part, fin in zip(parts, finites):
+                ok[part] &= np.logical_and.reduce(fin, axis=(1, 2))
 
             if not ok.all():
                 failed_at[~ok & (failed_at == 0)] = t
@@ -503,7 +596,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, size
                 if live.size == 0:
                     break
 
-            if t < T and not seen[t].all():
+            if t < T and not all_seen[t]:
                 m_hat = estimator_step(model, gains, t, x0, m_hat, cfg.use_worst_case_dbar)
             x0 = x0_next
 

@@ -14,7 +14,10 @@ run or a block of runs stacked on a leading axis: x0 and m_hat (lx,) or
 (R, lx), follower populations (n, lx) or (R, n, lx).  Each run of a block
 gets the bits it gets alone.  A map whose result is a population can write
 it into a given ``out`` array of the result's shape instead of a new one,
-with the same operations and so the same bits.
+with the same operations and so the same bits.  A follower's action is
+the composition of a population part, L_brev x^i, and a row part,
+``follower_feedback``, that reads only x0 and m_hat; a caller that holds
+several populations per row computes the row part once for all of them.
 """
 
 from __future__ import annotations
@@ -36,9 +39,26 @@ def matvec(K: np.ndarray, V: np.ndarray) -> np.ndarray:
     """K v for each vector v along the last axis of V.
 
     Bit for bit the 1-D ``K @ v`` of each vector alone, which ``V @ K.T``
-    and ``einsum`` are not.
+    and ``einsum`` are not.  A 1x1 K scales V elementwise, as ``rmatmul``
+    does, with the same bits but for ``rmatmul``'s nan exception: the result
+    is never -0.0.
     """
+    if K.shape == (1, 1):
+        out = np.multiply(V, K[0, 0])
+        return np.add(0.0, out, out=out)
     return np.matmul(K, V[..., None])[..., 0]
+
+
+def rproduct(X: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``X @ K.T`` up to the sign of a zero: ``rmatmul`` without its 0.0.
+
+    A 1x1 K scales X elementwise and leaves a -0.0 product where matmul's
+    zero-started sum gives +0.0.  A caller that adds a value which is never
+    -0.0 to the result gets the bits of matmul's, with one pass fewer.
+    """
+    if K.shape == (1, 1):
+        return np.multiply(X, K[0, 0], out=out)
+    return X @ K.T if out is None else np.matmul(X, K.T, out=out)
 
 
 def rmatmul(X: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -50,10 +70,8 @@ def rmatmul(X: np.ndarray, K: np.ndarray, out: np.ndarray | None = None) -> np.n
     of X and K itself are both nan, the nan may carry K's payload instead
     of X's.  ``out`` may be X itself; matmul then reads a copy of X.
     """
-    if K.shape == (1, 1):
-        out = np.multiply(X, K[0, 0], out=out)
-        return np.add(0.0, out, out=out)
-    return X @ K.T if out is None else np.matmul(X, K.T, out=out)
+    out = rproduct(X, K, out=out)
+    return np.add(0.0, out, out=out) if K.shape == (1, 1) else out
 
 
 def leader_action(gains: StrategyGains, t: int, x0: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
@@ -61,35 +79,35 @@ def leader_action(gains: StrategyGains, t: int, x0: np.ndarray, m_hat: np.ndarra
     return matvec(gains.l11(t), x0) + matvec(gains.l12(t), m_hat)
 
 
+def follower_feedback(gains: StrategyGains, t: int, x0: np.ndarray,
+                      m_hat: np.ndarray) -> np.ndarray:
+    """L21 x0 + (L22 - L_brev) m_hat: the part of ``follower_action`` every follower of a
+    run shares.  A sum of two ``matvec`` results, it is never -0.0."""
+    return matvec(gains.l21(t), x0) + matvec(gains.l22(t) - gains.L_brev[t - 1], m_hat)
+
+
 def follower_action(gains: StrategyGains, t: int, xf: np.ndarray, x0: np.ndarray,
                     m_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """u^i_t = L_brev x^i + L21 x0 + (L22 - L_brev) m_hat for each follower x^i.
 
     ``xf`` is a population, (n, lx) or (R, n, lx); the result, in ``out``
-    when given, matches it with lu components.
+    when given, matches it with lu components.  It is the population part
+    L_brev x^i plus ``follower_feedback``.
     """
-    L = gains.L_brev[t - 1]
-    common = matvec(gains.l21(t), x0) + matvec(gains.l22(t) - L, m_hat)
-    out = rmatmul(xf, L, out=out)
-    return np.add(out, common[..., None, :], out=out)
+    out = rproduct(xf, gains.L_brev[t - 1], out=out)  # + a feedback never -0.0: no 0.0 pass
+    return np.add(out, follower_feedback(gains, t, x0, m_hat)[..., None, :], out=out)
 
 
-def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: np.ndarray,
-                           xi: np.ndarray | None = None, out: np.ndarray | None = None):
-    """The saddle-point disturbance at time t, fed back on ``mean``.
+def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: np.ndarray):
+    """The saddle-point disturbance (d0, dbar) at time t, fed back on ``mean``.
 
-    Returns (d0, dbar) from the augmented gain K_bar [x0; mean]; with a
-    population ``xi`` given, (n, lx) or (R, n, lx), the second entry is
-    instead the per-follower d^i = K_brev (x^i - mean) + dbar, in ``out``
-    when given.  The caller picks the mean: the true follower average, or
-    m_hat where that is not measurable.
+    Both come from the augmented gain K_bar [x0; mean].  The caller picks
+    the mean: the true follower average, or m_hat where that is not
+    measurable.  ``follower_disturbance`` gives each follower's.
     """
     lx = gains.state_dim
     aug = matvec(gains.K_bar[t - 1], np.concatenate([x0, mean], axis=-1))
-    d0, dbar = aug[..., :lx], aug[..., lx:]
-    if xi is None:
-        return d0, dbar
-    return d0, follower_disturbance(gains, t, xi, mean, dbar, out=out)
+    return aug[..., :lx], aug[..., lx:]
 
 
 def follower_disturbance(gains: StrategyGains, t: int, xi: np.ndarray, mean: np.ndarray,
@@ -97,7 +115,7 @@ def follower_disturbance(gains: StrategyGains, t: int, xi: np.ndarray, mean: np.
     """d^i = K_brev (x^i - mean) + dbar for each follower x^i of the population ``xi``,
     with ``dbar`` the mean disturbance ``worst_case_disturbance`` gives at ``mean``."""
     dev = np.subtract(xi, mean[..., None, :], out=out)
-    out = rmatmul(dev, gains.K_brev[t - 1], out=out)
+    out = rproduct(dev, gains.K_brev[t - 1], out=out)  # + dbar, never -0.0: no 0.0 pass
     return np.add(out, dbar[..., None, :], out=out)
 
 

@@ -80,20 +80,29 @@ def block_cases(example2, monkeypatch):
     }
 
 
-def retained_cost(model, gains, policy, rec):
-    """A run's cost re-derived from its retained per-follower states.
+def retained_stage_costs(model, gains, policy, rec):
+    """A run's stage costs re-derived from its retained per-follower states.
 
     The follower actions and the disturbances of each t are recomputed from
-    the states with ``gains`` and ``policy``, as the engine computes them.
+    the states with ``gains`` and ``policy``, as the engine computes them,
+    and ``stage_cost`` takes the run alone.
     """
-    total = 0.0
+    costs = []
     for t in range(1, model.horizon + 1):
         x0, xi, xbar, m_hat = rec.x0[t - 1], rec.xi[t - 1], rec.xbar[t - 1], rec.mhat[t - 1]
         ui = follower_action(gains, t, xi, x0, m_hat)
         d0, (di,) = sim._disturbances(policy, t, gains, x0, xbar, m_hat,
                                       [(slice(None), xi, np.empty(xi.shape))])
-        total += stage_cost(model, t, x0, rec.u0[t - 1], d0, xi, ui, di, xi.mean(axis=0),
-                            ui.mean(axis=0))
+        costs.append(stage_cost(model, t, x0, rec.u0[t - 1], d0, xi, ui, di, xi.mean(axis=0),
+                                ui.mean(axis=0)))
+    return costs
+
+
+def retained_cost(model, gains, policy, rec):
+    """A run's cost re-derived from its retained per-follower states."""
+    total = 0.0
+    for cost in retained_stage_costs(model, gains, policy, rec):
+        total += cost
     return total
 
 
@@ -337,6 +346,26 @@ class TestDeterminism:
             expected = [float(np.einsum("ij,jk,ik->i", x, W, x).mean()) for x in X]
             assert sim._quad_mean(X, W).tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_mean_equals_ndarray_mean(self, l):
+        # The engine's means skip ndarray.mean's Python wrapper; the bits must
+        # be numpy's own, over the followers and over the last axis, with
+        # sums of 1, 2, 7, 8 and 9 terms on both sides of numpy's pairwise
+        # blocking, and a 0-d result for a lone batch.
+        gen = np.random.default_rng(l)
+        for n in (1, 2, 7, 8, 9, 250):
+            X = gen.normal(size=(5, n, l)) * np.exp(gen.normal(size=(5, n, l)) * 20)
+            for axis in (1, -1):
+                expected = X.mean(axis=axis)
+                assert sim._mean(X, axis).tobytes() == expected.tobytes(), (n, axis)
+                out = np.full(expected.shape, np.nan)
+                got = sim._mean(X, axis, out=out)
+                assert got is out and out.tobytes() == expected.tobytes(), (n, axis)
+            lone = X[0, :, 0]
+            got, expected = sim._mean(lone, -1), lone.mean(axis=-1)
+            assert np.ndim(got) == 0 and type(got) is type(expected)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), n
+
     @pytest.mark.parametrize("lx", [1, 2, 3])
     def test_noise_colouring_matches_multivariate_normal(self, lx):
         # The engine draws standard normals from each substream and colours
@@ -407,6 +436,53 @@ def size_cases(example2):
 
 class TestSizes:
     SIZES = (10, 1, 3, 10)  # holds 1, out of order, with a repeat
+
+    @staticmethod
+    def small_vector_sizes(with_sizes):
+        """``vector_model`` at n = 1, 2 and 3, from one ``sizes`` call or one call each."""
+        m, sizes = vector_model(), (1, 2, 3)
+        g = gains_for(m)
+        cfg = SimConfig(master_seed=13, num_runs=4, retain_full_states=True,
+                        info=InfoStructure.imfs([2]),
+                        disturbance=DisturbancePolicy.worst_case(use_estimate=True))
+        result = (simulate(m, g, cfg, sizes=sizes) if with_sizes
+                  else [simulate(replace(m, n_followers=n), g, cfg) for n in sizes])
+        return [(replace(m, n_followers=n), g, cfg, records) for n, records in zip(sizes, result)]
+
+    @pytest.mark.parametrize("with_sizes", [False, True], ids=["one-size", "sizes"])
+    def test_stage_costs_equal_stage_cost_of_each_run_alone(self, with_sizes):
+        # At l = 2 numpy's einsum sums the cost terms of a batch of n <= 2
+        # followers row by row and of a longer one in one sequence, and it
+        # multiplies a batch of one follower as vectors, not by gemm.  Every
+        # size of a call shares its work arrays, so each must still keep the
+        # order and the products of a run alone.  Off-diagonal Q and R show
+        # the sum order; comparing calls with each other would not.
+        for m, g, cfg, records in self.small_vector_sizes(with_sizes):
+            assert m.Q[0, 0, 1] != 0.0 and m.R[0, 0, 1] != 0.0
+            for rec in records:
+                expected = retained_stage_costs(m, g, cfg.disturbance, rec)
+                assert np.array(expected).tobytes() == rec.stage_costs.tobytes(), rec.run
+                for t in range(1, m.horizon + 1):
+                    ui = follower_action(g, t, rec.xi[t - 1], rec.x0[t - 1], rec.mhat[t - 1])
+                    assert ui.mean(axis=0).tobytes() == rec.ubar[t - 1].tobytes(), (rec.run, t)
+
+    @pytest.mark.parametrize("with_sizes", [False, True], ids=["one-size", "sizes"])
+    def test_follower_states_step_as_each_run_alone(self, with_sizes):
+        # The follower dynamics of one run alone, written out with its own
+        # noise draws: a batch of one follower takes numpy's vector products.
+        for m, g, cfg, records in self.small_vector_sizes(with_sizes):
+            for rec in records:
+                for t in range(1, m.horizon):
+                    x0, xi, xbar = rec.x0[t - 1], rec.xi[t - 1], rec.xbar[t - 1]
+                    m_hat = rec.mhat[t - 1]
+                    ui = follower_action(g, t, xi, x0, m_hat)
+                    _, (di,) = sim._disturbances(cfg.disturbance, t, g, x0, xbar, m_hat,
+                                                 [(slice(None), xi, np.empty(xi.shape))])
+                    z = sim._rng(cfg.master_seed, rec.run, t).standard_normal((len(xi) + 1, 2))
+                    noise = z[1:] @ sim._colouring(m.noise_follower[t - 1])
+                    expected = (xi @ m.A[t - 1].T + ui @ m.B[t - 1].T + m.S[t - 1] @ xbar
+                                + m.E[t - 1] @ x0 + di + noise)
+                    assert expected.tobytes() == rec.xi[t].tobytes(), (m.n_followers, rec.run, t)
 
     @pytest.mark.parametrize("with_arms", [False, True], ids=["one-arm", "arms"])
     @pytest.mark.parametrize("case", ["example2", "vector-gaussian", "mixed-dims", "one-state",

@@ -13,7 +13,9 @@ from mfminmax.sim import DisturbancePolicy, SimConfig, simulate, stage_cost
 from mfminmax.strategy import (
     estimator_step,
     follower_action,
+    follower_disturbance,
     leader_action,
+    matvec,
     rmatmul,
     worst_case_disturbance,
 )
@@ -81,6 +83,24 @@ class TestRmatmul:
         assert MatmulSpy.calls == []
 
 
+class TestMatvec:
+    def test_scalar_gain_equals_matmul_bitwise_and_never_minus_zero(self):
+        # A 1x1 gain scales elementwise; its results are added to sums without
+        # a 0.0 pass of their own, so they must never be -0.0.
+        values = np.array(SPECIAL_VALUES + [1.5, -2.0, 1e-310])
+        for k in [0.0, -0.0, 1.5, -2.0, 5e-324, 1e308, np.inf, -np.inf, np.nan]:
+            K = np.array([[k]])
+            # a nan gain times a nan entry may keep either nan (rmatmul's docstring)
+            pool = values[~np.isnan(values)] if np.isnan(k) else values
+            for V in (pool[:, None], pool[None, :, None].repeat(3, axis=0), pool[:1]):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = np.matmul(K, V[..., None])[..., 0]
+                    got = matvec(K, V)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (k, V.shape)
+                assert not np.signbit(got[got == 0.0]).any(), k
+
+
 # Finite values whose products and sums show every way bits can part: both
 # zero signs, subnormals, values whose products overflow, and plain ones.
 FINITE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7e308, 1.0, -2.5, 0.1, 3.0]
@@ -125,11 +145,11 @@ class TestOutForms:
         with np.errstate(over="ignore", invalid="ignore"):
             expected_u = follower_action(gains, 1, xf, x0, mean)
             got_u = follower_action(gains, 1, xf, x0, mean, out=actions)
-            expected_d = worst_case_disturbance(gains, 1, x0, mean, xf)
-            got_d = worst_case_disturbance(gains, 1, x0, mean, xf, out=disturbances)
+            dbar = worst_case_disturbance(gains, 1, x0, mean)[1]
+            expected_d = follower_disturbance(gains, 1, xf, mean, dbar)
+            got_d = follower_disturbance(gains, 1, xf, mean, dbar, out=disturbances)
         assert got_u is actions and got_u.tobytes() == expected_u.tobytes()
-        assert got_d[1] is disturbances and got_d[1].tobytes() == expected_d[1].tobytes()
-        assert got_d[0].tobytes() == expected_d[0].tobytes()
+        assert got_d is disturbances and got_d.tobytes() == expected_d.tobytes()
 
 
 class TestActions:
@@ -174,14 +194,14 @@ class TestWorstCaseDisturbance:
         g, zero = gains_for(example2), np.zeros(1)
         d0, dbar = worst_case_disturbance(g, 1, zero, zero)
         assert d0 == pytest.approx([0.0]) and dbar == pytest.approx([0.0])
-        _, di = worst_case_disturbance(g, 1, zero, zero, np.zeros((1, 1)))
+        di = follower_disturbance(g, 1, np.zeros((1, 1)), zero, dbar)
         assert di[0] == pytest.approx([0.0])
 
     def test_huge_gamma_kills_disturbance(self, example2):
         g, m_hat = gains_for(example2.with_gamma(1e9)), np.array([4.0])
         x0 = np.array([10.0])
         d0, dbar = worst_case_disturbance(g, 1, x0, m_hat)
-        _, di = worst_case_disturbance(g, 1, x0, m_hat, np.array([[9.0]]))
+        di = follower_disturbance(g, 1, np.array([[9.0]]), m_hat, dbar)
         scale = 10.0
         assert np.abs(d0).max() <= 1e-6 * scale
         assert np.abs(dbar).max() <= 1e-6 * scale
@@ -194,7 +214,7 @@ class TestWorstCaseDisturbance:
         assert d0[0] == pytest.approx(EX2_G4_D0, rel=1e-12)
         assert dbar[0] == pytest.approx(EX2_G4_DBAR, rel=1e-12)
         xi = np.array([[5.0]])  # deviation +1
-        _, di = worst_case_disturbance(g, 1, x0, m_hat, xi)
+        di = follower_disturbance(g, 1, xi, m_hat, dbar)
         assert di[0, 0] == pytest.approx(EX2_G4_DI, rel=1e-12)
 
     @pytest.mark.parametrize("use_estimate", [False, True])
@@ -213,7 +233,8 @@ class TestWorstCaseDisturbance:
             for t in range(1, m.horizon + 1):
                 x0, xi = rec.x0[t - 1], rec.xi[t - 1]
                 ui = follower_action(gains, t, xi, x0, rec.mhat[t - 1])
-                d0, di = worst_case_disturbance(gains, t, x0, means[t - 1], xi)
+                d0, dbar = worst_case_disturbance(gains, t, x0, means[t - 1])
+                di = follower_disturbance(gains, t, xi, means[t - 1], dbar)
                 cost = stage_cost(m, t, x0, rec.u0[t - 1], d0, xi, ui, di, rec.xbar[t - 1],
                                   rec.ubar[t - 1])
                 assert cost.tobytes() == rec.stage_costs[t - 1].tobytes(), t
