@@ -39,18 +39,8 @@ _LAZY = {
 
 _SUBMODULES = ("synthesis", "strategy", "sim", "oracle", "cli")
 
-__all__ = [
-    "AugmentedSystem", "InfoStructure", "InitSpec", "ModelError", "ModelSpec",
-    "build_augmented", "load_model", "load_model_file",
-    "validate_convexity",
-    "InfeasibleError", "RiccatiSolution", "StrategyGains", "compute_gains",
-    "critical_gamma", "feasible", "optimal_value", "solve_riccati",
-    "estimator_step", "follower_action", "leader_action", "worst_case_disturbance",
-    "DisturbancePolicy", "SimConfig", "TrajectoryRecord", "evaluate_cost", "simulate",
-    "imfs_gap_study", "point_model", "saddle_check", "stacked_saddle_solve",
-    "verify_equivalence",
-    "__version__",
-]
+# The model layer's names imported above (``model`` is bound by that import), then the rest.
+__all__ = [*(name for name in model.__all__ if name in globals()), *_LAZY, "__version__"]
 
 
 def __getattr__(name: str):

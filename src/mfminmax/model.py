@@ -178,9 +178,9 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
         raise ModelError(f"{name}: non-finite entries")
 
 
-def _check_psd(mat: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    """Reject a matrix, or a (T, l, l) stack naming its first such t, with an eigenvalue < -tol."""
-    bad = np.flatnonzero(np.linalg.eigvalsh(mat).min(axis=-1) < -tol)
+def _check_psd(mat: np.ndarray, name: str) -> None:
+    """Reject a matrix, or a (T, l, l) stack naming its first such t, with an eigenvalue < -1e-10."""
+    bad = np.flatnonzero(np.linalg.eigvalsh(mat).min(axis=-1) < -1e-10)
     if bad.size:
         raise ModelError(f"{name if mat.ndim == 2 else f'{name}[t={bad[0] + 1}]'}: not positive semi-definite")
 

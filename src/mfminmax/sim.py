@@ -249,10 +249,8 @@ def _quad(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _dot(np.matmul(V[..., None, :], W)[..., 0, :], V)
 
 
-def _carve(scratch: np.ndarray | None, *shapes) -> list:
-    """Arrays of ``shapes``, back to back from the front of the flat ``scratch``; new ones without it."""
-    if scratch is None:
-        return [np.empty(shape) for shape in shapes]
+def _carve(scratch: np.ndarray, *shapes) -> list:
+    """Arrays of ``shapes``, back to back from the front of the flat ``scratch``."""
     arrays, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -262,31 +260,37 @@ def _carve(scratch: np.ndarray | None, *shapes) -> list:
 
 
 def _scratch_width(lx: int, lu: int) -> int:
-    """Scratch entries per follower that ``stage_cost`` and a step take: one for scalars."""
-    width = max(lx, lu)
-    return width + 1 if width > 1 else 1
+    """Scratch entries per follower of a step or a ``stage_cost``: lx for a step's B u and
+    noise, l for the squares of a cost sum, two for the row sums of ``_rowwise``'s l = 2."""
+    return max(lx, lu)
 
 
-def _mean(X: np.ndarray, axis: int, out: np.ndarray | None = None):
-    """``X.mean(axis, out=out)`` bit for bit, without ``ndarray.mean``'s Python wrapper.
+def _mean(X: np.ndarray, axis: int):
+    """``X.mean(axis)`` bit for bit, without ``ndarray.mean``'s Python wrapper.
 
     numpy's own mean of a float64 array is this ``add.reduce`` over the axis,
     then ``true_divide`` by its length.
     """
-    return np.true_divide(np.add.reduce(X, axis=axis, out=out), X.shape[axis], out=out)
+    return np.true_divide(np.add.reduce(X, axis=axis), X.shape[axis])
+
+
+def _rowwise(n: int, l: int) -> bool:
+    """Whether numpy's ``einsum("ij,jk,ik->i")`` sums each row of x' W x apart first for a
+    batch of n followers with l components; ``_quad_sums`` follows it."""
+    return l == 2 and n <= 2
 
 
 def _quad_sums(X: np.ndarray, W: np.ndarray, rowwise: bool, out: np.ndarray,
-               scratch: np.ndarray | None = None) -> np.ndarray:
+               scratch: np.ndarray) -> np.ndarray:
     """x' W x for each vector x along the last axis of X, into ``out``.
 
     Sums the terms (x_j W_jk) x_k in the order numpy's
     ``einsum("ij,jk,ik->i")`` sums them for one batch of n followers: in one
-    sequence, except for l = 2 and n <= 2, ``rowwise``, where each row j is
-    summed apart first.  einsum itself picks that order from the size of
-    the whole block, so it would give a run other bits beside other runs.
-    For l > 1 the terms, and the row sums of ``rowwise``, are formed in
-    ``scratch``: one or two arrays of ``out``'s shape.
+    sequence, except where ``_rowwise`` holds, where each row j is summed
+    apart first.  einsum itself picks that order from the size of the whole
+    block, so it would give a run other bits beside other runs.  For l > 1
+    the terms, and the row sums of ``rowwise``, are formed in ``scratch``:
+    one or two arrays of ``out``'s shape.
     """
     l = X.shape[-1]
     term, *rows = _carve(scratch, *[out.shape] * (2 if rowwise else 1)) if l > 1 else (out,)
@@ -301,7 +305,7 @@ def _quad_sums(X: np.ndarray, W: np.ndarray, rowwise: bool, out: np.ndarray,
     return out
 
 
-def _square_sums(X: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _square_sums(X: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """x' x for each vector x along the last axis of X, into ``out``; for l > 1 the squares
     are formed in ``scratch``."""
     if X.shape[-1] == 1:  # the sum of one square is 0.0 + x*x, x*x itself: it is never -0.0
@@ -312,34 +316,13 @@ def _square_sums(X: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = No
     return np.add.reduce(square, axis=-1, out=out)
 
 
-def _quad_mean(X: np.ndarray, W: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """mean_i x_i' W x_i over the rows x_i of each (n, l) batch in X, summed as
-    ``_quad_sums`` sums a batch of n.  Formed in ``scratch``, when given: three arrays of X
-    less its last axis for the rowwise sums, two for l > 1, one for l = 1."""
-    sums, = _carve(scratch, X.shape[:-1])
-    rest = None if scratch is None else scratch[sums.size:]
-    rowwise = X.shape[-1] == 2 and X.shape[-2] <= 2
-    return _mean(_quad_sums(X, W, rowwise, sums, rest), -1)
-
-
-def _square_mean(X: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """mean_i x_i' x_i over the rows x_i of each (n, l) batch in X, formed in ``scratch``."""
-    sums, = _carve(scratch, X.shape[:-1])
-    return _mean(_square_sums(X, sums, None if scratch is None else scratch[sums.size:]), -1)
-
-
-def _population_cost(model: ModelSpec, quad_x, quad_u, square_d):
-    """The population terms of ``stage_cost``, added first, from the follower means of
-    x'Qx, u'Ru and d'd: one sum per batch of followers."""
-    return quad_x + quad_u - model.gamma ** 2 * square_d
-
-
-def _aggregate_cost(model: ModelSpec, t: int, population, x0: np.ndarray, u0: np.ndarray,
-                    d0: np.ndarray, xbar: np.ndarray, ubar: np.ndarray):
-    """``population``, the result of ``_population_cost``, plus the terms of ``stage_cost``
-    that read only the leader and the follower means, in ``stage_cost``'s order."""
+def _aggregate_cost(model: ModelSpec, t: int, quad_x, quad_u, square_d, x0: np.ndarray,
+                    u0: np.ndarray, d0: np.ndarray, xbar: np.ndarray, ubar: np.ndarray):
+    """``stage_cost`` from the follower means of x'Qx, u'Ru and d'd, added first, and the
+    terms that read only the leader and the follower means."""
     return (
-        population + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1])
+        quad_x + quad_u - model.gamma ** 2 * square_d
+        + _quad(x0, model.Q0[t - 1]) + _quad(u0, model.R0[t - 1])
         - model.gamma ** 2 * _dot(d0, d0)
         + _quad(xbar - x0, model.F[t - 1]) + _quad(xbar, model.P[t - 1])
         + _quad(ubar, model.H[t - 1])
@@ -348,21 +331,23 @@ def _aggregate_cost(model: ModelSpec, t: int, population, x0: np.ndarray, u0: np
 
 def stage_cost(model: ModelSpec, t: int, x0: np.ndarray, u0: np.ndarray, d0: np.ndarray,
                xf: np.ndarray, uf: np.ndarray, df: np.ndarray,
-               xbar: np.ndarray, ubar: np.ndarray, scratch: np.ndarray | None = None):
+               xbar: np.ndarray, ubar: np.ndarray):
     """Social-welfare stage cost at time t, averaged over the n followers.
 
     ``xf``/``uf``/``df`` are the (n, lx|lu) follower batches and
     ``xbar``/``ubar`` their means, passed in because the caller already has
     them; with a leading run axis on every argument the result is one cost
-    per run.  Disturbances enter with weight -gamma^2.  Each population term
-    is formed in ``scratch`` when given, a flat float array of at least
-    ``_scratch_width(lx, lu)`` entries per follower of the batch.  The sum is
-    ``_aggregate_cost`` of ``_population_cost``, which the engine calls apart.
+    per run.  Disturbances enter with weight -gamma^2.  Each follower's
+    term is summed by the engine's ``_quad_sums`` and ``_square_sums``, in
+    the engine's order, and the means go to ``_aggregate_cost``.
     """
-    population = _population_cost(model, _quad_mean(xf, model.Q[t - 1], scratch),
-                                  _quad_mean(uf, model.R[t - 1], scratch),
-                                  _square_mean(df, scratch))
-    return _aggregate_cost(model, t, population, x0, u0, d0, xbar, ubar)
+    n = xf.shape[-2]
+    sums = np.empty(xf.shape[:-1])
+    scratch = np.empty(sums.size * _scratch_width(xf.shape[-1], uf.shape[-1]))
+    means = [_mean(_quad_sums(X, W, _rowwise(n, X.shape[-1]), sums, scratch), -1)
+             for X, W in ((xf, model.Q[t - 1]), (uf, model.R[t - 1]))]
+    return _aggregate_cost(model, t, *means, _mean(_square_sums(df, sums, scratch), -1),
+                           x0, u0, d0, xbar, ubar)
 
 
 def _disturbances(policy: DisturbancePolicy, t: int, gains: StrategyGains, x0: np.ndarray,
@@ -460,8 +445,9 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, size
     view its means, its disturbances and the broadcast adds of its rows.
     A call keeps apart only what numpy would
     order otherwise for another batch shape: a size of one follower, whose
-    products numpy takes as vector products rather than gemm, and, at l = 2,
-    a size of n <= 2, whose cost terms it sums rowwise.  Each follower
+    products numpy takes as vector products rather than gemm, and a size
+    whose cost terms are summed row by row (``_rowwise``: l = 2, n <= 2),
+    as ``stage_cost`` sums them.  Each follower
     action is ``follower_action``'s two parts: ``follower_feedback`` once
     over every row, the product with L_brev once over every follower.  The
     (T, rows) bool mask ``seen`` holds at ``[t - 1, row]`` whether the
@@ -492,7 +478,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, size
     # numpy multiplies a batch of one follower as vectors, with other bits than gemm's
     products = [(part,) if several else (part, None)
                 for part, several in _batches(sizes, width, lambda n: n > 1)]
-    rowwise = [_batches(sizes, width, lambda n: l == 2 and n <= 2) for l in (lx, lu)]
+    rowwise = [_batches(sizes, width, lambda n: _rowwise(n, l)) for l in (lx, lu)]
 
     def size_sums(views, out):
         """Each size's add.reduce over its followers, axis 1 of its view, into its rows of
@@ -555,8 +541,7 @@ def _simulate_block(model: ModelSpec, gains: StrategyGains, cfg: SimConfig, size
             for name, value in (("x0", x0), ("xbar", xbar), ("mhat", m_hat), ("u0", u0),
                                 ("ubar", ubar)):
                 series[name][:, t - 1] = value
-            stage_costs[:, t - 1] = _aggregate_cost(model, t, _population_cost(model, *means),
-                                                    x0, u0, d0, xbar, ubar)
+            stage_costs[:, t - 1] = _aggregate_cost(model, t, *means, x0, u0, d0, xbar, ubar)
             for x, xi in zip(xfs, xis):
                 if xi is not None:
                     xi[:, t - 1] = x

@@ -12,10 +12,10 @@ disturbance) ablation switch.
 Every function is a pure map of (gains, t, states, m_hat) and takes one
 run or a block of runs stacked on a leading axis: x0 and m_hat (lx,) or
 (R, lx), follower populations (n, lx) or (R, n, lx).  Each run of a block
-gets the bits it gets alone.  A map whose result is a population can write
-it into a given ``out`` array of the result's shape instead of a new one,
-with the same operations and so the same bits.  A follower's action is
-the composition of a population part, L_brev x^i, and a row part,
+gets the bits it gets alone.  ``follower_disturbance``, ``rproduct`` and
+``rmatmul`` can write their population into a given ``out`` array of its
+shape, with the same operations and bits.  A follower's action is the
+composition of a population part, L_brev x^i, and a row part,
 ``follower_feedback``, that reads only x0 and m_hat; a caller that holds
 several populations per row computes the row part once for all of them.
 """
@@ -87,15 +87,15 @@ def follower_feedback(gains: StrategyGains, t: int, x0: np.ndarray,
 
 
 def follower_action(gains: StrategyGains, t: int, xf: np.ndarray, x0: np.ndarray,
-                    m_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                    m_hat: np.ndarray) -> np.ndarray:
     """u^i_t = L_brev x^i + L21 x0 + (L22 - L_brev) m_hat for each follower x^i.
 
-    ``xf`` is a population, (n, lx) or (R, n, lx); the result, in ``out``
-    when given, matches it with lu components.  It is the population part
-    L_brev x^i plus ``follower_feedback``.
+    ``xf`` is a population, (n, lx) or (R, n, lx); the result matches it
+    with lu components.  It is the population part L_brev x^i plus
+    ``follower_feedback``.
     """
-    out = rproduct(xf, gains.L_brev[t - 1], out=out)  # + a feedback never -0.0: no 0.0 pass
-    return np.add(out, follower_feedback(gains, t, x0, m_hat)[..., None, :], out=out)
+    u = rproduct(xf, gains.L_brev[t - 1])  # + a feedback never -0.0: no 0.0 pass
+    return np.add(u, follower_feedback(gains, t, x0, m_hat)[..., None, :], out=u)
 
 
 def worst_case_disturbance(gains: StrategyGains, t: int, x0: np.ndarray, mean: np.ndarray):

@@ -120,3 +120,16 @@ def test_workflow_digest_loops_list_every_workload():
              if line.strip().startswith("for workload in ")]
     assert len(loops) == 2
     assert all(tuple(loop) == names for loop in loops), loops
+
+
+def test_every_traced_function_exists_in_its_home_module():
+    # perfbench/spans.Tracer skips a listed function its home module lacks, so removing a
+    # traced function would silently drop its span; LAYERS is read from its source.
+    # sim.simulate_run is the one known stale entry: simulate took its place.
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"])
+    missing = [f"{layer}.{func}" for layer, funcs in layers.items() for func in funcs
+               if not hasattr(importlib.import_module(f"mfminmax.{layer}"), func)]
+    assert [name for name in missing if name != "sim.simulate_run"] == []

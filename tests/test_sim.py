@@ -344,7 +344,9 @@ class TestDeterminism:
         for n in (1, 2, 3, 5, 40):
             X = gen.normal(size=(6, n, dim))
             expected = [float(np.einsum("ij,jk,ik->i", x, W, x).mean()) for x in X]
-            assert sim._quad_mean(X, W).tobytes() == np.array(expected).tobytes()
+            sums = sim._quad_sums(X, W, sim._rowwise(n, dim), np.empty((6, n)),
+                                  np.empty(2 * 6 * n))
+            assert sim._mean(sums, -1).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_mean_equals_ndarray_mean(self, l):
@@ -358,9 +360,6 @@ class TestDeterminism:
             for axis in (1, -1):
                 expected = X.mean(axis=axis)
                 assert sim._mean(X, axis).tobytes() == expected.tobytes(), (n, axis)
-                out = np.full(expected.shape, np.nan)
-                got = sim._mean(X, axis, out=out)
-                assert got is out and out.tobytes() == expected.tobytes(), (n, axis)
             lone = X[0, :, 0]
             got, expected = sim._mean(lone, -1), lone.mean(axis=-1)
             assert np.ndim(got) == 0 and type(got) is type(expected)
@@ -699,8 +698,10 @@ class TestCostFormula:
 
     @pytest.mark.parametrize("lx, lu", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
     def test_scratch_gives_the_allocating_bits(self, lx, lu):
-        # The least scratch a batch may be given, with the rowwise sums of
-        # l = 2 and n <= 2 among the cases, and zeros of both signs.
+        # The cost sums in the least scratch a step gives them, NaN-filled so
+        # that an entry read before it is written shows, give stage_cost's
+        # bits, with the rowwise sums of l = 2 and n <= 2 among the cases,
+        # and zeros of both signs.
         gen = np.random.default_rng(10 * lx + lu)
         m = make_model(T=1, n=1, gamma=1.5, A0=1.0, B0=np.ones(lx * lu), S0=0.0, A=1.0,
                        B=np.ones(lx * lu), S=0.0, E=0.0, Q=1.0, Q0=1.0, F=1.0, P=1.0, R=1.0,
@@ -713,9 +714,15 @@ class TestCostFormula:
             xf, uf, df = (gen.choice(values, size=(3, n, d)) for d in (lx, lu, lx))
             x0, d0, xbar = (gen.choice(values, size=(3, lx)) for _ in range(3))
             u0, ubar = (gen.choice(values, size=(3, lu)) for _ in range(2))
-            scratch = np.full(3 * n * sim._scratch_width(lx, lu), np.nan)
+            width = sim._scratch_width(lx, lu)  # as _work_arrays sizes it
+            means = [sim._mean(sim._quad_sums(X, W, sim._rowwise(n, X.shape[-1]),
+                                              np.full((3, n), np.nan),
+                                              np.full(3 * n * width, np.nan)), -1)
+                     for X, W in ((xf, m.Q[0]), (uf, m.R[0]))]
+            means.append(sim._mean(sim._square_sums(df, np.full((3, n), np.nan),
+                                                    np.full(3 * n * width, np.nan)), -1))
+            got = sim._aggregate_cost(m, 1, *means, x0, u0, d0, xbar, ubar)
             expected = stage_cost(m, 1, x0, u0, d0, xf, uf, df, xbar, ubar)
-            got = stage_cost(m, 1, x0, u0, d0, xf, uf, df, xbar, ubar, scratch)
             assert got.tobytes() == expected.tobytes(), n
 
     def test_gamma_only_scales_disturbance_terms(self, example2):

@@ -140,15 +140,11 @@ class TestOutForms:
     @given(out_cases())
     def test_feedback_maps_into_out_equal_allocating_forms(self, case):
         gains, xf, x0, mean = case
-        actions = np.full(xf.shape[:-1] + (gains.action_dim,), np.nan)
         disturbances = np.full(xf.shape, np.nan)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected_u = follower_action(gains, 1, xf, x0, mean)
-            got_u = follower_action(gains, 1, xf, x0, mean, out=actions)
             dbar = worst_case_disturbance(gains, 1, x0, mean)[1]
             expected_d = follower_disturbance(gains, 1, xf, mean, dbar)
             got_d = follower_disturbance(gains, 1, xf, mean, dbar, out=disturbances)
-        assert got_u is actions and got_u.tobytes() == expected_u.tobytes()
         assert got_d is disturbances and got_d.tobytes() == expected_d.tobytes()
 
 
